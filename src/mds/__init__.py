@@ -13,9 +13,8 @@ from .conditions import (ConditionConstants, ConditionReport, build_report,
                          check_cond1, check_cond2, check_example_conditions,
                          estimate_constants, pz_samples)
 from .control import (ControlSignal, SteeringReport, SteerOutcome, gramians,
-                      min_norm_inverse, min_norm_inverse_dense, steer,
-                      steering_residual, synthesize_control, terminal_error,
-                      z_apply, z_apply_dense)
+                      min_norm_inverse, steer, steering_residual,
+                      synthesize_control, terminal_error, z_apply)
 from .errors import (ConfigError, ConvergenceError, DegenerateModeError,
                      DomainError, GridError, InstabilityError, SteeringError,
                      UsageError)

@@ -1,7 +1,8 @@
 """Quadrature weight builders on arbitrary strictly increasing node sets.
 
-Two rules are used package-wide: composite trapezoid for measure (dh)
-integration, and a composite Simpson rule for plain dt integration.  Every
+Two rules are used package-wide: composite trapezoid for the density part
+of measure (dh) integration, which the Scenario turns into its one dh
+operator, and a composite Simpson rule for plain dt integration.  Every
 dt integral (Gramians, Z application, control norms, the u-integral of the
 solution operator) draws its weights from the same builder so that discrete
 identities (minimal-norm preimage, terminal exactness) hold to roundoff.

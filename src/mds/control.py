@@ -4,12 +4,12 @@ Z u = int_0^a R(a,s) V u(s) ds with V = diag(theta).  Because R acts
 diagonally, the normal equations decouple into scalar mode Gramians
 gamma_n = theta_n^2 Q[r_n(a,.)^2] under the shared quadrature Q, and the
 minimal-L2 preimage of p is u_n(s) = theta_n r_n(a,s) p_n / gamma_n.
-A dense Gramian path covers non-diagonal gain matrices.
 
 Sharing Q between z_apply, the Gramians, the control norm and the
 solver's u integral makes z_apply(min_norm_inverse(p)) = p and the
 linear-case terminal identity hold to roundoff, not just to quadrature
-order.
+order.  Likewise the steering residual's dh integral is the last row of
+the Scenario's dh operator, the same weights the solver uses at t = a.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .solver import picard_solve
 from .spectral import ResolventTable
 
 GAMMA_FLOOR = 1e-12
-_TIKHONOV = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,53 +77,13 @@ def min_norm_inverse(table: ResolventTable, theta, p: np.ndarray, weights,
     return ControlSignal(samples)
 
 
-def z_apply_dense(table: ResolventTable, gain: np.ndarray, u, weights) -> np.ndarray:
-    """Zu for a full gain matrix V: int R(a,s) V u(s) ds."""
-    w = _weights_for(table, weights)
-    samples = u.samples if isinstance(u, ControlSignal) else np.asarray(u, dtype=float)
-    vu = samples @ np.asarray(gain, dtype=float).T          # (M, N)
-    return (table.final_row() * vu.T) @ w
-
-
-def min_norm_inverse_dense(table: ResolventTable, gain: np.ndarray, p: np.ndarray,
-                           weights) -> ControlSignal:
-    """Minimal-norm preimage for a full gain matrix via the dense Gramian.
-
-    W = int D(s) V V^T D(s) ds with D(s) = diag(r_n(a,s)); solve W beta = p
-    by Cholesky, with a scaled Tikhonov retry if the factorization fails,
-    then u(s) = V^T D(s) beta.
-    """
-    w = _weights_for(table, weights)
-    gain = np.asarray(gain, dtype=float)
-    final = table.final_row()                               # (N, M)
-    vvt = gain @ gain.T
-    gram = np.einsum("s,ns,nm,ms->nm", w, final, vvt, final, optimize=True)
-    p = np.asarray(p, dtype=float)
-    try:
-        beta = np.linalg.solve(gram, p)
-    except np.linalg.LinAlgError:
-        ridge = _TIKHONOV * max(np.trace(gram) / len(gram), 1.0)
-        beta = np.linalg.solve(gram + ridge * np.eye(len(gram)), p)
-    samples = (final * beta[:, None]).T @ gain              # (M, N_c)
-    return ControlSignal(samples)
-
-
-def _dh_terminal(scn: Scenario, delta: np.ndarray) -> np.ndarray:
-    """int_[0,a) R(a,s) delta(s) dh(s): density trapezoid plus left-value jumps."""
-    final = scn.resolvent().final_row()                     # (N, M)
-    acc = (final * (delta * scn.density[:, None]).T) @ scn.wtrap
-    for i in scn.jump_rows:
-        acc = acc + final[:, i] * delta[i] * scn.jump_sizes[i]
-    return acc
-
-
 def steering_residual(scn: Scenario, traj: RegulatedTrajectory) -> np.ndarray:
     """p = zeta1 - g(zeta) - R(a,0)(zeta0 - g(zeta)) - int R(a,s) delta dh."""
     g = scn.g_of(traj.values)
     final = scn.resolvent().final_row()
     delta = scn.delta_values(traj.values)
     return (scn.zeta1 - g - final[:, 0] * (scn.zeta0 - g)
-            - _dh_terminal(scn, delta))
+            - (final * delta.T) @ scn.dh_rows[-1])
 
 
 def synthesize_control(scn: Scenario, traj: RegulatedTrajectory,

@@ -2,9 +2,12 @@
 
 A Scenario freezes everything a run needs: basis, linear part, driver,
 grid, states, nonlinearity, nonlocal term, control gains, tolerances.
-It also owns the one Lebesgue-in-t quadrature rule (composite Simpson
-prefix rows) that the solver, the control synthesis, and the Gramians
-all share; using a single rule everywhere is what makes the steering
+It also owns the two shared integration rules: the Lebesgue-in-t rule
+(composite Simpson prefix rows ``wq_rows``) and the Stieltjes rule
+(``dh_rows``: row j holds the weights of int_[0,t_j) . dh, density times
+trapezoid plus the jumps strictly before t_j at left values).  The
+solver, the control synthesis and the Gramians draw on these and nothing
+else; using a single rule per integral is what makes the steering
 residual cancel exactly instead of to quadrature order.
 """
 
@@ -156,9 +159,7 @@ class Scenario:
     # shared quadrature caches, filled on construction
     wq_rows: np.ndarray = field(init=False, repr=False)
     wq_full: np.ndarray = field(init=False, repr=False)
-    wtrap_rows: np.ndarray = field(init=False, repr=False)
-    wtrap: np.ndarray = field(init=False, repr=False)
-    density: np.ndarray = field(init=False, repr=False)
+    dh_rows: np.ndarray = field(init=False, repr=False)
     jump_sizes: np.ndarray = field(init=False, repr=False)
     jump_rows: np.ndarray = field(init=False, repr=False)
 
@@ -183,12 +184,15 @@ class Scenario:
                 raise UsageError("nonlinearity table must broadcast to (grid, modes)")
         object.__setattr__(self, "wq_rows", simpson_prefix_matrix(self.grid.nodes))
         object.__setattr__(self, "wq_full", self.wq_rows[-1])
-        object.__setattr__(self, "wtrap_rows", trapezoid_prefix_matrix(self.grid.nodes))
-        object.__setattr__(self, "wtrap", trapezoid_weights(self.grid.nodes))
-        object.__setattr__(self, "density", density_on_grid(self.h, self.grid))
         sizes = jump_sizes_on_grid(self.h, self.grid)   # raises if a jump is off-grid
+        rows = np.where(sizes > 0.0)[0]
+        dh_rows = trapezoid_prefix_matrix(self.grid.nodes)
+        dh_rows *= density_on_grid(self.h, self.grid)
+        for i in rows:
+            dh_rows[i + 1:, i] += sizes[i]          # jump at t_i acts only for t > t_i
+        object.__setattr__(self, "dh_rows", dh_rows)
         object.__setattr__(self, "jump_sizes", sizes)
-        object.__setattr__(self, "jump_rows", np.where(sizes > 0.0)[0])
+        object.__setattr__(self, "jump_rows", rows)
         object.__setattr__(self, "_table_cache", None)
 
     @property

@@ -114,8 +114,8 @@ def _parse_measure(obj, path: str, base_nodes: int) -> JumpMeasure:
         if family == "zeno":
             _reject_unknown(obj, ("family", "K"), path)
             k = _integer(obj, "K", path, default=20)
-            if k < 2:
-                raise ConfigError(f"{path}.K", "zeno truncation needs K >= 2")
+            if not 2 <= k <= MAX_NODES:
+                raise ConfigError(f"{path}.K", f"zeno truncation K must be in 2..{MAX_NODES}")
             return zeno_measure(k)
         if family in ("constant", "lebesgue"):
             _reject_unknown(obj, ("family", "end"), path)
@@ -140,6 +140,8 @@ def _parse_measure(obj, path: str, base_nodes: int) -> JumpMeasure:
     jumps = obj.get("jumps", [])
     if not isinstance(jumps, list):
         raise ConfigError(f"{path}.jumps", "expected a list of [t, size] pairs")
+    if len(jumps) > MAX_NODES:
+        raise ConfigError(f"{path}.jumps", f"at most {MAX_NODES} jumps")
     locs, sizes = [], []
     for i, pair in enumerate(jumps):
         if not (isinstance(pair, list) and len(pair) == 2
@@ -270,6 +272,9 @@ def parse_scenario(doc: dict) -> Scenario:
     try:
         basis = make_basis(n_modes, collocation)
         grid = build_time_grid(h, base_nodes)
+        if len(grid) > MAX_NODES:
+            raise ConfigError("$.grid.nodes", f"merged grid has {len(grid)} nodes, "
+                              f"more than {MAX_NODES}")
         scn = Scenario(basis, LinearPart(tau, kernel), h, grid, zeta0, zeta1,
                        nonlinearity, nonlocal_term, theta, tol,
                        config=_canonical_doc(doc, n_modes, collocation, base_nodes))

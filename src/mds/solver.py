@@ -4,10 +4,11 @@
                   + int_0^t R(t,s) V u(s) ds
                   + int_[0,t) R(t,s) delta(s, zeta(s)) dh(s)
 
-The u integral is Lebesgue (Simpson prefix rows); the dh integral splits
-into a density part (trapezoid prefix rows, matching ls_integral) and the
-jumps strictly before t, evaluated at left values.  Right values at jump
-nodes carry the increment delta(t, zeta(t)) * jump(t) because R(t,t) = Id.
+The u integral is Lebesgue (Simpson prefix rows); the dh integral goes
+through the Scenario's single dh operator (density trapezoid plus the
+jumps strictly before t at left values, matching ls_integral).  Right
+values at jump nodes carry the increment delta(t, zeta(t)) * jump(t)
+because R(t,t) = Id.
 """
 
 from __future__ import annotations
@@ -49,13 +50,8 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTraj
 
     delta = scn.delta_values(traj.values)
     if not scn.nonlinearity.is_zero:
-        forced = delta * scn.density[:, None]
-        values = values + np.einsum("js,njs,sn->jn", scn.wtrap_rows, data,
-                                    forced, optimize=True)
-        for i in scn.jump_rows:
-            contrib = data[:, :, i].T * (delta[i] * scn.jump_sizes[i])
-            contrib[:i + 1] = 0.0                     # jump at t_i acts only for t > t_i
-            values = values + contrib
+        values = values + np.einsum("js,njs,sn->jn", scn.dh_rows, data,
+                                    delta, optimize=True)
 
     right = values.copy()
     rows = scn.jump_rows

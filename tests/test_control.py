@@ -9,9 +9,8 @@ import pytest
 from mds import (ControlSignal, DegenerateModeError, GridError, LinearPart,
                  SteeringError, TimeFunction, Tolerances, assemble_scenario,
                  constant_measure, estimate_constants, gramians, make_basis,
-                 min_norm_inverse, min_norm_inverse_dense, steer,
-                 steering_residual, synthesize_control, terminal_error,
-                 z_apply, z_apply_dense, zero_kernel)
+                 min_norm_inverse, steer, steering_residual,
+                 synthesize_control, terminal_error, z_apply, zero_kernel)
 
 
 @pytest.fixture(scope="module")
@@ -90,29 +89,6 @@ def test_minimality_against_kernel_perturbations(small_scn):
         v = v0 - min_norm_inverse(table, small_scn.theta, hit, w).samples
         competitor = ControlSignal(u.samples + v)
         assert base <= competitor.l2_norm(w) + 1e-12
-
-
-# ---------------------------------------------------------------- dense gain path
-
-def test_dense_matches_diagonal_for_diagonal_gain(small_scn):
-    table = small_scn.resolvent()
-    w = small_scn.wq_full
-    theta = np.array([1.0, 0.5, 2.0])
-    p = np.array([0.7, -0.4, 1.1])
-    diag_u = min_norm_inverse(table, theta, p, w)
-    dense_u = min_norm_inverse_dense(table, np.diag(theta), p, w)
-    assert np.max(np.abs(diag_u.samples - dense_u.samples)) < 1e-12
-
-
-def test_dense_full_gain_round_trip(small_scn):
-    rng = np.random.default_rng(3)
-    table = small_scn.resolvent()
-    w = small_scn.wq_full
-    gain = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-    p = rng.uniform(-1.0, 1.0, size=3)
-    u = min_norm_inverse_dense(table, gain, p, w)
-    back = z_apply_dense(table, gain, u, w)
-    assert np.max(np.abs(back - p)) < 1e-8
 
 
 def test_weights_length_checked(small_scn):

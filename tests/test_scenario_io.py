@@ -10,7 +10,9 @@ from mds import (ConfigError, UsageError, assemble_scenario, constant_measure,
                  LinearPart, TimeFunction, make_basis, parse_scenario,
                  run_command, serialize_scenario, write_trajectory_csv,
                  zero_kernel)
+from mds import scenario_io
 from mds.cli import main as cli_main
+from mds.scenario_io import MAX_NODES
 
 from conftest import load_config
 
@@ -97,6 +99,41 @@ def test_negative_density_rejected():
 def test_non_mapping_document_rejected():
     with pytest.raises(ConfigError):
         parse_scenario([1, 2, 3])
+
+
+def _forbid(monkeypatch, *names):
+    """Make the named scenario_io builders fail if a rejected config reaches them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("oversized config was not rejected first")
+    for name in names:
+        monkeypatch.setattr(scenario_io, name, refuse)
+
+
+def test_oversized_zeno_truncation_rejected_before_building(monkeypatch):
+    _forbid(monkeypatch, "zeno_measure", "Scenario")
+    doc = tiny_doc(measure={"family": "zeno", "K": MAX_NODES + 1})
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(doc)
+    assert exc.value.path == "$.measure.K"
+
+
+def test_overlong_jump_list_rejected_before_pair_checks(monkeypatch):
+    _forbid(monkeypatch, "Scenario")
+    # entries that are not pairs at all: the length check must come first
+    doc = tiny_doc(measure={"end": 1.0, "jumps": [None] * (MAX_NODES + 1)})
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(doc)
+    assert exc.value.path == "$.measure.jumps"
+
+
+@pytest.mark.parametrize("nodes, k", [(2, MAX_NODES), (MAX_NODES, 20)])
+def test_merged_grid_over_node_limit_rejected(monkeypatch, tmp_path, nodes, k):
+    _forbid(monkeypatch, "Scenario")
+    doc = tiny_doc(grid={"nodes": nodes}, measure={"family": "zeno", "K": k})
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(doc)
+    assert exc.value.path == "$.grid.nodes"
+    assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
 
 
 # ---------------------------------------------------------------- round trip
