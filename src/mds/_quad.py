@@ -71,10 +71,20 @@ def simpson_prefix_matrix(nodes: np.ndarray) -> np.ndarray:
 
     Each row pairs cells from the left; a row over an odd cell count closes
     its last cell with trapezoid.  The final row coincides with
-    ``simpson_weights`` of the full node set.
+    ``simpson_weights`` of the full node set.  Rows are built cumulatively
+    and bitwise equal to ``simpson_weights(nodes[:j + 1])``: an even row is
+    the even row before it plus one Simpson pair, an odd row is the row
+    before it plus one trapezoid cell.
     """
     m = len(nodes)
+    d = np.diff(nodes)
     w = np.zeros((m, m))
     for j in range(1, m):
-        w[j, : j + 1] = simpson_weights(nodes[: j + 1])
+        if j % 2:
+            w[j, :j] = w[j - 1, :j]
+            w[j, j - 1] += d[j - 1] / 2.0
+            w[j, j] += d[j - 1] / 2.0
+        else:
+            w[j, :j - 1] = w[j - 2, :j - 1]
+            w[j, j - 2:j + 1] += simpson_weights(nodes[j - 2:j + 1])
     return w

@@ -77,11 +77,14 @@ def constant(v: float) -> TimeFunction:
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """Convolution-type kernel G(t, s), evaluated on t >= s.
+    """Convolution-type kernel G(t, s) = c0 * exp(-rate*(t-s)), on t >= s.
 
-    zero:     G = 0
-    const:    G = c0
+    zero:     G = 0        (c0 and rate normalized to 0)
+    const:    G = c0       (rate normalized to 0)
     exp_diff: G = c0 * exp(-rate*(t-s))
+
+    Every kind is this one exponential, which is what lets the resolvent
+    build carry its memory integral as a one-term recurrence.
     """
 
     kind: str
@@ -91,18 +94,18 @@ class MemoryKernel:
     def __post_init__(self):
         if self.kind not in _KERNEL_KINDS:
             raise UsageError(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "zero":
+            object.__setattr__(self, "c0", 0.0)
+        if self.kind != "exp_diff":
+            object.__setattr__(self, "rate", 0.0)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind != "zero" and self.c0 == 0.0)
+        return self.c0 == 0.0
 
     def value(self, t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(np.broadcast(t, s).shape)
-        if self.kind == "const":
-            return np.full(np.broadcast(t, s).shape, self.c0)
         return self.c0 * np.exp(-self.rate * (t - s))
 
     def matrix(self, nodes: np.ndarray) -> np.ndarray:
@@ -111,10 +114,6 @@ class MemoryKernel:
         return self.value(nodes[:, None], nodes[None, :])
 
     def sup_abs(self, a: float) -> float:
-        if self.is_zero:
-            return 0.0
-        if self.kind == "const":
-            return abs(self.c0)
         return abs(self.c0) * max(1.0, float(np.exp(-self.rate * a)))
 
 

@@ -275,6 +275,13 @@ def parse_scenario(doc: dict) -> Scenario:
         if len(grid) > MAX_NODES:
             raise ConfigError("$.grid.nodes", f"merged grid has {len(grid)} nodes, "
                               f"more than {MAX_NODES}")
+        # the (N, M, M) resolvent table plus the wq_rows and dh_rows caches
+        need = 8 * len(grid) ** 2 * (n_modes + 2)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ConfigError("$.grid.nodes", f"{len(grid)} merged nodes x {n_modes} modes "
+                              f"need about {need:.3g} bytes, more than the "
+                              f"{have:.3g} bytes of physical memory")
         scn = Scenario(basis, LinearPart(tau, kernel), h, grid, zeta0, zeta1,
                        nonlinearity, nonlocal_term, theta, tol,
                        config=_canonical_doc(doc, n_modes, collocation, base_nodes))

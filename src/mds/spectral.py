@@ -7,9 +7,11 @@ Each mode n solves the scalar Volterra integrodifferential equation
 and R(t,s) acts diagonally with factors r_n(t,s).  The stepper is a
 trapezoid predictor-corrector whose local propagation uses the exact
 factor exp(-n^2 int tau), so the stiff diagonal part carries no
-quadrature error; only the memory integral is approximated.  All modes
-and all anchors advance together through one flattened array so each
-time step costs a single matrix-vector product.
+quadrature error; only the memory integral is approximated.  Every
+catalog kernel is one exponential c0 exp(-rate (t-s)), so each column's
+trapezoid memory integral is carried as state and updated by an exact
+one-term recurrence.  All modes and all anchors advance together, so one
+time step costs O(modes x anchors) and the full table O(N M^2).
 """
 
 from __future__ import annotations
@@ -87,15 +89,6 @@ class LinearPart:
         # catalog kernels all depend on t-s only, so autonomy is decided by tau
         return self.tau.kind == "const"
 
-    def tau_samples(self, nodes: np.ndarray) -> np.ndarray:
-        return self.tau.value(nodes)
-
-    def tau_cumulative(self, nodes: np.ndarray) -> np.ndarray:
-        return self.tau.antiderivative(nodes)
-
-    def kernel_matrix(self, nodes: np.ndarray) -> np.ndarray:
-        return self.kernel.matrix(nodes)
-
     def residual_scale(self, n: int, horizon: float) -> float:
         """Magnitude of the stiff terms for mode n; used to scale PDE residuals."""
         return n * n * (self.tau.sup_abs(horizon) + horizon * self.kernel.sup_abs(horizon))
@@ -112,68 +105,38 @@ def _etd_build(modes: np.ndarray, grid: TimeGrid, linear: LinearPart,
                anchors: np.ndarray) -> np.ndarray:
     """Advance all (mode, anchor) columns jointly; returns (n_modes, M, n_anchors).
 
-    Column layout c = mode_index * K + anchor_position.  A column is zero
-    until its anchor row, where it is set to 1 and begins stepping.  The
-    memory integral per column is the trapezoid rule anchored at its own
-    start node: the shared full-prefix weights overweight the start node
-    by its left half-cell, which is removed exactly via r(anchor) = 1.
+    Each column carries r = r_n(t_j, t_k) and mem, the trapezoid rule of
+    exp(-rate (t_j - u)) r(u) over [t_k, t_j].  The kernel is one
+    exponential c0 exp(-rate (t - s)), so one step decays mem and adds one
+    cell; the predicted r closes the new cell, and the corrected r closes
+    it again for the next step.  Before its anchor row a column's r and
+    mem are exactly zero and stay so; at the anchor row r is set to 1.
     """
     nodes = grid.nodes
-    m_count = len(nodes)
-    n_count = len(modes)
-    k_count = len(anchors)
-    c_count = n_count * k_count
     d = np.diff(nodes)
+    n2 = modes.astype(float)[:, None] ** 2
+    exmat = np.exp(-n2 * np.diff(linear.tau.antiderivative(nodes)))   # (N, M-1), exact
+    kq = -n2 * linear.kernel.c0              # memory term of r' is kq * mem
+    decay = np.exp(-linear.kernel.rate * d)
 
-    n2 = modes.astype(float) ** 2
-    tau_cum = linear.tau_cumulative(nodes)
-    exmat = np.exp(-np.outer(n2, np.diff(tau_cum)))     # (n_count, M-1), exact
-    kernel = linear.kernel_matrix(nodes)
-
-    wfull = np.empty(m_count)
-    wfull[0] = d[0] / 2.0
-    if m_count > 2:
-        wfull[1:-1] = (d[:-1] + d[1:]) / 2.0
-    wfull[-1] = d[-1] / 2.0
-    half_left = np.zeros(m_count)
-    half_left[1:] = d / 2.0
-
-    kvec = np.tile(anchors, n_count)
-    n2col = np.repeat(n2, k_count)
-    cols_at = {int(k): np.where(anchors == k)[0][None, :] + k_count * np.arange(n_count)[:, None]
-               for k in np.unique(anchors)}
-    cols_at = {k: idx.ravel() for k, idx in cols_at.items()}
-
-    table = np.zeros((m_count, c_count))
-    q = np.zeros(c_count)
-    active = np.zeros(c_count, dtype=bool)
-    anchor_halves = half_left[kvec]
-
-    for j in range(m_count):
-        if j in cols_at:
-            cols = cols_at[j]
-            table[j, cols] = 1.0
-            q[cols] = 0.0
-            active[cols] = True
-        if j == m_count - 1:
+    out = np.zeros((len(modes), len(nodes), len(anchors)))
+    r = np.zeros((len(modes), len(anchors)))
+    mem = np.zeros_like(r)
+    for j in range(len(nodes)):
+        r[:, anchors == j] = 1.0
+        out[:, j] = r
+        if j == len(nodes) - 1:
             break
-        dt = d[j]
-        ex = np.repeat(exmat[:, j], k_count)
-        pred = ex * (table[j] + dt * q)
-        arow = kernel[j + 1]
-        raw = (wfull[:j + 1] * arow[:j + 1]) @ table[:j + 1]
-        raw += (dt / 2.0) * arow[j + 1] * pred
-        q_next = -n2col * (raw - anchor_halves * arow[kvec])
-        q_next[~active] = 0.0
-        table[j + 1] = ex * table[j] + (dt / 2.0) * (ex * q + q_next)
-        q_next += -n2col * (dt / 2.0) * arow[j + 1] * (table[j + 1] - pred)
-        q_next[~active] = 0.0
-        q = q_next
-        peak = np.max(np.abs(table[j + 1]))
-        if not peak < _OVERFLOW_GUARD:
-            worst = int(np.argmax(np.abs(table[j + 1])))
-            raise InstabilityError(int(modes[worst // k_count]), _OVERFLOW_GUARD)
-    return table.T.reshape(n_count, k_count, m_count).transpose(0, 2, 1).copy()
+        dt, half, ex = d[j], d[j] / 2.0, exmat[:, j:j + 1]
+        q = kq * mem
+        pred = ex * (r + dt * q)
+        carried = decay[j] * (mem + half * r)
+        r = ex * r + half * (ex * q + kq * (carried + half * pred))
+        mem = carried + half * r
+        if not np.max(np.abs(r)) < _OVERFLOW_GUARD:
+            worst = int(np.argmax(np.abs(r)))
+            raise InstabilityError(int(modes[worst // len(anchors)]), _OVERFLOW_GUARD)
+    return out
 
 
 @dataclass(frozen=True)
@@ -246,8 +209,8 @@ def verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3,
     nodes = table.grid.nodes
     m_count = len(nodes)
     n2 = table.basis.mode_numbers.astype(float) ** 2
-    tau = table.linear.tau_samples(nodes)
-    kernel = table.linear.kernel_matrix(nodes)
+    tau = table.linear.tau.value(nodes)
+    kernel = table.linear.kernel.matrix(nodes)
     prefix = trapezoid_prefix_matrix(nodes)
     horizon = table.grid.end
     scale = np.array([table.linear.residual_scale(n, horizon)

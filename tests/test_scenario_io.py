@@ -136,6 +136,25 @@ def test_merged_grid_over_node_limit_rejected(monkeypatch, tmp_path, nodes, k):
     assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
 
 
+def test_table_beyond_physical_memory_rejected(monkeypatch, tmp_path):
+    _forbid(monkeypatch, "Scenario")
+    # 8 * 65536^2 * (256 + 2) bytes, about 8.9 TB, passes every count limit
+    doc = tiny_doc(basis={"N": 256}, grid={"nodes": MAX_NODES},
+                   states={"zeta0": [0.0] * 256})
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(doc)
+    assert exc.value.path == "$.grid.nodes"
+    assert f"{8 * MAX_NODES ** 2 * 258:.3g} bytes" in str(exc.value)
+    assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
+
+
+@pytest.mark.parametrize("name, nodes", [("demo.json", 1025), ("resolvent_check.json", 2048)])
+def test_benchmark_sizes_fit_the_byte_budget(name, nodes):
+    doc = load_config(name)
+    doc["grid"]["nodes"] = nodes
+    assert len(parse_scenario(doc).grid) == nodes
+
+
 # ---------------------------------------------------------------- round trip
 
 def test_serialize_round_trip_is_stable():
