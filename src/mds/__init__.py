@@ -33,7 +33,6 @@ from .solver import (PicardResult, apply_psi, discontinuity_count,
 from .spectral import (AutonomyReport, LinearPart, PdeReport, ResolventTable,
                        SpectralBasis, build_resolvent_table,
                        check_autonomous_reduction, evolution_factor,
-                       make_basis, resolvent_apply, solve_mode_resolvent,
-                       verify_resolvent_pde)
+                       make_basis, solve_mode_resolvent, verify_resolvent_pde)
 
 __version__ = "0.1.0"

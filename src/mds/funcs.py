@@ -108,11 +108,6 @@ class MemoryKernel:
         s = np.asarray(s, dtype=float)
         return self.c0 * np.exp(-self.rate * (t - s))
 
-    def matrix(self, nodes: np.ndarray) -> np.ndarray:
-        """G(t_j, t_u) for all node pairs; only j >= u is ever used."""
-        nodes = np.asarray(nodes, dtype=float)
-        return self.value(nodes[:, None], nodes[None, :])
-
     def sup_abs(self, a: float) -> float:
         return abs(self.c0) * max(1.0, float(np.exp(-self.rate * a)))
 

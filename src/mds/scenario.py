@@ -8,16 +8,20 @@ It also owns the two shared integration rules: the Lebesgue-in-t rule
 trapezoid plus the jumps strictly before t_j at left values).  The
 solver, the control synthesis and the Gramians draw on these and nothing
 else; using a single rule per integral is what makes the steering
-residual cancel exactly instead of to quadrature order.
+residual cancel exactly instead of to quadrature order.  Construction
+builds only O(M) data (``wq_full``, the jump sizes and rows); the two
+M x M operators are built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._quad import simpson_prefix_matrix, trapezoid_prefix_matrix, trapezoid_weights
+from ._quad import (simpson_prefix_matrix, simpson_weights, trapezoid_prefix_matrix,
+                    trapezoid_weights)
 from .errors import UsageError
 from .funcs import TimeFunction
 from .measure import (JumpMeasure, TimeGrid, build_time_grid, density_on_grid,
@@ -156,10 +160,8 @@ class Scenario:
     theta: np.ndarray
     tol: Tolerances
     config: dict | None = field(default=None, repr=False)
-    # shared quadrature caches, filled on construction
-    wq_rows: np.ndarray = field(init=False, repr=False)
+    # O(M) quadrature data, filled on construction
     wq_full: np.ndarray = field(init=False, repr=False)
-    dh_rows: np.ndarray = field(init=False, repr=False)
     jump_sizes: np.ndarray = field(init=False, repr=False)
     jump_rows: np.ndarray = field(init=False, repr=False)
 
@@ -182,18 +184,25 @@ class Scenario:
             rows = np.atleast_2d(self.nonlinearity.table)
             if rows.shape[-1] != n or rows.shape[0] not in (1, len(self.grid)):
                 raise UsageError("nonlinearity table must broadcast to (grid, modes)")
-        object.__setattr__(self, "wq_rows", simpson_prefix_matrix(self.grid.nodes))
-        object.__setattr__(self, "wq_full", self.wq_rows[-1])
+        object.__setattr__(self, "wq_full", simpson_weights(self.grid.nodes))
         sizes = jump_sizes_on_grid(self.h, self.grid)   # raises if a jump is off-grid
-        rows = np.where(sizes > 0.0)[0]
+        object.__setattr__(self, "jump_sizes", sizes)
+        object.__setattr__(self, "jump_rows", np.where(sizes > 0.0)[0])
+        object.__setattr__(self, "_table_cache", None)
+
+    @cached_property
+    def wq_rows(self) -> np.ndarray:
+        """Simpson prefix rows: row j holds the weights of int_0^{t_j} . dt."""
+        return simpson_prefix_matrix(self.grid.nodes)
+
+    @cached_property
+    def dh_rows(self) -> np.ndarray:
+        """The dh operator: row j holds the weights of int_[0,t_j) . dh."""
         dh_rows = trapezoid_prefix_matrix(self.grid.nodes)
         dh_rows *= density_on_grid(self.h, self.grid)
-        for i in rows:
-            dh_rows[i + 1:, i] += sizes[i]          # jump at t_i acts only for t > t_i
-        object.__setattr__(self, "dh_rows", dh_rows)
-        object.__setattr__(self, "jump_sizes", sizes)
-        object.__setattr__(self, "jump_rows", rows)
-        object.__setattr__(self, "_table_cache", None)
+        for i in self.jump_rows:
+            dh_rows[i + 1:, i] += self.jump_sizes[i]   # jump at t_i acts only for t > t_i
+        return dh_rows
 
     @property
     def n_modes(self) -> int:

@@ -402,8 +402,7 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
                 f"{'pass' if report.pass_cond2 else 'FAIL'}")
             return 0 if report.all_pass else 1
         if cmd == "verify-resolvent":
-            table = scn.resolvent()
-            pde = verify_resolvent_pde(table, scn.tol.tol_pde)
+            pde = verify_resolvent_pde(scn.basis, scn.linear, scn.grid, scn.tol.tol_pde)
             lines = [
                 f"max_raw_residual={_fmt(pde.max_raw_residual)}",
                 f"max_scaled_residual={_fmt(pde.max_scaled_residual)}",
@@ -413,7 +412,7 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
             ]
             ok = pde.passed
             if scn.linear.autonomous and scn.grid.is_uniform():
-                auto = check_autonomous_reduction(table)
+                auto = check_autonomous_reduction(scn.basis, scn.linear, scn.grid)
                 lines += [
                     f"autonomy_max_deviation={_fmt(auto.max_deviation)}",
                     f"autonomy_pass={str(auto.passed).lower()}",

@@ -36,6 +36,14 @@ def _as_control(scn: Scenario, u) -> np.ndarray | None:
     return u
 
 
+def _contract(rows: np.ndarray, data: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """out[j, n] = sum_s rows[j, s] r_n(t_j, t_s) f[s, n], one mode at a time."""
+    out = np.empty((rows.shape[0], len(data)))
+    for n in range(len(data)):
+        out[:, n] = (rows * data[n]) @ f[:, n]
+    return out
+
+
 def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTrajectory:
     """One application of the solution operator to the iterate ``traj``."""
     _check_grid(scn, traj)
@@ -45,13 +53,11 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTraj
     values = data[:, :, 0].T * (scn.zeta0 - g)        # (M, N)
 
     if u is not None:
-        values = values + np.einsum("js,njs,sn->jn", scn.wq_rows, data,
-                                    u * scn.theta, optimize=True)
+        values = values + _contract(scn.wq_rows, data, u * scn.theta)
 
     delta = scn.delta_values(traj.values)
     if not scn.nonlinearity.is_zero:
-        values = values + np.einsum("js,njs,sn->jn", scn.dh_rows, data,
-                                    delta, optimize=True)
+        values = values + _contract(scn.dh_rows, data, delta)
 
     right = values.copy()
     rows = scn.jump_rows

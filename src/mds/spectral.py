@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import trapezoid_prefix_matrix
+from ._quad import trapezoid_prefix_matrix  # noqa: F401 -- wrapped by bench/tracer.py
 from .errors import DomainError, GridError, InstabilityError, UsageError
 from .funcs import MemoryKernel, TimeFunction
 from .measure import TimeGrid
@@ -173,19 +173,6 @@ def solve_mode_resolvent(n: int, anchor: int, linear: LinearPart,
     return data[0, :, 0]
 
 
-def resolvent_apply(table: ResolventTable, j: int, k: int, v: np.ndarray) -> np.ndarray:
-    """(R(t_j, t_k) v)_n = r_n(t_j, t_k) v_n componentwise."""
-    m_count = table.data.shape[1]
-    if not (0 <= k < m_count and 0 <= j < m_count):
-        raise UsageError(f"node indices ({j}, {k}) outside grid")
-    if k > j:
-        raise DomainError("resolvent_apply needs s <= t")
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != table.basis.n_modes:
-        raise UsageError("state vector length must equal the mode count")
-    return table.data[:, j, k] * v
-
-
 @dataclass(frozen=True)
 class PdeReport:
     """Finite-difference residual of the defining equation over the triangle."""
@@ -198,48 +185,48 @@ class PdeReport:
     passed: bool
 
 
-def verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3,
-                         max_anchors: int = 64) -> PdeReport:
+def verify_resolvent_pde(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
+                         tol_pde: float = 1e-3, max_anchors: int = 64) -> PdeReport:
     """Central-difference check of r' = -n^2 tau r - n^2 int G r du per anchor.
 
-    The raw residual of mode n scales like n^2 (sup|tau| + a sup|G|) times
-    the finite-difference truncation, so the pass verdict uses residuals
-    divided by that per-mode scale; raw maxima are reported alongside.
+    Only the sampled anchor columns are marched.  Their memory integrals are
+    summed from the marched r by a trapezoid recurrence of their own (decay by
+    exp(-rate d), add one cell), so the check does not reuse the build's state.
+    The raw residual of mode n scales like n^2 (sup|tau| + a sup|G|) times the
+    finite-difference truncation, so the pass verdict uses residuals divided by
+    that per-mode scale; raw maxima are reported alongside.
     """
-    nodes = table.grid.nodes
+    nodes = grid.nodes
     m_count = len(nodes)
-    n2 = table.basis.mode_numbers.astype(float) ** 2
-    tau = table.linear.tau.value(nodes)
-    kernel = table.linear.kernel.matrix(nodes)
-    prefix = trapezoid_prefix_matrix(nodes)
-    horizon = table.grid.end
-    scale = np.array([table.linear.residual_scale(n, horizon)
-                      for n in table.basis.mode_numbers])
+    if m_count < 3:
+        raise GridError(f"the central-difference check needs 3 or more nodes, got {m_count}")
+    n2 = basis.mode_numbers.astype(float) ** 2
+    tau = linear.tau.value(nodes)
+    scale = np.array([linear.residual_scale(n, grid.end) for n in basis.mode_numbers])
     scale = np.maximum(scale, 1e-30)
 
     if m_count - 2 <= max_anchors:
-        anchor_list = np.arange(0, max(m_count - 2, 1))
+        anchor_list = np.arange(m_count - 2)
     else:
         anchor_list = np.unique(np.linspace(0, m_count - 3, max_anchors).astype(int))
+    data = _etd_build(basis.mode_numbers, grid, linear, anchor_list)   # (N, M, K)
 
-    max_raw = 0.0
-    per_mode = np.zeros(table.basis.n_modes)
-    for k in anchor_list:
-        weights = (prefix - prefix[k]) * kernel          # (M, M)
-        datak = table.data[:, :, k]                      # (N, M)
-        mem = weights @ datak.T                          # (M, N)
-        lo, hi = k + 1, m_count - 1
-        if lo >= hi:
-            continue
-        j = np.arange(lo, hi)
-        fd = (datak[:, j + 1] - datak[:, j - 1]) / (nodes[j + 1] - nodes[j - 1])
-        res = fd + n2[:, None] * (tau[j] * datak[:, j] + mem[j].T)
-        mode_max = np.max(np.abs(res), axis=1)
-        per_mode = np.maximum(per_mode, mode_max)
-        max_raw = max(max_raw, float(mode_max.max()))
+    d = np.diff(nodes)
+    decay = np.exp(-linear.kernel.rate * d)
+    half = linear.kernel.c0 * d / 2.0
+    mem = np.zeros_like(data)
+    for j in range(1, m_count):
+        mem[:, j] = decay[j - 1] * mem[:, j - 1] + half[j - 1] * (
+            decay[j - 1] * data[:, j - 1] + data[:, j])
+        mem[:, j, anchor_list >= j] = 0.0        # no cell before or at the anchor
+
+    fd = (data[:, 2:] - data[:, :-2]) / (nodes[2:] - nodes[:-2])[:, None]
+    res = fd + n2[:, None, None] * (tau[1:-1, None] * data[:, 1:-1] + mem[:, 1:-1])
+    after = np.arange(1, m_count - 1)[:, None] > anchor_list[None, :]
+    per_mode = np.max(np.where(after, np.abs(res), 0.0), axis=(1, 2))
     per_mode_scaled = per_mode / scale
     max_scaled = float(per_mode_scaled.max())
-    return PdeReport(max_raw, max_scaled, per_mode_scaled, tol_pde,
+    return PdeReport(float(per_mode.max()), max_scaled, per_mode_scaled, tol_pde,
                      len(anchor_list), bool(max_scaled <= tol_pde))
 
 
@@ -251,19 +238,21 @@ class AutonomyReport:
     anchors_checked: int
 
 
-def check_autonomous_reduction(table: ResolventTable, tol_auto: float = 1e-6,
+def check_autonomous_reduction(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
+                               tol_auto: float = 1e-6,
                                max_anchors: int = 64) -> AutonomyReport:
-    """Check r_n(t,s) = r_n(t-s, 0) on a sample of anchors (uniform grid only)."""
-    if not table.linear.autonomous:
+    """Check r_n(t,s) = r_n(t-s, 0) on sampled anchors, marching only those (uniform grid)."""
+    if not linear.autonomous:
         raise UsageError("autonomous reduction requires constant tau "
                          "and a difference kernel")
-    if not table.grid.is_uniform():
+    if not grid.is_uniform():
         raise GridError("autonomous reduction check needs a uniform grid")
-    m_count = len(table.grid)
+    m_count = len(grid)
     anchor_list = np.unique(np.linspace(0, m_count - 1, min(max_anchors, m_count)).astype(int))
+    data = _etd_build(basis.mode_numbers, grid, linear, anchor_list)
     dev = 0.0
-    for k in anchor_list:
-        shifted = table.data[:, k:, k]
-        base = table.data[:, :m_count - k, 0]
+    for i, k in enumerate(anchor_list):
+        shifted = data[:, k:, i]
+        base = data[:, :m_count - k, 0]
         dev = max(dev, float(np.max(np.abs(shifted - base))) if shifted.size else 0.0)
     return AutonomyReport(bool(dev <= tol_auto), dev, tol_auto, len(anchor_list))

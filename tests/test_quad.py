@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mds import build_time_grid, zeno_measure
+from mds import (LinearPart, TimeFunction, assemble_scenario, build_time_grid,
+                 constant_measure, make_basis, zero_kernel, zeno_measure)
 from mds._quad import simpson_prefix_matrix, simpson_weights
 
 
@@ -38,3 +39,15 @@ def test_simpson_prefix_rows_equal_per_prefix_rule_on_a_zeno_grid():
     nodes = build_time_grid(zeno_measure(20), 1025).nodes
     assert np.array_equal(simpson_prefix_matrix(nodes),
                           reference_simpson_prefix_matrix(nodes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=300),
+       st.one_of(st.none(), st.integers(min_value=2, max_value=60)))
+def test_scenario_full_weights_are_the_last_simpson_prefix_row(base, zeno_k):
+    h = constant_measure(1.0) if zeno_k is None else zeno_measure(zeno_k)
+    scn = assemble_scenario(make_basis(1), LinearPart(TimeFunction("const", c0=1.0),
+                                                      zero_kernel()),
+                            h, base, np.zeros(1), np.zeros(1))
+    assert np.array_equal(scn.wq_full, simpson_prefix_matrix(scn.grid.nodes)[-1])
+    assert np.array_equal(scn.wq_full, scn.wq_rows[-1])

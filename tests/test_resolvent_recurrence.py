@@ -4,7 +4,8 @@
 recurrence.  The build it replaced re-summed the trapezoid over the whole
 prefix at every step with the M x M kernel matrix; that O(M^3) build is
 kept here, and only here, as the reference.  It is the replaced code with
-the two forwarding wrappers it called spelled out.
+the two forwarding wrappers and the kernel-matrix helper it called spelled
+out.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def reference_etd_build(modes, grid, linear, anchors):
     n2 = modes.astype(float) ** 2
     tau_cum = linear.tau.antiderivative(nodes)
     exmat = np.exp(-np.outer(n2, np.diff(tau_cum)))     # (n_count, M-1), exact
-    kernel = linear.kernel.matrix(nodes)
+    kernel = linear.kernel.value(nodes[:, None], nodes[None, :])
 
     wfull = np.empty(m_count)
     wfull[0] = d[0] / 2.0

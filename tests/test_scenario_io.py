@@ -10,6 +10,8 @@ from mds import (ConfigError, UsageError, assemble_scenario, constant_measure,
                  LinearPart, TimeFunction, make_basis, parse_scenario,
                  run_command, serialize_scenario, write_trajectory_csv,
                  zero_kernel)
+import mds.scenario
+import mds.spectral
 from mds import scenario_io
 from mds.cli import main as cli_main
 from mds.scenario_io import MAX_NODES
@@ -232,6 +234,36 @@ def test_verify_resolvent_passes_shipped_config(tmp_path):
     text = (tmp_path / "resolvent_report.txt").read_text()
     assert "pde_pass=true" in text
     assert "autonomy_pass=true" in text
+
+
+def test_verify_resolvent_and_parsing_build_no_square_array(monkeypatch, tmp_path):
+    doc = load_config("resolvent_check.json")
+    assert run_command("verify-resolvent", doc, str(tmp_path / "plain"), quiet=True) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an M x M array was built")
+
+    for name in ("build_resolvent_table", "simpson_prefix_matrix",
+                 "trapezoid_prefix_matrix"):
+        monkeypatch.setattr(mds.scenario, name, refuse)
+    monkeypatch.setattr(mds.spectral, "trapezoid_prefix_matrix", refuse)
+    assert run_command("verify-resolvent", doc, str(tmp_path / "lean"), quiet=True) == 0
+    report = "resolvent_report.txt"
+    assert ((tmp_path / "lean" / report).read_bytes()
+            == (tmp_path / "plain" / report).read_bytes())
+    parse_scenario(load_config("demo.json"))
+
+
+def test_verify_resolvent_refuses_grid_without_interior_node(tmp_path):
+    cfg = tmp_path / "two_nodes.json"
+    cfg.write_text(json.dumps(tiny_doc(grid={"nodes": 2})))
+    out = tmp_path / "out"
+    assert cli_main(["verify-resolvent", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert not (out / "resolvent_report.txt").exists()
+    cfg.write_text(json.dumps(tiny_doc(grid={"nodes": 3})))
+    # one residual point: a 2-cell grid is far too coarse to pass, but it is checked
+    assert cli_main(["verify-resolvent", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert "anchors_checked=1" in (out / "resolvent_report.txt").read_text()
 
 
 def test_invalid_document_exits_one(tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from mds import (DomainError, GridError, InstabilityError, LinearPart,
                  MemoryKernel, TimeFunction, UsageError, build_resolvent_table,
                  build_time_grid, check_autonomous_reduction, constant_measure,
-                 evolution_factor, make_basis, resolvent_apply,
-                 solve_mode_resolvent, verify_resolvent_pde)
+                 evolution_factor, make_basis, solve_mode_resolvent,
+                 verify_resolvent_pde)
 
 
 def _grid(nodes: int, end: float = 1.0):
@@ -206,74 +206,55 @@ def test_successive_node_continuity_bound():
     assert diffs <= 40.0 * dt
 
 
-def test_resolvent_apply_diagonal_action():
-    grid = _grid(33)
-    table = build_resolvent_table(make_basis(3), _const_linear(1.0), grid)
-    v = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(resolvent_apply(table, 5, 5, v), v)
-    out = resolvent_apply(table, 10, 5, v)
-    assert np.allclose(out, table.data[:, 10, 5] * v)
-    assert np.array_equal(resolvent_apply(table, 10, 5, np.zeros(3)), np.zeros(3))
-
-
-def test_resolvent_apply_guards():
-    grid = _grid(17)
-    table = build_resolvent_table(make_basis(2), _const_linear(1.0), grid)
-    with pytest.raises(DomainError):
-        resolvent_apply(table, 3, 5, np.ones(2))
-    with pytest.raises(UsageError):
-        resolvent_apply(table, 3, 99, np.ones(2))
-    with pytest.raises(UsageError):
-        resolvent_apply(table, 5, 3, np.ones(3))
-
-
 # ---------------------------------------------------------------- verification
 
 def test_pde_residual_passes_on_smooth_config(resolvent_scn):
-    report = verify_resolvent_pde(resolvent_scn.resolvent(), tol_pde=1e-3)
+    scn = resolvent_scn
+    report = verify_resolvent_pde(scn.basis, scn.linear, scn.grid, tol_pde=1e-3)
     assert report.passed
     assert report.max_scaled_residual <= 1e-3
     assert report.anchors_checked <= 64
 
 
 def test_pde_residual_on_coarse_grid_is_finite_only():
-    grid = _grid(16)
-    table = build_resolvent_table(make_basis(2), _const_linear(1.0, -0.2), grid)
-    report = verify_resolvent_pde(table, tol_pde=1e-3)
+    report = verify_resolvent_pde(make_basis(2), _const_linear(1.0, -0.2), _grid(16),
+                                  tol_pde=1e-3)
     assert math.isfinite(report.max_scaled_residual)
     assert report.max_scaled_residual > 1e-5   # visibly coarser than 512 nodes
 
 
+def test_pde_residual_needs_an_interior_node():
+    linear = LinearPart(TimeFunction("const", c0=1.0),
+                        MemoryKernel("exp_diff", c0=1.0, rate=1.0))
+    with pytest.raises(GridError):
+        verify_resolvent_pde(make_basis(2), linear, _grid(2))
+    report = verify_resolvent_pde(make_basis(2), linear, _grid(3))   # one residual point
+    assert report.anchors_checked == 1
+    assert math.isfinite(report.max_raw_residual) and report.max_raw_residual > 0.0
+
+
 def test_autonomous_reduction_difference_kernel():
-    grid = _grid(257)
-    table = build_resolvent_table(
+    report = check_autonomous_reduction(
         make_basis(4),
         LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("exp_diff", c0=1.0, rate=1.0)),
-        grid)
-    report = check_autonomous_reduction(table, tol_auto=1e-6)
+        _grid(257), tol_auto=1e-6)
     assert report.passed
     assert report.max_deviation <= 1e-6
 
 
 def test_autonomous_reduction_pure_ode_is_machine_exact():
-    grid = _grid(129)
-    table = build_resolvent_table(make_basis(3), _const_linear(1.0), grid)
-    report = check_autonomous_reduction(table)
+    report = check_autonomous_reduction(make_basis(3), _const_linear(1.0), _grid(129))
     assert report.max_deviation <= 1e-8
 
 
 def test_autonomous_reduction_rejects_time_dependence():
-    grid = _grid(33)
-    table = build_resolvent_table(
-        make_basis(2),
-        LinearPart(TimeFunction("affine", c0=1.0, c1=1.0), MemoryKernel("zero")), grid)
+    linear = LinearPart(TimeFunction("affine", c0=1.0, c1=1.0), MemoryKernel("zero"))
     with pytest.raises(UsageError):
-        check_autonomous_reduction(table)
+        check_autonomous_reduction(make_basis(2), linear, _grid(33))
 
 
 def test_autonomous_reduction_rejects_nonuniform_grid():
     from mds import zeno_measure
     grid = build_time_grid(zeno_measure(5), 65)
-    table = build_resolvent_table(make_basis(2), _const_linear(1.0), grid)
     with pytest.raises(GridError):
-        check_autonomous_reduction(table)
+        check_autonomous_reduction(make_basis(2), _const_linear(1.0), grid)

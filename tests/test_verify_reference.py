@@ -1,0 +1,223 @@
+"""Differential tests for the table-free resolvent verifier.
+
+``verify_resolvent_pde`` and ``check_autonomous_reduction`` march only their
+sampled anchor columns, and the verifier sums each column's memory integral
+by a running trapezoid recurrence.  The versions they replaced read the full
+(N, M, M) resolvent table and, for the PDE check, formed an M x M kernel,
+prefix and weight matrix per anchor.  Those are kept here, and only here, as
+the reference.  They are the replaced code with the kernel-matrix helper it
+called spelled out.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mds import (AutonomyReport, GridError, InstabilityError, JumpMeasure, LinearPart,
+                 MemoryKernel, PdeReport, ResolventTable, TimeFunction, UsageError,
+                 build_resolvent_table, build_time_grid, check_autonomous_reduction,
+                 constant_measure, make_basis, parse_scenario, run_command,
+                 verify_resolvent_pde, zeno_measure)
+from mds._quad import trapezoid_prefix_matrix
+
+from conftest import load_config
+
+EPS = np.finfo(float).eps
+# Residual maxima agree to 1e-12 relative, plus the rounding of the memory sum.
+# Both verifiers read bitwise-equal r columns and differ only in how they sum
+# the memory integral: a dense dot product against G(t_j, t_u) on one side, a
+# product of per-cell decay factors on the other.  The two sums differ by
+# about 3 (M + 2) roundings of the sum of their absolute terms, plus the
+# rounding of exp and of its argument (rate * horizon <= 12.5 here); the bound
+# allows 8 (M + 2).  A residual where the stiff terms cancel can therefore
+# differ by more than 1e-12 of itself (tau = 0, G = 1/32, 8 nodes:
+# 1.8e-11 relative, 7e-17 absolute).
+REL_TOL = 1e-12
+SUM_ULPS_PER_NODE = 8.0
+
+
+def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3,
+                                   max_anchors: int = 64) -> PdeReport:
+    nodes = table.grid.nodes
+    m_count = len(nodes)
+    n2 = table.basis.mode_numbers.astype(float) ** 2
+    tau = table.linear.tau.value(nodes)
+    kernel = table.linear.kernel.value(nodes[:, None], nodes[None, :])
+    prefix = trapezoid_prefix_matrix(nodes)
+    horizon = table.grid.end
+    scale = np.array([table.linear.residual_scale(n, horizon)
+                      for n in table.basis.mode_numbers])
+    scale = np.maximum(scale, 1e-30)
+
+    if m_count - 2 <= max_anchors:
+        anchor_list = np.arange(0, max(m_count - 2, 1))
+    else:
+        anchor_list = np.unique(np.linspace(0, m_count - 3, max_anchors).astype(int))
+
+    max_raw = 0.0
+    per_mode = np.zeros(table.basis.n_modes)
+    for k in anchor_list:
+        weights = (prefix - prefix[k]) * kernel          # (M, M)
+        datak = table.data[:, :, k]                      # (N, M)
+        mem = weights @ datak.T                          # (M, N)
+        lo, hi = k + 1, m_count - 1
+        if lo >= hi:
+            continue
+        j = np.arange(lo, hi)
+        fd = (datak[:, j + 1] - datak[:, j - 1]) / (nodes[j + 1] - nodes[j - 1])
+        res = fd + n2[:, None] * (tau[j] * datak[:, j] + mem[j].T)
+        mode_max = np.max(np.abs(res), axis=1)
+        per_mode = np.maximum(per_mode, mode_max)
+        max_raw = max(max_raw, float(mode_max.max()))
+    per_mode_scaled = per_mode / scale
+    max_scaled = float(per_mode_scaled.max())
+    return PdeReport(max_raw, max_scaled, per_mode_scaled, tol_pde,
+                     len(anchor_list), bool(max_scaled <= tol_pde))
+
+
+def reference_check_autonomous_reduction(table: ResolventTable, tol_auto: float = 1e-6,
+                                         max_anchors: int = 64) -> AutonomyReport:
+    if not table.linear.autonomous:
+        raise UsageError("autonomous reduction requires constant tau "
+                         "and a difference kernel")
+    if not table.grid.is_uniform():
+        raise GridError("autonomous reduction check needs a uniform grid")
+    m_count = len(table.grid)
+    anchor_list = np.unique(np.linspace(0, m_count - 1, min(max_anchors, m_count)).astype(int))
+    dev = 0.0
+    for k in anchor_list:
+        shifted = table.data[:, k:, k]
+        base = table.data[:, :m_count - k, 0]
+        dev = max(dev, float(np.max(np.abs(shifted - base))) if shifted.size else 0.0)
+    return AutonomyReport(bool(dev <= tol_auto), dev, tol_auto, len(anchor_list))
+
+
+coef = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@st.composite
+def time_functions(draw):
+    kind = draw(st.sampled_from(["const", "affine", "sine", "cosine"]))
+    freq = draw(st.floats(min_value=0.5, max_value=6.0))
+    return TimeFunction(kind, c0=draw(st.floats(min_value=-3.0, max_value=3.0)),
+                        c1=draw(coef), freq=freq)
+
+
+# kernel coefficients zero or >= 1e-3 in magnitude: a rounding bound is relative
+# and cannot hold once the memory terms underflow into the subnormal range
+kernel_coef = (st.just(0.0) | st.floats(min_value=1e-3, max_value=2.0)
+               | st.floats(min_value=-2.0, max_value=-1e-3))
+
+
+@st.composite
+def kernels(draw):
+    kind = draw(st.sampled_from(["zero", "const", "exp_diff"]))
+    return MemoryKernel(kind, c0=draw(kernel_coef),
+                        rate=draw(st.floats(min_value=0.0, max_value=5.0)))
+
+
+@st.composite
+def grids(draw):
+    family = draw(st.sampled_from(["uniform", "zeno", "jumps"]))
+    base = draw(st.integers(min_value=3, max_value=170))
+    if family == "uniform":
+        return build_time_grid(constant_measure(draw(st.sampled_from([1.0, 2.5]))), base)
+    if family == "zeno":
+        return build_time_grid(zeno_measure(draw(st.integers(min_value=2, max_value=30))),
+                               base)
+    locs = draw(st.lists(st.floats(min_value=0.01, max_value=0.99), max_size=25,
+                         unique=True))
+    locs = np.sort(np.array(locs))
+    nodes = np.linspace(0.0, 1.0, 2)
+    h = JumpMeasure(1.0, nodes, np.zeros(2), locs, np.full(len(locs), 0.5))
+    return build_time_grid(h, base)
+
+
+def memory_rounding_bound(table: ResolventTable, max_anchors: int = 64) -> np.ndarray:
+    """Per mode: 8 (M + 2) eps n^2 max_(k, j>k) sum_u |w_u G(t_j, t_u) r_n(t_u, t_k)|."""
+    nodes = table.grid.nodes
+    m_count = len(nodes)
+    kernel = np.abs(table.linear.kernel.value(nodes[:, None], nodes[None, :]))
+    prefix = trapezoid_prefix_matrix(nodes)
+    if m_count - 2 <= max_anchors:
+        anchor_list = np.arange(m_count - 2)
+    else:
+        anchor_list = np.unique(np.linspace(0, m_count - 3, max_anchors).astype(int))
+    worst = np.zeros(table.basis.n_modes)
+    for k in anchor_list:
+        absmem = (np.abs(prefix - prefix[k]) * kernel) @ np.abs(table.data[:, :, k]).T
+        worst = np.maximum(worst, absmem[k + 1:m_count - 1].max(axis=0))
+    n2 = table.basis.mode_numbers.astype(float) ** 2
+    return SUM_ULPS_PER_NODE * (m_count + 2) * EPS * n2 * worst
+
+
+def _close(new: float, old: float, rounding: float) -> bool:
+    return abs(new - old) <= REL_TOL * abs(old) + rounding
+
+
+@settings(max_examples=150, deadline=None)
+@given(time_functions(), kernels(), grids(), st.integers(min_value=1, max_value=4))
+def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count):
+    assert 3 <= len(grid) <= 200
+    basis = make_basis(n_count)
+    linear = LinearPart(tau, kernel)
+    try:
+        table = build_resolvent_table(basis, linear, grid)
+    except InstabilityError as exc:
+        # the table guards every column, the verifier only its sampled ones
+        try:
+            verify_resolvent_pde(basis, linear, grid)
+        except InstabilityError as new_exc:
+            assert new_exc.mode == exc.mode
+        return
+    old = reference_verify_resolvent_pde(table)
+    new = verify_resolvent_pde(basis, linear, grid)
+    rounding = memory_rounding_bound(table)
+    scale = np.maximum([linear.residual_scale(n, grid.end) for n in basis.mode_numbers],
+                       1e-30)
+    assert _close(new.max_raw_residual, old.max_raw_residual, rounding.max())
+    assert _close(new.max_scaled_residual, old.max_scaled_residual,
+                  float(np.max(rounding / scale)))
+    assert new.passed == old.passed
+    assert new.anchors_checked == old.anchors_checked
+    if linear.autonomous and grid.is_uniform():
+        old_auto = reference_check_autonomous_reduction(table)
+        new_auto = check_autonomous_reduction(basis, linear, grid)
+        assert new_auto.max_deviation == old_auto.max_deviation
+        assert (new_auto.passed, new_auto.anchors_checked) == \
+            (old_auto.passed, old_auto.anchors_checked)
+
+
+def test_shipped_resolvent_config_matches_table_verifier(resolvent_scn):
+    scn = resolvent_scn
+    table = scn.resolvent()
+    old = reference_verify_resolvent_pde(table, scn.tol.tol_pde)
+    new = verify_resolvent_pde(scn.basis, scn.linear, scn.grid, scn.tol.tol_pde)
+    assert new.max_raw_residual == old.max_raw_residual
+    assert new.max_scaled_residual == old.max_scaled_residual
+    assert np.array_equal(new.per_mode_scaled, old.per_mode_scaled)
+    assert (check_autonomous_reduction(scn.basis, scn.linear, scn.grid).max_deviation
+            == reference_check_autonomous_reduction(table).max_deviation)
+
+
+@pytest.mark.parametrize("tau", [{"kind": "const", "c0": -50.0},
+                                 {"kind": "affine", "c0": 3.0, "c1": -6.0}])
+def test_overflowing_sampled_column_raises_same_mode(tau, tmp_path):
+    doc = load_config("resolvent_check.json")
+    doc["basis"]["N"] = 16
+    doc["states"] = {"zeta0": [1.0] * 16}
+    doc["linear"]["tau"] = tau
+    scn = parse_scenario(doc)
+    with pytest.raises(InstabilityError) as old:
+        build_resolvent_table(scn.basis, scn.linear, scn.grid)
+    with pytest.raises(InstabilityError) as new:
+        verify_resolvent_pde(scn.basis, scn.linear, scn.grid)
+    assert new.value.mode == old.value.mode
+    if scn.linear.autonomous:
+        with pytest.raises(InstabilityError) as auto:
+            check_autonomous_reduction(scn.basis, scn.linear, scn.grid)
+        assert auto.value.mode == old.value.mode
+    assert run_command("verify-resolvent", doc, str(tmp_path), quiet=True) == 2
