@@ -41,29 +41,54 @@ def trapezoid_prefix_matrix(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _simpson_pairs(nodes: np.ndarray):
+    """Start, middle and end weights of the pairs (t_2i, t_2i+1, t_2i+2)."""
+    d = np.diff(nodes)
+    h0, h1 = d[:-1:2], d[1::2]
+    s = h0 + h1
+    return (s / 6.0 * (2.0 - h1 / h0), s / 6.0 * (s * s / (h0 * h1)),
+            s / 6.0 * (2.0 - h0 / h1))
+
+
 def simpson_weights(nodes: np.ndarray) -> np.ndarray:
     """Composite Simpson weights for the full span of ``nodes``.
 
     Pairs of consecutive cells get the non-uniform three-point rule; an odd
     trailing cell is closed by trapezoid.  Exact for quadratics on any
-    spacing when the cell count is even.
+    spacing when the cell count is even.  A node shared by two pairs gets
+    the end weight of the left pair plus the start weight of the right one,
+    added in that order.
     """
     m = len(nodes)
     w = np.zeros(m)
-    i = 0
-    while i + 2 < m:
-        h0 = nodes[i + 1] - nodes[i]
-        h1 = nodes[i + 2] - nodes[i + 1]
-        s = h0 + h1
-        w[i] += s / 6.0 * (2.0 - h1 / h0)
-        w[i + 1] += s / 6.0 * (s * s / (h0 * h1))
-        w[i + 2] += s / 6.0 * (2.0 - h0 / h1)
-        i += 2
-    if i + 1 < m:
+    start, mid, end = _simpson_pairs(nodes)
+    stop = 2 * len(mid)
+    w[2:stop + 1:2] = end
+    w[1:stop:2] = mid
+    w[0:stop:2] += start
+    if m % 2 == 0:
         h = nodes[m - 1] - nodes[m - 2]
         w[m - 2] += h / 2.0
         w[m - 1] += h / 2.0
     return w
+
+
+def simpson_prefix_edges(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and subdiagonal of ``simpson_prefix_matrix(nodes)`` in O(M).
+
+    Entry j of each is W[j, j] and W[j, j-1] (0 at j = 0), bitwise equal to
+    the matrix.  Every other entry of row j, W[j, s] for s <= j - 2, equals
+    ``simpson_weights(nodes)[s]``, and so does W[j, j-1] on even rows: the
+    prefix rows differ from the full-span rule only in their last two
+    entries.
+    """
+    m = len(nodes)
+    d = np.diff(nodes)
+    diag, sub = np.zeros(m), np.zeros(m)
+    _, sub[2::2], diag[2::2] = _simpson_pairs(nodes)   # even rows end a pair
+    diag[1::2] = d[0::2] / 2.0          # odd rows close their last cell by trapezoid
+    sub[1::2] = diag[0:-1:2] + d[0::2] / 2.0
+    return diag, sub
 
 
 def simpson_prefix_matrix(nodes: np.ndarray) -> np.ndarray:

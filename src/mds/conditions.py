@@ -1,13 +1,15 @@
 """Smallness conditions that guarantee steerability.
 
-Constants are measured from the scenario and its resolvent table, then
-plugged into two sufficient inequalities (both must be strictly below 1):
+Constants are measured from the scenario, then plugged into two
+sufficient inequalities (both must be strictly below 1):
 
   cond1: c [L1 + L1 L2 L3 sqrt(a) (1+L1)] + L1 g [1 + L1 L2 L3 sqrt(a)] n_mass
   cond2: (2 L1 + 4 L1^2 L2 PZ_mass) U_mass
 
 plus the specialized forms for the worked configuration, which are the
-same expressions after substituting its constants.
+same expressions after substituting its constants.  L1 = sup |r| is
+streamed over blocks of anchor columns; everything else reads the
+Scenario's final row r_n(a, t_k).  No resolvent table is held.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .control import gramians
 from .errors import UsageError
 from .scenario import Scenario
-from .spectral import ResolventTable
+from .spectral import resolvent_sup
 
 
 @dataclass(frozen=True)
@@ -55,27 +57,25 @@ class ConditionConstants:
             raise UsageError("horizon must be positive")
 
 
-def pz_samples(scn: Scenario, table: ResolventTable) -> np.ndarray:
+def pz_samples(scn: Scenario) -> np.ndarray:
     """P_Z(s) = max_n |theta_n r_n(a,s)| / gamma_n on the grid."""
-    gam = gramians(table, scn.theta, scn.wq_full)
-    final = table.final_row()
+    final = scn.final_row
+    gam = gramians(final, scn.theta, scn.wq_full)
     return np.max(np.abs(scn.theta[:, None] * final) / gam[:, None], axis=0)
 
 
-def estimate_constants(scn: Scenario, table: ResolventTable | None = None) -> ConditionConstants:
-    """Measure every constant from the scenario and its resolvent table."""
-    if table is None:
-        table = scn.resolvent()
+def estimate_constants(scn: Scenario) -> ConditionConstants:
+    """Measure every constant from the scenario."""
     a = scn.horizon
     sqrt_a = math.sqrt(a)
-    pz = pz_samples(scn, table)
+    pz = pz_samples(scn)
     # L3: mode-diagonal bound of p -> u_p, ||u_p|| <= sup_s P_Z(s) * sqrt(a) ||p||
     l3 = float(np.max(pz)) * sqrt_a
     dh_mass = scn.h.density_mass() + scn.h.total_jump_mass()
     c = scn.nonlocal_term.growth_c(scn.basis, scn.grid)
     d = 0.0 if scn.nonlocal_term.is_zero else scn.nonlocal_term.offset
     return ConditionConstants(
-        L1=table.l1(),
+        L1=resolvent_sup(scn.basis, scn.linear, scn.grid),
         L2=float(np.max(np.abs(scn.theta))),
         L3=l3,
         c=c,
@@ -148,9 +148,9 @@ class ConditionReport:
         ]
 
 
-def build_report(scn: Scenario, table: ResolventTable | None = None) -> ConditionReport:
+def build_report(scn: Scenario) -> ConditionReport:
     """Full condition report; the specialized forms use the measured constants."""
-    k = estimate_constants(scn, table)
+    k = estimate_constants(scn)
     lhs1, ok1 = check_cond1(k)
     lhs2, ok2 = check_cond2(k)
     m0 = scn.nonlinearity.bound_const()

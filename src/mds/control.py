@@ -8,8 +8,12 @@ minimal-L2 preimage of p is u_n(s) = theta_n r_n(a,s) p_n / gamma_n.
 Sharing Q between z_apply, the Gramians, the control norm and the
 solver's u integral makes z_apply(min_norm_inverse(p)) = p and the
 linear-case terminal identity hold to roundoff, not just to quadrature
-order.  Likewise the steering residual's dh integral is the last row of
-the Scenario's dh operator, the same weights the solver uses at t = a.
+order.  Likewise the steering residual's dh integral uses the last row of
+the Scenario's dh rule, the same weights the solver uses at t = a.
+
+Everything here reads the resolvent only through its final row
+r_n(a, t_k), an (N, M) array the Scenario builds once by the discrete
+adjoint of the recurrence.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .errors import DegenerateModeError, GridError, SteeringError
 from .measure import RegulatedTrajectory
 from .scenario import Scenario
 from .solver import picard_solve
-from .spectral import ResolventTable
 
 GAMMA_FLOOR = 1e-12
 
@@ -43,54 +46,54 @@ class ControlSignal:
         return float(np.sqrt(weights @ np.sum(self.samples ** 2, axis=-1)))
 
 
-def _weights_for(table: ResolventTable, weights) -> np.ndarray:
+def _weights_for(final: np.ndarray, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(table.grid),):
+    if w.shape != final.shape[1:]:
         raise GridError("quadrature weights must match the grid")
     return w
 
 
-def gramians(table: ResolventTable, theta: np.ndarray, weights) -> np.ndarray:
-    """gamma_n = theta_n^2 int_0^a r_n(a,s)^2 ds."""
-    w = _weights_for(table, weights)
-    final = table.final_row()
+def gramians(final: np.ndarray, theta: np.ndarray, weights) -> np.ndarray:
+    """gamma_n = theta_n^2 int_0^a r_n(a,s)^2 ds, from the final row r_n(a, t_k)."""
+    w = _weights_for(final, weights)
     return np.asarray(theta, dtype=float) ** 2 * ((final * final) @ w)
 
 
-def z_apply(table: ResolventTable, theta, u: ControlSignal, weights) -> np.ndarray:
+def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
     """Mode n of Zu: int_0^a r_n(a,s) theta_n u_n(s) ds."""
-    w = _weights_for(table, weights)
+    w = _weights_for(final, weights)
     samples = u.samples if isinstance(u, ControlSignal) else np.asarray(u, dtype=float)
-    return np.asarray(theta, dtype=float) * ((table.final_row() * samples.T) @ w)
+    return np.asarray(theta, dtype=float) * ((final * samples.T) @ w)
 
 
-def min_norm_inverse(table: ResolventTable, theta, p: np.ndarray, weights,
+def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights,
                      gamma_floor: float = GAMMA_FLOOR) -> ControlSignal:
     """Minimal-L2-norm grid preimage of p under Z (per-mode normal equations)."""
     theta = np.asarray(theta, dtype=float)
-    gam = gramians(table, theta, weights)
+    gam = gramians(final, theta, weights)
     bad = np.where(gam <= gamma_floor)[0]
     if bad.size:
         raise DegenerateModeError(int(bad[0]) + 1, float(gam[bad[0]]), gamma_floor)
     p = np.asarray(p, dtype=float)
-    samples = table.final_row().T * (theta * p / gam)
+    samples = final.T * (theta * p / gam)
     return ControlSignal(samples)
 
 
 def steering_residual(scn: Scenario, traj: RegulatedTrajectory) -> np.ndarray:
     """p = zeta1 - g(zeta) - R(a,0)(zeta0 - g(zeta)) - int R(a,s) delta dh."""
     g = scn.g_of(traj.values)
-    final = scn.resolvent().final_row()
+    final = scn.final_row
     delta = scn.delta_values(traj.values)
+    last = np.append(scn.dh_full[:-1], scn.dh_diag[-1])   # the dh rule's row at t = a
     return (scn.zeta1 - g - final[:, 0] * (scn.zeta0 - g)
-            - (final * delta.T) @ scn.dh_rows[-1])
+            - (final * delta.T) @ last)
 
 
 def synthesize_control(scn: Scenario, traj: RegulatedTrajectory,
                        gamma_floor: float = GAMMA_FLOOR) -> ControlSignal:
     """The steering control for the current iterate: Z^-1 of the residual."""
     p = steering_residual(scn, traj)
-    return min_norm_inverse(scn.resolvent(), scn.theta, p, scn.wq_full, gamma_floor)
+    return min_norm_inverse(scn.final_row, scn.theta, p, scn.wq_full, gamma_floor)
 
 
 def terminal_error(scn: Scenario, traj: RegulatedTrajectory) -> float:

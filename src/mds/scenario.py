@@ -1,16 +1,21 @@
-"""Scenario assembly: system data plus the shared quadrature caches.
+"""Scenario assembly: system data plus the shared quadrature rules.
 
 A Scenario freezes everything a run needs: basis, linear part, driver,
 grid, states, nonlinearity, nonlocal term, control gains, tolerances.
 It also owns the two shared integration rules: the Lebesgue-in-t rule
-(composite Simpson prefix rows ``wq_rows``) and the Stieltjes rule
-(``dh_rows``: row j holds the weights of int_[0,t_j) . dh, density times
-trapezoid plus the jumps strictly before t_j at left values).  The
-solver, the control synthesis and the Gramians draw on these and nothing
-else; using a single rule per integral is what makes the steering
-residual cancel exactly instead of to quadrature order.  Construction
-builds only O(M) data (``wq_full``, the jump sizes and rows); the two
-M x M operators are built on first use.
+(composite Simpson prefix rows) and the Stieltjes rule (row j holds the
+weights of int_[0,t_j) . dh, density times trapezoid plus the jumps
+strictly before t_j at left values).  The solver, the control synthesis
+and the Gramians draw on these and nothing else; using a single rule per
+integral is what makes the steering residual cancel exactly instead of to
+quadrature order.
+
+Both rules are held in O(M): a prefix row j equals the full-span weights
+(``wq_full``, ``dh_full``) except in its last two entries, W[j, j]
+(``wq_diag``, ``dh_diag``) and W[j, j-1] (``wq_sub``; the dh rule has no
+such exception).  The resolvent enters through two O(N M) arrays built on
+first use: ``final_row``, r_n(a, t_k), and ``subdiagonal``,
+r_n(t_{j+1}, t_j).  No M x M array is formed.
 """
 
 from __future__ import annotations
@@ -20,13 +25,17 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quad import (simpson_prefix_matrix, simpson_weights, trapezoid_prefix_matrix,
-                    trapezoid_weights)
+# the prefix matrices and the table are no longer called here; bench/tracer.py
+# wraps them by these names
+from ._quad import simpson_prefix_matrix, trapezoid_prefix_matrix  # noqa: F401
+from ._quad import simpson_prefix_edges, simpson_weights, trapezoid_weights
 from .errors import UsageError
 from .funcs import TimeFunction
 from .measure import (JumpMeasure, TimeGrid, build_time_grid, density_on_grid,
                       jump_sizes_on_grid)
-from .spectral import LinearPart, ResolventTable, SpectralBasis, build_resolvent_table
+from .spectral import build_resolvent_table  # noqa: F401 -- wrapped by bench/tracer.py
+from .spectral import (LinearPart, SpectralBasis, resolvent_final_row,
+                       resolvent_subdiagonal)
 
 _NL_KINDS = ("zero", "cosine", "table")
 _NONLOCAL_KINDS = ("zero", "log_kernel")
@@ -162,6 +171,10 @@ class Scenario:
     config: dict | None = field(default=None, repr=False)
     # O(M) quadrature data, filled on construction
     wq_full: np.ndarray = field(init=False, repr=False)
+    wq_diag: np.ndarray = field(init=False, repr=False)
+    wq_sub: np.ndarray = field(init=False, repr=False)
+    dh_full: np.ndarray = field(init=False, repr=False)
+    dh_diag: np.ndarray = field(init=False, repr=False)
     jump_sizes: np.ndarray = field(init=False, repr=False)
     jump_rows: np.ndarray = field(init=False, repr=False)
 
@@ -184,25 +197,28 @@ class Scenario:
             rows = np.atleast_2d(self.nonlinearity.table)
             if rows.shape[-1] != n or rows.shape[0] not in (1, len(self.grid)):
                 raise UsageError("nonlinearity table must broadcast to (grid, modes)")
-        object.__setattr__(self, "wq_full", simpson_weights(self.grid.nodes))
+        nodes = self.grid.nodes
+        object.__setattr__(self, "wq_full", simpson_weights(nodes))
+        wq_diag, wq_sub = simpson_prefix_edges(nodes)
+        object.__setattr__(self, "wq_diag", wq_diag)
+        object.__setattr__(self, "wq_sub", wq_sub)
         sizes = jump_sizes_on_grid(self.h, self.grid)   # raises if a jump is off-grid
+        density = density_on_grid(self.h, self.grid)
+        # a jump at t_i acts only for t > t_i: in the full span, not on row i itself
+        object.__setattr__(self, "dh_full", density * trapezoid_weights(nodes) + sizes)
+        object.__setattr__(self, "dh_diag", density * np.append(0.0, np.diff(nodes) / 2.0))
         object.__setattr__(self, "jump_sizes", sizes)
         object.__setattr__(self, "jump_rows", np.where(sizes > 0.0)[0])
-        object.__setattr__(self, "_table_cache", None)
 
     @cached_property
-    def wq_rows(self) -> np.ndarray:
-        """Simpson prefix rows: row j holds the weights of int_0^{t_j} . dt."""
-        return simpson_prefix_matrix(self.grid.nodes)
+    def final_row(self) -> np.ndarray:
+        """r_n(a, t_k) for every mode and node, shape (N, M)."""
+        return resolvent_final_row(self.basis, self.linear, self.grid)
 
     @cached_property
-    def dh_rows(self) -> np.ndarray:
-        """The dh operator: row j holds the weights of int_[0,t_j) . dh."""
-        dh_rows = trapezoid_prefix_matrix(self.grid.nodes)
-        dh_rows *= density_on_grid(self.h, self.grid)
-        for i in self.jump_rows:
-            dh_rows[i + 1:, i] += self.jump_sizes[i]   # jump at t_i acts only for t > t_i
-        return dh_rows
+    def subdiagonal(self) -> np.ndarray:
+        """r_n(t_{j+1}, t_j) for every mode and step, shape (N, M-1)."""
+        return resolvent_subdiagonal(self.basis, self.linear, self.grid)
 
     @property
     def n_modes(self) -> int:
@@ -211,13 +227,6 @@ class Scenario:
     @property
     def horizon(self) -> float:
         return self.grid.end
-
-    def resolvent(self) -> ResolventTable:
-        """The resolvent table for this scenario, built once and cached."""
-        if self._table_cache is None:
-            object.__setattr__(self, "_table_cache",
-                               build_resolvent_table(self.basis, self.linear, self.grid))
-        return self._table_cache
 
     def delta_values(self, states: np.ndarray) -> np.ndarray:
         return self.nonlinearity.values(self.basis, states)

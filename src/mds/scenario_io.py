@@ -23,11 +23,12 @@ from .funcs import MemoryKernel, TimeFunction
 from .measure import JumpMeasure, build_time_grid, lebesgue_measure, zeno_measure, constant_measure
 from .scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
 from .solver import discontinuity_count, jump_consistency, picard_solve
-from .spectral import (LinearPart, check_autonomous_reduction, make_basis,
-                       verify_resolvent_pde)
+from .spectral import (ANCHOR_BLOCK, LinearPart, check_autonomous_reduction,
+                       make_basis, verify_resolvent_pde)
 
 MAX_MODES = 256
 MAX_NODES = 65536
+_SOLVER_ARRAYS = 16     # (M, N) arrays a psi sweep or a steering pass holds at once
 
 _TIME_FIELDS = {"const": ("c0",), "affine": ("c0", "c1"),
                 "sine": ("c0", "c1", "freq"), "cosine": ("c0", "c1", "freq")}
@@ -275,8 +276,9 @@ def parse_scenario(doc: dict) -> Scenario:
         if len(grid) > MAX_NODES:
             raise ConfigError("$.grid.nodes", f"merged grid has {len(grid)} nodes, "
                               f"more than {MAX_NODES}")
-        # the (N, M, M) resolvent table plus the wq_rows and dh_rows caches
-        need = 8 * len(grid) ** 2 * (n_modes + 2)
+        # the largest live block: ANCHOR_BLOCK marched resolvent columns of
+        # every mode, plus the solver's few (M, N) arrays
+        need = 8 * len(grid) * n_modes * (ANCHOR_BLOCK + _SOLVER_ARRAYS)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise ConfigError("$.grid.nodes", f"{len(grid)} merged nodes x {n_modes} modes "

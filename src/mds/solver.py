@@ -5,10 +5,17 @@
                   + int_[0,t) R(t,s) delta(s, zeta(s)) dh(s)
 
 The u integral is Lebesgue (Simpson prefix rows); the dh integral goes
-through the Scenario's single dh operator (density trapezoid plus the
-jumps strictly before t at left values, matching ls_integral).  Right
-values at jump nodes carry the increment delta(t, zeta(t)) * jump(t)
-because R(t,t) = Id.
+through the Scenario's single dh rule (density trapezoid plus the jumps
+strictly before t at left values, matching ls_integral).  Right values at
+jump nodes carry the increment delta(t, zeta(t)) * jump(t) because
+R(t,t) = Id.
+
+One sweep is one forced run of the resolvent recurrence, O(N M): the
+seed at row s is the full-span weight times the forcing, plus
+zeta0 - g(zeta) at row 0.  A prefix row differs from the full-span rule
+only in its last two entries, so a row-local closure finishes each row:
+its own diagonal weight, and on odd Simpson rows one cell through
+r(t_j, t_{j-1}).
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 from .errors import ConvergenceError, GridError
 from .measure import RegulatedTrajectory
 from .scenario import Scenario
+from .spectral import resolvent_sums
 
 
 def _check_grid(scn: Scenario, traj: RegulatedTrajectory) -> None:
@@ -36,28 +44,26 @@ def _as_control(scn: Scenario, u) -> np.ndarray | None:
     return u
 
 
-def _contract(rows: np.ndarray, data: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out[j, n] = sum_s rows[j, s] r_n(t_j, t_s) f[s, n], one mode at a time."""
-    out = np.empty((rows.shape[0], len(data)))
-    for n in range(len(data)):
-        out[:, n] = (rows * data[n]) @ f[:, n]
-    return out
-
-
 def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTrajectory:
     """One application of the solution operator to the iterate ``traj``."""
     _check_grid(scn, traj)
     u = _as_control(scn, u)
-    data = scn.resolvent().data                       # (N, M, M)
     g = scn.g_of(traj.values)
-    values = data[:, :, 0].T * (scn.zeta0 - g)        # (M, N)
-
+    seeds = np.zeros((len(scn.grid), scn.n_modes))
+    seeds[0] = scn.zeta0 - g
+    closure = np.zeros_like(seeds)
     if u is not None:
-        values = values + _contract(scn.wq_rows, data, u * scn.theta)
+        vu = u * scn.theta
+        seeds += scn.wq_full[:, None] * vu
+        closure += (scn.wq_diag - scn.wq_full)[:, None] * vu
+        closure[1:] += ((scn.wq_sub[1:] - scn.wq_full[:-1])[:, None]
+                        * scn.subdiagonal.T * vu[:-1])
 
     delta = scn.delta_values(traj.values)
     if not scn.nonlinearity.is_zero:
-        values = values + _contract(scn.dh_rows, data, delta)
+        seeds += scn.dh_full[:, None] * delta
+        closure += (scn.dh_diag - scn.dh_full)[:, None] * delta
+    values = resolvent_sums(scn.basis, scn.linear, scn.grid, seeds) + closure
 
     right = values.copy()
     rows = scn.jump_rows
@@ -68,7 +74,9 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTraj
 
 def initial_iterate(scn: Scenario) -> RegulatedTrajectory:
     """Picard seed zeta^0(t) = R(t,0) zeta0."""
-    vals = scn.resolvent().data[:, :, 0].T * scn.zeta0
+    seeds = np.zeros((len(scn.grid), scn.n_modes))
+    seeds[0] = scn.zeta0
+    vals = resolvent_sums(scn.basis, scn.linear, scn.grid, seeds)
     return RegulatedTrajectory(scn.grid, vals, vals.copy())
 
 

@@ -11,7 +11,16 @@ quadrature error; only the memory integral is approximated.  Every
 catalog kernel is one exponential c0 exp(-rate (t-s)), so each column's
 trapezoid memory integral is carried as state and updated by an exact
 one-term recurrence.  All modes and all anchors advance together, so one
-time step costs O(modes x anchors) and the full table O(N M^2).
+time step costs O(modes x anchors).
+
+The step is linear in the column state and does not depend on the anchor,
+so one routine, ``_march``, serves every consumer: a resolvent column is
+the run seeded with 1 at its anchor row, and a sum of columns against
+weights is one run seeded with those weights (``resolvent_sums``, the psi
+sweep).  The final row r_n(a, .) comes from the discrete adjoint of the
+same steps, and L1 = sup |r| from blocks of at most ANCHOR_BLOCK columns.
+None of these holds more than O(N M ANCHOR_BLOCK); the full (N, M, M)
+table is built only as a reference for tests.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .funcs import MemoryKernel, TimeFunction
 from .measure import TimeGrid
 
 _OVERFLOW_GUARD = 1e12
+ANCHOR_BLOCK = 64      # columns marched at once by the sampled checks and by L1
 
 
 @dataclass(frozen=True)
@@ -101,60 +111,148 @@ def evolution_factor(n: int, s: float, t: float, tau: TimeFunction) -> float:
     return float(np.exp(-float(n * n) * tau.integral(s, t)))
 
 
+def _steps(modes: np.ndarray, grid: TimeGrid, linear: LinearPart):
+    """Per-step data of the recurrence: exact diffusion factors (N, M-1), the
+    memory coefficient kq (N, 1), the step lengths and the kernel decays."""
+    d = np.diff(grid.nodes)
+    n2 = modes.astype(float)[:, None] ** 2
+    ex = np.exp(-n2 * np.diff(linear.tau.antiderivative(grid.nodes)))   # exact
+    return ex, -n2 * linear.kernel.c0, d, np.exp(-linear.kernel.rate * d)
+
+
+def _step(r, mem, ex, kq, d, decay):
+    """One step of the column state (r, mem); elementwise, so it broadcasts.
+
+    mem is the trapezoid rule of exp(-rate (t_j - u)) r(u) over the column's
+    past and the memory term of r' is kq * mem.  One step decays mem and adds
+    one cell; the predicted r closes the new cell, and the corrected r closes
+    it again for the next step.  The map is linear in (r, mem) and does not
+    depend on the anchor.
+    """
+    half = d / 2.0
+    q = kq * mem
+    pred = ex * (r + d * q)
+    carried = decay * (mem + half * r)
+    r = ex * r + half * (ex * q + kq * (carried + half * pred))
+    return r, carried + half * r
+
+
+def _guard(r: np.ndarray, modes: np.ndarray) -> None:
+    if not np.abs(r).max() < _OVERFLOW_GUARD:
+        worst = int(np.argmax(np.abs(r)))
+        raise InstabilityError(int(modes[worst // (r.size // len(modes))]), _OVERFLOW_GUARD)
+
+
+def _march(modes: np.ndarray, grid: TimeGrid, linear: LinearPart,
+           seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Forced run of the recurrence: out[:, j] = sum_{s<=j} r_n(t_j, t_s) seeds[s].
+
+    The state has the shape of out[:, 0], (N, B); seeds[j] broadcasts to it
+    and is added to r at row j, before r is recorded.  A resolvent column is
+    the seed 1 at its anchor row: before it r and mem are exactly zero, so
+    the column is bitwise the same whatever else is marched beside it, and
+    the rows before the first nonzero seed are not stepped at all.  Every
+    marched state is held to the overflow guard.
+    """
+    ex, kq, d, decay = _steps(modes, grid, linear)
+    ex, d, decay = ex.T[:, :, None], d.tolist(), decay.tolist()   # cheap per-row reads
+    seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
+    first = int(seeded[0]) if seeded.size else len(grid)
+    out[:, :first] = 0.0
+    r = np.zeros(out[:, 0].shape)
+    mem = np.zeros_like(r)
+    for j in range(first, len(grid)):
+        r = r + seeds[j]
+        out[:, j] = r
+        if j == len(grid) - 1:
+            break
+        r, mem = _step(r, mem, ex[j], kq, d[j], decay[j])
+        _guard(r, modes)
+    return out
+
+
 def _etd_build(modes: np.ndarray, grid: TimeGrid, linear: LinearPart,
                anchors: np.ndarray) -> np.ndarray:
-    """Advance all (mode, anchor) columns jointly; returns (n_modes, M, n_anchors).
+    """The resolvent columns r_n(t_j, t_k) for the given anchors, (N, M, K).
 
-    Each column carries r = r_n(t_j, t_k) and mem, the trapezoid rule of
-    exp(-rate (t_j - u)) r(u) over [t_k, t_j].  The kernel is one
-    exponential c0 exp(-rate (t - s)), so one step decays mem and adds one
-    cell; the predicted r closes the new cell, and the corrected r closes
-    it again for the next step.  Before its anchor row a column's r and
-    mem are exactly zero and stay so; at the anchor row r is set to 1.
+    Entries before a column's anchor row are exactly zero; the anchor entry
+    is exactly 1.
     """
-    nodes = grid.nodes
-    d = np.diff(nodes)
-    n2 = modes.astype(float)[:, None] ** 2
-    exmat = np.exp(-n2 * np.diff(linear.tau.antiderivative(nodes)))   # (N, M-1), exact
-    kq = -n2 * linear.kernel.c0              # memory term of r' is kq * mem
-    decay = np.exp(-linear.kernel.rate * d)
+    seeds = np.equal.outer(np.arange(len(grid)), anchors)
+    return _march(modes, grid, linear, seeds,
+                  np.empty((len(modes), len(grid), len(anchors))))
 
-    out = np.zeros((len(modes), len(nodes), len(anchors)))
-    r = np.zeros((len(modes), len(anchors)))
-    mem = np.zeros_like(r)
-    for j in range(len(nodes)):
-        r[:, anchors == j] = 1.0
-        out[:, j] = r
-        if j == len(nodes) - 1:
-            break
-        dt, half, ex = d[j], d[j] / 2.0, exmat[:, j:j + 1]
-        q = kq * mem
-        pred = ex * (r + dt * q)
-        carried = decay[j] * (mem + half * r)
-        r = ex * r + half * (ex * q + kq * (carried + half * pred))
-        mem = carried + half * r
-        if not np.max(np.abs(r)) < _OVERFLOW_GUARD:
-            worst = int(np.argmax(np.abs(r)))
-            raise InstabilityError(int(modes[worst // len(anchors)]), _OVERFLOW_GUARD)
+
+def resolvent_sums(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
+                   seeds: np.ndarray) -> np.ndarray:
+    """Row j of the result is sum_{s<=j} r_n(t_j, t_s) seeds[s, n], shape (M, N).
+
+    One forced run of the recurrence, O(N M): no resolvent column is formed.
+    """
+    out = np.empty((basis.n_modes, len(grid), 1))
+    _march(basis.mode_numbers, grid, linear, seeds[:, :, None], out)
+    return out[:, :, 0].T
+
+
+def resolvent_subdiagonal(basis: SpectralBasis, linear: LinearPart,
+                          grid: TimeGrid) -> np.ndarray:
+    """r_n(t_{j+1}, t_j) for every mode and step, shape (N, M-1)."""
+    ex, kq, d, decay = _steps(basis.mode_numbers, grid, linear)
+    return _step(1.0, 0.0, ex, kq, d, decay)[0]
+
+
+def resolvent_final_row(basis: SpectralBasis, linear: LinearPart,
+                        grid: TimeGrid) -> np.ndarray:
+    """r_n(a, t_k) for every mode and anchor, shape (N, M), by the discrete adjoint.
+
+    Each step is a 2x2 map of (r, mem), the same for every column; its
+    coefficients are the step applied to the unit states.  lambda starts at
+    (1, 0) on the last row and runs backward through the transposed steps;
+    its first component at row k is r_n(a, t_k).  O(N M), and guarded like
+    every forward march.
+    """
+    modes = basis.mode_numbers
+    ex, kq, d, decay = _steps(modes, grid, linear)
+    a11, a21 = _step(1.0, 0.0, ex, kq, d, decay)
+    a12, a22 = _step(0.0, 1.0, ex, kq, d, decay)
+    out = np.empty((len(modes), len(grid)))
+    lam, lam_mem = np.ones(len(modes)), np.zeros(len(modes))
+    out[:, -1] = lam
+    for j in range(len(grid) - 2, -1, -1):
+        lam, lam_mem = (a11[:, j] * lam + a21[:, j] * lam_mem,
+                        a12[:, j] * lam + a22[:, j] * lam_mem)
+        _guard(lam, modes)
+        out[:, j] = lam
     return out
+
+
+def resolvent_sup(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid) -> float:
+    """sup_{n, s<=t} |r_n(t,s)|, the diagonal operator-norm estimate L1.
+
+    Marches the anchors in blocks of at most ANCHOR_BLOCK columns and keeps
+    a running max, so every entry is formed, guarded and compared once
+    without holding the table.
+    """
+    sup = 0.0
+    for start in range(0, len(grid), ANCHOR_BLOCK):
+        block = np.arange(start, min(start + ANCHOR_BLOCK, len(grid)))
+        sup = max(sup, float(np.max(np.abs(
+            _etd_build(basis.mode_numbers, grid, linear, block)))))
+    return sup
 
 
 @dataclass(frozen=True)
 class ResolventTable:
-    """Sampled r_n(t_j, t_k) for every mode and every anchor (0 for j < k)."""
+    """Sampled r_n(t_j, t_k) for every mode and anchor (0 for j < k).
+
+    No command builds it: the commands run on O(N M) marches.  It is the
+    dense reference the tests compare those against.
+    """
 
     basis: SpectralBasis
     linear: LinearPart
     grid: TimeGrid
     data: np.ndarray        # (N, M, M)
-
-    def l1(self) -> float:
-        """sup_{n, s<=t} |r_n(t,s)|: the diagonal operator-norm estimate."""
-        return float(np.max(np.abs(self.data)))
-
-    def final_row(self) -> np.ndarray:
-        """r_n(a, t_k) for all modes and anchors, shape (N, M)."""
-        return self.data[:, -1, :]
 
 
 def build_resolvent_table(basis: SpectralBasis, linear: LinearPart,
@@ -186,7 +284,7 @@ class PdeReport:
 
 
 def verify_resolvent_pde(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
-                         tol_pde: float = 1e-3, max_anchors: int = 64) -> PdeReport:
+                         tol_pde: float = 1e-3, max_anchors: int = ANCHOR_BLOCK) -> PdeReport:
     """Central-difference check of r' = -n^2 tau r - n^2 int G r du per anchor.
 
     Only the sampled anchor columns are marched.  Their memory integrals are
@@ -214,16 +312,15 @@ def verify_resolvent_pde(basis: SpectralBasis, linear: LinearPart, grid: TimeGri
     d = np.diff(nodes)
     decay = np.exp(-linear.kernel.rate * d)
     half = linear.kernel.c0 * d / 2.0
-    mem = np.zeros_like(data)
-    for j in range(1, m_count):
-        mem[:, j] = decay[j - 1] * mem[:, j - 1] + half[j - 1] * (
-            decay[j - 1] * data[:, j - 1] + data[:, j])
-        mem[:, j, anchor_list >= j] = 0.0        # no cell before or at the anchor
-
-    fd = (data[:, 2:] - data[:, :-2]) / (nodes[2:] - nodes[:-2])[:, None]
-    res = fd + n2[:, None, None] * (tau[1:-1, None] * data[:, 1:-1] + mem[:, 1:-1])
-    after = np.arange(1, m_count - 1)[:, None] > anchor_list[None, :]
-    per_mode = np.max(np.where(after, np.abs(res), 0.0), axis=(1, 2))
+    mem = np.zeros((basis.n_modes, len(anchor_list)))
+    per_mode = np.zeros(basis.n_modes)
+    for j in range(1, m_count - 1):
+        k = int(np.searchsorted(anchor_list, j))   # columns [:k] are anchored before row j
+        mem[:, :k] = decay[j - 1] * mem[:, :k] + half[j - 1] * (
+            decay[j - 1] * data[:, j - 1, :k] + data[:, j, :k])
+        fd = (data[:, j + 1, :k] - data[:, j - 1, :k]) / (nodes[j + 1] - nodes[j - 1])
+        res = fd + n2[:, None] * (tau[j] * data[:, j, :k] + mem[:, :k])
+        per_mode = np.maximum(per_mode, np.max(np.abs(res), axis=1))
     per_mode_scaled = per_mode / scale
     max_scaled = float(per_mode_scaled.max())
     return PdeReport(float(per_mode.max()), max_scaled, per_mode_scaled, tol_pde,
@@ -240,7 +337,7 @@ class AutonomyReport:
 
 def check_autonomous_reduction(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
                                tol_auto: float = 1e-6,
-                               max_anchors: int = 64) -> AutonomyReport:
+                               max_anchors: int = ANCHOR_BLOCK) -> AutonomyReport:
     """Check r_n(t,s) = r_n(t-s, 0) on sampled anchors, marching only those (uniform grid)."""
     if not linear.autonomous:
         raise UsageError("autonomous reduction requires constant tau "

@@ -115,7 +115,7 @@ def test_demo_nonlinearity_mass_is_exact(demo_scn):
 
 
 def test_pz_samples_shape_and_sign(demo_scn):
-    pz = pz_samples(demo_scn, demo_scn.resolvent())
+    pz = pz_samples(demo_scn)
     assert pz.shape == (len(demo_scn.grid),)
     assert np.all(pz > 0.0)
     k = estimate_constants(demo_scn)

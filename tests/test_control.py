@@ -25,75 +25,75 @@ def small_scn():
 # ---------------------------------------------------------------- gramians
 
 def test_first_mode_gramian_closed_form(small_scn):
-    gam = gramians(small_scn.resolvent(), small_scn.theta, small_scn.wq_full)
+    gam = gramians(small_scn.final_row, small_scn.theta, small_scn.wq_full)
     exact = [(1.0 - math.exp(-2 * k * k)) / (2 * k * k) for k in (1, 2, 3)]
     assert gam[0] == pytest.approx(0.432332, abs=1e-6)
     assert np.max(np.abs(gam - exact)) < 1e-6
 
 
 def test_min_norm_control_profile(small_scn):
-    table = small_scn.resolvent()
+    final = small_scn.final_row
     p = np.array([1.0, 0.0, 0.0])
-    u = min_norm_inverse(table, small_scn.theta, p, small_scn.wq_full)
+    u = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
     s = small_scn.grid.nodes
     gamma1 = (1.0 - math.exp(-2.0)) / 2.0
     assert np.max(np.abs(u.samples[:, 0] - np.exp(-(1.0 - s)) / gamma1)) < 1e-6
     assert np.all(u.samples[:, 1:] == 0.0)
-    reached = z_apply(table, small_scn.theta, u, small_scn.wq_full)
+    reached = z_apply(final, small_scn.theta, u, small_scn.wq_full)
     assert reached[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_target_gives_zero_control(small_scn):
-    u = min_norm_inverse(small_scn.resolvent(), small_scn.theta,
+    u = min_norm_inverse(small_scn.final_row, small_scn.theta,
                          np.zeros(3), small_scn.wq_full)
     assert np.all(u.samples == 0.0)
 
 
 def test_zero_gain_is_degenerate(small_scn):
     with pytest.raises(DegenerateModeError) as exc:
-        min_norm_inverse(small_scn.resolvent(), np.zeros(3),
+        min_norm_inverse(small_scn.final_row, np.zeros(3),
                          np.ones(3), small_scn.wq_full)
     assert exc.value.mode == 1
 
 
 def test_preimage_round_trip(small_scn):
     rng = np.random.default_rng(7)
-    table = small_scn.resolvent()
+    final = small_scn.final_row
     for _ in range(5):
         p = rng.uniform(-2.0, 2.0, size=3)
-        u = min_norm_inverse(table, small_scn.theta, p, small_scn.wq_full)
-        back = z_apply(table, small_scn.theta, u, small_scn.wq_full)
+        u = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
+        back = z_apply(final, small_scn.theta, u, small_scn.wq_full)
         assert np.max(np.abs(back - p)) < 1e-10
 
 
 def test_control_norm_identity(small_scn):
-    table = small_scn.resolvent()
+    final = small_scn.final_row
     p = np.array([0.3, -1.2, 0.8])
-    gam = gramians(table, small_scn.theta, small_scn.wq_full)
-    u = min_norm_inverse(table, small_scn.theta, p, small_scn.wq_full)
+    gam = gramians(final, small_scn.theta, small_scn.wq_full)
+    u = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
     norm = u.l2_norm(small_scn.wq_full)
     assert norm == pytest.approx(math.sqrt(np.sum(p * p / gam)), rel=1e-12)
 
 
 def test_minimality_against_kernel_perturbations(small_scn):
     rng = np.random.default_rng(11)
-    table = small_scn.resolvent()
+    final = small_scn.final_row
     w = small_scn.wq_full
     p = np.array([1.0, -0.5, 0.25])
-    u = min_norm_inverse(table, small_scn.theta, p, w)
+    u = min_norm_inverse(final, small_scn.theta, p, w)
     base = u.l2_norm(w)
     for _ in range(5):
         v0 = rng.standard_normal((len(small_scn.grid), 3))
         # project v0 onto ker Z: subtract the preimage of its image
-        hit = z_apply(table, small_scn.theta, v0, w)
-        v = v0 - min_norm_inverse(table, small_scn.theta, hit, w).samples
+        hit = z_apply(final, small_scn.theta, v0, w)
+        v = v0 - min_norm_inverse(final, small_scn.theta, hit, w).samples
         competitor = ControlSignal(u.samples + v)
         assert base <= competitor.l2_norm(w) + 1e-12
 
 
 def test_weights_length_checked(small_scn):
     with pytest.raises(GridError):
-        gramians(small_scn.resolvent(), small_scn.theta, np.ones(5))
+        gramians(small_scn.final_row, small_scn.theta, np.ones(5))
 
 
 # ---------------------------------------------------------------- synthesis and steering

@@ -1,9 +1,13 @@
-"""Differential tests for the Scenario's single Stieltjes (dh) operator.
+"""Differential tests for the Scenario's single Stieltjes (dh) rule.
 
-``dh_rows`` must reproduce the measure-level references ``ls_integral`` and
-``cumulative`` row by row, and the solver's and the steering residual's dh
-terms must match the per-jump computation that the operator replaced (kept
-here, and only here, as the reference).
+The rule is held in O(M): row j of the dh operator is ``dh_full`` on the
+columns before j and ``dh_diag[j]`` on the diagonal.  Those rows must equal
+the dense operator the Scenario used to build, bitwise, and reproduce the
+measure-level references ``ls_integral`` and ``cumulative`` row by row.  The
+solver's and the steering residual's dh terms must match the per-jump
+computation that the operator replaced (kept here, and only here, as the
+reference): the dense contraction to 64 ulps, the recurrence that replaced
+it to the running-error bound of ``test_forced_resolvent``.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ from hypothesis import strategies as st
 
 from mds import (JumpMeasure, LinearPart, MemoryKernel, NonlinearityEval,
                  NonlocalEval, RegulatedTrajectory, TimeFunction, apply_psi,
-                 assemble_scenario, cumulative, density_on_grid, ls_integral,
-                 make_basis, steering_residual, zeno_measure)
+                 assemble_scenario, build_resolvent_table, cumulative,
+                 density_on_grid, ls_integral, make_basis, steering_residual,
+                 zeno_measure)
 from mds._quad import trapezoid_prefix_matrix, trapezoid_weights
 
-EPS = np.finfo(float).eps
+from test_forced_resolvent import EPS, RUNNING_ULPS, dense_rules, majorant_linear
+
 # fixed before any run: 64 ulps of the absolute-value sum of each product
 TOL_ULPS = 64.0
 
@@ -67,7 +73,23 @@ def _scenario(h, base, n_modes=1, **kw):
         h, base, np.zeros(n_modes), np.zeros(n_modes), **kw)
 
 
+def dh_rows(scn) -> np.ndarray:
+    """The dense dh operator spelled out from the Scenario's O(M) rule."""
+    m_count = len(scn.grid)
+    rows = np.tril(np.broadcast_to(scn.dh_full, (m_count, m_count)), k=-1)
+    rows[np.diag_indices(m_count)] = scn.dh_diag
+    return rows
+
+
 # ---------------------------------------------------------------- operator vs measure references
+
+@settings(max_examples=60, deadline=None)
+@given(measures)
+def test_dh_rule_rows_equal_the_dense_operator(measure):
+    h, base = measure
+    scn = _scenario(h, base)
+    assert np.array_equal(dh_rows(scn), dense_rules(scn)[1])
+
 
 @settings(max_examples=60, deadline=None)
 @given(measures, st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -77,8 +99,9 @@ def test_dh_rows_match_ls_integral_and_cumulative(measure, vector, seed):
     grid = scn.grid
     rng = np.random.default_rng(seed)
     f = rng.uniform(-2.0, 2.0, (len(grid), 3) if vector else len(grid))
-    ops = scn.dh_rows @ f
-    tol = TOL_ULPS * EPS * (np.abs(scn.dh_rows) @ np.abs(f))
+    rows = dh_rows(scn)
+    ops = rows @ f
+    tol = TOL_ULPS * EPS * (np.abs(rows) @ np.abs(f))
     running = cumulative(f, h, grid).values
     assert np.all(np.abs(ops - running) <= tol)
     for j, t in enumerate(grid.nodes):
@@ -88,17 +111,16 @@ def test_dh_rows_match_ls_integral_and_cumulative(measure, vector, seed):
 
 def test_zero_density_dh_rows_hold_only_jump_columns():
     scn = _scenario(zeno_measure(20), 65)
-    expected = np.zeros_like(scn.dh_rows)
+    expected = np.zeros((len(scn.grid), len(scn.grid)))
     for i in scn.jump_rows:
         expected[i + 1:, i] = scn.jump_sizes[i]     # jump at t_i counts only for t > t_i
-    assert np.array_equal(scn.dh_rows, expected)
+    assert np.array_equal(dh_rows(scn), expected)
 
 
 # ---------------------------------------------------------------- consumers vs the per-jump reference
 
-def _reference_psi_dh(scn, delta):
+def _reference_psi_dh(scn, data, delta):
     """The dh term of psi as computed before the shared operator existed."""
-    data = scn.resolvent().data
     density = density_on_grid(scn.h, scn.grid)
     forced = delta * density[:, None]
     values = np.einsum("js,njs,sn->jn", trapezoid_prefix_matrix(scn.grid.nodes),
@@ -110,9 +132,9 @@ def _reference_psi_dh(scn, delta):
     return values
 
 
-def _reference_terminal_dh(scn, delta):
+def _reference_terminal_dh(scn, data, delta):
     """int_[0,a) R(a,s) delta(s) dh(s) as computed before the shared operator."""
-    final = scn.resolvent().final_row()
+    final = data[:, -1, :]
     density = density_on_grid(scn.h, scn.grid)
     acc = (final * (delta * density[:, None]).T) @ trapezoid_weights(scn.grid.nodes)
     for i in scn.jump_rows:
@@ -124,18 +146,33 @@ def _check_consumers(scn, values):
     """apply_psi and steering_residual against the references, zeta0 = zeta1 = g = 0.
 
     With those zero, psi's left values are exactly its dh term and the
-    steering residual is exactly minus its dh term.
+    steering residual is exactly minus its dh term.  The dense contraction
+    over the operator's rows matches the per-jump reference to 64 ulps of
+    its absolute terms; the recurrence and the adjoint final row match the
+    dense contraction to the running-error bound.
     """
     traj = RegulatedTrajectory(scn.grid, values, values)
     delta = scn.delta_values(values)
-    data = scn.resolvent().data
-    scale = np.einsum("js,njs,sn->jn", np.abs(scn.dh_rows), np.abs(data),
+    data = build_resolvent_table(scn.basis, scn.linear, scn.grid).data
+    maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid).data
+    rows = dense_rules(scn)[1]
+    scale = np.einsum("js,njs,sn->jn", np.abs(rows), np.abs(data),
                       np.abs(delta), optimize=True)
+    dense = np.einsum("js,njs,sn->jn", rows, data, delta, optimize=True)
+    assert np.all(np.abs(dense - _reference_psi_dh(scn, data, delta))
+                  <= TOL_ULPS * EPS * scale)
+    majsum = np.einsum("js,njs,sn->jn", np.abs(scn.dh_full)[None, :] + np.abs(rows),
+                       maj, np.abs(delta), optimize=True)
+    steps = np.arange(1, len(scn.grid) + 1)[:, None]
+    running = RUNNING_ULPS * steps * EPS * majsum
     got = apply_psi(scn, traj).values
-    assert np.all(np.abs(got - _reference_psi_dh(scn, delta)) <= TOL_ULPS * EPS * scale)
+    assert np.all(np.abs(got - dense) <= running)
     p = steering_residual(scn, traj)
-    assert np.all(np.abs(-p - _reference_terminal_dh(scn, delta))
-                  <= TOL_ULPS * EPS * scale[-1])
+    terminal = _reference_terminal_dh(scn, data, delta)
+    assert np.all(np.abs(dense[-1] - terminal) <= TOL_ULPS * EPS * scale[-1])
+    # the adjoint row is off by 32 (M - s) eps m(a, s) per column and both sums
+    # round M times more; |C| + |W| = 2 |W| off the diagonal leaves room for both
+    assert np.all(np.abs(-p - dense[-1]) <= running[-1])
 
 
 def test_psi_dh_term_matches_per_jump_reference_on_demo(demo_scn, demo_solution):

@@ -1,0 +1,217 @@
+"""Differential tests for the table-free consumers of the resolvent.
+
+The solver's psi sweep, the Picard seed, the final row r_n(a, t_k) and
+L1 = sup |r| run on O(N M) marches of the resolvent recurrence.  The
+versions they replaced contracted the dense (N, M, M) table against the
+dense prefix-weight matrices; those contractions are kept here, and only
+here, as the reference, on the table ``build_resolvent_table`` still builds.
+
+Bounds, fixed before the first run.  L1 is a max over bitwise-equal columns,
+so it must be equal.  The others add in another order, so they are held to a
+running-error bound (Higham, Accuracy and Stability, 2nd ed., 3.3).  Let m
+be the majorant recurrence: the same step with |kq| in place of kq.  All its
+2x2 step coefficients are then nonnegative and bound the true ones in
+magnitude, so m(t_j, t_s) >= |r(t_j, t_s)| and m bounds every intermediate
+state.  One step rounds each term at most 13 times (10 in the r update,
+2 more for mem, 1 for the seed), so j steps of the forced run are off by at
+most 13 j eps times the majorant sum.  A table column is off by at most
+12 (j - s) eps m(t_j, t_s).  The dense contraction adds j + 2 roundings and
+the closure about 4.  That is at most 26 (j + 1) eps B_j, with
+
+    B_j = sum_s m(t_j, t_s) |f_s| (|C_s| + |W[j, s]|)
+
+summed over every forcing f with full-span weights C and prefix rows W
+(zeta0 at s = 0 with weight 1).  The bound used is 32 (j + 1) eps B_j.  The
+adjoint final row takes 3 roundings per backward step on coefficients that
+carry the step's 13, against 12 per step in the table column, so
+|final - table| <= 32 (M - k) eps m(a, t_k).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
+                 NonlinearityEval, RegulatedTrajectory, TimeFunction, apply_psi,
+                 assemble_scenario, build_resolvent_table, build_time_grid,
+                 constant_measure, density_on_grid, initial_iterate,
+                 lebesgue_measure, make_basis, zeno_measure)
+from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
+from mds.spectral import resolvent_final_row, resolvent_sums, resolvent_sup
+
+EPS = np.finfo(float).eps
+RUNNING_ULPS = 32.0
+
+
+def majorant_linear(linear: LinearPart) -> LinearPart:
+    """The same tau with the kernel coefficient c0 -> -|c0|, so kq -> |kq|."""
+    kernel = linear.kernel
+    return LinearPart(linear.tau, MemoryKernel("exp_diff", c0=-abs(kernel.c0),
+                                               rate=kernel.rate))
+
+
+def dense_rules(scn):
+    """The dense prefix-weight matrices the Scenario used to hold (dt, dh)."""
+    nodes = scn.grid.nodes
+    dh_rows = trapezoid_prefix_matrix(nodes)
+    dh_rows *= density_on_grid(scn.h, scn.grid)
+    for i in scn.jump_rows:
+        dh_rows[i + 1:, i] += scn.jump_sizes[i]   # jump at t_i acts only for t > t_i
+    return simpson_prefix_matrix(nodes), dh_rows
+
+
+def contract(rows: np.ndarray, data: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """out[j, n] = sum_s rows[j, s] r_n(t_j, t_s) f[s, n], one mode at a time."""
+    out = np.empty((rows.shape[0], len(data)))
+    for n in range(len(data)):
+        out[:, n] = (rows * data[n]) @ f[:, n]
+    return out
+
+
+def running_bound(maj: np.ndarray, terms) -> np.ndarray:
+    """32 (j + 1) eps B_j per row and mode; terms are (weights C, rows W, f)."""
+    total = 0.0
+    for full, rows, f in terms:
+        total = total + contract(np.abs(full)[None, :] + np.abs(rows), maj, np.abs(f))
+    j = np.arange(maj.shape[1])[:, None]
+    return RUNNING_ULPS * (j + 1) * EPS * total
+
+
+coef = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@st.composite
+def time_functions(draw):
+    kind = draw(st.sampled_from(["const", "affine", "sine", "cosine"]))
+    return TimeFunction(kind, c0=draw(st.floats(min_value=-1.0, max_value=3.0)),
+                        c1=draw(coef), freq=draw(st.floats(min_value=0.5, max_value=6.0)))
+
+
+# zero or |c0| >= 1e-3: a rounding bound is relative and cannot hold once the
+# memory terms underflow into the subnormal range
+kernel_coef = (st.just(0.0) | st.floats(min_value=1e-3, max_value=2.0)
+               | st.floats(min_value=-2.0, max_value=-1e-3))
+
+
+@st.composite
+def kernels(draw):
+    kind = draw(st.sampled_from(["zero", "const", "exp_diff"]))
+    return MemoryKernel(kind, c0=draw(kernel_coef),
+                        rate=draw(st.floats(min_value=0.0, max_value=5.0)))
+
+
+@st.composite
+def measures(draw):
+    """Uniform grids (no or unit density), Zeno grids, explicit jumps plus density."""
+    family = draw(st.sampled_from(["constant", "lebesgue", "zeno", "jumps"]))
+    base = draw(st.integers(min_value=3, max_value=100))
+    if family == "constant":
+        return constant_measure(draw(st.sampled_from([1.0, 2.5]))), base
+    if family == "lebesgue":
+        return lebesgue_measure(draw(st.sampled_from([1.0, 2.5]))), base
+    if family == "zeno":
+        return zeno_measure(draw(st.integers(min_value=2, max_value=30))), base
+    locs = np.sort(np.array(draw(st.lists(st.floats(min_value=0.01, max_value=0.99),
+                                          max_size=25, unique=True))))
+    sizes = np.array([draw(st.floats(min_value=1e-3, max_value=2.0)) for _ in locs])
+    level = st.just(0.0) | st.floats(min_value=1e-3, max_value=2.0)
+    nodes = np.linspace(0.0, 1.0, 2)
+    return JumpMeasure(1.0, nodes, np.array([draw(level), draw(level)]), locs, sizes), base
+
+
+@settings(max_examples=120, deadline=None)
+@given(time_functions(), kernels(), measures(), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
+    h, base = measure
+    basis = make_basis(n_count)
+    linear = LinearPart(tau, kernel)
+    grid = build_time_grid(h, base)
+    m_count = len(grid)
+    try:
+        data = build_resolvent_table(basis, linear, grid).data
+    except InstabilityError:
+        # the table guards every entry, and so does the streamed L1
+        try:
+            resolvent_sup(basis, linear, grid)
+        except InstabilityError:
+            return
+        raise AssertionError("L1 missed an entry over the overflow guard")
+    try:
+        maj = build_resolvent_table(basis, majorant_linear(linear), grid).data
+    except InstabilityError:
+        assume(False)
+
+    assert resolvent_sup(basis, linear, grid) == np.max(np.abs(data))
+
+    rng = np.random.default_rng(seed)
+    zeta0 = rng.uniform(-1.0, 1.0, n_count)
+    theta = rng.uniform(0.1, 2.0, n_count)
+    u = rng.uniform(-1.0, 1.0, (m_count, n_count))
+    delta = rng.uniform(-1.0, 1.0, (m_count, n_count))
+    scn = assemble_scenario(basis, linear, h, base, zeta0, np.zeros(n_count),
+                            nonlinearity=NonlinearityEval("table", table=delta),
+                            theta=theta)
+    wq_rows, dh_rows = dense_rules(scn)
+    first = np.zeros((m_count, n_count))
+    first[0] = zeta0
+    anchor0 = (np.eye(m_count)[0], np.zeros((m_count, m_count)), first)
+
+    seed_traj = initial_iterate(scn).values
+    old_seed = data[:, :, 0].T * zeta0
+    assert np.all(np.abs(seed_traj - old_seed) <= running_bound(maj, [anchor0]))
+
+    vu = u * theta
+    traj = RegulatedTrajectory(scn.grid, seed_traj, seed_traj)
+    new = apply_psi(scn, traj, u)
+    old = old_seed + contract(wq_rows, data, vu) + contract(dh_rows, data, delta)
+    bound = running_bound(maj, [anchor0, (scn.wq_full, wq_rows, vu),
+                                (scn.dh_full, dh_rows, delta)])
+    assert np.all(np.abs(new.values - old) <= bound)
+    jumps = delta[scn.jump_rows] * scn.jump_sizes[scn.jump_rows, None]
+    assert np.array_equal(new.right_values[scn.jump_rows], new.values[scn.jump_rows] + jumps)
+
+    steps_left = (m_count - np.arange(m_count))[None, :]
+    assert np.all(np.abs(scn.final_row - data[:, -1, :])
+                  <= RUNNING_ULPS * steps_left * EPS * maj[:, -1, :])
+
+
+def test_demo_marches_match_the_dense_table(demo_scn, demo_solution):
+    scn = demo_scn
+    data = build_resolvent_table(scn.basis, scn.linear, scn.grid).data
+    maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid).data
+    assert resolvent_sup(scn.basis, scn.linear, scn.grid) == np.max(np.abs(data))
+
+    traj = demo_solution.trajectory
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-1.0, 1.0, traj.values.shape)
+    vu = u * scn.theta
+    delta = scn.delta_values(traj.values)
+    g = scn.g_of(traj.values)
+    wq_rows, dh_rows = dense_rules(scn)
+    new = apply_psi(scn, traj, u).values
+    old = (data[:, :, 0].T * (scn.zeta0 - g) + contract(wq_rows, data, vu)
+           + contract(dh_rows, data, delta))
+    first = np.zeros_like(u)
+    first[0] = scn.zeta0 - g
+    bound = running_bound(maj, [(np.eye(len(u))[0], np.zeros_like(wq_rows), first),
+                                (scn.wq_full, wq_rows, vu), (scn.dh_full, dh_rows, delta)])
+    assert np.all(np.abs(new - old) <= bound)
+    steps_left = (len(u) - np.arange(len(u)))[None, :]
+    assert np.all(np.abs(scn.final_row - data[:, -1, :])
+                  <= RUNNING_ULPS * steps_left * EPS * maj[:, -1, :])
+
+
+def test_final_row_is_guarded():
+    # tau = 3 - 6t, no memory: r(t, 0) <= 1 but r(1, 1/2) = exp(n^2 * 0.75)
+    basis = make_basis(16)
+    linear = LinearPart(TimeFunction("affine", c0=3.0, c1=-6.0), MemoryKernel("zero"))
+    grid = build_time_grid(constant_measure(1.0), 257)
+    first = resolvent_sums(basis, linear, grid, np.eye(len(grid))[:, :1] * np.ones(16))
+    assert np.max(np.abs(first)) == 1.0
+    with pytest.raises(InstabilityError) as exc:
+        resolvent_final_row(basis, linear, grid)
+    assert exc.value.mode == 16

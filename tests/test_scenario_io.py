@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from mds import (ConfigError, UsageError, assemble_scenario, constant_measure,
-                 LinearPart, TimeFunction, make_basis, parse_scenario,
+from mds import (ConfigError, InstabilityError, UsageError, assemble_scenario,
+                 build_resolvent_table, constant_measure, LinearPart,
+                 TimeFunction, make_basis, parse_scenario,
                  run_command, serialize_scenario, write_trajectory_csv,
                  zero_kernel)
+import mds._quad
 import mds.scenario
 import mds.spectral
 from mds import scenario_io
@@ -138,16 +140,33 @@ def test_merged_grid_over_node_limit_rejected(monkeypatch, tmp_path, nodes, k):
     assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
 
 
+def _physical_memory(monkeypatch, pages: int) -> None:
+    """Make parse_scenario see 4 KiB x pages of physical memory, whatever the host."""
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(scenario_io.os, "sysconf", sizes.__getitem__)
+
+
 def test_table_beyond_physical_memory_rejected(monkeypatch, tmp_path):
     _forbid(monkeypatch, "Scenario")
-    # 8 * 65536^2 * (256 + 2) bytes, about 8.9 TB, passes every count limit
+    _physical_memory(monkeypatch, 2 ** 21)            # 8 GiB
+    # 8 * 65536 * 256 * (64 + 16) bytes, about 1.07e10, passes every count limit
     doc = tiny_doc(basis={"N": 256}, grid={"nodes": MAX_NODES},
                    states={"zeta0": [0.0] * 256})
     with pytest.raises(ConfigError) as exc:
         parse_scenario(doc)
     assert exc.value.path == "$.grid.nodes"
-    assert f"{8 * MAX_NODES ** 2 * 258:.3g} bytes" in str(exc.value)
+    assert f"{8 * MAX_NODES * 256 * 80:.3g} bytes" in str(exc.value)
     assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
+
+
+def test_large_grid_parses_without_a_square_budget(monkeypatch):
+    _physical_memory(monkeypatch, 2 ** 21)            # 8 GiB
+    doc = load_config("demo.json")
+    doc["grid"]["nodes"] = 16385
+    scn = parse_scenario(doc)
+    m_count, n_count = len(scn.grid), scn.n_modes
+    # the old M^2 estimate refused this grid
+    assert 8 * m_count ** 2 * (n_count + 2) > 4096 * 2 ** 21
 
 
 @pytest.mark.parametrize("name, nodes", [("demo.json", 1025), ("resolvent_check.json", 2048)])
@@ -237,21 +256,73 @@ def test_verify_resolvent_passes_shipped_config(tmp_path):
 
 
 def test_verify_resolvent_and_parsing_build_no_square_array(monkeypatch, tmp_path):
-    doc = load_config("resolvent_check.json")
-    assert run_command("verify-resolvent", doc, str(tmp_path / "plain"), quiet=True) == 0
+    runs = [("simulate", "demo.json"), ("steer", "demo.json"),
+            ("check-conditions", "demo.json"), ("verify-resolvent", "resolvent_check.json")]
+    codes = [run_command(command, load_config(config), str(tmp_path / "plain" / command),
+                         quiet=True) for command, config in runs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("an M x M array was built")
 
-    for name in ("build_resolvent_table", "simpson_prefix_matrix",
-                 "trapezoid_prefix_matrix"):
-        monkeypatch.setattr(mds.scenario, name, refuse)
-    monkeypatch.setattr(mds.spectral, "trapezoid_prefix_matrix", refuse)
-    assert run_command("verify-resolvent", doc, str(tmp_path / "lean"), quiet=True) == 0
-    report = "resolvent_report.txt"
-    assert ((tmp_path / "lean" / report).read_bytes()
-            == (tmp_path / "plain" / report).read_bytes())
+    for module in (mds.scenario, mds.spectral, mds._quad):
+        for name in ("build_resolvent_table", "simpson_prefix_matrix",
+                     "trapezoid_prefix_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for (command, config), code in zip(runs, codes):
+        lean = tmp_path / "lean" / command
+        assert run_command(command, load_config(config), str(lean), quiet=True) == code
+        for path in (tmp_path / "plain" / command).iterdir():
+            assert (lean / path.name).read_bytes() == path.read_bytes()
     parse_scenario(load_config("demo.json"))
+
+
+def _unstable_demo(tau, zero_nonlinearity=False, zero_kernel=False):
+    doc = load_config("demo.json")
+    doc["basis"]["N"] = 16
+    doc["states"] = {"zeta0": [1.0 / (n * n) for n in range(1, 17)],
+                     "zeta1": [0.5 / (n * n) for n in range(1, 17)]}
+    doc["linear"]["tau"] = tau
+    if zero_nonlinearity:
+        doc["nonlinearity"] = {"kind": "zero"}
+    if zero_kernel:
+        doc["linear"]["kernel"] = {"kind": "zero"}
+    return doc
+
+
+NEGATIVE_TAU = {"kind": "const", "c0": -50.0}
+TURNING_TAU = {"kind": "affine", "c0": 3.0, "c1": -6.0}
+
+
+@pytest.mark.parametrize("command", ["simulate", "steer", "check-conditions"])
+@pytest.mark.parametrize("zero_nl", [False, True])
+def test_overflowing_resolvent_exits_two(tmp_path, command, zero_nl):
+    doc = _unstable_demo(NEGATIVE_TAU, zero_nl)
+    assert run_command(command, doc, str(tmp_path), quiet=True) == 2
+
+
+@pytest.mark.parametrize("command", ["steer", "check-conditions"])
+@pytest.mark.parametrize("zero_nl, zero_kernel", [(False, False), (True, True)])
+def test_resolvent_overflow_after_the_start_exits_two(tmp_path, command, zero_nl,
+                                                      zero_kernel):
+    # r(1, s) ~ exp(256 * 0.75) for s near 1/2: the final row and L1 overflow
+    doc = _unstable_demo(TURNING_TAU, zero_nl, zero_kernel)
+    assert run_command(command, doc, str(tmp_path), quiet=True) == 2
+
+
+def test_simulate_guards_only_the_columns_it_marches(tmp_path):
+    # with no memory r(t, 0) = exp(-256 * 3t (1 - t)) <= 1, while r(1, 1/2) =
+    # exp(192) overflows: with no nonlinearity the sweep marches only forcing
+    # seeded at t = 0 and never meets the overflow
+    doc = _unstable_demo(TURNING_TAU, zero_nonlinearity=True, zero_kernel=True)
+    scn = parse_scenario(doc)
+    with pytest.raises(InstabilityError):
+        build_resolvent_table(scn.basis, scn.linear, scn.grid)
+    assert run_command("simulate", doc, str(tmp_path), quiet=True) == 0
+    # forcing at the jumps (t >= 1/2) or the demo's memory kernel overflow again
+    for flags in ((False, True), (True, False)):
+        assert run_command("simulate", _unstable_demo(TURNING_TAU, *flags),
+                           str(tmp_path), quiet=True) == 2
 
 
 def test_verify_resolvent_refuses_grid_without_interior_node(tmp_path):

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mds import (ConvergenceError, GridError, JumpMeasure, LinearPart,
                  MemoryKernel, NonlinearityEval, RegulatedTrajectory,
@@ -11,7 +9,6 @@ from mds import (ConvergenceError, GridError, JumpMeasure, LinearPart,
                  constant_measure, discontinuity_count, initial_iterate,
                  jump_consistency, lebesgue_measure, make_basis, picard_solve,
                  zero_kernel)
-from mds.solver import _contract
 
 
 def _linear_scn(n_modes=3, nodes=129, zeta0=None, **kw):
@@ -154,27 +151,3 @@ def test_misshapen_control_rejected():
     scn = _linear_scn(nodes=65)
     with pytest.raises(GridError):
         apply_psi(scn, initial_iterate(scn), np.zeros((7, scn.n_modes)))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=160),
-       st.integers(min_value=0, max_value=2**32 - 1))
-def test_per_mode_contraction_matches_the_einsum(n_count, m_count, seed):
-    """The ψ sweep's per-mode loop against the einsum it replaced.
-
-    With at least as many nodes as modes the einsum multiplies rows by the
-    table first, as the loop does, and the results are bitwise equal.  With
-    fewer nodes it multiplies the table by f first; the products then
-    associate differently, so that case is held to a summation bound.
-    """
-    rng = np.random.default_rng(seed)
-    rows = np.tril(rng.standard_normal((m_count, m_count)))
-    data = np.tril(rng.standard_normal((n_count, m_count, m_count)))
-    f = rng.standard_normal((m_count, n_count))
-    new = _contract(rows, data, f)
-    old = np.einsum("js,njs,sn->jn", rows, data, f, optimize=True)
-    if m_count >= n_count:
-        assert np.array_equal(new, old)
-    else:
-        terms = np.einsum("js,njs,sn->jn", np.abs(rows), np.abs(data), np.abs(f))
-        assert np.all(np.abs(new - old) <= (m_count + 2) * np.finfo(float).eps * terms)

@@ -193,7 +193,7 @@ def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count):
 
 def test_shipped_resolvent_config_matches_table_verifier(resolvent_scn):
     scn = resolvent_scn
-    table = scn.resolvent()
+    table = build_resolvent_table(scn.basis, scn.linear, scn.grid)
     old = reference_verify_resolvent_pde(table, scn.tol.tol_pde)
     new = verify_resolvent_pde(scn.basis, scn.linear, scn.grid, scn.tol.tol_pde)
     assert new.max_raw_residual == old.max_raw_residual
