@@ -66,14 +66,13 @@ def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
     return np.asarray(theta, dtype=float) * ((final * samples.T) @ w)
 
 
-def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights,
-                     gamma_floor: float = GAMMA_FLOOR) -> ControlSignal:
+def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights) -> ControlSignal:
     """Minimal-L2-norm grid preimage of p under Z (per-mode normal equations)."""
     theta = np.asarray(theta, dtype=float)
     gam = gramians(final, theta, weights)
-    bad = np.where(gam <= gamma_floor)[0]
+    bad = np.where(gam <= GAMMA_FLOOR)[0]
     if bad.size:
-        raise DegenerateModeError(int(bad[0]) + 1, float(gam[bad[0]]), gamma_floor)
+        raise DegenerateModeError(int(bad[0]) + 1, float(gam[bad[0]]), GAMMA_FLOOR)
     p = np.asarray(p, dtype=float)
     samples = final.T * (theta * p / gam)
     return ControlSignal(samples)
@@ -89,11 +88,10 @@ def steering_residual(scn: Scenario, traj: RegulatedTrajectory) -> np.ndarray:
             - (final * delta.T) @ last)
 
 
-def synthesize_control(scn: Scenario, traj: RegulatedTrajectory,
-                       gamma_floor: float = GAMMA_FLOOR) -> ControlSignal:
+def synthesize_control(scn: Scenario, traj: RegulatedTrajectory) -> ControlSignal:
     """The steering control for the current iterate: Z^-1 of the residual."""
     p = steering_residual(scn, traj)
-    return min_norm_inverse(scn.final_row, scn.theta, p, scn.wq_full, gamma_floor)
+    return min_norm_inverse(scn.final_row, scn.theta, p, scn.wq_full)
 
 
 def terminal_error(scn: Scenario, traj: RegulatedTrajectory) -> float:

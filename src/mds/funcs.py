@@ -59,9 +59,6 @@ class TimeFunction:
             return self.c0 * t + self.c1 * (1.0 - np.cos(self.freq * t)) / self.freq
         return self.c0 * t + self.c1 * np.sin(self.freq * t) / self.freq
 
-    def integral(self, s, t):
-        return self.antiderivative(t) - self.antiderivative(s)
-
     def sup_abs(self, a: float) -> float:
         if self.kind == "const":
             return abs(self.c0)

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import DomainError, GridError, UsageError
 
+_UNIFORM_REL_TOL = 1e-9    # spread of the step lengths that still counts as uniform
+
 
 def _location_tol(a: float) -> float:
     # absolute tolerance for matching times against stored jump locations;
@@ -37,7 +39,8 @@ class JumpMeasure:
         values must be nonnegative (h nondecreasing).
     jump_locs, jump_sizes : ndarray
         Jump locations strictly increasing in (0, a), sizes strictly
-        positive.  Jumps at 0 or a are not representable.
+        positive.  Jumps at 0 or a are not representable, and locations
+        closer than 1e-12 max(1, a) to each other or to 0 or a are refused.
     initial : float
         h(0).  Added by :func:`eval_measure` only; integration against dh
         never sees it.
@@ -70,10 +73,13 @@ class JumpMeasure:
         if locs.shape != sizes.shape or locs.ndim != 1:
             raise UsageError("jump locations and sizes must align")
         if locs.size:
-            if np.any(np.diff(locs) <= 0.0):
-                raise UsageError("jump locations must be strictly increasing")
-            if locs[0] <= 0.0 or locs[-1] >= a:
-                raise DomainError("jump locations must lie strictly inside (0, a)")
+            # closer than the matching tolerance, two nodes resolve to one
+            tol = _location_tol(a)
+            if np.any(np.diff(locs) <= tol):
+                raise UsageError(f"jump locations must be increasing by more than {tol:g}")
+            if locs[0] <= tol or locs[-1] >= a - tol:
+                raise DomainError(f"jump locations must lie inside (0, a), "
+                                  f"more than {tol:g} from either end")
             if np.any(sizes <= 0.0) or not np.all(np.isfinite(sizes)):
                 raise UsageError("jump sizes must be finite and positive")
         cum = np.zeros(len(dn))
@@ -145,16 +151,6 @@ def eval_measure(h: JumpMeasure, t: float) -> float:
     return float(h.initial + acc + jumps)
 
 
-def jump_at(h: JumpMeasure, t: float) -> float:
-    """Jump size at t (0 if t is not a jump location)."""
-    _check_domain(h, t)
-    tol = _location_tol(h.domain_end)
-    hit = np.abs(h.jump_locs - t) <= tol
-    if np.any(hit):
-        return float(h.jump_sizes[np.argmax(hit)])
-    return 0.0
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing nodes covering [0, a] with jump nodes flagged."""
@@ -192,9 +188,9 @@ class TimeGrid:
                 return j
         raise GridError(f"t={t!r} is not a grid node")
 
-    def is_uniform(self, rel_tol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
         d = np.diff(self.nodes)
-        return bool(np.max(d) - np.min(d) <= rel_tol * np.max(d))
+        return bool(np.max(d) - np.min(d) <= _UNIFORM_REL_TOL * np.max(d))
 
 
 def build_time_grid(h: JumpMeasure, base_nodes: int) -> TimeGrid:

@@ -8,6 +8,7 @@ validation is total and parsing is deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .spectral import (ANCHOR_BLOCK, LinearPart, check_autonomous_reduction,
 MAX_MODES = 256
 MAX_NODES = 65536
 _SOLVER_ARRAYS = 16     # (M, N) arrays a psi sweep or a steering pass holds at once
+_TOLERANCE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Tolerances)}
 
 _TIME_FIELDS = {"const": ("c0",), "affine": ("c0", "c1"),
                 "sine": ("c0", "c1", "freq"), "cosine": ("c0", "c1", "freq")}
@@ -257,16 +259,12 @@ def parse_scenario(doc: dict) -> Scenario:
              else np.zeros(n_modes))
 
     tl = _expect_map(doc.get("tolerances", {}), "$.tolerances")
-    _reject_unknown(tl, ("tol_picard", "tol_target", "tol_pde",
-                         "max_picard", "max_outer"), "$.tolerances")
+    _reject_unknown(tl, _TOLERANCE_DEFAULTS, "$.tolerances")
     try:
-        tol = Tolerances(
-            tol_picard=_number(tl, "tol_picard", "$.tolerances", default=1e-10),
-            tol_target=_number(tl, "tol_target", "$.tolerances", default=1e-4),
-            tol_pde=_number(tl, "tol_pde", "$.tolerances", default=1e-3),
-            max_picard=_integer(tl, "max_picard", "$.tolerances", default=64),
-            max_outer=_integer(tl, "max_outer", "$.tolerances", default=20),
-        )
+        tol = Tolerances(**{
+            name: (_integer if isinstance(default, int) else _number)(
+                tl, name, "$.tolerances", default=default)
+            for name, default in _TOLERANCE_DEFAULTS.items()})
     except UsageError as exc:
         raise ConfigError("$.tolerances", str(exc)) from exc
 
@@ -303,11 +301,8 @@ def _canonical_doc(doc: dict, n_modes: int, collocation: int, base_nodes: int) -
     out.setdefault("control", {})
     out["control"].setdefault("theta", 1.0)
     tol = out.setdefault("tolerances", {})
-    tol.setdefault("tol_picard", 1e-10)
-    tol.setdefault("tol_target", 1e-4)
-    tol.setdefault("tol_pde", 1e-3)
-    tol.setdefault("max_picard", 64)
-    tol.setdefault("max_outer", 20)
+    for name, default in _TOLERANCE_DEFAULTS.items():
+        tol.setdefault(name, default)
     out.setdefault("states", {}).setdefault("zeta1", [0.0] * n_modes)
     return out
 

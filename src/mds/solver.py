@@ -98,14 +98,16 @@ def picard_solve(scn: Scenario, u=None) -> PicardResult:
     """Iterate psi from the seed until successive sup-node distance < tol_picard.
 
     With no nonlinearity and no nonlocal term psi does not depend on its
-    iterate, so a single sweep is the fixed point.
+    iterate, so a single sweep from the zero path is the fixed point and the
+    seed is not marched.
     """
     if scn.tol.max_picard < 1:
         raise ConvergenceError("max_picard exhausted before any sweep", [])
-    current = initial_iterate(scn)
     if scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero:
-        # psi does not depend on its iterate: one sweep is the fixed point
-        return PicardResult(apply_psi(scn, current, u), 1, 0.0, (0.0,))
+        zero = np.zeros((len(scn.grid), scn.n_modes))
+        return PicardResult(apply_psi(scn, RegulatedTrajectory(scn.grid, zero, zero), u),
+                            1, 0.0, (0.0,))
+    current = initial_iterate(scn)
     deltas = []
     for sweep in range(1, scn.tol.max_picard + 1):
         new = apply_psi(scn, current, u)

@@ -13,12 +13,16 @@ trapezoid memory integral is carried as state and updated by an exact
 one-term recurrence.  All modes and all anchors advance together, so one
 time step costs O(modes x anchors).
 
-The step is linear in the column state and does not depend on the anchor,
-so one routine, ``_march``, serves every consumer: a resolvent column is
-the run seeded with 1 at its anchor row, and a sum of columns against
-weights is one run seeded with those weights (``resolvent_sums``, the psi
-sweep).  The final row r_n(a, .) comes from the discrete adjoint of the
-same steps, and L1 = sup |r| from blocks of at most ANCHOR_BLOCK columns.
+The step is linear in the column state (r, mem) and does not depend on the
+anchor: for each mode it is one 2x2 map, whose four coefficient arrays
+``_steps`` works out once per call from the predictor-corrector ``_step``.
+Every consumer reads those arrays.  One routine, ``_march``, steps forward:
+a resolvent column is the run seeded with 1 at its anchor row, and a sum of
+columns against weights is one run seeded with those weights
+(``resolvent_sums``, the psi sweep).  The final row r_n(a, .) runs the
+transposed maps backward (the discrete adjoint), the subdiagonal
+r_n(t_{j+1}, t_j) is a11 itself, and L1 = sup |r| comes from blocks of at
+most ANCHOR_BLOCK columns.
 None of these holds more than O(N M ANCHOR_BLOCK); the full (N, M, M)
 table is built only as a reference for tests.
 """
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import trapezoid_prefix_matrix  # noqa: F401 -- wrapped by bench/tracer.py
-from .errors import DomainError, GridError, InstabilityError, UsageError
+from .errors import GridError, InstabilityError, UsageError
 from .funcs import MemoryKernel, TimeFunction
 from .measure import TimeGrid
 
@@ -104,25 +108,30 @@ class LinearPart:
         return n * n * (self.tau.sup_abs(horizon) + horizon * self.kernel.sup_abs(horizon))
 
 
-def evolution_factor(n: int, s: float, t: float, tau: TimeFunction) -> float:
-    """exp(-n^2 int_s^t tau): the diagonal evolution-family factor."""
-    if s > t:
-        raise DomainError(f"evolution factor needs s <= t, got s={s}, t={t}")
-    return float(np.exp(-float(n * n) * tau.integral(s, t)))
-
-
 def _steps(modes: np.ndarray, grid: TimeGrid, linear: LinearPart):
-    """Per-step data of the recurrence: exact diffusion factors (N, M-1), the
-    memory coefficient kq (N, 1), the step lengths and the kernel decays."""
+    """The step coefficients a11, a12, a21, a22 of the recurrence, each (N, M-1).
+
+    Step j maps the column state at row j to row j+1,
+
+        r <- a11[:, j] r + a12[:, j] mem,   mem <- a21[:, j] r + a22[:, j] mem,
+
+    and is the same for every column.  The coefficients are ``_step``
+    applied to the unit states (1, 0) and (0, 1), worked out once per call.
+    """
     d = np.diff(grid.nodes)
     n2 = modes.astype(float)[:, None] ** 2
     ex = np.exp(-n2 * np.diff(linear.tau.antiderivative(grid.nodes)))   # exact
-    return ex, -n2 * linear.kernel.c0, d, np.exp(-linear.kernel.rate * d)
+    kq, decay = -n2 * linear.kernel.c0, np.exp(-linear.kernel.rate * d)
+    a11, a21 = _step(1.0, 0.0, ex, kq, d, decay)
+    a12, a22 = _step(0.0, 1.0, ex, kq, d, decay)
+    return a11, a12, a21, a22
 
 
 def _step(r, mem, ex, kq, d, decay):
     """One step of the column state (r, mem); elementwise, so it broadcasts.
 
+    ex is the exact diffusion factor exp(-n^2 int tau) over the step, d the
+    step length, decay = exp(-rate d) and kq = -n^2 c0 the memory coefficient.
     mem is the trapezoid rule of exp(-rate (t_j - u)) r(u) over the column's
     past and the memory term of r' is kq * mem.  One step decays mem and adds
     one cell; the predicted r closes the new cell, and the corrected r closes
@@ -148,14 +157,14 @@ def _march(modes: np.ndarray, grid: TimeGrid, linear: LinearPart,
     """Forced run of the recurrence: out[:, j] = sum_{s<=j} r_n(t_j, t_s) seeds[s].
 
     The state has the shape of out[:, 0], (N, B); seeds[j] broadcasts to it
-    and is added to r at row j, before r is recorded.  A resolvent column is
-    the seed 1 at its anchor row: before it r and mem are exactly zero, so
-    the column is bitwise the same whatever else is marched beside it, and
-    the rows before the first nonzero seed are not stepped at all.  Every
-    marched state is held to the overflow guard.
+    and is added to r at row j, before r is recorded.  Each step is the 2x2
+    map of ``_steps``.  A resolvent column is the seed 1 at its anchor row:
+    before it r and mem are exactly zero, so the column is bitwise the same
+    whatever else is marched beside it, and the rows before the first
+    nonzero seed are not stepped at all.  Every marched state is held to the
+    overflow guard.
     """
-    ex, kq, d, decay = _steps(modes, grid, linear)
-    ex, d, decay = ex.T[:, :, None], d.tolist(), decay.tolist()   # cheap per-row reads
+    a11, a12, a21, a22 = (a.T[:, :, None] for a in _steps(modes, grid, linear))
     seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
     first = int(seeded[0]) if seeded.size else len(grid)
     out[:, :first] = 0.0
@@ -166,7 +175,7 @@ def _march(modes: np.ndarray, grid: TimeGrid, linear: LinearPart,
         out[:, j] = r
         if j == len(grid) - 1:
             break
-        r, mem = _step(r, mem, ex[j], kq, d[j], decay[j])
+        r, mem = a11[j] * r + a12[j] * mem, a21[j] * r + a22[j] * mem
         _guard(r, modes)
     return out
 
@@ -196,25 +205,21 @@ def resolvent_sums(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
 
 def resolvent_subdiagonal(basis: SpectralBasis, linear: LinearPart,
                           grid: TimeGrid) -> np.ndarray:
-    """r_n(t_{j+1}, t_j) for every mode and step, shape (N, M-1)."""
-    ex, kq, d, decay = _steps(basis.mode_numbers, grid, linear)
-    return _step(1.0, 0.0, ex, kq, d, decay)[0]
+    """r_n(t_{j+1}, t_j) for every mode and step, shape (N, M-1): the a11 of every step."""
+    return _steps(basis.mode_numbers, grid, linear)[0]
 
 
 def resolvent_final_row(basis: SpectralBasis, linear: LinearPart,
                         grid: TimeGrid) -> np.ndarray:
     """r_n(a, t_k) for every mode and anchor, shape (N, M), by the discrete adjoint.
 
-    Each step is a 2x2 map of (r, mem), the same for every column; its
-    coefficients are the step applied to the unit states.  lambda starts at
-    (1, 0) on the last row and runs backward through the transposed steps;
-    its first component at row k is r_n(a, t_k).  O(N M), and guarded like
-    every forward march.
+    lambda starts at (1, 0) on the last row and runs backward through the
+    transposes of the forward steps' 2x2 maps (``_steps``); its first
+    component at row k is r_n(a, t_k).  O(N M), and guarded like every
+    forward march.
     """
     modes = basis.mode_numbers
-    ex, kq, d, decay = _steps(modes, grid, linear)
-    a11, a21 = _step(1.0, 0.0, ex, kq, d, decay)
-    a12, a22 = _step(0.0, 1.0, ex, kq, d, decay)
+    a11, a12, a21, a22 = _steps(modes, grid, linear)
     out = np.empty((len(modes), len(grid)))
     lam, lam_mem = np.ones(len(modes)), np.zeros(len(modes))
     out[:, -1] = lam

@@ -6,25 +6,41 @@ versions they replaced contracted the dense (N, M, M) table against the
 dense prefix-weight matrices; those contractions are kept here, and only
 here, as the reference, on the table ``build_resolvent_table`` still builds.
 
+The march itself is held to the elementwise march it replaced, which ran
+the predictor-corrector ``_step`` on every row; that march is kept here, and
+only here, as ``elementwise_march``.
+
 Bounds, fixed before the first run.  L1 is a max over bitwise-equal columns,
 so it must be equal.  The others add in another order, so they are held to a
 running-error bound (Higham, Accuracy and Stability, 2nd ed., 3.3).  Let m
 be the majorant recurrence: the same step with |kq| in place of kq.  All its
 2x2 step coefficients are then nonnegative and bound the true ones in
 magnitude, so m(t_j, t_s) >= |r(t_j, t_s)| and m bounds every intermediate
-state.  One step rounds each term at most 13 times (10 in the r update,
-2 more for mem, 1 for the seed), so j steps of the forced run are off by at
-most 13 j eps times the majorant sum.  A table column is off by at most
-12 (j - s) eps m(t_j, t_s).  The dense contraction adds j + 2 roundings and
-the closure about 4.  That is at most 26 (j + 1) eps B_j, with
+state.  Rounding counts are per term, each rounding at most eps relative.
 
-    B_j = sum_s m(t_j, t_s) |f_s| (|C_s| + |W[j, s]|)
+The march steps with the 2x2 coefficients, which are ``_step`` applied to
+the unit states: a11 carries at most 5 roundings, a12 and a21 7, a22 9.
+Two products and a sum add 2, so one step rounds each term at most 9 times
+in the r update and 11 in mem, and the seed adds 1: j steps of a forced run
+are off by at most 12 (j + 1) eps times the majorant sum, and a table column
+by at most 11 (j - s) eps m(t_j, t_s).  The elementwise march rounds at most
+13 times per step (10 in the r update, 2 more for mem, 1 for the seed).
 
-summed over every forcing f with full-span weights C and prefix rows W
-(zeta0 at s = 0 with weight 1).  The bound used is 32 (j + 1) eps B_j.  The
-adjoint final row takes 3 roundings per backward step on coefficients that
-carry the step's 13, against 12 per step in the table column, so
-|final - table| <= 32 (M - k) eps m(a, t_k).
+- March against the elementwise march: 12 + 13 = 25 per step, so
+  |new - old| <= 25 (j + 1) eps S_j, with S_j the majorant run on |seeds|.
+  The bound used is 32 (j + 1) eps S_j.  With no memory (kq = 0) both
+  reduce to r <- ex r exactly and must be equal.
+- Forced runs against the dense contraction: the forced run's 12 (j + 1),
+  the table column's 11 j, j + 2 in the contraction and about 4 in the
+  closure make at most 26 (j + 1) eps B_j, with
+
+      B_j = sum_s m(t_j, t_s) |f_s| (|C_s| + |W[j, s]|)
+
+  summed over every forcing f with full-span weights C and prefix rows W
+  (zeta0 at s = 0 with weight 1).  The bound used is 32 (j + 1) eps B_j.
+- The adjoint final row takes 2 roundings per backward step on coefficients
+  that carry at most 9, against 11 per step in the table column, so
+  |final - table| <= 22 (M - k) eps m(a, t_k); the bound used is 32.
 """
 
 from __future__ import annotations
@@ -40,7 +56,8 @@ from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  constant_measure, density_on_grid, initial_iterate,
                  lebesgue_measure, make_basis, zeno_measure)
 from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
-from mds.spectral import resolvent_final_row, resolvent_sums, resolvent_sup
+from mds.spectral import (_guard, _march, _step, resolvent_final_row, resolvent_sums,
+                          resolvent_sup)
 
 EPS = np.finfo(float).eps
 RUNNING_ULPS = 32.0
@@ -51,6 +68,32 @@ def majorant_linear(linear: LinearPart) -> LinearPart:
     kernel = linear.kernel
     return LinearPart(linear.tau, MemoryKernel("exp_diff", c0=-abs(kernel.c0),
                                                rate=kernel.rate))
+
+
+def elementwise_march(modes, grid, linear, seeds, out):
+    """The march ``_march`` replaced: the elementwise ``_step`` on every row.
+
+    Same contract as ``_march``: seeds added before recording, rows before
+    the first nonzero seed not stepped, every state guarded.
+    """
+    d = np.diff(grid.nodes)
+    n2 = modes.astype(float)[:, None] ** 2
+    ex = np.exp(-n2 * np.diff(linear.tau.antiderivative(grid.nodes)))
+    kq, decay = -n2 * linear.kernel.c0, np.exp(-linear.kernel.rate * d)
+    ex, d, decay = ex.T[:, :, None], d.tolist(), decay.tolist()
+    seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
+    first = int(seeded[0]) if seeded.size else len(grid)
+    out[:, :first] = 0.0
+    r = np.zeros(out[:, 0].shape)
+    mem = np.zeros_like(r)
+    for j in range(first, len(grid)):
+        r = r + seeds[j]
+        out[:, j] = r
+        if j == len(grid) - 1:
+            break
+        r, mem = _step(r, mem, ex[j], kq, d[j], decay[j])
+        _guard(r, modes)
+    return out
 
 
 def dense_rules(scn):
@@ -116,10 +159,51 @@ def measures(draw):
         return zeno_measure(draw(st.integers(min_value=2, max_value=30))), base
     locs = np.sort(np.array(draw(st.lists(st.floats(min_value=0.01, max_value=0.99),
                                           max_size=25, unique=True))))
+    assume(np.all(np.diff(locs) > 1e-12))   # closer jumps are refused by the measure
     sizes = np.array([draw(st.floats(min_value=1e-3, max_value=2.0)) for _ in locs])
     level = st.just(0.0) | st.floats(min_value=1e-3, max_value=2.0)
     nodes = np.linspace(0.0, 1.0, 2)
     return JumpMeasure(1.0, nodes, np.array([draw(level), draw(level)]), locs, sizes), base
+
+
+@settings(max_examples=150, deadline=None)
+@given(time_functions(), kernels(), measures(), st.integers(min_value=1, max_value=4),
+       st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_march_matches_the_elementwise_march(tau, kernel, measure, n_count, columns, seed):
+    grid = build_time_grid(*measure)
+    m_count = len(grid)
+    modes = np.arange(1, n_count + 1)
+    linear = LinearPart(tau, kernel)
+    rng = np.random.default_rng(seed)
+    anchors = np.arange(m_count)
+    if columns:
+        # every resolvent column, one seed 1 at each anchor row
+        seeds = np.equal.outer(anchors, anchors)
+    else:
+        # one forced run, unforced before a random first row
+        seeds = rng.uniform(-1.0, 1.0, (m_count, n_count, 1))
+        seeds[:rng.integers(m_count)] = 0.0
+    shape = (n_count, m_count, m_count if columns else 1)
+    try:
+        old = elementwise_march(modes, grid, linear, seeds, np.empty(shape))
+    except InstabilityError as exc:
+        with pytest.raises(InstabilityError) as new_exc:
+            _march(modes, grid, linear, seeds, np.empty(shape))
+        assert new_exc.value.mode == exc.mode
+        return
+    try:
+        maj = elementwise_march(modes, grid, majorant_linear(linear), np.abs(seeds),
+                                np.empty(shape))
+    except InstabilityError:
+        assume(False)
+    new = _march(modes, grid, linear, seeds, np.empty(shape))
+    j = np.arange(m_count)[:, None]
+    assert np.all(np.abs(new - old) <= RUNNING_ULPS * (j + 1) * EPS * maj)
+    if kernel.is_zero:
+        assert np.array_equal(new, old)
+    if columns:
+        assert np.all(new[:, anchors, anchors] == 1.0)
+        assert np.all(new[:, j < anchors] == 0.0)
 
 
 @settings(max_examples=120, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mds import (DomainError, GridError, JumpMeasure, RegulatedTrajectory,
                  TimeGrid, UsageError, build_time_grid, constant_measure,
-                 cumulative, eval_measure, jump_at, jump_sizes_on_grid,
+                 cumulative, eval_measure, jump_sizes_on_grid,
                  lebesgue_measure, ls_integral, zeno_measure)
 
 
@@ -40,16 +40,18 @@ def test_zeno_needs_at_least_two_terms():
 
 
 def test_jump_outside_open_interval_rejected():
-    with pytest.raises(DomainError):
-        _unit_jump(loc=0.0)
-    with pytest.raises(DomainError):
-        _unit_jump(loc=1.0)
+    # within the node-matching tolerance of an end a jump would resolve to it
+    for loc in (0.0, 1.0, 1e-13, 1.0 - 1e-13):
+        with pytest.raises(DomainError):
+            _unit_jump(loc=loc)
 
 
 def test_decreasing_jump_locations_rejected():
-    with pytest.raises(UsageError):
-        JumpMeasure(1.0, np.array([0.0, 1.0]), np.zeros(2),
-                    np.array([0.6, 0.4]), np.array([1.0, 1.0]))
+    # one ulp apart, both jumps would resolve to the same grid node
+    for locs in ([0.6, 0.4], [0.3, np.nextafter(0.3, 1.0)]):
+        with pytest.raises(UsageError):
+            JumpMeasure(1.0, np.array([0.0, 1.0]), np.zeros(2),
+                        np.array(locs), np.array([1.0, 1.0]))
 
 
 def test_negative_density_rejected():
@@ -95,15 +97,6 @@ def test_affine_density_cumulative():
         assert eval_measure(h, t) == pytest.approx(t * t, abs=1e-12)
 
 
-def test_jump_at_uses_tolerance_matching():
-    h = zeno_measure(20)
-    # 1 - 1/3 and 2/3 differ by one ulp; both must resolve to the same jump
-    exact = 1.0 - 1.0 / 3.0
-    assert jump_at(h, exact) == 1.0 / 3.0 - 1.0 / 4.0
-    assert jump_at(h, 2.0 / 3.0) == 1.0 / 3.0 - 1.0 / 4.0
-    assert jump_at(h, 0.4) == 0.0
-
-
 # ---------------------------------------------------------------- grids
 
 def test_grid_contains_every_jump_node_exactly():
@@ -132,6 +125,7 @@ def test_grid_keeps_endpoints():
 def test_node_index_tolerance_and_failure():
     grid = build_time_grid(zeno_measure(5), 65)
     loc = 1.0 - 1.0 / 3.0
+    # 1 - 1/3 and 2/3 differ by one ulp; both must resolve to the jump node
     assert grid.nodes[grid.node_index(2.0 / 3.0)] == loc
     with pytest.raises(GridError):
         grid.node_index(0.1234567)

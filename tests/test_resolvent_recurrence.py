@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
@@ -113,6 +113,7 @@ def grids(draw):
     locs = draw(st.lists(st.floats(min_value=0.01, max_value=0.99), max_size=25,
                          unique=True))
     locs = np.sort(np.array(locs))
+    assume(np.all(np.diff(locs) > 1e-12))   # closer jumps are refused by the measure
     nodes = np.linspace(0.0, 1.0, 2)
     h = JumpMeasure(1.0, nodes, np.zeros(2), locs, np.full(len(locs), 0.5))
     return build_time_grid(h, base)

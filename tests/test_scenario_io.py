@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from mds import (ConfigError, InstabilityError, UsageError, assemble_scenario,
                  build_resolvent_table, constant_measure, LinearPart,
-                 TimeFunction, make_basis, parse_scenario,
+                 TimeFunction, Tolerances, make_basis, parse_scenario,
                  run_command, serialize_scenario, write_trajectory_csv,
                  zero_kernel)
 import mds._quad
@@ -187,6 +188,15 @@ def test_serialize_round_trip_is_stable():
     assert doc1["control"]["theta"] == 1.0           # defaults made explicit
     assert doc2["states"]["zeta1"] == [0.0, 0.0]
     assert json.loads(json.dumps(doc1)) == doc1      # JSON clean
+
+
+def test_missing_tolerances_serialize_to_the_field_defaults():
+    scn = parse_scenario(tiny_doc())
+    defaults = {f.name: f.default for f in dataclasses.fields(Tolerances)}
+    assert defaults == {"tol_picard": 1e-10, "tol_target": 1e-4, "tol_pde": 1e-3,
+                        "max_picard": 64, "max_outer": 20}
+    assert serialize_scenario(scn)["tolerances"] == defaults
+    assert scn.tol == Tolerances()
 
 
 def test_round_trip_preserves_shipped_demo():

@@ -8,7 +8,8 @@ from mds import (ConvergenceError, GridError, JumpMeasure, LinearPart,
                  TimeFunction, Tolerances, apply_psi, assemble_scenario,
                  constant_measure, discontinuity_count, initial_iterate,
                  jump_consistency, lebesgue_measure, make_basis, picard_solve,
-                 zero_kernel)
+                 steer, zero_kernel)
+import mds.solver
 
 
 def _linear_scn(n_modes=3, nodes=129, zeta0=None, **kw):
@@ -54,6 +55,27 @@ def test_initial_iterate_row_zero_is_zeta0():
     scn = _linear_scn()
     seed = initial_iterate(scn)
     assert np.array_equal(seed.values[0], scn.zeta0)
+
+
+def test_iterate_independent_psi_marches_once_per_solve(linear_scn, monkeypatch):
+    marches = []
+
+    def counted(*args):
+        marches.append(args)
+        return resolvent_sums(*args)
+
+    resolvent_sums = mds.solver.resolvent_sums
+    monkeypatch.setattr(mds.solver, "resolvent_sums", counted)
+    u = np.full((len(linear_scn.grid), linear_scn.n_modes), 0.25)
+    res = picard_solve(linear_scn, u)
+    assert len(marches) == 1
+    # the one sweep from the zero path equals the sweep from the Picard seed
+    seeded = apply_psi(linear_scn, initial_iterate(linear_scn), u)
+    assert np.array_equal(res.trajectory.values, seeded.values)
+    assert np.array_equal(res.trajectory.right_values, seeded.right_values)
+    marches.clear()
+    assert steer(linear_scn).report.outer_iterations == 1
+    assert len(marches) == 2
 
 
 def test_zero_control_matches_no_control():

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mds import (DomainError, GridError, InstabilityError, LinearPart,
-                 MemoryKernel, TimeFunction, UsageError, build_resolvent_table,
-                 build_time_grid, check_autonomous_reduction, constant_measure,
-                 evolution_factor, make_basis, solve_mode_resolvent,
-                 verify_resolvent_pde)
+from mds import (GridError, InstabilityError, LinearPart, MemoryKernel,
+                 TimeFunction, UsageError, build_resolvent_table, build_time_grid,
+                 check_autonomous_reduction, constant_measure, make_basis,
+                 solve_mode_resolvent, verify_resolvent_pde)
 from mds.spectral import resolvent_sup
 
 
@@ -82,34 +81,35 @@ def test_eigenvalues_are_minus_n_squared():
 
 
 # ---------------------------------------------------------------- evolution factor
+# The stepper's diffusion factor over [s, t] is exp(-n^2 (F(t) - F(s))) with F
+# the antiderivative of tau, so these checks hold F to its closed form.
 
-def test_evolution_factor_constant_tau():
+def _factor(n: int, s: float, t: float, tau: TimeFunction) -> float:
+    return math.exp(-float(n * n) * float(tau.antiderivative(t) - tau.antiderivative(s)))
+
+
+def test_antiderivative_constant_tau():
     tau = TimeFunction("const", c0=1.0)
-    assert evolution_factor(1, 0.3, 0.4, tau) == pytest.approx(math.exp(-0.1), rel=1e-14)
+    assert _factor(1, 0.3, 0.4, tau) == pytest.approx(math.exp(-0.1), rel=1e-14)
 
 
-def test_evolution_factor_identity_at_equal_times():
-    for tau in (TimeFunction("const", c0=2.0), TimeFunction("sine", c0=1.0, c1=0.5)):
-        assert evolution_factor(3, 0.7, 0.7, tau) == 1.0
+def test_antiderivative_vanishes_at_zero():
+    for kind in ("const", "affine", "sine", "cosine"):
+        assert TimeFunction(kind, c0=2.0, c1=0.5, freq=3.0).antiderivative(0.0) == 0.0
 
 
-def test_evolution_factor_affine_tau():
+def test_antiderivative_affine_tau():
     tau = TimeFunction("affine", c0=0.0, c1=2.0)     # integral over [0,1] is 1
-    assert evolution_factor(2, 0.0, 1.0, tau) == pytest.approx(math.exp(-4.0), rel=1e-14)
-
-
-def test_evolution_factor_rejects_reversed_times():
-    with pytest.raises(DomainError):
-        evolution_factor(1, 0.5, 0.4, TimeFunction("const", c0=1.0))
+    assert _factor(2, 0.0, 1.0, tau) == pytest.approx(math.exp(-4.0), rel=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=0.0, max_value=0.5), st.floats(min_value=0.0, max_value=0.5))
-def test_evolution_factor_composition_law(r_off, t_off):
+def test_antiderivative_composition_law(r_off, t_off):
     tau = TimeFunction("cosine", c0=1.5, c1=0.5)
     s, r, t = 0.1, 0.1 + r_off, 0.1 + r_off + t_off
-    whole = evolution_factor(2, s, t, tau)
-    split = evolution_factor(2, r, t, tau) * evolution_factor(2, s, r, tau)
+    whole = _factor(2, s, t, tau)
+    split = _factor(2, r, t, tau) * _factor(2, s, r, tau)
     assert split == pytest.approx(whole, rel=1e-12)
 
 
