@@ -18,11 +18,11 @@ from .control import (ControlSignal, SteeringReport, SteerOutcome, gramians,
 from .errors import (ConfigError, ConvergenceError, DegenerateModeError,
                      DomainError, GridError, InstabilityError, SteeringError,
                      UsageError)
-from .funcs import MemoryKernel, TimeFunction, constant, zero_kernel
+from .funcs import MemoryKernel, TimeFunction, constant
 from .measure import (JumpMeasure, RegulatedTrajectory, TimeGrid,
                       build_time_grid, constant_measure, cumulative,
-                      density_on_grid, eval_measure, jump_sizes_on_grid,
-                      lebesgue_measure, ls_integral, zeno_measure)
+                      density_on_grid, jump_sizes_on_grid, lebesgue_measure,
+                      ls_integral, zeno_measure)
 from .scenario import (NonlinearityEval, NonlocalEval, Scenario, Tolerances,
                        assemble_scenario)
 from .scenario_io import (parse_scenario, run_command, serialize_scenario,
@@ -31,7 +31,7 @@ from .solver import (PicardResult, apply_psi, discontinuity_count,
                      initial_iterate, jump_consistency, picard_solve)
 from .spectral import (AutonomyReport, LinearPart, PdeReport, ResolventTable,
                        SpectralBasis, build_resolvent_table,
-                       check_autonomous_reduction, make_basis,
+                       check_autonomous_reduction, make_basis, sample_resolvent,
                        solve_mode_resolvent, verify_resolvent_pde)
 
 __version__ = "0.1.0"

@@ -8,14 +8,15 @@ sufficient inequalities (both must be strictly below 1):
 
 plus the specialized forms for the worked configuration, which are the
 same expressions after substituting its constants.  L1 = sup |r| is
-streamed over blocks of anchor columns; everything else reads the
-Scenario's final row r_n(a, t_k).  No resolvent table is held.
+streamed over blocks of anchor columns marched with the Scenario's step
+maps; everything else reads its final row r_n(a, t_k).  No resolvent
+table is held.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def estimate_constants(scn: Scenario) -> ConditionConstants:
     c = scn.nonlocal_term.growth_c(scn.basis, scn.grid)
     d = 0.0 if scn.nonlocal_term.is_zero else scn.nonlocal_term.offset
     return ConditionConstants(
-        L1=resolvent_sup(scn.basis, scn.linear, scn.grid),
+        L1=resolvent_sup(scn.steps),
         L2=float(np.max(np.abs(scn.theta))),
         L3=l3,
         c=c,
@@ -102,11 +103,13 @@ def check_cond2(k: ConditionConstants) -> tuple[float, bool]:
 
 def check_example_conditions(k: ConditionConstants, m0: float, theta: float,
                              f_norm: float) -> tuple[float, float, bool]:
-    """The worked-configuration forms; the 1/2 factor is the driver's mass."""
-    lhs5 = ((k.L1 + k.L1 * theta * k.L3 * (1.0 + k.L1)) * f_norm
-            + 0.5 * m0 * k.L1 * (1.0 + k.L1 * theta * k.L3))
-    lhs6 = m0 * (k.L1 + 2.0 * k.L1 ** 2 * theta * k.PZ_mass)
-    return lhs5, lhs6, (lhs5 < 1.0 and lhs6 < 1.0)
+    """cond1 and cond2 at the worked configuration: gain theta, nonlocal growth
+    f_norm, unit horizon, and bound and Lipschitz masses m0/2 (1/2 is the
+    driver's mass)."""
+    worked = replace(k, L2=theta, c=f_norm, gamma=1.0, n_mass=m0 / 2.0,
+                     U_mass=m0 / 2.0, horizon=1.0)
+    (lhs5, ok5), (lhs6, ok6) = check_cond1(worked), check_cond2(worked)
+    return lhs5, lhs6, (ok5 and ok6)
 
 
 @dataclass(frozen=True)

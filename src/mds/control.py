@@ -54,9 +54,17 @@ def _weights_for(final: np.ndarray, weights) -> np.ndarray:
 
 
 def gramians(final: np.ndarray, theta: np.ndarray, weights) -> np.ndarray:
-    """gamma_n = theta_n^2 int_0^a r_n(a,s)^2 ds, from the final row r_n(a, t_k)."""
+    """gamma_n = theta_n^2 int_0^a r_n(a,s)^2 ds, from the final row r_n(a, t_k).
+
+    Raises DegenerateModeError naming the first mode whose gamma_n is at or
+    below GAMMA_FLOOR: the minimal-norm inverse divides by every gamma_n.
+    """
     w = _weights_for(final, weights)
-    return np.asarray(theta, dtype=float) ** 2 * ((final * final) @ w)
+    gam = np.asarray(theta, dtype=float) ** 2 * ((final * final) @ w)
+    bad = np.where(gam <= GAMMA_FLOOR)[0]
+    if bad.size:
+        raise DegenerateModeError(int(bad[0]) + 1, float(gam[bad[0]]), GAMMA_FLOOR)
+    return gam
 
 
 def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
@@ -70,9 +78,6 @@ def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights) -> Contro
     """Minimal-L2-norm grid preimage of p under Z (per-mode normal equations)."""
     theta = np.asarray(theta, dtype=float)
     gam = gramians(final, theta, weights)
-    bad = np.where(gam <= GAMMA_FLOOR)[0]
-    if bad.size:
-        raise DegenerateModeError(int(bad[0]) + 1, float(gam[bad[0]]), GAMMA_FLOOR)
     p = np.asarray(p, dtype=float)
     samples = final.T * (theta * p / gam)
     return ControlSignal(samples)

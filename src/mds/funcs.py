@@ -107,7 +107,3 @@ class MemoryKernel:
 
     def sup_abs(self, a: float) -> float:
         return abs(self.c0) * max(1.0, float(np.exp(-self.rate * a)))
-
-
-def zero_kernel() -> MemoryKernel:
-    return MemoryKernel("zero")

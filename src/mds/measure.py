@@ -28,7 +28,7 @@ def _location_tol(a: float) -> float:
 
 @dataclass(frozen=True)
 class JumpMeasure:
-    """Driver h: initial value + absolutely continuous density + jumps.
+    """Driver h: absolutely continuous density + jumps.
 
     Parameters
     ----------
@@ -41,9 +41,6 @@ class JumpMeasure:
         Jump locations strictly increasing in (0, a), sizes strictly
         positive.  Jumps at 0 or a are not representable, and locations
         closer than 1e-12 max(1, a) to each other or to 0 or a are refused.
-    initial : float
-        h(0).  Added by :func:`eval_measure` only; integration against dh
-        never sees it.
     """
 
     domain_end: float
@@ -51,7 +48,6 @@ class JumpMeasure:
     density_values: np.ndarray
     jump_locs: np.ndarray
     jump_sizes: np.ndarray
-    initial: float = 0.0
     _density_cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,8 +110,7 @@ def zeno_measure(k_max: int = 20) -> JumpMeasure:
 
     Jumps sit at 1 - 1/k with size 1/k - 1/(k+1) for k = 2..k_max, plus a
     closing jump of size 1/(k_max+1) at 1 - 1/(k_max+1), so the truncation
-    carries exactly k_max jumps, total jump mass exactly 1/2, and h(1) = 1
-    together with the initial value h(0) = 1/2.
+    carries exactly k_max jumps and total jump mass exactly 1/2.
     """
     if k_max < 2:
         raise UsageError("zeno truncation needs k_max >= 2")
@@ -124,53 +119,25 @@ def zeno_measure(k_max: int = 20) -> JumpMeasure:
     locs.append(1.0 - 1.0 / (k_max + 1))
     sizes.append(1.0 / (k_max + 1))
     return JumpMeasure(1.0, np.array([0.0, 1.0]), np.zeros(2),
-                       np.array(locs), np.array(sizes), initial=0.5)
-
-
-def _check_domain(h: JumpMeasure, t: float) -> None:
-    tol = _location_tol(h.domain_end)
-    if t < -tol or t > h.domain_end + tol:
-        raise DomainError(f"t={t} outside [0, {h.domain_end}]")
-
-
-def eval_measure(h: JumpMeasure, t: float) -> float:
-    """Left-continuous evaluation h(t) = h(0) + int_0^t h'_ac + sum of jumps before t."""
-    _check_domain(h, t)
-    t = min(max(float(t), 0.0), h.domain_end)
-    x = h.density_nodes
-    pos = int(np.searchsorted(x, t, side="right")) - 1
-    pos = min(max(pos, 0), len(x) - 1)
-    acc = h._density_cum[pos]
-    if pos < len(x) - 1 and t > x[pos]:
-        # partial cell: density interpolated linearly inside the cell
-        frac = (t - x[pos]) / (x[pos + 1] - x[pos])
-        dv_t = h.density_values[pos] + frac * (h.density_values[pos + 1] - h.density_values[pos])
-        acc += (h.density_values[pos] + dv_t) / 2.0 * (t - x[pos])
-    tol = _location_tol(h.domain_end)
-    jumps = float(np.sum(h.jump_sizes[h.jump_locs < t - tol]))
-    return float(h.initial + acc + jumps)
+                       np.array(locs), np.array(sizes))
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing nodes covering [0, a] with jump nodes flagged."""
+    """Strictly increasing nodes covering [0, a]."""
 
     nodes: np.ndarray
-    jump_flags: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        flags = np.asarray(self.jump_flags, dtype=bool)
-        if nodes.ndim != 1 or len(nodes) < 2 or flags.shape != nodes.shape:
-            raise GridError("grid needs >= 2 nodes with aligned jump flags")
+        if nodes.ndim != 1 or len(nodes) < 2:
+            raise GridError("grid needs >= 2 nodes")
         if np.any(np.diff(nodes) <= 0.0):
             raise GridError("grid nodes must be strictly increasing")
         if nodes[0] != 0.0:
             raise GridError("grid must start at 0")
         nodes.setflags(write=False)
-        flags.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "jump_flags", flags)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -210,12 +177,7 @@ def build_time_grid(h: JumpMeasure, base_nodes: int) -> TimeGrid:
         idx = int(round(loc / step))
         if 0 < idx < base_nodes - 1 and abs(base[idx] - loc) < 0.45 * step:
             keep[idx] = False
-    nodes = np.concatenate([base[keep], h.jump_locs])
-    order = np.argsort(nodes, kind="stable")
-    nodes = nodes[order]
-    flags = np.concatenate([np.zeros(int(keep.sum()), dtype=bool),
-                            np.ones(len(h.jump_locs), dtype=bool)])[order]
-    return TimeGrid(nodes, flags)
+    return TimeGrid(np.sort(np.concatenate([base[keep], h.jump_locs])))
 
 
 def density_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
@@ -236,7 +198,7 @@ class RegulatedTrajectory:
     """A path on the grid with explicit left and right values per node.
 
     ``values`` are the left values (the path is left-continuous);
-    ``right_values`` differ only at jump-flagged nodes.
+    ``right_values`` differ only at jump nodes.
     """
 
     grid: TimeGrid

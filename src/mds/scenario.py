@@ -13,9 +13,10 @@ quadrature order.
 Both rules are held in O(M): a prefix row j equals the full-span weights
 (``wq_full``, ``dh_full``) except in its last two entries, W[j, j]
 (``wq_diag``, ``dh_diag``) and W[j, j-1] (``wq_sub``; the dh rule has no
-such exception).  The resolvent enters through two O(N M) arrays built on
-first use: ``final_row``, r_n(a, t_k), and ``subdiagonal``,
-r_n(t_{j+1}, t_j).  No M x M array is formed.
+such exception).  The resolvent enters through O(N M) arrays built on
+first use and held for the run: ``steps``, the recurrence's 2x2 step maps
+that every march reads (their a11 is the subdiagonal r_n(t_{j+1}, t_j)),
+and ``final_row``, r_n(a, t_k).  No M x M array is formed.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .funcs import TimeFunction
 from .measure import (JumpMeasure, TimeGrid, build_time_grid, density_on_grid,
                       jump_sizes_on_grid)
 from .spectral import build_resolvent_table  # noqa: F401 -- wrapped by bench/tracer.py
-from .spectral import (LinearPart, SpectralBasis, resolvent_final_row,
-                       resolvent_subdiagonal)
+from .spectral import (LinearPart, SpectralBasis, StepMaps, resolvent_final_row,
+                       step_maps)
 
 _NL_KINDS = ("zero", "cosine", "table")
 _NONLOCAL_KINDS = ("zero", "log_kernel")
@@ -211,14 +212,14 @@ class Scenario:
         object.__setattr__(self, "jump_rows", np.where(sizes > 0.0)[0])
 
     @cached_property
-    def final_row(self) -> np.ndarray:
-        """r_n(a, t_k) for every mode and node, shape (N, M)."""
-        return resolvent_final_row(self.basis, self.linear, self.grid)
+    def steps(self) -> StepMaps:
+        """The resolvent recurrence's step maps, four (N, M-1) arrays."""
+        return step_maps(self.basis.mode_numbers, self.linear, self.grid)
 
     @cached_property
-    def subdiagonal(self) -> np.ndarray:
-        """r_n(t_{j+1}, t_j) for every mode and step, shape (N, M-1)."""
-        return resolvent_subdiagonal(self.basis, self.linear, self.grid)
+    def final_row(self) -> np.ndarray:
+        """r_n(a, t_k) for every mode and node, shape (N, M)."""
+        return resolvent_final_row(self.steps)
 
     @property
     def n_modes(self) -> int:

@@ -10,12 +10,12 @@ strictly before t at left values, matching ls_integral).  Right values at
 jump nodes carry the increment delta(t, zeta(t)) * jump(t) because
 R(t,t) = Id.
 
-One sweep is one forced run of the resolvent recurrence, O(N M): the
-seed at row s is the full-span weight times the forcing, plus
-zeta0 - g(zeta) at row 0.  A prefix row differs from the full-span rule
-only in its last two entries, so a row-local closure finishes each row:
-its own diagonal weight, and on odd Simpson rows one cell through
-r(t_j, t_{j-1}).
+One sweep is one forced run of the resolvent recurrence, O(N M), on the
+step maps the Scenario holds for the whole run: the seed at row s is the
+full-span weight times the forcing, plus zeta0 - g(zeta) at row 0.  A
+prefix row differs from the full-span rule only in its last two entries,
+so a row-local closure finishes each row: its own diagonal weight, and on
+odd Simpson rows one cell through r(t_j, t_{j-1}), the step maps' a11.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTraj
         seeds += scn.wq_full[:, None] * vu
         closure += (scn.wq_diag - scn.wq_full)[:, None] * vu
         closure[1:] += ((scn.wq_sub[1:] - scn.wq_full[:-1])[:, None]
-                        * scn.subdiagonal.T * vu[:-1])
+                        * scn.steps.a11.T * vu[:-1])
 
     delta = scn.delta_values(traj.values)
     if not scn.nonlinearity.is_zero:
         seeds += scn.dh_full[:, None] * delta
         closure += (scn.dh_diag - scn.dh_full)[:, None] * delta
-    values = resolvent_sums(scn.basis, scn.linear, scn.grid, seeds) + closure
+    values = resolvent_sums(scn.steps, seeds) + closure
 
     right = values.copy()
     rows = scn.jump_rows
@@ -76,7 +76,7 @@ def initial_iterate(scn: Scenario) -> RegulatedTrajectory:
     """Picard seed zeta^0(t) = R(t,0) zeta0."""
     seeds = np.zeros((len(scn.grid), scn.n_modes))
     seeds[0] = scn.zeta0
-    vals = resolvent_sums(scn.basis, scn.linear, scn.grid, seeds)
+    vals = resolvent_sums(scn.steps, seeds)
     return RegulatedTrajectory(scn.grid, vals, vals.copy())
 
 

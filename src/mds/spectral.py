@@ -14,15 +14,16 @@ one-term recurrence.  All modes and all anchors advance together, so one
 time step costs O(modes x anchors).
 
 The step is linear in the column state (r, mem) and does not depend on the
-anchor: for each mode it is one 2x2 map, whose four coefficient arrays
-``_steps`` works out once per call from the predictor-corrector ``_step``.
-Every consumer reads those arrays.  One routine, ``_march``, steps forward:
-a resolvent column is the run seeded with 1 at its anchor row, and a sum of
-columns against weights is one run seeded with those weights
-(``resolvent_sums``, the psi sweep).  The final row r_n(a, .) runs the
-transposed maps backward (the discrete adjoint), the subdiagonal
-r_n(t_{j+1}, t_j) is a11 itself, and L1 = sup |r| comes from blocks of at
-most ANCHOR_BLOCK columns.
+anchor: for each mode it is one 2x2 map.  ``step_maps`` works out the four
+coefficient arrays from the predictor-corrector ``_step``, and a Scenario
+holds them for the whole run, so every consumer reads the same arrays.  One
+routine, ``_march``, steps forward: a resolvent column is the run seeded
+with 1 at its anchor row, and a sum of columns against weights is one run
+seeded with those weights (``resolvent_sums``, the psi sweep).  The final
+row r_n(a, .) runs the transposed maps backward (the discrete adjoint), the
+subdiagonal r_n(t_{j+1}, t_j) is a11 itself, and L1 = sup |r| comes from
+blocks of at most ANCHOR_BLOCK columns.  ``sample_resolvent`` marches the one
+column set both resolvent checks read.
 None of these holds more than O(N M ANCHOR_BLOCK); the full (N, M, M)
 table is built only as a reference for tests.
 """
@@ -41,6 +42,7 @@ from .measure import TimeGrid
 
 _OVERFLOW_GUARD = 1e12
 ANCHOR_BLOCK = 64      # columns marched at once by the sampled checks and by L1
+TOL_AUTO = 1e-6        # largest |r_n(t,s) - r_n(t-s,0)| the autonomy check passes
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,6 @@ class SpectralBasis:
     weights: np.ndarray
     synthesis: np.ndarray   # (J, N)
     analysis: np.ndarray    # (N, J)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return -self.mode_numbers.astype(float) ** 2
 
     @property
     def mode_numbers(self) -> np.ndarray:
@@ -108,23 +106,39 @@ class LinearPart:
         return n * n * (self.tau.sup_abs(horizon) + horizon * self.kernel.sup_abs(horizon))
 
 
-def _steps(modes: np.ndarray, grid: TimeGrid, linear: LinearPart):
+@dataclass(frozen=True)
+class StepMaps:
     """The step coefficients a11, a12, a21, a22 of the recurrence, each (N, M-1).
 
     Step j maps the column state at row j to row j+1,
 
         r <- a11[:, j] r + a12[:, j] mem,   mem <- a21[:, j] r + a22[:, j] mem,
 
-    and is the same for every column.  The coefficients are ``_step``
-    applied to the unit states (1, 0) and (0, 1), worked out once per call.
+    and is the same for every column, so a11 is also the subdiagonal
+    r_n(t_{j+1}, t_j).  ``modes`` are the mode numbers of the rows, which
+    the overflow guard names.
     """
+
+    modes: np.ndarray
+    a11: np.ndarray
+    a12: np.ndarray
+    a21: np.ndarray
+    a22: np.ndarray
+
+    @property
+    def n_nodes(self) -> int:
+        return self.a11.shape[1] + 1
+
+
+def step_maps(modes: np.ndarray, linear: LinearPart, grid: TimeGrid) -> StepMaps:
+    """``_step`` applied to the unit states (1, 0) and (0, 1) on every step."""
     d = np.diff(grid.nodes)
     n2 = modes.astype(float)[:, None] ** 2
     ex = np.exp(-n2 * np.diff(linear.tau.antiderivative(grid.nodes)))   # exact
     kq, decay = -n2 * linear.kernel.c0, np.exp(-linear.kernel.rate * d)
     a11, a21 = _step(1.0, 0.0, ex, kq, d, decay)
     a12, a22 = _step(0.0, 1.0, ex, kq, d, decay)
-    return a11, a12, a21, a22
+    return StepMaps(modes, a11, a12, a21, a22)
 
 
 def _step(r, mem, ex, kq, d, decay):
@@ -152,78 +166,68 @@ def _guard(r: np.ndarray, modes: np.ndarray) -> None:
         raise InstabilityError(int(modes[worst // (r.size // len(modes))]), _OVERFLOW_GUARD)
 
 
-def _march(modes: np.ndarray, grid: TimeGrid, linear: LinearPart,
-           seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Forced run of the recurrence: out[:, j] = sum_{s<=j} r_n(t_j, t_s) seeds[s].
 
     The state has the shape of out[:, 0], (N, B); seeds[j] broadcasts to it
     and is added to r at row j, before r is recorded.  Each step is the 2x2
-    map of ``_steps``.  A resolvent column is the seed 1 at its anchor row:
+    map of ``steps``.  A resolvent column is the seed 1 at its anchor row:
     before it r and mem are exactly zero, so the column is bitwise the same
     whatever else is marched beside it, and the rows before the first
     nonzero seed are not stepped at all.  Every marched state is held to the
     overflow guard.
     """
-    a11, a12, a21, a22 = (a.T[:, :, None] for a in _steps(modes, grid, linear))
+    a11, a12, a21, a22 = (a.T[:, :, None] for a in
+                          (steps.a11, steps.a12, steps.a21, steps.a22))
+    m_count = steps.n_nodes
     seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
-    first = int(seeded[0]) if seeded.size else len(grid)
+    first = int(seeded[0]) if seeded.size else m_count
     out[:, :first] = 0.0
     r = np.zeros(out[:, 0].shape)
     mem = np.zeros_like(r)
-    for j in range(first, len(grid)):
+    for j in range(first, m_count):
         r = r + seeds[j]
         out[:, j] = r
-        if j == len(grid) - 1:
+        if j == m_count - 1:
             break
         r, mem = a11[j] * r + a12[j] * mem, a21[j] * r + a22[j] * mem
-        _guard(r, modes)
+        _guard(r, steps.modes)
     return out
 
 
-def _etd_build(modes: np.ndarray, grid: TimeGrid, linear: LinearPart,
-               anchors: np.ndarray) -> np.ndarray:
+def _etd_build(steps: StepMaps, anchors: np.ndarray) -> np.ndarray:
     """The resolvent columns r_n(t_j, t_k) for the given anchors, (N, M, K).
 
     Entries before a column's anchor row are exactly zero; the anchor entry
     is exactly 1.
     """
-    seeds = np.equal.outer(np.arange(len(grid)), anchors)
-    return _march(modes, grid, linear, seeds,
-                  np.empty((len(modes), len(grid), len(anchors))))
+    seeds = np.equal.outer(np.arange(steps.n_nodes), anchors)
+    return _march(steps, seeds, np.empty((len(steps.modes), steps.n_nodes, len(anchors))))
 
 
-def resolvent_sums(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
-                   seeds: np.ndarray) -> np.ndarray:
+def resolvent_sums(steps: StepMaps, seeds: np.ndarray) -> np.ndarray:
     """Row j of the result is sum_{s<=j} r_n(t_j, t_s) seeds[s, n], shape (M, N).
 
     One forced run of the recurrence, O(N M): no resolvent column is formed.
     """
-    out = np.empty((basis.n_modes, len(grid), 1))
-    _march(basis.mode_numbers, grid, linear, seeds[:, :, None], out)
+    out = np.empty((len(steps.modes), steps.n_nodes, 1))
+    _march(steps, seeds[:, :, None], out)
     return out[:, :, 0].T
 
 
-def resolvent_subdiagonal(basis: SpectralBasis, linear: LinearPart,
-                          grid: TimeGrid) -> np.ndarray:
-    """r_n(t_{j+1}, t_j) for every mode and step, shape (N, M-1): the a11 of every step."""
-    return _steps(basis.mode_numbers, grid, linear)[0]
-
-
-def resolvent_final_row(basis: SpectralBasis, linear: LinearPart,
-                        grid: TimeGrid) -> np.ndarray:
+def resolvent_final_row(steps: StepMaps) -> np.ndarray:
     """r_n(a, t_k) for every mode and anchor, shape (N, M), by the discrete adjoint.
 
     lambda starts at (1, 0) on the last row and runs backward through the
-    transposes of the forward steps' 2x2 maps (``_steps``); its first
-    component at row k is r_n(a, t_k).  O(N M), and guarded like every
-    forward march.
+    transposes of the forward steps' 2x2 maps; its first component at row k
+    is r_n(a, t_k).  O(N M), and guarded like every forward march.
     """
-    modes = basis.mode_numbers
-    a11, a12, a21, a22 = _steps(modes, grid, linear)
-    out = np.empty((len(modes), len(grid)))
+    modes = steps.modes
+    a11, a12, a21, a22 = steps.a11, steps.a12, steps.a21, steps.a22
+    out = np.empty((len(modes), steps.n_nodes))
     lam, lam_mem = np.ones(len(modes)), np.zeros(len(modes))
     out[:, -1] = lam
-    for j in range(len(grid) - 2, -1, -1):
+    for j in range(steps.n_nodes - 2, -1, -1):
         lam, lam_mem = (a11[:, j] * lam + a21[:, j] * lam_mem,
                         a12[:, j] * lam + a22[:, j] * lam_mem)
         _guard(lam, modes)
@@ -231,7 +235,7 @@ def resolvent_final_row(basis: SpectralBasis, linear: LinearPart,
     return out
 
 
-def resolvent_sup(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid) -> float:
+def resolvent_sup(steps: StepMaps) -> float:
     """sup_{n, s<=t} |r_n(t,s)|, the diagonal operator-norm estimate L1.
 
     Marches the anchors in blocks of at most ANCHOR_BLOCK columns and keeps
@@ -239,32 +243,57 @@ def resolvent_sup(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid) -> f
     without holding the table.
     """
     sup = 0.0
-    for start in range(0, len(grid), ANCHOR_BLOCK):
-        block = np.arange(start, min(start + ANCHOR_BLOCK, len(grid)))
-        sup = max(sup, float(np.max(np.abs(
-            _etd_build(basis.mode_numbers, grid, linear, block)))))
+    for start in range(0, steps.n_nodes, ANCHOR_BLOCK):
+        block = np.arange(start, min(start + ANCHOR_BLOCK, steps.n_nodes))
+        sup = max(sup, float(np.max(np.abs(_etd_build(steps, block)))))
     return sup
 
 
 @dataclass(frozen=True)
 class ResolventTable:
-    """Sampled r_n(t_j, t_k) for every mode and anchor (0 for j < k).
+    """Resolvent columns r_n(t_j, t_k) for every mode at the sorted anchors k.
 
-    No command builds it: the commands run on O(N M) marches.  It is the
-    dense reference the tests compare those against.
+    data[n - 1, j, i] is r_n(t_j, t_anchors[i]), 0 for j < anchors[i].  The
+    full table (every node an anchor) is the dense reference the tests
+    compare the O(N M) marches against; ``sample_resolvent`` builds the
+    sampled one that ``verify-resolvent`` checks.
     """
 
     basis: SpectralBasis
     linear: LinearPart
     grid: TimeGrid
-    data: np.ndarray        # (N, M, M)
+    anchors: np.ndarray     # (K,)
+    data: np.ndarray        # (N, M, K)
+
+
+def _table(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
+           anchors: np.ndarray) -> ResolventTable:
+    data = _etd_build(step_maps(basis.mode_numbers, linear, grid), anchors)
+    data.setflags(write=False)
+    return ResolventTable(basis, linear, grid, anchors, data)
 
 
 def build_resolvent_table(basis: SpectralBasis, linear: LinearPart,
                           grid: TimeGrid) -> ResolventTable:
-    data = _etd_build(basis.mode_numbers, grid, linear, np.arange(len(grid)))
-    data.setflags(write=False)
-    return ResolventTable(basis, linear, grid, data)
+    return _table(basis, linear, grid, np.arange(len(grid)))
+
+
+def sample_resolvent(basis: SpectralBasis, linear: LinearPart,
+                     grid: TimeGrid) -> ResolventTable:
+    """The columns both resolvent checks read, in one march.
+
+    At most ANCHOR_BLOCK anchors, spread evenly from 0 to M-3, so that every
+    column has the two rows after its anchor a central difference needs;
+    anchor 0 is the base the autonomy check shifts the others onto.
+    """
+    m_count = len(grid)
+    if m_count < 3:
+        raise GridError(f"the central-difference check needs 3 or more nodes, got {m_count}")
+    if m_count - 2 <= ANCHOR_BLOCK:
+        anchors = np.arange(m_count - 2)
+    else:
+        anchors = np.unique(np.linspace(0, m_count - 3, ANCHOR_BLOCK).astype(int))
+    return _table(basis, linear, grid, anchors)
 
 
 def solve_mode_resolvent(n: int, anchor: int, linear: LinearPart,
@@ -272,7 +301,7 @@ def solve_mode_resolvent(n: int, anchor: int, linear: LinearPart,
     """r_n(t_j, t_anchor) on the whole grid (zeros before the anchor row)."""
     if not 0 <= anchor < len(grid):
         raise UsageError(f"anchor index {anchor} outside grid")
-    data = _etd_build(np.array([n]), grid, linear, np.array([anchor]))
+    data = _etd_build(step_maps(np.array([n]), linear, grid), np.array([anchor]))
     return data[0, :, 0]
 
 
@@ -288,39 +317,31 @@ class PdeReport:
     passed: bool
 
 
-def verify_resolvent_pde(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
-                         tol_pde: float = 1e-3, max_anchors: int = ANCHOR_BLOCK) -> PdeReport:
+def verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeReport:
     """Central-difference check of r' = -n^2 tau r - n^2 int G r du per anchor.
 
-    Only the sampled anchor columns are marched.  Their memory integrals are
-    summed from the marched r by a trapezoid recurrence of their own (decay by
-    exp(-rate d), add one cell), so the check does not reuse the build's state.
-    The raw residual of mode n scales like n^2 (sup|tau| + a sup|G|) times the
-    finite-difference truncation, so the pass verdict uses residuals divided by
-    that per-mode scale; raw maxima are reported alongside.
+    Reads the table's columns.  Their memory integrals are summed from the
+    marched r by a trapezoid recurrence of their own (decay by exp(-rate d),
+    add one cell), so the check does not reuse the build's state.  The raw
+    residual of mode n scales like n^2 (sup|tau| + a sup|G|) times the
+    finite-difference truncation, so the pass verdict uses residuals divided
+    by that per-mode scale; raw maxima are reported alongside.
     """
+    basis, linear, grid, anchors, data = (table.basis, table.linear, table.grid,
+                                          table.anchors, table.data)
     nodes = grid.nodes
-    m_count = len(nodes)
-    if m_count < 3:
-        raise GridError(f"the central-difference check needs 3 or more nodes, got {m_count}")
     n2 = basis.mode_numbers.astype(float) ** 2
     tau = linear.tau.value(nodes)
     scale = np.array([linear.residual_scale(n, grid.end) for n in basis.mode_numbers])
     scale = np.maximum(scale, 1e-30)
 
-    if m_count - 2 <= max_anchors:
-        anchor_list = np.arange(m_count - 2)
-    else:
-        anchor_list = np.unique(np.linspace(0, m_count - 3, max_anchors).astype(int))
-    data = _etd_build(basis.mode_numbers, grid, linear, anchor_list)   # (N, M, K)
-
     d = np.diff(nodes)
     decay = np.exp(-linear.kernel.rate * d)
     half = linear.kernel.c0 * d / 2.0
-    mem = np.zeros((basis.n_modes, len(anchor_list)))
+    mem = np.zeros((basis.n_modes, len(anchors)))
     per_mode = np.zeros(basis.n_modes)
-    for j in range(1, m_count - 1):
-        k = int(np.searchsorted(anchor_list, j))   # columns [:k] are anchored before row j
+    for j in range(1, len(nodes) - 1):
+        k = int(np.searchsorted(anchors, j))   # columns [:k] are anchored before row j
         mem[:, :k] = decay[j - 1] * mem[:, :k] + half[j - 1] * (
             decay[j - 1] * data[:, j - 1, :k] + data[:, j, :k])
         fd = (data[:, j + 1, :k] - data[:, j - 1, :k]) / (nodes[j + 1] - nodes[j - 1])
@@ -329,7 +350,7 @@ def verify_resolvent_pde(basis: SpectralBasis, linear: LinearPart, grid: TimeGri
     per_mode_scaled = per_mode / scale
     max_scaled = float(per_mode_scaled.max())
     return PdeReport(float(per_mode.max()), max_scaled, per_mode_scaled, tol_pde,
-                     len(anchor_list), bool(max_scaled <= tol_pde))
+                     len(anchors), bool(max_scaled <= tol_pde))
 
 
 @dataclass(frozen=True)
@@ -340,21 +361,19 @@ class AutonomyReport:
     anchors_checked: int
 
 
-def check_autonomous_reduction(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
-                               tol_auto: float = 1e-6,
-                               max_anchors: int = ANCHOR_BLOCK) -> AutonomyReport:
-    """Check r_n(t,s) = r_n(t-s, 0) on sampled anchors, marching only those (uniform grid)."""
-    if not linear.autonomous:
+def check_autonomous_reduction(table: ResolventTable) -> AutonomyReport:
+    """Check r_n(t,s) = r_n(t-s, 0) on the table's anchors (uniform grid).
+
+    Each column is compared with the column of anchor 0, which comes first.
+    """
+    if not table.linear.autonomous:
         raise UsageError("autonomous reduction requires constant tau "
                          "and a difference kernel")
-    if not grid.is_uniform():
+    if not table.grid.is_uniform():
         raise GridError("autonomous reduction check needs a uniform grid")
-    m_count = len(grid)
-    anchor_list = np.unique(np.linspace(0, m_count - 1, min(max_anchors, m_count)).astype(int))
-    data = _etd_build(basis.mode_numbers, grid, linear, anchor_list)
+    m_count = len(table.grid)
+    data = table.data
     dev = 0.0
-    for i, k in enumerate(anchor_list):
-        shifted = data[:, k:, i]
-        base = data[:, :m_count - k, 0]
-        dev = max(dev, float(np.max(np.abs(shifted - base))) if shifted.size else 0.0)
-    return AutonomyReport(bool(dev <= tol_auto), dev, tol_auto, len(anchor_list))
+    for i, k in enumerate(table.anchors):
+        dev = max(dev, float(np.max(np.abs(data[:, k:, i] - data[:, :m_count - k, 0]))))
+    return AutonomyReport(bool(dev <= TOL_AUTO), dev, TOL_AUTO, len(table.anchors))

@@ -20,8 +20,8 @@ from mds import (ConditionConstants, LinearPart, MemoryKernel, TimeFunction,
                  build_time_grid, check_autonomous_reduction, check_cond1,
                  check_cond2, check_example_conditions, constant_measure,
                  discontinuity_count, jump_consistency, ls_integral,
-                 make_basis, parse_scenario, picard_solve, solve_mode_resolvent,
-                 steer, verify_resolvent_pde, zeno_measure)
+                 make_basis, parse_scenario, picard_solve, sample_resolvent,
+                 solve_mode_resolvent, steer, verify_resolvent_pde, zeno_measure)
 
 from conftest import load_config, record_criterion
 from test_spectral import second_order_oracle
@@ -65,8 +65,8 @@ def test_criterion_2_volterra_oracle():
 
 
 def test_criterion_3_autonomous_reduction(resolvent_scn):
-    report = check_autonomous_reduction(resolvent_scn.basis, resolvent_scn.linear,
-                                        resolvent_scn.grid, tol_auto=1e-6, max_anchors=64)
+    report = check_autonomous_reduction(sample_resolvent(
+        resolvent_scn.basis, resolvent_scn.linear, resolvent_scn.grid))
     ok = report.passed and report.max_deviation <= 1e-6
     record_criterion("3", ok,
                      f"max |r(t,s) - r(t-s,0)| = {report.max_deviation:.3e} "
@@ -75,13 +75,13 @@ def test_criterion_3_autonomous_reduction(resolvent_scn):
 
 
 def test_criterion_4_pde_residual_second_order(resolvent_scn):
-    coarse = verify_resolvent_pde(resolvent_scn.basis, resolvent_scn.linear,
-                                  resolvent_scn.grid, tol_pde=1e-3)
+    coarse = verify_resolvent_pde(sample_resolvent(
+        resolvent_scn.basis, resolvent_scn.linear, resolvent_scn.grid), tol_pde=1e-3)
     doc = load_config("resolvent_check.json")
     doc["grid"]["nodes"] = 1024
     fine_scn = parse_scenario(doc)
-    fine = verify_resolvent_pde(fine_scn.basis, fine_scn.linear, fine_scn.grid,
-                                tol_pde=1e-3)
+    fine = verify_resolvent_pde(sample_resolvent(fine_scn.basis, fine_scn.linear,
+                                                 fine_scn.grid), tol_pde=1e-3)
     ratio = coarse.max_scaled_residual / fine.max_scaled_residual
     ok = coarse.passed and 3.0 <= ratio <= 5.0
     record_criterion("4", ok,

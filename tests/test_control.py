@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from mds import (ControlSignal, DegenerateModeError, GridError, LinearPart,
-                 SteeringError, TimeFunction, Tolerances, assemble_scenario,
-                 constant_measure, estimate_constants, gramians, make_basis,
-                 min_norm_inverse, steer, steering_residual,
-                 synthesize_control, terminal_error, z_apply, zero_kernel)
+                 MemoryKernel, SteeringError, TimeFunction, Tolerances,
+                 assemble_scenario, constant_measure, estimate_constants, gramians,
+                 make_basis, min_norm_inverse, steer, steering_residual,
+                 synthesize_control, terminal_error, z_apply)
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def small_scn():
     n = 3
     return assemble_scenario(
         make_basis(n),
-        LinearPart(TimeFunction("const", c0=1.0), zero_kernel()),
+        LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
         constant_measure(1.0), 257, np.ones(n), np.zeros(n))
 
 
@@ -104,7 +104,7 @@ def test_reachable_target_needs_no_control():
     zeta0 = np.array([1.0, -0.5, 0.25])
     scn = assemble_scenario(
         make_basis(n),
-        LinearPart(TimeFunction("const", c0=1.0), zero_kernel()),
+        LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
         constant_measure(1.0), 257, zeta0, np.exp(-n2.astype(float)) * zeta0)
     from mds import picard_solve
     traj = picard_solve(scn).trajectory
@@ -115,7 +115,7 @@ def test_reachable_target_needs_no_control():
 def test_trivial_steer_does_nothing():
     scn = assemble_scenario(
         make_basis(2),
-        LinearPart(TimeFunction("const", c0=1.0), zero_kernel()),
+        LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
         constant_measure(1.0), 129, np.zeros(2), np.zeros(2))
     out = steer(scn)
     assert out.report.outer_iterations == 0

@@ -57,7 +57,7 @@ from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  lebesgue_measure, make_basis, zeno_measure)
 from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
 from mds.spectral import (_guard, _march, _step, resolvent_final_row, resolvent_sums,
-                          resolvent_sup)
+                          resolvent_sup, step_maps)
 
 EPS = np.finfo(float).eps
 RUNNING_ULPS = 32.0
@@ -188,7 +188,7 @@ def test_march_matches_the_elementwise_march(tau, kernel, measure, n_count, colu
         old = elementwise_march(modes, grid, linear, seeds, np.empty(shape))
     except InstabilityError as exc:
         with pytest.raises(InstabilityError) as new_exc:
-            _march(modes, grid, linear, seeds, np.empty(shape))
+            _march(step_maps(modes, linear, grid), seeds, np.empty(shape))
         assert new_exc.value.mode == exc.mode
         return
     try:
@@ -196,7 +196,7 @@ def test_march_matches_the_elementwise_march(tau, kernel, measure, n_count, colu
                                 np.empty(shape))
     except InstabilityError:
         assume(False)
-    new = _march(modes, grid, linear, seeds, np.empty(shape))
+    new = _march(step_maps(modes, linear, grid), seeds, np.empty(shape))
     j = np.arange(m_count)[:, None]
     assert np.all(np.abs(new - old) <= RUNNING_ULPS * (j + 1) * EPS * maj)
     if kernel.is_zero:
@@ -220,7 +220,7 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
     except InstabilityError:
         # the table guards every entry, and so does the streamed L1
         try:
-            resolvent_sup(basis, linear, grid)
+            resolvent_sup(step_maps(basis.mode_numbers, linear, grid))
         except InstabilityError:
             return
         raise AssertionError("L1 missed an entry over the overflow guard")
@@ -229,7 +229,7 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
     except InstabilityError:
         assume(False)
 
-    assert resolvent_sup(basis, linear, grid) == np.max(np.abs(data))
+    assert resolvent_sup(step_maps(basis.mode_numbers, linear, grid)) == np.max(np.abs(data))
 
     rng = np.random.default_rng(seed)
     zeta0 = rng.uniform(-1.0, 1.0, n_count)
@@ -267,7 +267,7 @@ def test_demo_marches_match_the_dense_table(demo_scn, demo_solution):
     scn = demo_scn
     data = build_resolvent_table(scn.basis, scn.linear, scn.grid).data
     maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid).data
-    assert resolvent_sup(scn.basis, scn.linear, scn.grid) == np.max(np.abs(data))
+    assert resolvent_sup(scn.steps) == np.max(np.abs(data))
 
     traj = demo_solution.trajectory
     rng = np.random.default_rng(5)
@@ -294,8 +294,9 @@ def test_final_row_is_guarded():
     basis = make_basis(16)
     linear = LinearPart(TimeFunction("affine", c0=3.0, c1=-6.0), MemoryKernel("zero"))
     grid = build_time_grid(constant_measure(1.0), 257)
-    first = resolvent_sums(basis, linear, grid, np.eye(len(grid))[:, :1] * np.ones(16))
+    steps = step_maps(basis.mode_numbers, linear, grid)
+    first = resolvent_sums(steps, np.eye(len(grid))[:, :1] * np.ones(16))
     assert np.max(np.abs(first)) == 1.0
     with pytest.raises(InstabilityError) as exc:
-        resolvent_final_row(basis, linear, grid)
+        resolvent_final_row(steps)
     assert exc.value.mode == 16

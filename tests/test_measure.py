@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from mds import (DomainError, GridError, JumpMeasure, RegulatedTrajectory,
                  TimeGrid, UsageError, build_time_grid, constant_measure,
-                 cumulative, eval_measure, jump_sizes_on_grid,
-                 lebesgue_measure, ls_integral, zeno_measure)
+                 cumulative, jump_sizes_on_grid, ls_integral, zeno_measure)
 
 
 def _unit_jump(loc: float = 0.5, size: float = 1.0) -> JumpMeasure:
@@ -24,7 +23,6 @@ def test_zeno_has_exactly_k_jumps_and_half_mass():
     h = zeno_measure(20)
     assert len(h.jump_locs) == 20
     assert h.total_jump_mass() == 0.5
-    assert h.initial == 0.5
 
 
 def test_zeno_jump_locations_accumulate_below_one():
@@ -60,41 +58,13 @@ def test_negative_density_rejected():
                     np.zeros(0), np.zeros(0))
 
 
-# ---------------------------------------------------------------- evaluation
-
-def test_zeno_evaluation_matches_initial_plus_jumps():
-    h = zeno_measure(20)
-    assert eval_measure(h, 0.0) == 0.5
-    assert eval_measure(h, 0.3) == 0.5          # before the first jump
-    assert eval_measure(h, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_evaluation_is_left_continuous_at_jumps():
-    h = _unit_jump(0.5, 2.0)
-    assert eval_measure(h, 0.5) == 0.0
-    assert eval_measure(h, 0.5 + 1e-9) == 2.0
-
-
-def test_evaluation_outside_domain_raises():
-    h = zeno_measure(5)
-    with pytest.raises(DomainError):
-        eval_measure(h, -0.1)
-    with pytest.raises(DomainError):
-        eval_measure(h, 1.1)
-
-
-def test_lebesgue_partial_cell_interpolation():
-    h = lebesgue_measure(1.0, samples=5)
-    for t in (0.1, 0.37, 0.625, 0.99):
-        assert eval_measure(h, t) == pytest.approx(t, abs=1e-15)
-
+# ---------------------------------------------------------------- mass
 
 def test_affine_density_cumulative():
-    # density 2t -> h(t) = t^2
+    # density 2t -> h(1) - h(0) = 1
     nodes = np.linspace(0.0, 1.0, 401)
     h = JumpMeasure(1.0, nodes, 2.0 * nodes, np.zeros(0), np.zeros(0))
-    for t in (0.25, 0.5, 0.775):
-        assert eval_measure(h, t) == pytest.approx(t * t, abs=1e-12)
+    assert h.density_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- grids
@@ -104,7 +74,7 @@ def test_grid_contains_every_jump_node_exactly():
     grid = build_time_grid(h, 129)
     for loc in h.jump_locs:
         assert loc in grid.nodes
-    assert int(np.sum(grid.jump_flags)) == 20
+    assert np.count_nonzero(jump_sizes_on_grid(h, grid)) == 20
 
 
 def test_grid_drops_base_nodes_colliding_with_jumps():
@@ -136,7 +106,7 @@ def test_jump_sizes_on_grid_alignment():
     grid = build_time_grid(h, 65)
     sizes = jump_sizes_on_grid(h, grid)
     assert math.fsum(sizes) == h.total_jump_mass()
-    assert np.all((sizes > 0) == grid.jump_flags)
+    assert np.all((sizes > 0) == np.isin(grid.nodes, h.jump_locs))
 
 
 # ---------------------------------------------------------------- integration
@@ -258,7 +228,7 @@ def test_cumulative_respects_start_time():
 # ---------------------------------------------------------------- trajectories
 
 def test_trajectory_sup_norm_covers_right_values():
-    grid = TimeGrid(np.array([0.0, 0.5, 1.0]), np.array([False, True, False]))
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
     vals = np.zeros((3, 2))
     right = vals.copy()
     right[1] = [3.0, 4.0]
@@ -267,7 +237,7 @@ def test_trajectory_sup_norm_covers_right_values():
 
 
 def test_trajectory_shape_mismatch_rejected():
-    grid = TimeGrid(np.array([0.0, 1.0]), np.array([False, False]))
+    grid = TimeGrid(np.array([0.0, 1.0]))
     with pytest.raises(GridError):
         RegulatedTrajectory(grid, np.zeros((3, 2)), np.zeros((3, 2)))
 

@@ -14,8 +14,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mds import (LinearPart, TimeFunction, assemble_scenario, build_time_grid,
-                 constant_measure, make_basis, zero_kernel, zeno_measure)
+from mds import (LinearPart, MemoryKernel, TimeFunction, assemble_scenario,
+                 build_time_grid, constant_measure, make_basis, zeno_measure)
 from mds._quad import simpson_prefix_edges, simpson_prefix_matrix, simpson_weights
 
 
@@ -87,6 +87,6 @@ def test_simpson_prefix_rows_equal_per_prefix_rule_on_a_zeno_grid():
 def test_scenario_full_weights_are_the_last_simpson_prefix_row(base, zeno_k):
     h = constant_measure(1.0) if zeno_k is None else zeno_measure(zeno_k)
     scn = assemble_scenario(make_basis(1), LinearPart(TimeFunction("const", c0=1.0),
-                                                      zero_kernel()),
+                                                      MemoryKernel("zero")),
                             h, base, np.zeros(1), np.zeros(1))
     assert np.array_equal(scn.wq_full, simpson_prefix_matrix(scn.grid.nodes)[-1])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  TimeFunction, build_time_grid, constant_measure, zeno_measure)
-from mds.spectral import _OVERFLOW_GUARD, _etd_build
+from mds.spectral import _OVERFLOW_GUARD, _etd_build, step_maps
 
 # fixed before any run: |new - old| <= 1e-13 * max(1, max|old|)
 REL_TOL = 1e-13
@@ -136,10 +136,10 @@ def test_recurrence_matches_full_prefix_build(tau, kernel, grid, n_count, data):
         old = reference_etd_build(modes, grid, linear, anchors)
     except InstabilityError as exc:
         with pytest.raises(InstabilityError) as new_exc:
-            _etd_build(modes, grid, linear, anchors)
+            _etd_build(step_maps(modes, linear, grid), anchors)
         assert new_exc.value.mode == exc.mode
         return
-    new = _etd_build(modes, grid, linear, anchors)
+    new = _etd_build(step_maps(modes, linear, grid), anchors)
     assert new.shape == old.shape == (n_count, m_count, len(anchors))
     scale = max(1.0, float(np.max(np.abs(old))))
     assert np.max(np.abs(new - old)) <= REL_TOL * scale
@@ -153,7 +153,7 @@ def test_zero_kernel_build_is_bitwise_equal_to_reference():
     linear = LinearPart(TimeFunction("cosine", c0=1.5, c1=0.5), MemoryKernel("zero"))
     modes = np.arange(1, 5)
     anchors = np.arange(len(grid))
-    assert np.array_equal(_etd_build(modes, grid, linear, anchors),
+    assert np.array_equal(_etd_build(step_maps(modes, linear, grid), anchors),
                           reference_etd_build(modes, grid, linear, anchors))
 
 
@@ -166,5 +166,5 @@ def test_unstable_tau_raises_same_mode_on_both_builds():
     with pytest.raises(InstabilityError) as old:
         reference_etd_build(modes, grid, linear, anchors)
     with pytest.raises(InstabilityError) as new:
-        _etd_build(modes, grid, linear, anchors)
+        _etd_build(step_maps(modes, linear, grid), anchors)
     assert new.value.mode == old.value.mode

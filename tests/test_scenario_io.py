@@ -3,15 +3,16 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from mds import (ConfigError, InstabilityError, UsageError, assemble_scenario,
                  build_resolvent_table, constant_measure, LinearPart,
-                 TimeFunction, Tolerances, make_basis, parse_scenario,
-                 run_command, serialize_scenario, write_trajectory_csv,
-                 zero_kernel)
+                 MemoryKernel, TimeFunction, Tolerances, make_basis,
+                 parse_scenario, run_command, serialize_scenario,
+                 write_trajectory_csv)
 import mds._quad
 import mds.scenario
 import mds.spectral
@@ -211,7 +212,7 @@ def test_round_trip_preserves_shipped_demo():
 
 def test_code_assembled_scenario_has_no_document():
     scn = assemble_scenario(
-        make_basis(2), LinearPart(TimeFunction("const", c0=1.0), zero_kernel()),
+        make_basis(2), LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
         constant_measure(1.0), 33, np.ones(2), np.zeros(2))
     with pytest.raises(UsageError):
         serialize_scenario(scn)
@@ -237,6 +238,16 @@ def test_steer_with_zero_gain_exits_three(tmp_path):
     doc = tiny_doc(control={"theta": 0.0},
                    states={"zeta0": [1.0, 0.5], "zeta1": [0.5, 0.25]})
     assert run_command("steer", doc, str(tmp_path), quiet=True) == 3
+
+
+@pytest.mark.parametrize("theta, mode", [(0.0, 1), ([0.1, 0.0] + [0.1] * 6, 2)])
+def test_check_conditions_with_zero_gain_exits_three(tmp_path, capsys, theta, mode):
+    doc = load_config("demo.json")
+    doc["control"]["theta"] = theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command("check-conditions", doc, str(tmp_path)) == 3
+    assert f"degenerate control: mode {mode} Gramian" in capsys.readouterr().out
 
 
 def test_steer_linear_config_succeeds(tmp_path):
@@ -285,6 +296,28 @@ def test_verify_resolvent_and_parsing_build_no_square_array(monkeypatch, tmp_pat
         for path in (tmp_path / "plain" / command).iterdir():
             assert (lean / path.name).read_bytes() == path.read_bytes()
     parse_scenario(load_config("demo.json"))
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", "demo.json"), ("steer", "demo.json"), ("check-conditions", "demo.json"),
+    ("verify-resolvent", "resolvent_check.json")])
+def test_each_command_computes_the_step_maps_once(monkeypatch, tmp_path, command, config):
+    calls = {"_step": 0, "_march": 0}
+
+    def counting(name):
+        inner = getattr(mds.spectral, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(mds.spectral, name, counting(name))
+    run_command(command, load_config(config), str(tmp_path), quiet=True)
+    assert calls["_step"] == 2          # the unit states (1, 0) and (0, 1), once each
+    if command == "verify-resolvent":
+        assert calls["_march"] == 1
 
 
 def _unstable_demo(tau, zero_nonlinearity=False, zero_kernel=False):

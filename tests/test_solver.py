@@ -8,7 +8,7 @@ from mds import (ConvergenceError, GridError, JumpMeasure, LinearPart,
                  TimeFunction, Tolerances, apply_psi, assemble_scenario,
                  constant_measure, discontinuity_count, initial_iterate,
                  jump_consistency, lebesgue_measure, make_basis, picard_solve,
-                 steer, zero_kernel)
+                 steer)
 import mds.solver
 
 
@@ -16,7 +16,7 @@ def _linear_scn(n_modes=3, nodes=129, zeta0=None, **kw):
     zeta0 = np.ones(n_modes) if zeta0 is None else zeta0
     return assemble_scenario(
         make_basis(n_modes),
-        LinearPart(TimeFunction("const", c0=1.0), zero_kernel()),
+        LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
         constant_measure(1.0), nodes, zeta0, np.zeros(n_modes), **kw)
 
 
@@ -27,7 +27,7 @@ def _one_jump_scn(d0, nodes=129):
                     np.array([0.5]), np.array([1.0]))
     return assemble_scenario(
         make_basis(n),
-        LinearPart(TimeFunction("const", c0=1.0), zero_kernel()),
+        LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
         h, nodes, np.ones(n), np.zeros(n),
         nonlinearity=NonlinearityEval("table", table=np.asarray(d0)))
 
@@ -124,7 +124,7 @@ def test_zero_sweep_budget_rejected():
 def test_huge_nonlinearity_fails_to_converge():
     scn = assemble_scenario(
         make_basis(4),
-        LinearPart(TimeFunction("const", c0=1.0), zero_kernel()),
+        LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
         lebesgue_measure(1.0), 129, np.ones(4) * 0.5, np.zeros(4),
         nonlinearity=NonlinearityEval("cosine", amplitude=1e6),
         tol=Tolerances(max_picard=16))

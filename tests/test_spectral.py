@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from mds import (GridError, InstabilityError, LinearPart, MemoryKernel,
                  TimeFunction, UsageError, build_resolvent_table, build_time_grid,
                  check_autonomous_reduction, constant_measure, make_basis,
-                 solve_mode_resolvent, verify_resolvent_pde)
-from mds.spectral import resolvent_sup
+                 sample_resolvent, solve_mode_resolvent, verify_resolvent_pde)
+from mds.spectral import resolvent_sup, step_maps
 
 
 def _grid(nodes: int, end: float = 1.0):
@@ -73,11 +73,6 @@ def test_basis_guards():
         make_basis(257)
     with pytest.raises(UsageError):
         make_basis(8, collocation=4)
-
-
-def test_eigenvalues_are_minus_n_squared():
-    basis = make_basis(5)
-    assert np.array_equal(basis.eigenvalues, [-1.0, -4.0, -9.0, -16.0, -25.0])
 
 
 # ---------------------------------------------------------------- evolution factor
@@ -193,7 +188,7 @@ def test_contraction_config_has_unit_sup():
     grid = _grid(129)
     table = build_resolvent_table(make_basis(4), _const_linear(1.0), grid)
     assert np.max(np.abs(table.data)) == 1.0
-    assert resolvent_sup(make_basis(4), _const_linear(1.0), grid) == 1.0
+    assert resolvent_sup(step_maps(np.arange(1, 5), _const_linear(1.0), grid)) == 1.0
 
 
 def test_successive_node_continuity_bound():
@@ -212,15 +207,16 @@ def test_successive_node_continuity_bound():
 
 def test_pde_residual_passes_on_smooth_config(resolvent_scn):
     scn = resolvent_scn
-    report = verify_resolvent_pde(scn.basis, scn.linear, scn.grid, tol_pde=1e-3)
+    report = verify_resolvent_pde(sample_resolvent(scn.basis, scn.linear, scn.grid),
+                                  tol_pde=1e-3)
     assert report.passed
     assert report.max_scaled_residual <= 1e-3
     assert report.anchors_checked <= 64
 
 
 def test_pde_residual_on_coarse_grid_is_finite_only():
-    report = verify_resolvent_pde(make_basis(2), _const_linear(1.0, -0.2), _grid(16),
-                                  tol_pde=1e-3)
+    report = verify_resolvent_pde(
+        sample_resolvent(make_basis(2), _const_linear(1.0, -0.2), _grid(16)), tol_pde=1e-3)
     assert math.isfinite(report.max_scaled_residual)
     assert report.max_scaled_residual > 1e-5   # visibly coarser than 512 nodes
 
@@ -229,34 +225,36 @@ def test_pde_residual_needs_an_interior_node():
     linear = LinearPart(TimeFunction("const", c0=1.0),
                         MemoryKernel("exp_diff", c0=1.0, rate=1.0))
     with pytest.raises(GridError):
-        verify_resolvent_pde(make_basis(2), linear, _grid(2))
-    report = verify_resolvent_pde(make_basis(2), linear, _grid(3))   # one residual point
+        sample_resolvent(make_basis(2), linear, _grid(2))
+    report = verify_resolvent_pde(sample_resolvent(make_basis(2), linear, _grid(3)))
+    # one residual point
     assert report.anchors_checked == 1
     assert math.isfinite(report.max_raw_residual) and report.max_raw_residual > 0.0
 
 
 def test_autonomous_reduction_difference_kernel():
-    report = check_autonomous_reduction(
+    report = check_autonomous_reduction(sample_resolvent(
         make_basis(4),
         LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("exp_diff", c0=1.0, rate=1.0)),
-        _grid(257), tol_auto=1e-6)
+        _grid(257)))
     assert report.passed
     assert report.max_deviation <= 1e-6
 
 
 def test_autonomous_reduction_pure_ode_is_machine_exact():
-    report = check_autonomous_reduction(make_basis(3), _const_linear(1.0), _grid(129))
+    report = check_autonomous_reduction(
+        sample_resolvent(make_basis(3), _const_linear(1.0), _grid(129)))
     assert report.max_deviation <= 1e-8
 
 
 def test_autonomous_reduction_rejects_time_dependence():
     linear = LinearPart(TimeFunction("affine", c0=1.0, c1=1.0), MemoryKernel("zero"))
     with pytest.raises(UsageError):
-        check_autonomous_reduction(make_basis(2), linear, _grid(33))
+        check_autonomous_reduction(sample_resolvent(make_basis(2), linear, _grid(33)))
 
 
 def test_autonomous_reduction_rejects_nonuniform_grid():
     from mds import zeno_measure
     grid = build_time_grid(zeno_measure(5), 65)
     with pytest.raises(GridError):
-        check_autonomous_reduction(make_basis(2), _const_linear(1.0), grid)
+        check_autonomous_reduction(sample_resolvent(make_basis(2), _const_linear(1.0), grid))

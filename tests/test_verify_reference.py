@@ -1,12 +1,13 @@
 """Differential tests for the table-free resolvent verifier.
 
-``verify_resolvent_pde`` and ``check_autonomous_reduction`` march only their
-sampled anchor columns, and the verifier sums each column's memory integral
-by a running trapezoid recurrence.  The versions they replaced read the full
-(N, M, M) resolvent table and, for the PDE check, formed an M x M kernel,
-prefix and weight matrix per anchor.  Those are kept here, and only here, as
-the reference.  They are the replaced code with the kernel-matrix helper it
-called spelled out.
+``verify_resolvent_pde`` and ``check_autonomous_reduction`` read one sampled
+column set, which ``sample_resolvent`` marches once, and the verifier sums
+each column's memory integral by a running trapezoid recurrence.  The
+versions they replaced read the full (N, M, M) resolvent table and, for the
+PDE check, formed an M x M kernel, prefix and weight matrix per anchor.
+Those are kept here, and only here, as the reference.  They are the
+replaced code with the kernel-matrix helper it called spelled out; both
+references pick their anchors by ``reference_anchors``, the PDE check's rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from mds import (AutonomyReport, GridError, InstabilityError, JumpMeasure, Linea
                  MemoryKernel, PdeReport, ResolventTable, TimeFunction, UsageError,
                  build_resolvent_table, build_time_grid, check_autonomous_reduction,
                  constant_measure, make_basis, parse_scenario, run_command,
-                 verify_resolvent_pde, zeno_measure)
+                 sample_resolvent, verify_resolvent_pde, zeno_measure)
 from mds._quad import trapezoid_prefix_matrix
 
 from conftest import load_config
@@ -39,8 +40,14 @@ REL_TOL = 1e-12
 SUM_ULPS_PER_NODE = 8.0
 
 
-def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3,
-                                   max_anchors: int = 64) -> PdeReport:
+def reference_anchors(m_count: int, max_anchors: int = 64) -> np.ndarray:
+    """At most max_anchors anchors from 0 to M-3, each with two rows after it."""
+    if m_count - 2 <= max_anchors:
+        return np.arange(0, max(m_count - 2, 1))
+    return np.unique(np.linspace(0, m_count - 3, max_anchors).astype(int))
+
+
+def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeReport:
     nodes = table.grid.nodes
     m_count = len(nodes)
     n2 = table.basis.mode_numbers.astype(float) ** 2
@@ -51,11 +58,7 @@ def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3,
     scale = np.array([table.linear.residual_scale(n, horizon)
                       for n in table.basis.mode_numbers])
     scale = np.maximum(scale, 1e-30)
-
-    if m_count - 2 <= max_anchors:
-        anchor_list = np.arange(0, max(m_count - 2, 1))
-    else:
-        anchor_list = np.unique(np.linspace(0, m_count - 3, max_anchors).astype(int))
+    anchor_list = reference_anchors(m_count)
 
     max_raw = 0.0
     per_mode = np.zeros(table.basis.n_modes)
@@ -78,15 +81,15 @@ def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3,
                      len(anchor_list), bool(max_scaled <= tol_pde))
 
 
-def reference_check_autonomous_reduction(table: ResolventTable, tol_auto: float = 1e-6,
-                                         max_anchors: int = 64) -> AutonomyReport:
+def reference_check_autonomous_reduction(table: ResolventTable,
+                                         tol_auto: float = 1e-6) -> AutonomyReport:
     if not table.linear.autonomous:
         raise UsageError("autonomous reduction requires constant tau "
                          "and a difference kernel")
     if not table.grid.is_uniform():
         raise GridError("autonomous reduction check needs a uniform grid")
     m_count = len(table.grid)
-    anchor_list = np.unique(np.linspace(0, m_count - 1, min(max_anchors, m_count)).astype(int))
+    anchor_list = reference_anchors(m_count)
     dev = 0.0
     for k in anchor_list:
         shifted = table.data[:, k:, k]
@@ -137,16 +140,13 @@ def grids(draw):
     return build_time_grid(h, base)
 
 
-def memory_rounding_bound(table: ResolventTable, max_anchors: int = 64) -> np.ndarray:
+def memory_rounding_bound(table: ResolventTable) -> np.ndarray:
     """Per mode: 8 (M + 2) eps n^2 max_(k, j>k) sum_u |w_u G(t_j, t_u) r_n(t_u, t_k)|."""
     nodes = table.grid.nodes
     m_count = len(nodes)
     kernel = np.abs(table.linear.kernel.value(nodes[:, None], nodes[None, :]))
     prefix = trapezoid_prefix_matrix(nodes)
-    if m_count - 2 <= max_anchors:
-        anchor_list = np.arange(m_count - 2)
-    else:
-        anchor_list = np.unique(np.linspace(0, m_count - 3, max_anchors).astype(int))
+    anchor_list = reference_anchors(m_count)
     worst = np.zeros(table.basis.n_modes)
     for k in anchor_list:
         absmem = (np.abs(prefix - prefix[k]) * kernel) @ np.abs(table.data[:, :, k]).T
@@ -168,14 +168,17 @@ def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count):
     try:
         table = build_resolvent_table(basis, linear, grid)
     except InstabilityError as exc:
-        # the table guards every column, the verifier only its sampled ones
+        # the table guards every column, the sample only its own
         try:
-            verify_resolvent_pde(basis, linear, grid)
+            sample_resolvent(basis, linear, grid)
         except InstabilityError as new_exc:
             assert new_exc.mode == exc.mode
         return
+    sample = sample_resolvent(basis, linear, grid)
+    assert np.array_equal(sample.anchors, reference_anchors(len(grid)))
+    assert np.array_equal(sample.data, table.data[:, :, sample.anchors])
     old = reference_verify_resolvent_pde(table)
-    new = verify_resolvent_pde(basis, linear, grid)
+    new = verify_resolvent_pde(sample)
     rounding = memory_rounding_bound(table)
     scale = np.maximum([linear.residual_scale(n, grid.end) for n in basis.mode_numbers],
                        1e-30)
@@ -186,7 +189,7 @@ def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count):
     assert new.anchors_checked == old.anchors_checked
     if linear.autonomous and grid.is_uniform():
         old_auto = reference_check_autonomous_reduction(table)
-        new_auto = check_autonomous_reduction(basis, linear, grid)
+        new_auto = check_autonomous_reduction(sample)
         assert new_auto.max_deviation == old_auto.max_deviation
         assert (new_auto.passed, new_auto.anchors_checked) == \
             (old_auto.passed, old_auto.anchors_checked)
@@ -196,11 +199,12 @@ def test_shipped_resolvent_config_matches_table_verifier(resolvent_scn):
     scn = resolvent_scn
     table = build_resolvent_table(scn.basis, scn.linear, scn.grid)
     old = reference_verify_resolvent_pde(table, scn.tol.tol_pde)
-    new = verify_resolvent_pde(scn.basis, scn.linear, scn.grid, scn.tol.tol_pde)
+    sample = sample_resolvent(scn.basis, scn.linear, scn.grid)
+    new = verify_resolvent_pde(sample, scn.tol.tol_pde)
     assert new.max_raw_residual == old.max_raw_residual
     assert new.max_scaled_residual == old.max_scaled_residual
     assert np.array_equal(new.per_mode_scaled, old.per_mode_scaled)
-    assert (check_autonomous_reduction(scn.basis, scn.linear, scn.grid).max_deviation
+    assert (check_autonomous_reduction(sample).max_deviation
             == reference_check_autonomous_reduction(table).max_deviation)
 
 
@@ -215,10 +219,6 @@ def test_overflowing_sampled_column_raises_same_mode(tau, tmp_path):
     with pytest.raises(InstabilityError) as old:
         build_resolvent_table(scn.basis, scn.linear, scn.grid)
     with pytest.raises(InstabilityError) as new:
-        verify_resolvent_pde(scn.basis, scn.linear, scn.grid)
+        sample_resolvent(scn.basis, scn.linear, scn.grid)
     assert new.value.mode == old.value.mode
-    if scn.linear.autonomous:
-        with pytest.raises(InstabilityError) as auto:
-            check_autonomous_reduction(scn.basis, scn.linear, scn.grid)
-        assert auto.value.mode == old.value.mode
     assert run_command("verify-resolvent", doc, str(tmp_path), quiet=True) == 2
