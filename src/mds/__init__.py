@@ -32,6 +32,6 @@ from .solver import (PicardResult, apply_psi, discontinuity_count,
 from .spectral import (AutonomyReport, LinearPart, PdeReport, ResolventTable,
                        SpectralBasis, build_resolvent_table,
                        check_autonomous_reduction, make_basis, sample_resolvent,
-                       solve_mode_resolvent, verify_resolvent_pde)
+                       verify_resolvent_pde)
 
 __version__ = "0.1.0"

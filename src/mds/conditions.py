@@ -7,10 +7,10 @@ sufficient inequalities (both must be strictly below 1):
   cond2: (2 L1 + 4 L1^2 L2 PZ_mass) U_mass
 
 plus the specialized forms for the worked configuration, which are the
-same expressions after substituting its constants.  L1 = sup |r| is
-streamed over blocks of anchor columns marched with the Scenario's step
-maps; everything else reads its final row r_n(a, t_k).  No resolvent
-table is held.
+same expressions after substituting its constants.  L1 = sup |r| comes
+from one pass over the rows that marches every anchor column at once with
+the Scenario's step maps; everything else reads its final row r_n(a, t_k).
+No resolvent table is held.
 """
 
 from __future__ import annotations

@@ -29,6 +29,12 @@ from .spectral import (ANCHOR_BLOCK, LinearPart, check_autonomous_reduction,
 
 MAX_MODES = 256
 MAX_NODES = 65536
+# |coefficient| of a time function, kernel, nonlinearity, gain or state, and
+# exp(-rate a) of a kernel: a product of three such numbers stays finite
+MAX_COEFFICIENT = 1e100
+# horizons a: base nodes stay farther apart than the 1e-12 max(1, a) node
+# matching tolerance, and a few horizons times coefficients stay finite
+HORIZON_RANGE = (1e-6, 1e6)
 _SOLVER_ARRAYS = 16     # (M, N) arrays a psi sweep or a steering pass holds at once
 _TOLERANCE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Tolerances)}
 
@@ -71,6 +77,21 @@ def _integer(obj: dict, key: str, path: str, default=None) -> int:
     return v
 
 
+def _coefficient(obj: dict, key: str, path: str, default: float) -> float:
+    v = _number(obj, key, path, default=default)
+    if abs(v) > MAX_COEFFICIENT:
+        raise ConfigError(f"{path}.{key}", f"magnitude above {MAX_COEFFICIENT:g}")
+    return v
+
+
+def _horizon(obj: dict, path: str) -> float:
+    end = _number(obj, "end", path, default=1.0)
+    low, high = HORIZON_RANGE
+    if not low <= end <= high:
+        raise ConfigError(f"{path}.end", f"horizon must be in {low:g}..{high:g}")
+    return end
+
+
 def _vector(obj: dict, key: str, path: str, length: int) -> np.ndarray:
     if key not in obj:
         raise ConfigError(f"{path}.{key}", "missing required coefficient list")
@@ -81,6 +102,8 @@ def _vector(obj: dict, key: str, path: str, length: int) -> np.ndarray:
         if isinstance(entry, bool) or not isinstance(entry, (int, float)) \
                 or not math.isfinite(entry):
             raise ConfigError(f"{path}.{key}[{i}]", "expected a finite number")
+        if abs(entry) > MAX_COEFFICIENT:
+            raise ConfigError(f"{path}.{key}[{i}]", f"magnitude above {MAX_COEFFICIENT:g}")
     return np.array(v, dtype=float)
 
 
@@ -91,7 +114,7 @@ def _parse_time_spec(obj, path: str) -> TimeFunction:
         raise ConfigError(f"{path}.kind",
                           f"expected one of {sorted(_TIME_FIELDS)}, got {kind!r}")
     _reject_unknown(obj, ("kind",) + _TIME_FIELDS[kind], path)
-    kwargs = {f: _number(obj, f, path, default=1.0 if f == "freq" else 0.0)
+    kwargs = {f: _coefficient(obj, f, path, default=1.0 if f == "freq" else 0.0)
               for f in _TIME_FIELDS[kind]}
     try:
         return TimeFunction(kind, **kwargs)
@@ -106,7 +129,7 @@ def _parse_kernel_spec(obj, path: str) -> MemoryKernel:
         raise ConfigError(f"{path}.kind",
                           f"expected one of {sorted(_KERNEL_FIELDS)}, got {kind!r}")
     _reject_unknown(obj, ("kind",) + _KERNEL_FIELDS[kind], path)
-    kwargs = {f: _number(obj, f, path, default=0.0) for f in _KERNEL_FIELDS[kind]}
+    kwargs = {f: _coefficient(obj, f, path, default=0.0) for f in _KERNEL_FIELDS[kind]}
     return MemoryKernel(kind, **kwargs)
 
 
@@ -122,18 +145,14 @@ def _parse_measure(obj, path: str, base_nodes: int) -> JumpMeasure:
             return zeno_measure(k)
         if family in ("constant", "lebesgue"):
             _reject_unknown(obj, ("family", "end"), path)
-            end = _number(obj, "end", path, default=1.0)
-            if not end > 0.0:
-                raise ConfigError(f"{path}.end", "horizon must be positive")
+            end = _horizon(obj, path)
             if family == "constant":
                 return constant_measure(end)
             return lebesgue_measure(end, base_nodes)
         raise ConfigError(f"{path}.family",
                           f"expected zeno, constant or lebesgue, got {family!r}")
     _reject_unknown(obj, ("end", "density", "jumps"), path)
-    end = _number(obj, "end", path, default=1.0)
-    if not end > 0.0:
-        raise ConfigError(f"{path}.end", "horizon must be positive")
+    end = _horizon(obj, path)
     density = _parse_time_spec(obj.get("density", {"kind": "const", "c0": 0.0}),
                                f"{path}.density")
     nodes = np.linspace(0.0, end, max(base_nodes, 2))
@@ -195,6 +214,9 @@ def parse_scenario(doc: dict) -> Scenario:
     kernel = _parse_kernel_spec(lin.get("kernel", {"kind": "zero"}), "$.linear.kernel")
 
     h = _parse_measure(doc["measure"], "$.measure", base_nodes)
+    if -kernel.rate * h.domain_end > math.log(MAX_COEFFICIENT):
+        raise ConfigError("$.linear.kernel.rate", f"the kernel grows by more than "
+                          f"{MAX_COEFFICIENT:g} over the horizon {h.domain_end:g}")
 
     nl = _expect_map(doc.get("nonlinearity", {"kind": "zero"}), "$.nonlinearity")
     kind = nl.get("kind")
@@ -203,7 +225,8 @@ def parse_scenario(doc: dict) -> Scenario:
         nonlinearity = NonlinearityEval("zero")
     elif kind == "cosine":
         _reject_unknown(nl, ("kind", "M0"), "$.nonlinearity")
-        nonlinearity = NonlinearityEval("cosine", amplitude=_number(nl, "M0", "$.nonlinearity"))
+        nonlinearity = NonlinearityEval("cosine",
+                                        amplitude=_coefficient(nl, "M0", "$.nonlinearity", None))
     elif kind == "table":
         _reject_unknown(nl, ("kind", "values"), "$.nonlinearity")
         values = nl.get("values")
@@ -213,9 +236,11 @@ def parse_scenario(doc: dict) -> Scenario:
         for i, row in enumerate(rows):
             if not (isinstance(row, list) and len(row) == n_modes
                     and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                            and math.isfinite(x) for x in row)):
+                            and math.isfinite(x) and abs(x) <= MAX_COEFFICIENT
+                            for x in row)):
                 raise ConfigError(f"$.nonlinearity.values[{i}]",
-                                  f"expected {n_modes} finite numbers")
+                                  f"expected {n_modes} finite numbers of magnitude "
+                                  f"at most {MAX_COEFFICIENT:g}")
         nonlinearity = NonlinearityEval("table", table=np.array(rows, dtype=float))
     else:
         raise ConfigError("$.nonlinearity.kind",
@@ -248,7 +273,7 @@ def parse_scenario(doc: dict) -> Scenario:
         theta = _vector(ctl, "theta", "$.control", n_modes)
     elif isinstance(theta_raw, (int, float)) and not isinstance(theta_raw, bool) \
             and math.isfinite(theta_raw):
-        theta = np.full(n_modes, float(theta_raw))
+        theta = np.full(n_modes, _coefficient(ctl, "theta", "$.control", 1.0))
     else:
         raise ConfigError("$.control.theta", "expected a number or coefficient list")
 

@@ -21,10 +21,10 @@ from mds import (ConditionConstants, LinearPart, MemoryKernel, TimeFunction,
                  check_cond2, check_example_conditions, constant_measure,
                  discontinuity_count, jump_consistency, ls_integral,
                  make_basis, parse_scenario, picard_solve, sample_resolvent,
-                 solve_mode_resolvent, steer, verify_resolvent_pde, zeno_measure)
+                 steer, verify_resolvent_pde, zeno_measure)
 
 from conftest import load_config, record_criterion
-from test_spectral import second_order_oracle
+from test_spectral import second_order_oracle, solve_mode_resolvent
 
 
 def test_criterion_1_resolvent_diagonal_exact():

@@ -8,16 +8,28 @@ non-finite number or an out-of-range count.  Every command must map each
 document to a documented exit code (0 ok, 1 refused or failed check, 2 no
 convergence, 3 degenerate control) without raising; the suite's
 ``filterwarnings = error`` setting also fails any numpy warning.
+
+Extreme magnitudes, from 1e-300 to 1e308, go into one field of a valid
+document at a time.  A coefficient above MAX_COEFFICIENT, a horizon outside
+HORIZON_RANGE or a kernel that grows by more than MAX_COEFFICIENT over the
+horizon is refused with exit 1 and a config error naming the field; any
+other value still maps to a documented exit code with no warning, an
+overflowing mode ending in exit 2.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
+import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mds import run_command
+from mds import ConfigError, parse_scenario, run_command
+from mds.scenario_io import HORIZON_RANGE, MAX_COEFFICIENT
 
 COMMANDS = ("simulate", "steer", "check-conditions", "verify-resolvent")
 
@@ -153,3 +165,78 @@ def test_every_document_maps_to_a_documented_exit_code(tmp_path_factory, doc, mu
         assert code in (0, 1, 2, 3)
         if mutation is not None:
             assert code == 1
+
+
+def _run(command, doc, out):
+    """Exit code and printed output of one command."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = run_command(command, copy.deepcopy(doc), str(out))
+    return code, text.getvalue()
+
+
+def _small_doc():
+    return {"basis": {"N": 2}, "grid": {"nodes": 17},
+            "linear": {"tau": {"kind": "const", "c0": 1.0},
+                       "kernel": {"kind": "exp_diff", "c0": 0.1, "rate": 1.0}},
+            "measure": {"family": "constant", "end": 1.0},
+            "nonlinearity": {"kind": "cosine", "M0": 0.1},
+            "states": {"zeta0": [1.0, 0.5], "zeta1": [0.5, 0.2]}}
+
+
+@pytest.mark.parametrize("path, value, code", [
+    (("measure", "end"), 1e300, 1), (("measure", "end"), 1e-300, 1),
+    (("linear", "kernel", "rate"), -1e6, 1), (("linear", "kernel", "c0"), 1e300, 1),
+    (("linear", "tau", "c0"), 1e308, 1),
+    # within the limits: the step maps overflow and the march's guard stops the run
+    (("linear", "tau", "c0"), -MAX_COEFFICIENT, 2),
+    (("linear", "kernel", "c0"), MAX_COEFFICIENT, 2)])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_extreme_magnitude_ends_in_a_typed_error(tmp_path, command, path, value, code):
+    doc = _small_doc()
+    _set(*path)(doc, value)
+    got, text = _run(command, doc, tmp_path)
+    assert got == code
+    if code == 1:
+        assert text.startswith("config error: $." + ".".join(path) + ":")
+    else:
+        assert "exceeded the overflow guard" in text
+
+
+extreme = st.sampled_from([1e308, -1e308, 1e300, -1e300, 1e100, -1e100, 1e6, -1e6,
+                           1e-6, 1e-300, -1e-300])
+
+
+def _refused(path, value, doc) -> bool:
+    """Whether the documented limits refuse ``value`` at ``path`` of ``doc``."""
+    if path == ("measure", "end"):
+        return not HORIZON_RANGE[0] <= value <= HORIZON_RANGE[1]
+    if path == ("linear", "kernel", "rate"):        # a zeno measure ends at 1
+        return (abs(value) > MAX_COEFFICIENT
+                or -value * doc["measure"].get("end", 1.0) > math.log(MAX_COEFFICIENT))
+    return abs(value) > MAX_COEFFICIENT
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents(), st.data())
+def test_extreme_magnitudes_map_to_a_documented_exit_code(tmp_path_factory, doc, data):
+    fields = [("linear", "tau", key) for key in doc["linear"]["tau"] if key != "kind"]
+    fields += [("linear", "kernel", key) for key in doc["linear"]["kernel"] if key != "kind"]
+    fields += [("control", "theta")] if not isinstance(doc["control"]["theta"], list) else []
+    fields += [("measure", "end")] if "end" in doc["measure"] else []
+    fields += [("nonlinearity", "M0")] if doc["nonlinearity"]["kind"] == "cosine" else []
+    path = data.draw(st.sampled_from(fields), label="field")
+    value = data.draw(extreme, label="value")
+    try:
+        parse_scenario(copy.deepcopy(doc))
+        valid = True            # so a refusal can only come from the extreme field
+    except ConfigError:
+        valid = False
+    _set(*path)(doc, value)
+    out = tmp_path_factory.mktemp("extreme")
+    for command in COMMANDS:
+        code, text = _run(command, doc, out)
+        assert code in (0, 1, 2, 3)
+        if valid and _refused(path, value, doc):
+            assert code == 1
+            assert text.startswith("config error: $." + ".".join(path) + ":")

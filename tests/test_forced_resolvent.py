@@ -6,44 +6,74 @@ versions they replaced contracted the dense (N, M, M) table against the
 dense prefix-weight matrices; those contractions are kept here, and only
 here, as the reference, on the table ``build_resolvent_table`` still builds.
 
-The march itself is held to the elementwise march it replaced, which ran
-the predictor-corrector ``_step`` on every row; that march is kept here, and
-only here, as ``elementwise_march``.
+The march is blocked: the rows are cut into blocks of L = ceil(sqrt(rows))
+and run in three vectorized passes (``mds.spectral``).  It is held to the
+row-by-row march it replaced, kept here, and only here, as ``row_march``,
+and to the elementwise march before that, which ran the predictor-corrector
+``_step`` on every row (``elementwise_march``).
 
-Bounds, fixed before the first run.  L1 is a max over bitwise-equal columns,
-so it must be equal.  The others add in another order, so they are held to a
-running-error bound (Higham, Accuracy and Stability, 2nd ed., 3.3).  Let m
-be the majorant recurrence: the same step with |kq| in place of kq.  All its
-2x2 step coefficients are then nonnegative and bound the true ones in
-magnitude, so m(t_j, t_s) >= |r(t_j, t_s)| and m bounds every intermediate
-state.  Rounding counts are per term, each rounding at most eps relative.
+Bounds, fixed before the first run.  They are running-error bounds (Higham,
+Accuracy and Stability, 2nd ed., 3.3).  Let m be the majorant recurrence:
+the same step with |kq| in place of kq.  All its 2x2 step coefficients are
+then nonnegative and bound the true ones in magnitude, so m(t_j, t_s) >=
+|r(t_j, t_s)| and m bounds every intermediate state.  Each computed value
+is a sum of products of coefficients and seeds; rounding counts are per
+product, each rounding at most eps relative.
 
-The march steps with the 2x2 coefficients, which are ``_step`` applied to
-the unit states: a11 carries at most 5 roundings, a12 and a21 7, a22 9.
-Two products and a sum add 2, so one step rounds each term at most 9 times
-in the r update and 11 in mem, and the seed adds 1: j steps of a forced run
-are off by at most 12 (j + 1) eps times the majorant sum, and a table column
-by at most 11 (j - s) eps m(t_j, t_s).  The elementwise march rounds at most
-13 times per step (10 in the r update, 2 more for mem, 1 for the seed).
+The coefficients are ``_step`` applied to the unit states: a11 carries at
+most 5 roundings, a12 and a21 7, a22 9.  A row step adds two products and a
+sum, so it rounds each term at most 11 times, and adding the row's seed
+rounds it once more: j steps of ``row_march`` are off by at most 12 (j + 1)
+eps times the majorant sum.  The elementwise march rounds at most 13 times
+per step (10 in the r update, 2 more for mem, 1 for the seed).
 
-- March against the elementwise march: 12 + 13 = 25 per step, so
-  |new - old| <= 25 (j + 1) eps S_j, with S_j the majorant run on |seeds|.
-  The bound used is 32 (j + 1) eps S_j.  With no memory (kq = 0) both
-  reduce to r <- ex r exactly and must be equal.
-- Forced runs against the dense contraction: the forced run's 12 (j + 1),
-  the table column's 11 j, j + 2 in the contraction and about 4 in the
-  closure make at most 26 (j + 1) eps B_j, with
+The blocked march takes a term from its seed to row j through three kinds
+of arithmetic.  Inside a block it runs the same row steps and seed
+additions, 12 per step.  A block it crosses whole enters through the
+block's transfer map: L unit-state steps without seeds (11 L) and then one
+product and two sums in the carry (3), against 12 L in the row march.
+Entering a block adds the carry's sum and then the block's first seed, 2
+where a row step has 1.  So over d = j - s steps a term rounds at most
+12 d + 3 c times, with c <= d / L + 1 block boundaries crossed, and L >= 2
+whenever there are two blocks: at most 13.5 d + 3 <= 14 (d + 1).  The
+blocked march is off by at most 14 (j + 1) eps times the majorant sum, and
+a table column by at most 14 (j - s + 1) eps m(t_j, t_s).
+
+- Blocked march against ``row_march``: 14 + 12 = 26 per step, so
+  |new - old| <= 26 (j + 1) eps S_j, with S_j the majorant run on |seeds|.
+  The bound used is 32 (j + 1) eps S_j.  Exact forms that still hold: the
+  first block starts from zero and runs the row steps themselves, so its
+  rows equal ``row_march`` bitwise; a unit-seed column is exactly 0 before
+  its anchor and exactly 1 on it; L1 is one pass with the row arithmetic, so
+  it equals max |row_march table| bitwise.
+- Blocked march against the elementwise march: 14 + 13 = 27 per step; the
+  bound used is 32 (j + 1) eps S_j.  With no memory (kq = 0) a11 is ex and
+  a12 is 0 exactly, so each term is a product of ex factors and seeds: one
+  rounding per step and per seed in both marches, plus at most 2 per block
+  boundary in the blocked one, at most 5 (j + 1) in all; the bound used is
+  6 (j + 1) eps S_j.  ``row_march`` and the elementwise march both reduce
+  to r <- ex r there, and must be equal.
+- Forced runs against the dense contraction: the forced run's and the table
+  column's 13.5 j + 3 each, j + 2 in the contraction and about 4 in the
+  closure make at most 28 j + 12 <= 32 (j + 1), in units of eps B_j, with
 
       B_j = sum_s m(t_j, t_s) |f_s| (|C_s| + |W[j, s]|)
 
   summed over every forcing f with full-span weights C and prefix rows W
   (zeta0 at s = 0 with weight 1).  The bound used is 32 (j + 1) eps B_j.
-- The adjoint final row takes 2 roundings per backward step on coefficients
-  that carry at most 9, against 11 per step in the table column, so
-  |final - table| <= 22 (M - k) eps m(a, t_k); the bound used is 32.
+- The adjoint final row is the blocked march on the transposed maps, whose
+  coefficients carry at most 9 roundings too.  With no seed after its first
+  row it rounds at most 11 d + 3 c <= 12.5 d + 3 times over d = M - 1 - k
+  steps, against 13.5 d + 3 in the table column: |final - table| <=
+  (26 d + 6) eps m(a, t_k) <= 32 (M - k) eps m(a, t_k), the bound used.
+- With no memory and tau = 3 - 6t, r(t, 0) = exp(-n^2 3t(1 - t)) <= 1 and
+  is its own majorant, so the blocked forced run exceeds 1 by at most
+  14 M eps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -56,8 +86,8 @@ from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  constant_measure, density_on_grid, initial_iterate,
                  lebesgue_measure, make_basis, zeno_measure)
 from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
-from mds.spectral import (_guard, _march, _step, resolvent_final_row, resolvent_sums,
-                          resolvent_sup, step_maps)
+from mds.spectral import (StepMaps, _guard, _march, _step, resolvent_final_row,
+                          resolvent_sums, resolvent_sup, step_maps)
 
 EPS = np.finfo(float).eps
 RUNNING_ULPS = 32.0
@@ -70,10 +100,46 @@ def majorant_linear(linear: LinearPart) -> LinearPart:
                                                rate=kernel.rate))
 
 
-def elementwise_march(modes, grid, linear, seeds, out):
-    """The march ``_march`` replaced: the elementwise ``_step`` on every row.
+def row_march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Forced run of the recurrence: out[:, j] = sum_{s<=j} r_n(t_j, t_s) seeds[s].
 
-    Same contract as ``_march``: seeds added before recording, rows before
+    The state has the shape of out[:, 0], (N, B); seeds[j] broadcasts to it
+    and is added to r at row j, before r is recorded.  Each step is the 2x2
+    map of ``steps``.  A resolvent column is the seed 1 at its anchor row:
+    before it r and mem are exactly zero, so the column is bitwise the same
+    whatever else is marched beside it, and the rows before the first
+    nonzero seed are not stepped at all.  Every marched state is held to the
+    overflow guard.
+    """
+    a11, a12, a21, a22 = (a.T[:, :, None] for a in
+                          (steps.a11, steps.a12, steps.a21, steps.a22))
+    m_count = steps.n_nodes
+    seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
+    first = int(seeded[0]) if seeded.size else m_count
+    out[:, :first] = 0.0
+    r = np.zeros(out[:, 0].shape)
+    mem = np.zeros_like(r)
+    for j in range(first, m_count):
+        r = r + seeds[j]
+        out[:, j] = r
+        if j == m_count - 1:
+            break
+        r, mem = a11[j] * r + a12[j] * mem, a21[j] * r + a22[j] * mem
+        _guard(r, steps.modes)
+    return out
+
+
+def row_table(steps: StepMaps) -> np.ndarray:
+    """Every resolvent column by ``row_march``, (N, M, M)."""
+    anchors = np.arange(steps.n_nodes)
+    return row_march(steps, np.equal.outer(anchors, anchors),
+                     np.empty((len(steps.modes), steps.n_nodes, steps.n_nodes)))
+
+
+def elementwise_march(modes, grid, linear, seeds, out):
+    """The march ``row_march`` replaced: the elementwise ``_step`` on every row.
+
+    Same contract as ``row_march``: seeds added before recording, rows before
     the first nonzero seed not stepped, every state guarded.
     """
     d = np.diff(grid.nodes)
@@ -200,7 +266,9 @@ def test_march_matches_the_elementwise_march(tau, kernel, measure, n_count, colu
     j = np.arange(m_count)[:, None]
     assert np.all(np.abs(new - old) <= RUNNING_ULPS * (j + 1) * EPS * maj)
     if kernel.is_zero:
-        assert np.array_equal(new, old)
+        steps = step_maps(modes, linear, grid)
+        assert np.array_equal(row_march(steps, seeds, np.empty(shape)), old)
+        assert np.all(np.abs(new - old) <= 6.0 * (j + 1) * EPS * maj)
     if columns:
         assert np.all(new[:, anchors, anchors] == 1.0)
         assert np.all(new[:, j < anchors] == 0.0)
@@ -229,7 +297,11 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
     except InstabilityError:
         assume(False)
 
-    assert resolvent_sup(step_maps(basis.mode_numbers, linear, grid)) == np.max(np.abs(data))
+    steps = step_maps(basis.mode_numbers, linear, grid)
+    rows = row_table(steps)
+    assert resolvent_sup(steps) == np.max(np.abs(rows))
+    j = np.arange(m_count)[:, None]
+    assert np.all(np.abs(data - rows) <= RUNNING_ULPS * (j + 1) * EPS * maj)
 
     rng = np.random.default_rng(seed)
     zeta0 = rng.uniform(-1.0, 1.0, n_count)
@@ -268,6 +340,7 @@ def test_demo_marches_match_the_dense_table(demo_scn, demo_solution):
     data = build_resolvent_table(scn.basis, scn.linear, scn.grid).data
     maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid).data
     assert resolvent_sup(scn.steps) == np.max(np.abs(data))
+    assert resolvent_sup(scn.steps) == np.max(np.abs(row_table(scn.steps)))
 
     traj = demo_solution.trajectory
     rng = np.random.default_rng(5)
@@ -296,7 +369,78 @@ def test_final_row_is_guarded():
     grid = build_time_grid(constant_measure(1.0), 257)
     steps = step_maps(basis.mode_numbers, linear, grid)
     first = resolvent_sums(steps, np.eye(len(grid))[:, :1] * np.ones(16))
-    assert np.max(np.abs(first)) == 1.0
+    assert np.max(np.abs(first)) <= 1.0 + 14 * len(grid) * EPS
     with pytest.raises(InstabilityError) as exc:
         resolvent_final_row(steps)
     assert exc.value.mode == 16
+
+
+small_grids = st.tuples(st.just(constant_measure(1.0)), st.integers(min_value=3, max_value=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(time_functions(), kernels(), small_grids | measures(),
+       st.integers(min_value=1, max_value=4), st.sampled_from([1, 64]) | st.integers(2, 5),
+       st.data())
+def test_blocked_march_matches_the_row_march(tau, kernel, measure, n_count, width, data):
+    grid = build_time_grid(*measure)
+    m_count = len(grid)
+    modes = np.arange(1, n_count + 1)
+    linear = LinearPart(tau, kernel)
+    steps = step_maps(modes, linear, grid)
+    first = data.draw(st.integers(min_value=0, max_value=m_count - 1), label="first")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # column 0 starts the march; with two or more columns the last one's first
+    # seed is on the last row, inside the last block
+    starts = rng.integers(first, m_count, width)
+    starts[0], starts[-1] = first, m_count - 1 if width > 1 else first
+    unit = rng.random(width) < 0.5          # resolvent columns; the rest are forced
+    seeds = np.zeros((m_count, n_count, width))
+    for b, start in enumerate(starts):
+        if unit[b]:
+            seeds[start, :, b] = 1.0
+        else:
+            seeds[start:, :, b] = rng.uniform(0.5, 1.0, (m_count - start, n_count))
+            seeds[start:, :, b] *= rng.choice([-1.0, 1.0], (m_count - start, n_count))
+    shape = (n_count, m_count, width)
+    try:
+        old = row_march(steps, seeds, np.empty(shape))
+    except InstabilityError as exc:
+        with pytest.raises(InstabilityError) as new_exc:
+            _march(steps, seeds, np.empty(shape))
+        assert new_exc.value.mode == exc.mode
+        return
+    try:
+        maj = row_march(step_maps(modes, majorant_linear(linear), grid), np.abs(seeds),
+                        np.empty(shape))
+    except InstabilityError:
+        assume(False)
+    new = _march(steps, seeds, np.empty(shape))
+    j = np.arange(m_count)[:, None]
+    assert np.all(np.abs(new - old) <= RUNNING_ULPS * (j + 1) * EPS * maj)
+    size = math.isqrt(m_count - first - 1) + 1
+    assert np.array_equal(new[:, :first + size], old[:, :first + size])
+    for b in np.flatnonzero(unit):
+        assert np.all(new[:, starts[b], b] == 1.0)
+        assert np.all(new[:, :starts[b], b] == 0.0)
+
+
+@pytest.mark.parametrize("early, late", [(1, 2), (2, 1)])
+def test_guard_names_the_mode_of_the_earliest_row(early, late):
+    # 101 rows make blocks of L = 11.  The late mode crosses the guard on row 23,
+    # the second row of the third block, which the blocked march steps first,
+    # and then overflows to inf and NaN.  The early mode is over the guard on
+    # row 20 only, the tenth row of the second block, stepped ninth.
+    m_count = 101
+    a11 = np.ones((2, m_count - 1))
+    a11[early - 1, 19:21] = 1e13, 1e-13
+    a11[late - 1, 22] = 1e13
+    a11[late - 1, 23:] = 1e300
+    zero = np.zeros_like(a11)
+    steps = StepMaps(np.array([1, 2]), a11, zero, zero, np.ones_like(a11))
+    seeds = np.zeros((m_count, 2, 1))
+    seeds[0] = 1.0
+    for march in (row_march, _march):
+        with pytest.raises(InstabilityError) as exc:
+            march(steps, seeds, np.empty((2, m_count, 1)))
+        assert exc.value.mode == early

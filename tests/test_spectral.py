@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from mds import (GridError, InstabilityError, LinearPart, MemoryKernel,
                  TimeFunction, UsageError, build_resolvent_table, build_time_grid,
                  check_autonomous_reduction, constant_measure, make_basis,
-                 sample_resolvent, solve_mode_resolvent, verify_resolvent_pde)
-from mds.spectral import resolvent_sup, step_maps
+                 sample_resolvent, verify_resolvent_pde)
+from mds.spectral import _etd_build, resolvent_sup, step_maps
 
 
 def _grid(nodes: int, end: float = 1.0):
@@ -22,6 +22,12 @@ def _grid(nodes: int, end: float = 1.0):
 def _const_linear(tau0: float, g0: float = 0.0) -> LinearPart:
     kernel = MemoryKernel("zero") if g0 == 0.0 else MemoryKernel("const", c0=g0)
     return LinearPart(TimeFunction("const", c0=tau0), kernel)
+
+
+def solve_mode_resolvent(n: int, anchor: int, linear: LinearPart,
+                         grid) -> np.ndarray:
+    """r_n(t_j, t_anchor) on the whole grid (zeros before the anchor row)."""
+    return _etd_build(step_maps(np.array([n]), linear, grid), np.array([anchor]))[0, :, 0]
 
 
 def second_order_oracle(n: int, tau0: float, g0: float, t: np.ndarray) -> np.ndarray:
@@ -150,12 +156,6 @@ def test_growth_beyond_guard_raises_with_mode():
     with pytest.raises(InstabilityError) as exc:
         build_resolvent_table(make_basis(3), linear, grid)
     assert exc.value.mode in (1, 2, 3)
-
-
-def test_anchor_index_out_of_range():
-    grid = _grid(17)
-    with pytest.raises(UsageError):
-        solve_mode_resolvent(1, 17, _const_linear(1.0), grid)
 
 
 # ---------------------------------------------------------------- full table
