@@ -14,15 +14,15 @@ from .conditions import (ConditionConstants, ConditionReport, build_report,
                          estimate_constants, pz_samples)
 from .control import (ControlSignal, SteeringReport, SteerOutcome, gramians,
                       min_norm_inverse, steer, steering_residual,
-                      synthesize_control, terminal_error, z_apply)
+                      synthesize_control, terminal_error)
 from .errors import (ConfigError, ConvergenceError, DegenerateModeError,
                      DomainError, GridError, InstabilityError, SteeringError,
                      UsageError)
 from .funcs import MemoryKernel, TimeFunction, constant
 from .measure import (JumpMeasure, RegulatedTrajectory, TimeGrid,
-                      build_time_grid, constant_measure, cumulative,
-                      density_on_grid, jump_sizes_on_grid, lebesgue_measure,
-                      ls_integral, zeno_measure)
+                      build_time_grid, constant_measure, density_on_grid,
+                      jump_sizes_on_grid, lebesgue_measure, ls_integral,
+                      zeno_measure)
 from .scenario import (NonlinearityEval, NonlocalEval, Scenario, Tolerances,
                        assemble_scenario)
 from .scenario_io import (parse_scenario, run_command, serialize_scenario,

@@ -5,11 +5,12 @@ diagonally, the normal equations decouple into scalar mode Gramians
 gamma_n = theta_n^2 Q[r_n(a,.)^2] under the shared quadrature Q, and the
 minimal-L2 preimage of p is u_n(s) = theta_n r_n(a,s) p_n / gamma_n.
 
-Sharing Q between z_apply, the Gramians, the control norm and the
-solver's u integral makes z_apply(min_norm_inverse(p)) = p and the
-linear-case terminal identity hold to roundoff, not just to quadrature
-order.  Likewise the steering residual's dh integral uses the last row of
-the Scenario's dh rule, the same weights the solver uses at t = a.
+Sharing Q between Z itself (mode n of Zu is Q[r_n(a,.) theta_n u_n]), the
+Gramians, the control norm and the solver's u integral makes
+Z(min_norm_inverse(p)) = p and the linear-case terminal identity hold to
+roundoff, not just to quadrature order.  Likewise the steering residual's
+dh integral uses the last row of the Scenario's dh rule, the same weights
+the solver uses at t = a.
 
 Everything here reads the resolvent only through its final row
 r_n(a, t_k), an (N, M) array the Scenario builds once by the discrete
@@ -65,13 +66,6 @@ def gramians(final: np.ndarray, theta: np.ndarray, weights) -> np.ndarray:
     if bad.size:
         raise DegenerateModeError(int(bad[0]) + 1, float(gam[bad[0]]), GAMMA_FLOOR)
     return gam
-
-
-def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
-    """Mode n of Zu: int_0^a r_n(a,s) theta_n u_n(s) ds."""
-    w = _weights_for(final, weights)
-    samples = u.samples if isinstance(u, ControlSignal) else np.asarray(u, dtype=float)
-    return np.asarray(theta, dtype=float) * ((final * samples.T) @ w)
 
 
 def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights) -> ControlSignal:

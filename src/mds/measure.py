@@ -268,26 +268,3 @@ def ls_integral(f, h: JumpMeasure, grid: TimeGrid, t0: float, t1: float):
     if f.ndim == 1:
         return acc + math.fsum(terms)
     return acc + np.array([math.fsum(col) for col in zip(*terms)])
-
-
-def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> RegulatedTrajectory:
-    """Running Stieltjes integral p(t) = int_{[t0, t)} f dh at every node.
-
-    Right values at jump nodes satisfy p(t+) = p(t) + f(t)*jump(t) bitwise:
-    the accumulation advances through each jump via its right value.
-    Nodes before t0 carry 0.
-    """
-    f = _samples_for(grid, f)
-    i0 = grid.node_index(t0)
-    hp = density_on_grid(h, grid)
-    sizes = jump_sizes_on_grid(h, grid)
-    shape = (len(grid),) if f.ndim == 1 else (len(grid), f.shape[1])
-    values = np.zeros(shape)
-    right = np.zeros(shape)
-    for j in range(i0, len(grid) - 1):
-        right[j] = values[j] + f[j] * sizes[j]
-        cell = (grid.nodes[j + 1] - grid.nodes[j]) * (f[j] * hp[j] + f[j + 1] * hp[j + 1]) / 2.0
-        values[j + 1] = right[j] + cell
-    last = len(grid) - 1
-    right[last] = values[last] + f[last] * sizes[last]
-    return RegulatedTrajectory(grid, values, right)

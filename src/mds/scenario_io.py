@@ -24,8 +24,8 @@ from .funcs import MemoryKernel, TimeFunction
 from .measure import JumpMeasure, build_time_grid, lebesgue_measure, zeno_measure, constant_measure
 from .scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
 from .solver import discontinuity_count, jump_consistency, picard_solve
-from .spectral import (ANCHOR_BLOCK, LinearPart, check_autonomous_reduction,
-                       make_basis, sample_resolvent, verify_resolvent_pde)
+from .spectral import (LinearPart, check_autonomous_reduction, make_basis,
+                       physical_memory, sample_resolvent, verify_resolvent_pde)
 
 MAX_MODES = 256
 MAX_NODES = 65536
@@ -299,10 +299,10 @@ def parse_scenario(doc: dict) -> Scenario:
         if len(grid) > MAX_NODES:
             raise ConfigError("$.grid.nodes", f"merged grid has {len(grid)} nodes, "
                               f"more than {MAX_NODES}")
-        # the largest live block: ANCHOR_BLOCK marched resolvent columns of
-        # every mode, plus the solver's few (M, N) arrays
-        need = 8 * len(grid) * n_modes * (ANCHOR_BLOCK + _SOLVER_ARRAYS)
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        # the solver's few (M, N) arrays; verify-resolvent's sampled columns
+        # are charged by sample_resolvent, the only command that marches them
+        need = 8 * len(grid) * n_modes * _SOLVER_ARRAYS
+        have = physical_memory()
         if need > have:
             raise ConfigError("$.grid.nodes", f"{len(grid)} merged nodes x {n_modes} modes "
                               f"need about {need:.3g} bytes, more than the "
@@ -344,30 +344,40 @@ def _fmt(x: float) -> str:
 
 
 def write_trajectory_csv(path: str, scn: Scenario, traj, physical: bool = False) -> None:
-    """One row per node (kind=left), plus a kind=right row at each jump node."""
+    """One row per node (kind=left), plus a kind=right row at each jump node.
+
+    Every number is written "%.17g", the same text as ``_fmt``; each row is
+    one format over ``.tolist()`` values.  The physical columns are
+    synthesized one row at a time: one product over all rows can round
+    differently.
+    """
     header = ["t", "node_kind"] + [f"coeff_{n}" for n in scn.basis.mode_numbers]
+    numbers = scn.basis.n_modes
     if physical:
         header += [f"phys_{j + 1}" for j in range(scn.basis.collocation)]
+        numbers += scn.basis.collocation
+    row_format = ",".join(["%.17g", "%s"] + ["%.17g"] * numbers) + "\n"
     jump_rows = set(int(i) for i in scn.jump_rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for j, t in enumerate(scn.grid.nodes):
+        for j, t in enumerate(scn.grid.nodes.tolist()):
             rows = [("left", traj.values[j])]
             if j in jump_rows:
                 rows.append(("right", traj.right_values[j]))
             for kind, coeffs in rows:
-                cells = [_fmt(t), kind] + [_fmt(c) for c in coeffs]
+                cells = coeffs.tolist()
                 if physical:
-                    cells += [_fmt(v) for v in scn.basis.to_physical(coeffs)]
-                fh.write(",".join(cells) + "\n")
+                    cells += scn.basis.to_physical(coeffs).tolist()
+                fh.write(row_format % (t, kind, *cells))
 
 
 def write_control_csv(path: str, scn: Scenario, samples: np.ndarray) -> None:
     header = ["t"] + [f"u_coeff_{n}" for n in scn.basis.mode_numbers]
+    row_format = ",".join(["%.17g"] * (1 + scn.basis.n_modes)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for j, t in enumerate(scn.grid.nodes):
-            fh.write(",".join([_fmt(t)] + [_fmt(c) for c in samples[j]]) + "\n")
+        fh.writelines(row_format % (t, *row) for t, row in
+                      zip(scn.grid.nodes.tolist(), np.asarray(samples).tolist()))
 
 
 def _write_lines(path: str, lines) -> None:

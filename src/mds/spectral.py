@@ -50,14 +50,25 @@ sup |r| is one pass over the rows that marches every anchor column at once:
 column k joins at row k, each step is the row step on the columns that have
 joined, and a running max is kept, so L1 holds O(N M) state.
 ``sample_resolvent`` marches the one set of at most ANCHOR_BLOCK columns
-both resolvent checks read.  None of these holds more than O(N M
+both resolvent checks read, and refuses a sample that does not fit in
+physical memory before it marches.  None of these holds more than O(N M
 ANCHOR_BLOCK); the full (N, M, M) table is built only as a reference for
 tests.
+
+``verify_resolvent_pde`` sums each sampled column's memory integral by a
+trapezoid recurrence of its own.  It runs the rows in chunks of about
+sqrt(M): a chunk's trapezoid cells, central differences and residuals are
+formed for every row and column at once, on (chunk, N, K) arrays, and the
+per-mode max is taken over the live entries (columns anchored before the
+row) by selection.  Only mem <- decay mem + cell steps row by row, two
+in-place operations on an (N, K) row, so the report is bitwise that of the
+row-by-row loop.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +81,11 @@ from .measure import TimeGrid
 _OVERFLOW_GUARD = 1e12
 ANCHOR_BLOCK = 64      # columns the sampled resolvent checks march
 TOL_AUTO = 1e-6        # largest |r_n(t,s) - r_n(t-s,0)| the autonomy check passes
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, the limit of every byte budget."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -388,11 +404,19 @@ def sample_resolvent(basis: SpectralBasis, linear: LinearPart,
 
     At most ANCHOR_BLOCK anchors, spread evenly from 0 to M-3, so that every
     column has the two rows after its anchor a central difference needs;
-    anchor 0 is the base the autonomy check shifts the others onto.
+    anchor 0 is the base the autonomy check shifts the others onto.  The
+    sample is refused before it is marched if its 8 M N ANCHOR_BLOCK bytes
+    exceed physical memory.
     """
     m_count = len(grid)
     if m_count < 3:
         raise GridError(f"the central-difference check needs 3 or more nodes, got {m_count}")
+    need = 8 * m_count * basis.n_modes * ANCHOR_BLOCK
+    have = physical_memory()
+    if need > have:
+        raise GridError(f"the resolvent sample of {m_count} nodes x {basis.n_modes} modes "
+                        f"needs about {need:.3g} bytes, more than the {have:.3g} bytes "
+                        f"of physical memory")
     if m_count - 2 <= ANCHOR_BLOCK:
         anchors = np.arange(m_count - 2)
     else:
@@ -421,11 +445,21 @@ def verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeRep
     residual of mode n scales like n^2 (sup|tau| + a sup|G|) times the
     finite-difference truncation, so the pass verdict uses residuals divided
     by that per-mode scale; raw maxima are reported alongside.
+
+    The rows 1..M-2 run in chunks of ceil(sqrt(M - 2)) rows.  A column is
+    live on row j once its anchor is before j.  Per chunk, the trapezoid
+    cells, the central differences and the residuals of every row and column
+    are formed at once, and the per-mode max is taken over the live entries
+    only (a cell of a column not yet live is set to 0, not multiplied by
+    it).  Only the memory recurrence mem <- decay mem + cell runs row by row,
+    with the arithmetic of a single row, so every field of the report is
+    bitwise that of a row-by-row loop.  The chunk's arrays are (chunk, N, K).
     """
     basis, linear, grid, anchors, data = (table.basis, table.linear, table.grid,
                                           table.anchors, table.data)
     nodes = grid.nodes
-    n2 = basis.mode_numbers.astype(float) ** 2
+    m_count = len(nodes)
+    n2 = basis.mode_numbers.astype(float)[:, None] ** 2
     tau = linear.tau.value(nodes)
     scale = np.array([linear.residual_scale(n, grid.end) for n in basis.mode_numbers])
     scale = np.maximum(scale, 1e-30)
@@ -435,13 +469,28 @@ def verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeRep
     half = linear.kernel.c0 * d / 2.0
     mem = np.zeros((basis.n_modes, len(anchors)))
     per_mode = np.zeros(basis.n_modes)
-    for j in range(1, len(nodes) - 1):
-        k = int(np.searchsorted(anchors, j))   # columns [:k] are anchored before row j
-        mem[:, :k] = decay[j - 1] * mem[:, :k] + half[j - 1] * (
-            decay[j - 1] * data[:, j - 1, :k] + data[:, j, :k])
-        fd = (data[:, j + 1, :k] - data[:, j - 1, :k]) / (nodes[j + 1] - nodes[j - 1])
-        res = fd + n2[:, None] * (tau[j] * data[:, j, :k] + mem[:, :k])
-        per_mode = np.maximum(per_mode, np.max(np.abs(res), axis=1))
+    size = math.isqrt(max(m_count - 3, 0)) + 1          # ceil(sqrt(M - 2))
+    for lo in range(1, m_count - 1, size):
+        hi = min(lo + size, m_count - 1)
+        rows, before, after = slice(lo, hi), slice(lo - 1, hi - 1), slice(lo + 1, hi + 1)
+        live = (anchors < np.arange(lo, hi)[:, None])[:, None]      # (rows, 1, K)
+        # row-major (rows, N, K) chunks, so that each row below is contiguous
+        r_before, r, r_after = (data[:, s].transpose(1, 0, 2) for s in (before, rows, after))
+        cells = np.multiply(decay[before, None, None], r_before, order="C")
+        cells += r
+        cells *= half[before, None, None]
+        np.copyto(cells, 0.0, where=~live)
+        for row, factor in zip(cells, decay[before].tolist()):
+            row += mem * factor                        # the row's mem, in place of its cell
+            mem = row
+        res = np.multiply(tau[rows, None, None], r, order="C")
+        res += cells
+        res *= n2
+        fd = np.subtract(r_after, r_before, order="C")
+        fd /= (nodes[after] - nodes[before])[:, None, None]
+        res += fd
+        np.abs(res, out=res)
+        per_mode = np.maximum(per_mode, np.max(res, axis=(0, 2), where=live, initial=0.0))
     per_mode_scaled = per_mode / scale
     max_scaled = float(per_mode_scaled.max())
     return PdeReport(float(per_mode.max()), max_scaled, per_mode_scaled, tol_pde,

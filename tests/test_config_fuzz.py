@@ -15,6 +15,13 @@ HORIZON_RANGE or a kernel that grows by more than MAX_COEFFICIENT over the
 horizon is refused with exit 1 and a config error naming the field; any
 other value still maps to a documented exit code with no warning, an
 overflowing mode ending in exit 2.
+
+Grids near MAX_NODES come from base nodes, a Zeno K or an explicit jump
+list, merging to about 65536 nodes, some of them over the limit.  The
+physical-memory reading is patched low, so the byte budgets refuse them
+before anything of the grid's size times the mode count is allocated: below
+the solver's budget every command exits 1, and between it and the resolvent
+sample's only ``verify-resolvent`` is run, which must exit 1.
 """
 
 from __future__ import annotations
@@ -23,13 +30,19 @@ import contextlib
 import copy
 import io
 import math
+import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mds import ConfigError, parse_scenario, run_command
-from mds.scenario_io import HORIZON_RANGE, MAX_COEFFICIENT
+import mds.scenario_io
+import mds.spectral
+from mds import (ConfigError, JumpMeasure, build_time_grid, constant_measure,
+                 parse_scenario, run_command, zeno_measure)
+from mds.scenario_io import HORIZON_RANGE, MAX_COEFFICIENT, MAX_NODES
+from mds.spectral import ANCHOR_BLOCK
 
 COMMANDS = ("simulate", "steer", "check-conditions", "verify-resolvent")
 
@@ -240,3 +253,66 @@ def test_extreme_magnitudes_map_to_a_documented_exit_code(tmp_path_factory, doc,
         if valid and _refused(path, value, doc):
             assert code == 1
             assert text.startswith("config error: $." + ".".join(path) + ":")
+
+
+@st.composite
+def large_grid_documents(draw):
+    """A valid document whose grid merges to about MAX_NODES nodes."""
+    n = draw(st.sampled_from([1, 2, 3, 256]))
+    family = draw(st.sampled_from(["base", "zeno", "jumps"]))
+    if family == "base":
+        nodes = draw(st.integers(min_value=MAX_NODES - 64, max_value=MAX_NODES))
+        measure = {"family": "constant", "end": 1.0}
+    elif family == "zeno":
+        nodes = draw(st.integers(min_value=2, max_value=300))
+        measure = {"family": "zeno", "K": draw(st.integers(min_value=MAX_NODES - 400,
+                                                           max_value=MAX_NODES))}
+    else:
+        nodes = draw(st.integers(min_value=2, max_value=600))
+        count = draw(st.integers(min_value=MAX_NODES - 600, max_value=MAX_NODES))
+        measure = {"end": 1.0, "jumps": [[(i + 0.5) / count, 0.1] for i in range(count)]}
+    return {"basis": {"N": n}, "grid": {"nodes": nodes},
+            "linear": {"tau": {"kind": "const", "c0": 1.0},
+                       "kernel": {"kind": "exp_diff", "c0": 0.5, "rate": 1.0}},
+            "measure": measure, "states": {"zeta0": [1.0] * n}}
+
+
+def _merged_nodes(doc) -> int:
+    """The node count of the document's merged grid, built on its own."""
+    spec, base = doc["measure"], doc["grid"]["nodes"]
+    if spec.get("family") == "zeno":
+        return len(build_time_grid(zeno_measure(spec["K"]), base))
+    if spec.get("family") == "constant":
+        return len(build_time_grid(constant_measure(spec["end"]), base))
+    locs, sizes = np.array(spec["jumps"]).T
+    h = JumpMeasure(spec["end"], np.linspace(0.0, spec["end"], 2), np.zeros(2), locs, sizes)
+    return len(build_time_grid(h, base))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("allocated past a byte budget")
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(large_grid_documents(), st.sampled_from(COMMANDS), st.sampled_from(["solver", "sample"]))
+def test_grids_near_the_limits_are_refused_without_a_large_allocation(
+        tmp_path_factory, doc, command, budget):
+    m_count, n_count = _merged_nodes(doc), doc["basis"]["N"]
+    over = m_count > MAX_NODES
+    # memory for 8 of the solver's 16 (M, N) columns, or for 32 of the sample's 64
+    columns = 8 if budget == "solver" else ANCHOR_BLOCK // 2
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * m_count * n_count * columns}
+    if budget == "sample" and not over:
+        command = "verify-resolvent"     # the other commands would run the full grid
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sysconf", sizes.__getitem__)
+        patch.setattr(mds.spectral, "_table", _forbidden)           # the sample's march
+        if budget == "solver" or over:
+            patch.setattr(mds.scenario_io, "Scenario", _forbidden)  # its O(M N) arrays
+        code, text = _run(command, doc, tmp_path_factory.mktemp("large"))
+    assert code == 1
+    if budget == "solver" or over:
+        assert text.startswith("config error: $.grid.nodes:")
+    else:
+        assert text.startswith(f"validation error: the resolvent sample of "
+                               f"{m_count} nodes x {n_count} modes")

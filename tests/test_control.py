@@ -10,7 +10,15 @@ from mds import (ControlSignal, DegenerateModeError, GridError, LinearPart,
                  MemoryKernel, SteeringError, TimeFunction, Tolerances,
                  assemble_scenario, constant_measure, estimate_constants, gramians,
                  make_basis, min_norm_inverse, steer, steering_residual,
-                 synthesize_control, terminal_error, z_apply)
+                 synthesize_control, terminal_error)
+from mds.control import _weights_for
+
+
+def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
+    """Mode n of Zu: int_0^a r_n(a,s) theta_n u_n(s) ds (the test oracle for Z)."""
+    w = _weights_for(final, weights)
+    samples = u.samples if isinstance(u, ControlSignal) else np.asarray(u, dtype=float)
+    return np.asarray(theta, dtype=float) * ((final * samples.T) @ w)
 
 
 @pytest.fixture(scope="module")

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 from mds import (JumpMeasure, LinearPart, MemoryKernel, NonlinearityEval,
                  NonlocalEval, RegulatedTrajectory, TimeFunction, apply_psi,
-                 assemble_scenario, build_resolvent_table, cumulative,
-                 density_on_grid, ls_integral, make_basis, steering_residual,
-                 zeno_measure)
+                 assemble_scenario, build_resolvent_table, density_on_grid,
+                 ls_integral, make_basis, steering_residual, zeno_measure)
 from mds._quad import trapezoid_prefix_matrix, trapezoid_weights
 
 from test_forced_resolvent import EPS, RUNNING_ULPS, dense_rules, majorant_linear
+from test_measure import cumulative
 
 # fixed before any run: 64 ulps of the absolute-value sum of each product
 TOL_ULPS = 64.0

@@ -9,7 +9,31 @@ from hypothesis import strategies as st
 
 from mds import (DomainError, GridError, JumpMeasure, RegulatedTrajectory,
                  TimeGrid, UsageError, build_time_grid, constant_measure,
-                 cumulative, jump_sizes_on_grid, ls_integral, zeno_measure)
+                 density_on_grid, jump_sizes_on_grid, ls_integral, zeno_measure)
+from mds.measure import _samples_for
+
+
+def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> RegulatedTrajectory:
+    """Running Stieltjes integral p(t) = int_{[t0, t)} f dh at every node.
+
+    A test oracle; nothing under src/ needs it.  Right values at jump nodes satisfy p(t+) = p(t) + f(t)*jump(t) bitwise:
+    the accumulation advances through each jump via its right value.
+    Nodes before t0 carry 0.
+    """
+    f = _samples_for(grid, f)
+    i0 = grid.node_index(t0)
+    hp = density_on_grid(h, grid)
+    sizes = jump_sizes_on_grid(h, grid)
+    shape = (len(grid),) if f.ndim == 1 else (len(grid), f.shape[1])
+    values = np.zeros(shape)
+    right = np.zeros(shape)
+    for j in range(i0, len(grid) - 1):
+        right[j] = values[j] + f[j] * sizes[j]
+        cell = (grid.nodes[j + 1] - grid.nodes[j]) * (f[j] * hp[j] + f[j + 1] * hp[j + 1]) / 2.0
+        values[j + 1] = right[j] + cell
+    last = len(grid) - 1
+    right[last] = values[last] + f[last] * sizes[last]
+    return RegulatedTrajectory(grid, values, right)
 
 
 def _unit_jump(loc: float = 0.5, size: float = 1.0) -> JumpMeasure:

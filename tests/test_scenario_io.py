@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mds import (ConfigError, InstabilityError, UsageError, assemble_scenario,
-                 build_resolvent_table, constant_measure, LinearPart,
-                 MemoryKernel, TimeFunction, Tolerances, make_basis,
+from mds import (ConfigError, InstabilityError, RegulatedTrajectory, UsageError,
+                 assemble_scenario, build_resolvent_table, constant_measure,
+                 LinearPart, MemoryKernel, TimeFunction, Tolerances, make_basis,
                  parse_scenario, run_command, serialize_scenario,
-                 write_trajectory_csv)
+                 write_control_csv, write_trajectory_csv)
 import mds._quad
 import mds.scenario
 import mds.spectral
@@ -143,22 +143,36 @@ def test_merged_grid_over_node_limit_rejected(monkeypatch, tmp_path, nodes, k):
 
 
 def _physical_memory(monkeypatch, pages: int) -> None:
-    """Make parse_scenario see 4 KiB x pages of physical memory, whatever the host."""
+    """Make the byte budgets see 4 KiB x pages of physical memory, whatever the host."""
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
     monkeypatch.setattr(scenario_io.os, "sysconf", sizes.__getitem__)
 
 
 def test_table_beyond_physical_memory_rejected(monkeypatch, tmp_path):
     _forbid(monkeypatch, "Scenario")
-    _physical_memory(monkeypatch, 2 ** 21)            # 8 GiB
-    # 8 * 65536 * 256 * (64 + 16) bytes, about 1.07e10, passes every count limit
+    _physical_memory(monkeypatch, 2 ** 18)            # 1 GiB
+    # the solver's 8 * 65536 * 256 * 16 bytes, about 2.15e9, passes every count limit
     doc = tiny_doc(basis={"N": 256}, grid={"nodes": MAX_NODES},
                    states={"zeta0": [0.0] * 256})
     with pytest.raises(ConfigError) as exc:
         parse_scenario(doc)
     assert exc.value.path == "$.grid.nodes"
-    assert f"{8 * MAX_NODES * 256 * 80:.3g} bytes" in str(exc.value)
+    assert f"{8 * MAX_NODES * 256 * 16:.3g} bytes" in str(exc.value)
     assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
+
+
+def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, capsys):
+    # 65 nodes x 2 modes: the solver's 16 columns take 16640 bytes and the
+    # resolvent sample's 64 take 66560, against 32768 bytes of "memory"
+    _physical_memory(monkeypatch, 8)
+    parse_scenario(tiny_doc())
+    assert run_command("steer", tiny_doc(), str(tmp_path / "steer"), quiet=True) == 0
+    capsys.readouterr()
+    assert run_command("verify-resolvent", tiny_doc(), str(tmp_path / "verify")) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("validation error: the resolvent sample of 65 nodes x 2 modes")
+    assert f"{8 * 65 * 2 * 64:.3g} bytes" in out
+    assert not (tmp_path / "verify" / "resolvent_report.txt").exists()
 
 
 def test_large_grid_parses_without_a_square_budget(monkeypatch):
@@ -416,6 +430,50 @@ def test_physical_columns_appended(tmp_path):
     header = path.read_text().splitlines()[0].split(",")
     assert header[-1] == f"phys_{scn.basis.collocation}"
     assert len(header) == 2 + scn.n_modes + scn.basis.collocation
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 1 / 3]
+
+
+def _per_cell_text(header: str, rows) -> bytes:
+    """The CSV text with each number formatted on its own by ``_fmt``."""
+    fmt = scenario_io._fmt
+    lines = [header] + [",".join([fmt(t)] + kind + [fmt(x) for x in cells])
+                        for t, kind, cells in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("physical", [False, True])
+def test_trajectory_csv_bytes_equal_per_cell_format(tmp_path, demo_scn, physical):
+    scn = demo_scn
+    shape = (len(scn.grid), scn.n_modes)
+    traj = RegulatedTrajectory(scn.grid, np.resize(EDGE_VALUES, shape),
+                               np.resize(EDGE_VALUES[::-1], shape))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), scn, traj, physical=physical)
+    rows = []
+    for j, t in enumerate(scn.grid.nodes):
+        sides = [("left", traj.values[j])]
+        if j in scn.jump_rows:
+            sides.append(("right", traj.right_values[j]))
+        for kind, coeffs in sides:
+            cells = list(coeffs)
+            if physical:
+                cells += list(scn.basis.to_physical(coeffs))
+            rows.append((t, [kind], cells))
+    assert len(rows) == len(scn.grid) + 20
+    header = path.read_text().splitlines()[0]
+    assert path.read_bytes() == _per_cell_text(header, rows)
+
+
+def test_control_csv_bytes_equal_per_cell_format(tmp_path, demo_scn):
+    scn = demo_scn
+    samples = np.resize(EDGE_VALUES, (len(scn.grid), scn.n_modes))
+    path = tmp_path / "control.csv"
+    write_control_csv(str(path), scn, samples)
+    header = ",".join(["t"] + [f"u_coeff_{n}" for n in scn.basis.mode_numbers])
+    rows = [(t, [], samples[j]) for j, t in enumerate(scn.grid.nodes)]
+    assert path.read_bytes() == _per_cell_text(header, rows)
 
 
 # ---------------------------------------------------------------- CLI

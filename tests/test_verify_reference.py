@@ -8,13 +8,21 @@ PDE check, formed an M x M kernel, prefix and weight matrix per anchor.
 Those are kept here, and only here, as the reference.  They are the
 replaced code with the kernel-matrix helper it called spelled out; both
 references pick their anchors by ``reference_anchors``, the PDE check's rule.
+
+``verify_resolvent_pde`` now forms its cells, differences and residuals a
+chunk of rows at a time and steps only the memory recurrence row by row,
+with the same arithmetic per entry.  The row-by-row loop it replaced is kept
+here as ``row_verify_resolvent_pde``, and the two reports must be bitwise
+equal.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mds import (AutonomyReport, GridError, InstabilityError, JumpMeasure, LinearPart,
@@ -79,6 +87,33 @@ def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3)
     max_scaled = float(per_mode_scaled.max())
     return PdeReport(max_raw, max_scaled, per_mode_scaled, tol_pde,
                      len(anchor_list), bool(max_scaled <= tol_pde))
+
+
+def row_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeReport:
+    basis, linear, grid, anchors, data = (table.basis, table.linear, table.grid,
+                                          table.anchors, table.data)
+    nodes = grid.nodes
+    n2 = basis.mode_numbers.astype(float) ** 2
+    tau = linear.tau.value(nodes)
+    scale = np.array([linear.residual_scale(n, grid.end) for n in basis.mode_numbers])
+    scale = np.maximum(scale, 1e-30)
+
+    d = np.diff(nodes)
+    decay = np.exp(-linear.kernel.rate * d)
+    half = linear.kernel.c0 * d / 2.0
+    mem = np.zeros((basis.n_modes, len(anchors)))
+    per_mode = np.zeros(basis.n_modes)
+    for j in range(1, len(nodes) - 1):
+        k = int(np.searchsorted(anchors, j))   # columns [:k] are anchored before row j
+        mem[:, :k] = decay[j - 1] * mem[:, :k] + half[j - 1] * (
+            decay[j - 1] * data[:, j - 1, :k] + data[:, j, :k])
+        fd = (data[:, j + 1, :k] - data[:, j - 1, :k]) / (nodes[j + 1] - nodes[j - 1])
+        res = fd + n2[:, None] * (tau[j] * data[:, j, :k] + mem[:, :k])
+        per_mode = np.maximum(per_mode, np.max(np.abs(res), axis=1))
+    per_mode_scaled = per_mode / scale
+    max_scaled = float(per_mode_scaled.max())
+    return PdeReport(float(per_mode.max()), max_scaled, per_mode_scaled, tol_pde,
+                     len(anchors), bool(max_scaled <= tol_pde))
 
 
 def reference_check_autonomous_reduction(table: ResolventTable,
@@ -222,3 +257,64 @@ def test_overflowing_sampled_column_raises_same_mode(tau, tmp_path):
         sample_resolvent(scn.basis, scn.linear, scn.grid)
     assert new.value.mode == old.value.mode
     assert run_command("verify-resolvent", doc, str(tmp_path), quiet=True) == 2
+
+
+def _report_bits(report: PdeReport) -> tuple:
+    return (np.float64(report.max_raw_residual).tobytes(),
+            np.float64(report.max_scaled_residual).tobytes(),
+            report.per_mode_scaled.dtype, report.per_mode_scaled.tobytes(),
+            np.float64(report.tol_pde).tobytes(), report.anchors_checked, report.passed)
+
+
+@st.composite
+def chunked_cases(draw):
+    """tau, kernel and grid: uniform or jump-merged, 3 to about 300 nodes."""
+    kind = draw(st.sampled_from(["const", "affine", "cosine"]))
+    tau = TimeFunction(kind, c0=draw(st.floats(min_value=-3.0, max_value=3.0)),
+                       c1=draw(coef), freq=draw(st.floats(min_value=0.5, max_value=6.0)))
+    if draw(st.booleans()):
+        kernel = MemoryKernel("zero")
+    else:
+        kernel = MemoryKernel("exp_diff", c0=draw(kernel_coef),
+                              rate=draw(st.floats(min_value=0.0, max_value=5.0)))
+    # below 66 merged nodes every row up to M - 3 is an anchor (fewer than 64),
+    # from 66 on there are 64
+    base = draw(st.integers(min_value=3, max_value=65) | st.integers(min_value=66, max_value=280))
+    if draw(st.booleans()):
+        grid = build_time_grid(constant_measure(draw(st.sampled_from([1.0, 2.5]))), base)
+    else:
+        locs = np.sort(np.array(draw(st.lists(st.floats(min_value=0.01, max_value=0.99),
+                                              max_size=20, unique=True))))
+        assume(np.all(np.diff(locs) > 1e-12))
+        h = JumpMeasure(1.0, np.linspace(0.0, 1.0, 2), np.zeros(2), locs,
+                        np.full(len(locs), 0.5))
+        grid = build_time_grid(h, base)
+    return LinearPart(tau, kernel), grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunked_cases(), st.integers(min_value=1, max_value=4))
+@example((LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
+          build_time_grid(constant_measure(1.0), 3)), 1)
+@example((LinearPart(TimeFunction("affine", c0=1.0, c1=-1.0),
+                     MemoryKernel("exp_diff", c0=1.0, rate=1.0)),
+          build_time_grid(constant_measure(1.0), 66)), 2)
+def test_chunked_verifier_is_bitwise_the_row_loop(case, n_count):
+    linear, grid = case
+    assert 3 <= len(grid) <= 300
+    try:
+        sample = sample_resolvent(make_basis(n_count), linear, grid)
+    except InstabilityError:
+        return
+    assert len(sample.anchors) == min(len(grid) - 2, 64)
+    report = verify_resolvent_pde(sample)
+    assert _report_bits(report) == _report_bits(row_verify_resolvent_pde(sample))
+    # entries before each column's anchor are never live: poisoning them with
+    # NaN and inf changes nothing, so they are dropped, not multiplied by 0
+    data = sample.data.copy()
+    before = np.arange(len(grid))[:, None] < sample.anchors
+    data[:, before] = np.inf
+    data[1::2, before] = np.nan
+    poisoned = dataclasses.replace(sample, data=data)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _report_bits(verify_resolvent_pde(poisoned)) == _report_bits(report)
