@@ -172,11 +172,12 @@ def build_time_grid(h: JumpMeasure, base_nodes: int) -> TimeGrid:
     a = h.domain_end
     base = np.linspace(0.0, a, base_nodes)
     step = a / (base_nodes - 1)
+    # the base node nearest each jump, rounding half to even as round() does
+    idx = np.rint(h.jump_locs / step).astype(np.intp)
+    inner = (idx > 0) & (idx < base_nodes - 1)
+    idx, locs = idx[inner], h.jump_locs[inner]
     keep = np.ones(base_nodes, dtype=bool)
-    for loc in h.jump_locs:
-        idx = int(round(loc / step))
-        if 0 < idx < base_nodes - 1 and abs(base[idx] - loc) < 0.45 * step:
-            keep[idx] = False
+    keep[idx[np.abs(base[idx] - locs) < 0.45 * step]] = False
     return TimeGrid(np.sort(np.concatenate([base[keep], h.jump_locs])))
 
 
@@ -186,10 +187,25 @@ def density_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
 
 
 def jump_sizes_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
-    """Per-node jump sizes (zero off jump nodes); grid must contain all jumps."""
+    """Per-node jump sizes (zero off jump nodes); grid must contain all jumps.
+
+    Each jump goes to the node ``TimeGrid.node_index`` finds: the node just
+    below its ``searchsorted`` position if that lies within the matching
+    tolerance, else the node at it.  (node_index's third candidate, the node
+    above, is farther than the one at the position, so it never matches.)
+    """
     out = np.zeros(len(grid))
-    for loc, size in zip(h.jump_locs, h.jump_sizes):
-        out[grid.node_index(loc)] = size
+    nodes, locs = grid.nodes, h.jump_locs
+    if not locs.size:           # the matching below costs ~15 numpy calls even when empty
+        return out
+    tol = _location_tol(grid.end)
+    below = np.searchsorted(nodes, locs) - 1      # >= 0: nodes[0] = 0 < every jump
+    at = np.minimum(below + 1, len(nodes) - 1)
+    index = np.where(np.abs(nodes[below] - locs) <= tol, below,
+                     np.where(np.abs(nodes[at] - locs) <= tol, at, -1))
+    if np.any(index < 0):
+        raise GridError(f"t={float(locs[np.argmax(index < 0)])!r} is not a grid node")
+    out[index] = h.jump_sizes
     return out
 
 

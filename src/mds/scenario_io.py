@@ -4,6 +4,15 @@ Configs are JSON documents with fixed sections; unknown keys anywhere are
 rejected with the dotted path of the offender.  Function-valued entries
 (tau, kernel, density, f) come from the closed catalog in funcs.py, so
 validation is total and parsing is deterministic.
+
+Every number a document carries, whether a scalar, a list entry, a table
+row, a jump pair or a tolerance, passes one check: a number, not a bool,
+finite and of magnitude at most MAX_COEFFICIENT.  Each kinded map (time
+spec, kernel, measure family, nonlinearity, nonlocal term) is checked
+against one table of the keys its kind allows.  Each entry is read once,
+and the value the parse used, default or not, is written into the
+canonical document the Scenario keeps, so two documents that describe the
+same scenario serialize alike.
 """
 
 from __future__ import annotations
@@ -29,267 +38,220 @@ from .spectral import (LinearPart, check_autonomous_reduction, make_basis,
 
 MAX_MODES = 256
 MAX_NODES = 65536
-# |coefficient| of a time function, kernel, nonlinearity, gain or state, and
+# |v| of every number a document carries (a coefficient of a time function,
+# kernel or nonlinearity, a gain, a state, a jump size, d, a tolerance) and
 # exp(-rate a) of a kernel: a product of three such numbers stays finite
 MAX_COEFFICIENT = 1e100
 # horizons a: base nodes stay farther apart than the 1e-12 max(1, a) node
 # matching tolerance, and a few horizons times coefficients stay finite
 HORIZON_RANGE = (1e-6, 1e6)
 _SOLVER_ARRAYS = 16     # (M, N) arrays a psi sweep or a steering pass holds at once
-_TOLERANCE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Tolerances)}
-
-_TIME_FIELDS = {"const": ("c0",), "affine": ("c0", "c1"),
-                "sine": ("c0", "c1", "freq"), "cosine": ("c0", "c1", "freq")}
-_KERNEL_FIELDS = {"zero": (), "const": ("c0",), "exp_diff": ("c0", "rate")}
-
-
-def _expect_map(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
-    return obj
-
-
-def _reject_unknown(obj: dict, allowed, path: str) -> None:
-    extra = sorted(set(obj) - set(allowed))
-    if extra:
-        raise ConfigError(f"{path}.{extra[0]}", "unknown key")
-
-
-def _number(obj: dict, key: str, path: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required number")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {v!r}")
-    return float(v)
-
-
-def _integer(obj: dict, key: str, path: str, default=None) -> int:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required integer")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
-    return v
-
-
-def _coefficient(obj: dict, key: str, path: str, default: float) -> float:
-    v = _number(obj, key, path, default=default)
-    if abs(v) > MAX_COEFFICIENT:
-        raise ConfigError(f"{path}.{key}", f"magnitude above {MAX_COEFFICIENT:g}")
-    return v
-
-
-def _horizon(obj: dict, path: str) -> float:
-    end = _number(obj, "end", path, default=1.0)
-    low, high = HORIZON_RANGE
-    if not low <= end <= high:
-        raise ConfigError(f"{path}.end", f"horizon must be in {low:g}..{high:g}")
-    return end
-
-
-def _vector(obj: dict, key: str, path: str, length: int) -> np.ndarray:
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}", "missing required coefficient list")
-    v = obj[key]
-    if not isinstance(v, list) or len(v) != length:
-        raise ConfigError(f"{path}.{key}", f"expected a list of {length} numbers")
-    for i, entry in enumerate(v):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)) \
-                or not math.isfinite(entry):
-            raise ConfigError(f"{path}.{key}[{i}]", "expected a finite number")
-        if abs(entry) > MAX_COEFFICIENT:
-            raise ConfigError(f"{path}.{key}[{i}]", f"magnitude above {MAX_COEFFICIENT:g}")
-    return np.array(v, dtype=float)
-
-
-def _parse_time_spec(obj, path: str) -> TimeFunction:
-    obj = _expect_map(obj, path)
-    kind = obj.get("kind")
-    if kind not in _TIME_FIELDS:
-        raise ConfigError(f"{path}.kind",
-                          f"expected one of {sorted(_TIME_FIELDS)}, got {kind!r}")
-    _reject_unknown(obj, ("kind",) + _TIME_FIELDS[kind], path)
-    kwargs = {f: _coefficient(obj, f, path, default=1.0 if f == "freq" else 0.0)
-              for f in _TIME_FIELDS[kind]}
-    try:
-        return TimeFunction(kind, **kwargs)
-    except UsageError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_kernel_spec(obj, path: str) -> MemoryKernel:
-    obj = _expect_map(obj, path)
-    kind = obj.get("kind")
-    if kind not in _KERNEL_FIELDS:
-        raise ConfigError(f"{path}.kind",
-                          f"expected one of {sorted(_KERNEL_FIELDS)}, got {kind!r}")
-    _reject_unknown(obj, ("kind",) + _KERNEL_FIELDS[kind], path)
-    kwargs = {f: _coefficient(obj, f, path, default=0.0) for f in _KERNEL_FIELDS[kind]}
-    return MemoryKernel(kind, **kwargs)
-
-
-def _parse_measure(obj, path: str, base_nodes: int) -> JumpMeasure:
-    obj = _expect_map(obj, path)
-    if "family" in obj:
-        family = obj["family"]
-        if family == "zeno":
-            _reject_unknown(obj, ("family", "K"), path)
-            k = _integer(obj, "K", path, default=20)
-            if not 2 <= k <= MAX_NODES:
-                raise ConfigError(f"{path}.K", f"zeno truncation K must be in 2..{MAX_NODES}")
-            return zeno_measure(k)
-        if family in ("constant", "lebesgue"):
-            _reject_unknown(obj, ("family", "end"), path)
-            end = _horizon(obj, path)
-            if family == "constant":
-                return constant_measure(end)
-            return lebesgue_measure(end, base_nodes)
-        raise ConfigError(f"{path}.family",
-                          f"expected zeno, constant or lebesgue, got {family!r}")
-    _reject_unknown(obj, ("end", "density", "jumps"), path)
-    end = _horizon(obj, path)
-    density = _parse_time_spec(obj.get("density", {"kind": "const", "c0": 0.0}),
-                               f"{path}.density")
-    nodes = np.linspace(0.0, end, max(base_nodes, 2))
-    values = density.value(nodes)
-    if np.any(values < 0.0):
-        raise ConfigError(f"{path}.density", "density must be nonnegative on [0, end]")
-    jumps = obj.get("jumps", [])
-    if not isinstance(jumps, list):
-        raise ConfigError(f"{path}.jumps", "expected a list of [t, size] pairs")
-    if len(jumps) > MAX_NODES:
-        raise ConfigError(f"{path}.jumps", f"at most {MAX_NODES} jumps")
-    locs, sizes = [], []
-    for i, pair in enumerate(jumps):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        and math.isfinite(x) for x in pair)):
-            raise ConfigError(f"{path}.jumps[{i}]", "expected a finite [t, size] pair")
-        locs.append(float(pair[0]))
-        sizes.append(float(pair[1]))
-    try:
-        return JumpMeasure(end, nodes, values, np.array(locs), np.array(sizes))
-    except (DomainError, UsageError) as exc:
-        raise ConfigError(f"{path}.jumps", str(exc)) from exc
-
+_DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
+             for cls in (TimeFunction, MemoryKernel, Tolerances)}
 
 _SECTIONS = ("basis", "grid", "linear", "measure", "nonlinearity", "nonlocal",
              "control", "states", "tolerances")
+_REQUIRED_SECTIONS = ("basis", "grid", "linear", "measure", "states")
+# the keys each kind of a kinded map allows besides its kind
+_TIME_FIELDS = {"const": ("c0",), "affine": ("c0", "c1"),
+                "sine": ("c0", "c1", "freq"), "cosine": ("c0", "c1", "freq")}
+_KERNEL_FIELDS = {"zero": (), "const": ("c0",), "exp_diff": ("c0", "rate")}
+_MEASURE_FIELDS = {"zeno": ("K",), "constant": ("end",), "lebesgue": ("end",)}
+_EXPLICIT_MEASURE_FIELDS = ("end", "density", "jumps")
+_NL_FIELDS = {"zero": (), "cosine": ("M0",), "table": ("values",)}
+_NONLOCAL_FIELDS = {"zero": (), "log_kernel": ("f", "f_space", "d")}
+
+
+def _number(v, path: str) -> float:
+    """The one check on every number a document carries."""
+    # nan and inf fail the comparison; an int compares exactly, never overflowing
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= MAX_COEFFICIENT:
+        raise ConfigError(path, f"expected a finite number of magnitude at most "
+                                f"{MAX_COEFFICIENT:g}, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, path: str, length: int, by_entry: bool = True) -> list[float]:
+    """A list of ``length`` numbers; a bad entry is named by its index when
+    ``by_entry``, else by the list's own path."""
+    if not isinstance(v, list) or len(v) != length:
+        raise ConfigError(path, f"expected a list of {length} numbers")
+    return [_number(x, f"{path}[{i}]" if by_entry else path) for i, x in enumerate(v)]
+
+
+class _Reader:
+    """One map of a document, read entry by entry into its canonical copy.
+
+    ``out`` receives every value the parse used, defaults included, in the
+    form it was checked in; a map read below this one is linked into it.
+    """
+
+    def __init__(self, obj, path: str, allowed=None):
+        if not isinstance(obj, dict):
+            raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
+        self.obj = obj
+        self.path = path
+        self.out = {}
+        if allowed is not None:
+            self.only(allowed)
+
+    def only(self, allowed) -> None:
+        extra = sorted(set(self.obj) - set(allowed))
+        if extra:
+            raise ConfigError(f"{self.path}.{extra[0]}", "unknown key")
+
+    def raw(self, key: str, default=None):
+        """The entry at ``key``, or ``default`` when it is absent; required when None."""
+        if key in self.obj:
+            return self.obj[key]
+        if default is None:
+            raise ConfigError(f"{self.path}.{key}", "missing required entry")
+        return default
+
+    def map(self, key: str, allowed, default=None) -> _Reader:
+        sub = _Reader(self.raw(key, default), f"{self.path}.{key}", allowed)
+        self.out[key] = sub.out
+        return sub
+
+    def kinded(self, key: str, table: dict, default=None,
+               tag: str = "kind") -> tuple[str, _Reader]:
+        """The kind at ``key`` and the reader of its map, once the kind is one
+        of ``table`` and the map holds no key that kind does not allow."""
+        sub = _Reader(self.raw(key, default), f"{self.path}.{key}")
+        kind = sub.obj.get(tag)
+        if not isinstance(kind, str) or kind not in table:
+            raise ConfigError(f"{sub.path}.{tag}",
+                              f"expected one of {sorted(table)}, got {kind!r}")
+        sub.only((tag,) + table[kind])
+        sub.out[tag] = kind
+        self.out[key] = sub.out
+        return kind, sub
+
+    def number(self, key: str, default=None) -> float:
+        self.out[key] = _number(self.raw(key, default), f"{self.path}.{key}")
+        return self.out[key]
+
+    def integer(self, key: str, low=-math.inf, high=math.inf, default=None) -> int:
+        v = self.raw(key, default)
+        if isinstance(v, bool) or not isinstance(v, int) or not low <= v <= high:
+            raise ConfigError(f"{self.path}.{key}",
+                              f"expected an integer in {low}..{high}, got {v!r}")
+        self.out[key] = v
+        return v
+
+    def vector(self, key: str, length: int, default=None) -> np.ndarray:
+        self.out[key] = _numbers(self.raw(key, default), f"{self.path}.{key}", length)
+        return np.array(self.out[key])
+
+    def function(self, key: str, table: dict, cls, default=None):
+        """A TimeFunction or MemoryKernel from a kinded map of numbers."""
+        kind, spec = self.kinded(key, table, default)
+        for name in table[kind]:
+            spec.number(name, _DEFAULTS[cls][name])
+        try:
+            return cls(**spec.out)
+        except UsageError as exc:
+            raise ConfigError(spec.path, str(exc)) from exc
+
+    def horizon(self) -> float:
+        end = self.number("end", default=1.0)
+        low, high = HORIZON_RANGE
+        if not low <= end <= high:
+            raise ConfigError(f"{self.path}.end", f"horizon must be in {low:g}..{high:g}")
+        return end
+
+
+def _parse_measure(doc: _Reader, base_nodes: int) -> JumpMeasure:
+    spec = doc.obj["measure"]
+    if isinstance(spec, dict) and "family" in spec:
+        family, m = doc.kinded("measure", _MEASURE_FIELDS, tag="family")
+        if family == "zeno":
+            return zeno_measure(m.integer("K", 2, MAX_NODES, default=20))
+        if family == "constant":
+            return constant_measure(m.horizon())
+        return lebesgue_measure(m.horizon(), base_nodes)
+    m = doc.map("measure", _EXPLICIT_MEASURE_FIELDS)
+    end = m.horizon()
+    density = m.function("density", _TIME_FIELDS, TimeFunction,
+                         default={"kind": "const", "c0": 0.0})
+    nodes = np.linspace(0.0, end, max(base_nodes, 2))
+    values = density.value(nodes)
+    if np.any(values < 0.0):
+        raise ConfigError(f"{m.path}.density", "density must be nonnegative on [0, end]")
+    jumps = m.raw("jumps", [])
+    if not isinstance(jumps, list):
+        raise ConfigError(f"{m.path}.jumps", "expected a list of [t, size] pairs")
+    if len(jumps) > MAX_NODES:
+        raise ConfigError(f"{m.path}.jumps", f"at most {MAX_NODES} jumps")
+    m.out["jumps"] = [_numbers(pair, f"{m.path}.jumps[{i}]", 2, by_entry=False)
+                      for i, pair in enumerate(jumps)]
+    locs, sizes = np.array(m.out["jumps"], dtype=float).reshape(-1, 2).T
+    try:
+        return JumpMeasure(end, nodes, values, locs, sizes)
+    except (DomainError, UsageError) as exc:
+        raise ConfigError(f"{m.path}.jumps", str(exc)) from exc
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Validate a config document and assemble the Scenario it describes."""
-    doc = _expect_map(doc, "$")
-    _reject_unknown(doc, _SECTIONS, "$")
-    for section in ("basis", "grid", "linear", "measure", "states"):
-        if section not in doc:
-            raise ConfigError(f"$.{section}", "missing required section")
+    doc = _Reader(doc, "$", _SECTIONS)
+    for section in _REQUIRED_SECTIONS:     # a missing section is named before any is read
+        doc.raw(section)
 
-    b = _expect_map(doc["basis"], "$.basis")
-    _reject_unknown(b, ("N", "collocation"), "$.basis")
-    n_modes = _integer(b, "N", "$.basis")
-    if not 1 <= n_modes <= MAX_MODES:
-        raise ConfigError("$.basis.N", f"mode count must be in 1..{MAX_MODES}")
-    collocation = _integer(b, "collocation", "$.basis", default=2 * n_modes + 1)
-    if not n_modes <= collocation <= 8 * MAX_MODES:
-        raise ConfigError("$.basis.collocation",
-                          f"collocation must be in N..{8 * MAX_MODES}")
+    b = doc.map("basis", ("N", "collocation"))
+    n_modes = b.integer("N", 1, MAX_MODES)
+    collocation = b.integer("collocation", n_modes, 8 * MAX_MODES, default=2 * n_modes + 1)
+    base_nodes = doc.map("grid", ("nodes",)).integer("nodes", 2, MAX_NODES)
 
-    g = _expect_map(doc["grid"], "$.grid")
-    _reject_unknown(g, ("nodes",), "$.grid")
-    base_nodes = _integer(g, "nodes", "$.grid")
-    if not 2 <= base_nodes <= MAX_NODES:
-        raise ConfigError("$.grid.nodes", f"node count must be in 2..{MAX_NODES}")
+    lin = doc.map("linear", ("tau", "kernel"))
+    tau = lin.function("tau", _TIME_FIELDS, TimeFunction)
+    kernel = lin.function("kernel", _KERNEL_FIELDS, MemoryKernel, default={"kind": "zero"})
 
-    lin = _expect_map(doc["linear"], "$.linear")
-    _reject_unknown(lin, ("tau", "kernel"), "$.linear")
-    if "tau" not in lin:
-        raise ConfigError("$.linear.tau", "missing required spec")
-    tau = _parse_time_spec(lin["tau"], "$.linear.tau")
-    kernel = _parse_kernel_spec(lin.get("kernel", {"kind": "zero"}), "$.linear.kernel")
-
-    h = _parse_measure(doc["measure"], "$.measure", base_nodes)
+    h = _parse_measure(doc, base_nodes)
     if -kernel.rate * h.domain_end > math.log(MAX_COEFFICIENT):
         raise ConfigError("$.linear.kernel.rate", f"the kernel grows by more than "
                           f"{MAX_COEFFICIENT:g} over the horizon {h.domain_end:g}")
 
-    nl = _expect_map(doc.get("nonlinearity", {"kind": "zero"}), "$.nonlinearity")
-    kind = nl.get("kind")
-    if kind == "zero":
-        _reject_unknown(nl, ("kind",), "$.nonlinearity")
-        nonlinearity = NonlinearityEval("zero")
-    elif kind == "cosine":
-        _reject_unknown(nl, ("kind", "M0"), "$.nonlinearity")
-        nonlinearity = NonlinearityEval("cosine",
-                                        amplitude=_coefficient(nl, "M0", "$.nonlinearity", None))
+    kind, nl = doc.kinded("nonlinearity", _NL_FIELDS, default={"kind": "zero"})
+    if kind == "cosine":
+        nonlinearity = NonlinearityEval(kind, amplitude=nl.number("M0"))
     elif kind == "table":
-        _reject_unknown(nl, ("kind", "values"), "$.nonlinearity")
-        values = nl.get("values")
+        values = nl.raw("values")
         if not isinstance(values, list) or not values:
             raise ConfigError("$.nonlinearity.values", "expected a coefficient list")
         rows = values if isinstance(values[0], list) else [values]
-        for i, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == n_modes
-                    and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                            and math.isfinite(x) and abs(x) <= MAX_COEFFICIENT
-                            for x in row)):
-                raise ConfigError(f"$.nonlinearity.values[{i}]",
-                                  f"expected {n_modes} finite numbers of magnitude "
-                                  f"at most {MAX_COEFFICIENT:g}")
-        nonlinearity = NonlinearityEval("table", table=np.array(rows, dtype=float))
+        nl.out["values"] = [_numbers(row, f"$.nonlinearity.values[{i}]", n_modes,
+                                     by_entry=False) for i, row in enumerate(rows)]
+        nonlinearity = NonlinearityEval(kind, table=np.array(nl.out["values"]))
     else:
-        raise ConfigError("$.nonlinearity.kind",
-                          f"expected zero, cosine or table, got {kind!r}")
+        nonlinearity = NonlinearityEval(kind)
 
-    nc = _expect_map(doc.get("nonlocal", {"kind": "zero"}), "$.nonlocal")
-    kind = nc.get("kind")
-    if kind == "zero":
-        _reject_unknown(nc, ("kind",), "$.nonlocal")
-        nonlocal_term = NonlocalEval("zero")
-    elif kind == "log_kernel":
-        _reject_unknown(nc, ("kind", "f", "f_space", "d"), "$.nonlocal")
-        if "f" not in nc:
-            raise ConfigError("$.nonlocal.f", "missing required spec")
-        f_time = _parse_time_spec(nc["f"], "$.nonlocal.f")
-        f_space = (_parse_time_spec(nc["f_space"], "$.nonlocal.f_space")
-                   if "f_space" in nc else None)
-        d = _number(nc, "d", "$.nonlocal", default=1.0)
+    kind, nc = doc.kinded("nonlocal", _NONLOCAL_FIELDS, default={"kind": "zero"})
+    if kind == "log_kernel":
+        f_time = nc.function("f", _TIME_FIELDS, TimeFunction)
+        f_space = (nc.function("f_space", _TIME_FIELDS, TimeFunction)
+                   if "f_space" in nc.obj else None)
+        d = nc.number("d", default=1.0)
         if d < 0.0:
             raise ConfigError("$.nonlocal.d", "growth offset must be nonnegative")
-        nonlocal_term = NonlocalEval("log_kernel", f_time=f_time, f_space=f_space, offset=d)
+        nonlocal_term = NonlocalEval(kind, f_time=f_time, f_space=f_space, offset=d)
     else:
-        raise ConfigError("$.nonlocal.kind",
-                          f"expected zero or log_kernel, got {kind!r}")
+        nonlocal_term = NonlocalEval(kind)
 
-    ctl = _expect_map(doc.get("control", {}), "$.control")
-    _reject_unknown(ctl, ("theta",), "$.control")
-    theta_raw = ctl.get("theta", 1.0)
-    if isinstance(theta_raw, list):
-        theta = _vector(ctl, "theta", "$.control", n_modes)
-    elif isinstance(theta_raw, (int, float)) and not isinstance(theta_raw, bool) \
-            and math.isfinite(theta_raw):
-        theta = np.full(n_modes, _coefficient(ctl, "theta", "$.control", 1.0))
-    else:
-        raise ConfigError("$.control.theta", "expected a number or coefficient list")
+    ctl = doc.map("control", ("theta",), default={})
+    theta = (ctl.vector("theta", n_modes) if isinstance(ctl.obj.get("theta"), list)
+             else np.full(n_modes, ctl.number("theta", default=1.0)))
 
-    st = _expect_map(doc["states"], "$.states")
-    _reject_unknown(st, ("zeta0", "zeta1"), "$.states")
-    zeta0 = _vector(st, "zeta0", "$.states", n_modes)
-    zeta1 = (_vector(st, "zeta1", "$.states", n_modes) if "zeta1" in st
-             else np.zeros(n_modes))
+    st = doc.map("states", ("zeta0", "zeta1"))
+    zeta0 = st.vector("zeta0", n_modes)
+    zeta1 = st.vector("zeta1", n_modes, default=[0.0] * n_modes)
 
-    tl = _expect_map(doc.get("tolerances", {}), "$.tolerances")
-    _reject_unknown(tl, _TOLERANCE_DEFAULTS, "$.tolerances")
+    tl = doc.map("tolerances", _DEFAULTS[Tolerances], default={})
     try:
         tol = Tolerances(**{
-            name: (_integer if isinstance(default, int) else _number)(
-                tl, name, "$.tolerances", default=default)
-            for name, default in _TOLERANCE_DEFAULTS.items()})
+            name: (tl.integer(name, default=default) if isinstance(default, int)
+                   else tl.number(name, default))
+            for name, default in _DEFAULTS[Tolerances].items()})
     except UsageError as exc:
         raise ConfigError("$.tolerances", str(exc)) from exc
 
@@ -308,28 +270,10 @@ def parse_scenario(doc: dict) -> Scenario:
                               f"need about {need:.3g} bytes, more than the "
                               f"{have:.3g} bytes of physical memory")
         scn = Scenario(basis, LinearPart(tau, kernel), h, grid, zeta0, zeta1,
-                       nonlinearity, nonlocal_term, theta, tol,
-                       config=_canonical_doc(doc, n_modes, collocation, base_nodes))
+                       nonlinearity, nonlocal_term, theta, tol, config=doc.out)
     except (UsageError, DomainError, GridError) as exc:
         raise ConfigError("$", str(exc)) from exc
     return scn
-
-
-def _canonical_doc(doc: dict, n_modes: int, collocation: int, base_nodes: int) -> dict:
-    """The parsed document with defaults made explicit (JSON round-trip form)."""
-    out = json.loads(json.dumps(doc))        # deep copy, JSON-clean
-    out["basis"] = {"N": n_modes, "collocation": collocation}
-    out["grid"] = {"nodes": base_nodes}
-    out.setdefault("linear", {}).setdefault("kernel", {"kind": "zero"})
-    out.setdefault("nonlinearity", {"kind": "zero"})
-    out.setdefault("nonlocal", {"kind": "zero"})
-    out.setdefault("control", {})
-    out["control"].setdefault("theta", 1.0)
-    tol = out.setdefault("tolerances", {})
-    for name, default in _TOLERANCE_DEFAULTS.items():
-        tol.setdefault(name, default)
-    out.setdefault("states", {}).setdefault("zeta1", [0.0] * n_modes)
-    return out
 
 
 def serialize_scenario(scn: Scenario) -> dict:
@@ -468,3 +412,6 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
     except DegenerateModeError as exc:
         say(f"degenerate control: {exc}")
         return 3
+    except OSError as exc:       # out_dir is not a directory that can be written
+        say(f"cannot write outputs: {exc}")
+        return 1

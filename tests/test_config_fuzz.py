@@ -9,12 +9,18 @@ document to a documented exit code (0 ok, 1 refused or failed check, 2 no
 convergence, 3 degenerate control) without raising; the suite's
 ``filterwarnings = error`` setting also fails any numpy warning.
 
-Extreme magnitudes, from 1e-300 to 1e308, go into one field of a valid
-document at a time.  A coefficient above MAX_COEFFICIENT, a horizon outside
-HORIZON_RANGE or a kernel that grows by more than MAX_COEFFICIENT over the
-horizon is refused with exit 1 and a config error naming the field; any
-other value still maps to a documented exit code with no warning, an
-overflowing mode ending in exit 2.
+Extreme magnitudes, from 1e-300 to 1e308, go into one number of a valid
+document at a time: any coefficient, gain, state entry, table value, jump
+time or size, d or tolerance.  A number above MAX_COEFFICIENT, a horizon
+outside HORIZON_RANGE or a kernel that grows by more than MAX_COEFFICIENT
+over the horizon is refused with exit 1 and a config error naming the field
+(a jump pair or a table row is named as a whole); any other value still
+maps to a documented exit code with no warning, an overflowing mode ending
+in exit 2.
+
+The canonical document that ``serialize_scenario`` writes is a fixed
+point of parsing, and deleting any entry that holds its documented default
+leaves it unchanged.
 
 Grids near MAX_NODES come from base nodes, a Zeno K or an explicit jump
 list, merging to about 65536 nodes, some of them over the limit.  The
@@ -29,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import json
 import math
 import os
 
@@ -40,7 +47,7 @@ from hypothesis import strategies as st
 import mds.scenario_io
 import mds.spectral
 from mds import (ConfigError, JumpMeasure, build_time_grid, constant_measure,
-                 parse_scenario, run_command, zeno_measure)
+                 parse_scenario, run_command, serialize_scenario, zeno_measure)
 from mds.scenario_io import HORIZON_RANGE, MAX_COEFFICIENT, MAX_NODES
 from mds.spectral import ANCHOR_BLOCK
 
@@ -216,6 +223,16 @@ def test_extreme_magnitude_ends_in_a_typed_error(tmp_path, command, path, value,
         assert "exceeded the overflow guard" in text
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_jump_sizes_above_the_limit_are_refused(tmp_path, command):
+    # their sum overflowed math.fsum in check-conditions' jump mass
+    doc = _small_doc()
+    doc["measure"] = {"end": 1, "jumps": [[0.3, 1e308], [0.6, 1e308]]}
+    code, text = _run(command, doc, tmp_path)
+    assert code == 1
+    assert text.startswith("config error: $.measure.jumps[0]:")
+
+
 extreme = st.sampled_from([1e308, -1e308, 1e300, -1e300, 1e100, -1e100, 1e6, -1e6,
                            1e-6, 1e-300, -1e-300])
 
@@ -230,14 +247,27 @@ def _refused(path, value, doc) -> bool:
     return abs(value) > MAX_COEFFICIENT
 
 
+def _number_fields(obj, path=()) -> list[tuple]:
+    """The path of every non-integer number in a document."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [p for key, value in items for p in _number_fields(value, path + (key,))]
+    return [path] if isinstance(obj, float) else []
+
+
+def _named(path) -> str:
+    """The path a config error names for a value at ``path``: a jump pair or
+    a row of a table is named as a whole."""
+    if path[:2] == ("measure", "jumps") or path[:2] == ("nonlinearity", "values"):
+        path = path[:3] if len(path) == 4 else path[:2] + (0,)
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(documents(), st.data())
 def test_extreme_magnitudes_map_to_a_documented_exit_code(tmp_path_factory, doc, data):
-    fields = [("linear", "tau", key) for key in doc["linear"]["tau"] if key != "kind"]
-    fields += [("linear", "kernel", key) for key in doc["linear"]["kernel"] if key != "kind"]
-    fields += [("control", "theta")] if not isinstance(doc["control"]["theta"], list) else []
-    fields += [("measure", "end")] if "end" in doc["measure"] else []
-    fields += [("nonlinearity", "M0")] if doc["nonlinearity"]["kind"] == "cosine" else []
+    fields = _number_fields(doc)
+    fields += [("tolerances", name) for name in ("tol_picard", "tol_target", "tol_pde")]
     path = data.draw(st.sampled_from(fields), label="field")
     value = data.draw(extreme, label="value")
     try:
@@ -252,7 +282,52 @@ def test_extreme_magnitudes_map_to_a_documented_exit_code(tmp_path_factory, doc,
         assert code in (0, 1, 2, 3)
         if valid and _refused(path, value, doc):
             assert code == 1
-            assert text.startswith("config error: $." + ".".join(path) + ":")
+            assert text.startswith(f"config error: {_named(path)}:")
+
+
+# the documented default of each optional entry, by key (a time spec's or a
+# kernel's c0 alike)
+def _defaults(n_modes: int) -> dict:
+    tolerances = {"tol_picard": 1e-10, "tol_target": 1e-4, "tol_pde": 1e-3,
+                  "max_picard": 64, "max_outer": 20}
+    return {"collocation": 2 * n_modes + 1, "kernel": {"kind": "zero"},
+            "K": 20, "end": 1.0, "density": {"kind": "const", "c0": 0.0}, "jumps": [],
+            "c0": 0.0, "c1": 0.0, "freq": 1.0, "rate": 0.0,
+            "nonlinearity": {"kind": "zero"}, "nonlocal": {"kind": "zero"}, "d": 1.0,
+            "control": {"theta": 1.0}, "theta": 1.0, "zeta1": [0.0] * n_modes,
+            "tolerances": tolerances, **tolerances}
+
+
+def _maps(obj):
+    """Every map in a document, the document included, in a fixed order."""
+    if isinstance(obj, dict):
+        yield obj
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for value in obj:
+            yield from _maps(value)
+
+
+def _canonical(doc) -> str:
+    return json.dumps(serialize_scenario(parse_scenario(copy.deepcopy(doc))))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_the_canonical_document_is_stable_and_complete(doc):
+    try:
+        canonical = serialize_scenario(parse_scenario(doc))
+    except ConfigError:
+        return
+    text = json.dumps(canonical)
+    assert _canonical(canonical) == text
+    defaults = _defaults(canonical["basis"]["N"])
+    for index, owner in enumerate(_maps(canonical)):
+        for key, value in owner.items():
+            if json.dumps(value) == json.dumps(defaults.get(key)):
+                reduced = copy.deepcopy(canonical)
+                del list(_maps(reduced))[index][key]
+                assert _canonical(reduced) == text, key
 
 
 @st.composite

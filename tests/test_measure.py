@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mds import (DomainError, GridError, JumpMeasure, RegulatedTrajectory,
                  TimeGrid, UsageError, build_time_grid, constant_measure,
                  density_on_grid, jump_sizes_on_grid, ls_integral, zeno_measure)
-from mds.measure import _samples_for
+from mds.measure import _location_tol, _samples_for
 
 
 def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> RegulatedTrajectory:
@@ -131,6 +131,88 @@ def test_jump_sizes_on_grid_alignment():
     sizes = jump_sizes_on_grid(h, grid)
     assert math.fsum(sizes) == h.total_jump_mass()
     assert np.all((sizes > 0) == np.isin(grid.nodes, h.jump_locs))
+
+
+def build_time_grid_loop(h: JumpMeasure, base_nodes: int) -> TimeGrid:
+    """Reference for ``build_time_grid``: one jump at a time."""
+    a = h.domain_end
+    base = np.linspace(0.0, a, base_nodes)
+    step = a / (base_nodes - 1)
+    keep = np.ones(base_nodes, dtype=bool)
+    for loc in h.jump_locs:
+        idx = int(round(loc / step))
+        if 0 < idx < base_nodes - 1 and abs(base[idx] - loc) < 0.45 * step:
+            keep[idx] = False
+    return TimeGrid(np.sort(np.concatenate([base[keep], h.jump_locs])))
+
+
+def jump_sizes_on_grid_loop(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
+    """Reference for ``jump_sizes_on_grid``: one ``node_index`` per jump."""
+    out = np.zeros(len(grid))
+    for loc, size in zip(h.jump_locs, h.jump_sizes):
+        out[grid.node_index(loc)] = size
+    return out
+
+
+@st.composite
+def jump_grids(draw):
+    """A jump measure, a base node count, and offsets to move the jump nodes by."""
+    end = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    base = draw(st.integers(min_value=2, max_value=64))
+    step, tol = end / (base - 1), _location_tol(end)
+    # on a base node, half-way between two (a rounding tie), near the 0.45
+    # step cut-off, or anywhere
+    node = st.integers(min_value=0, max_value=base - 1)
+    loc = (node.map(lambda i: i * step) | node.map(lambda i: (i + 0.5) * step)
+           | node.map(lambda i: (i + 0.45) * step) | st.floats(min_value=0.0, max_value=end))
+    # some jumps get a neighbour just over one tolerance away, so that a moved
+    # node can lie within the tolerance of two jumps
+    near = st.sampled_from([None, 1.1 * tol, 1.6 * tol])
+    drawn = [(t, draw(near)) for t in draw(st.lists(loc, max_size=20))]
+    locs = []
+    for t in sorted([t for t, _ in drawn] + [t + d for t, d in drawn if d]):
+        if tol < t < end - tol and (not locs or t - locs[-1] > tol):
+            locs.append(t)
+    sizes = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                          min_size=len(locs), max_size=len(locs)))
+    offsets = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5 * tol, -0.5 * tol, tol, -tol,
+                                             1.5 * tol, -1.5 * tol]),
+                            min_size=len(locs), max_size=len(locs)))
+    h = JumpMeasure(end, np.array([0.0, end]), np.zeros(2), np.array(locs), np.array(sizes))
+    return h, base, np.array(offsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jump_grids())
+def test_vectorized_jump_loops_match_the_references(case):
+    h, base, offsets = case
+    grid = build_time_grid(h, base)
+    assert grid.nodes.tobytes() == build_time_grid_loop(h, base).nodes.tobytes()
+    assert jump_sizes_on_grid(h, grid).tobytes() == jump_sizes_on_grid_loop(h, grid).tobytes()
+    # jump nodes moved by up to 1.5 tolerances: matched or refused alike
+    nodes = grid.nodes.copy()
+    nodes[np.searchsorted(nodes, h.jump_locs)] += offsets
+    try:
+        moved = TimeGrid(nodes)
+    except GridError:
+        return
+    try:
+        want = jump_sizes_on_grid_loop(h, moved)
+    except GridError:
+        with pytest.raises(GridError):
+            jump_sizes_on_grid(h, moved)
+        return
+    assert jump_sizes_on_grid(h, moved).tobytes() == want.tobytes()
+
+
+def test_jump_matching_is_inclusive_at_the_tolerance():
+    loc = 1.2e-12
+    node = loc + _location_tol(1.0)
+    assert node - loc == _location_tol(1.0)
+    h = _unit_jump(loc)
+    grid = TimeGrid(np.array([0.0, node, 0.5, 1.0]))
+    assert jump_sizes_on_grid(h, grid).tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert jump_sizes_on_grid_loop(h, grid).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------- integration

@@ -224,6 +224,30 @@ def test_round_trip_preserves_shipped_demo():
     assert serialize_scenario(scn2) == doc2
 
 
+TAU = {"kind": "const", "c0": 1.0}
+
+
+@pytest.mark.parametrize("section, short, full", [
+    ("measure", {"family": "zeno"}, {"family": "zeno", "K": 20}),
+    ("measure", {"family": "constant"}, {"family": "constant", "end": 1.0}),
+    ("measure", {"end": 1.0}, {"end": 1.0, "density": {"kind": "const", "c0": 0.0},
+                               "jumps": []}),
+    ("linear", {"tau": {"kind": "sine", "c0": 1.0}},
+     {"tau": {"kind": "sine", "c0": 1.0, "c1": 0.0, "freq": 1.0}}),
+    ("linear", {"tau": {"kind": "const", "c0": 1}}, {"tau": TAU}),
+    ("linear", {"tau": TAU, "kernel": {"kind": "exp_diff", "c0": 0.5}},
+     {"tau": TAU, "kernel": {"kind": "exp_diff", "c0": 0.5, "rate": 0.0}}),
+    ("nonlocal", {"kind": "log_kernel", "f": TAU},
+     {"kind": "log_kernel", "f": TAU, "d": 1.0}),
+    ("nonlinearity", {"kind": "table", "values": [0.5, 0.25]},
+     {"kind": "table", "values": [[0.5, 0.25]]}),
+])
+def test_documents_that_differ_by_a_default_serialize_alike(section, short, full):
+    a, b = (serialize_scenario(parse_scenario(tiny_doc(**{section: spec})))
+            for spec in (short, full))
+    assert json.dumps(a) == json.dumps(b)
+
+
 def test_code_assembled_scenario_has_no_document():
     scn = assemble_scenario(
         make_basis(2), LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
@@ -499,6 +523,20 @@ def test_cli_rejects_unknown_command(tmp_path, capsys):
     cfg.write_text(json.dumps(tiny_doc()))
     assert cli_main(["launch", str(cfg)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("below", [None, "sub"])
+def test_cli_out_that_is_not_a_directory_exits_one(tmp_path, capsys, below):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_doc()))
+    out = tmp_path / "a_file"
+    out.write_text("")
+    if below:
+        out = out / below
+    assert cli_main(["steer", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("cannot write outputs: ")
+    assert cli_main(["steer", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_missing_config_file(tmp_path):
