@@ -18,20 +18,17 @@ from .control import (ControlSignal, SteeringReport, SteerOutcome, gramians,
 from .errors import (ConfigError, ConvergenceError, DegenerateModeError,
                      DomainError, GridError, InstabilityError, SteeringError,
                      UsageError)
-from .funcs import MemoryKernel, TimeFunction, constant
+from .funcs import MemoryKernel, TimeFunction
 from .measure import (JumpMeasure, RegulatedTrajectory, TimeGrid,
                       build_time_grid, constant_measure, density_on_grid,
-                      jump_sizes_on_grid, lebesgue_measure, ls_integral,
-                      zeno_measure)
-from .scenario import (NonlinearityEval, NonlocalEval, Scenario, Tolerances,
-                       assemble_scenario)
+                      jump_sizes_on_grid, lebesgue_measure, zeno_measure)
+from .scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
 from .scenario_io import (parse_scenario, run_command, serialize_scenario,
                           write_control_csv, write_trajectory_csv)
 from .solver import (PicardResult, apply_psi, discontinuity_count,
                      initial_iterate, jump_consistency, picard_solve)
 from .spectral import (AutonomyReport, LinearPart, PdeReport, ResolventTable,
-                       SpectralBasis, build_resolvent_table,
-                       check_autonomous_reduction, make_basis, sample_resolvent,
-                       verify_resolvent_pde)
+                       SpectralBasis, check_autonomous_reduction, make_basis,
+                       sample_resolvent, verify_resolvent_pde)
 
 __version__ = "0.1.0"

@@ -25,6 +25,8 @@ def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
 def trapezoid_prefix_matrix(nodes: np.ndarray) -> np.ndarray:
     """Lower-triangular matrix W with row j = trapezoid weights on [t_0, t_j].
 
+    No command calls it; it stays while bench/tracer.py wraps it by name.
+
     W[j] @ f equals the composite trapezoid of f over the first j cells; row 0
     is zero.  Rows are cumulative, so subdividing an integration range at any
     node is exact.
@@ -93,6 +95,8 @@ def simpson_prefix_edges(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def simpson_prefix_matrix(nodes: np.ndarray) -> np.ndarray:
     """Lower-triangular matrix with row j = Simpson weights on [t_0, t_j].
+
+    No command calls it; it stays while bench/tracer.py wraps it by name.
 
     Each row pairs cells from the left; a row over an odd cell count closes
     its last cell with trapezoid.  The final row coincides with

@@ -68,10 +68,6 @@ class TimeFunction:
         return float(np.max(np.abs(self.value(np.linspace(0.0, a, 4097)))))
 
 
-def constant(v: float) -> TimeFunction:
-    return TimeFunction("const", c0=v)
-
-
 @dataclass(frozen=True)
 class MemoryKernel:
     """Convolution-type kernel G(t, s) = c0 * exp(-rate*(t-s)), on t >= s.
@@ -95,15 +91,6 @@ class MemoryKernel:
             object.__setattr__(self, "c0", 0.0)
         if self.kind != "exp_diff":
             object.__setattr__(self, "rate", 0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.c0 == 0.0
-
-    def value(self, t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return self.c0 * np.exp(-self.rate * (t - s))
 
     def sup_abs(self, a: float) -> float:
         return abs(self.c0) * max(1.0, float(np.exp(-self.rate * a)))

@@ -11,7 +11,7 @@ p(t+) = p(t) + f(t) * jump(t) at every jump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class JumpMeasure:
     density_values: np.ndarray
     jump_locs: np.ndarray
     jump_sizes: np.ndarray
-    _density_cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = float(self.domain_end)
@@ -78,16 +77,15 @@ class JumpMeasure:
                                   f"more than {tol:g} from either end")
             if np.any(sizes <= 0.0) or not np.all(np.isfinite(sizes)):
                 raise UsageError("jump sizes must be finite and positive")
-        cum = np.zeros(len(dn))
-        np.cumsum(np.diff(dn) * (dv[:-1] + dv[1:]) / 2.0, out=cum[1:])
         for name, arr in (("density_nodes", dn), ("density_values", dv),
-                          ("jump_locs", locs), ("jump_sizes", sizes),
-                          ("_density_cum", cum)):
+                          ("jump_locs", locs), ("jump_sizes", sizes)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def density_mass(self) -> float:
-        return float(self._density_cum[-1])
+        """Trapezoid of the density over [0, a], summed in order as a running sum."""
+        dn, dv = self.density_nodes, self.density_values
+        return float(np.cumsum(np.diff(dn) * (dv[:-1] + dv[1:]) / 2.0)[-1])
 
     def total_jump_mass(self) -> float:
         return math.fsum(self.jump_sizes)
@@ -146,15 +144,6 @@ class TimeGrid:
     def end(self) -> float:
         return float(self.nodes[-1])
 
-    def node_index(self, t: float) -> int:
-        """Index of the node equal to t (within tolerance); GridError otherwise."""
-        i = int(np.searchsorted(self.nodes, t))
-        tol = _location_tol(self.end)
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.nodes) and abs(self.nodes[j] - t) <= tol:
-                return j
-        raise GridError(f"t={t!r} is not a grid node")
-
     def is_uniform(self) -> bool:
         d = np.diff(self.nodes)
         return bool(np.max(d) - np.min(d) <= _UNIFORM_REL_TOL * np.max(d))
@@ -189,10 +178,11 @@ def density_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
 def jump_sizes_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
     """Per-node jump sizes (zero off jump nodes); grid must contain all jumps.
 
-    Each jump goes to the node ``TimeGrid.node_index`` finds: the node just
-    below its ``searchsorted`` position if that lies within the matching
-    tolerance, else the node at it.  (node_index's third candidate, the node
-    above, is farther than the one at the position, so it never matches.)
+    Each jump goes to the node within the matching tolerance of it: the node
+    just below its ``searchsorted`` position if that one matches, else the
+    node at that position; a jump neither matches raises GridError.  The
+    node after the position is farther from the jump than the node at it,
+    so it is never the only match.
     """
     out = np.zeros(len(grid))
     nodes, locs = grid.nodes, h.jump_locs
@@ -230,57 +220,3 @@ class RegulatedTrajectory:
         r.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "right_values", r)
-
-    def sup_norm(self) -> float:
-        """sup over nodes of the state norm, taken over left and right values."""
-        return max(_state_norms(self.values).max(), _state_norms(self.right_values).max())
-
-
-def _state_norms(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim == 1:
-        return np.abs(arr)
-    return np.sqrt(np.sum(arr * arr, axis=-1))
-
-
-def _samples_for(grid: TimeGrid, f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 0:
-        return np.full(len(grid), float(f))
-    if f.shape[0] != len(grid) or not np.all(np.isfinite(f)):
-        raise GridError("integrand must provide one finite sample per grid node")
-    return f
-
-
-def ls_integral(f, h: JumpMeasure, grid: TimeGrid, t0: float, t1: float):
-    """Stieltjes integral of f against dh over the half-open window [t0, t1).
-
-    f is node-sampled on the grid (scalar per node, or a vector per node).
-    The density part is a composite trapezoid over [t0, t1]; jumps located in
-    [t0, t1) contribute f(t_i) * d_i using the LEFT value of f.
-
-    Both endpoints must be grid nodes.
-    """
-    if t1 < t0:
-        raise UsageError(f"integration window reversed: [{t0}, {t1})")
-    f = _samples_for(grid, f)
-    i0 = grid.node_index(t0)
-    i1 = grid.node_index(t1)
-    hp = density_on_grid(h, grid)
-    fh = f * (hp if f.ndim == 1 else hp[:, None])
-    d = np.diff(grid.nodes[i0:i1 + 1])
-    if f.ndim == 1:
-        acc = float(np.sum(d * (fh[i0:i1] + fh[i0 + 1:i1 + 1]) / 2.0)) if i1 > i0 else 0.0
-    else:
-        acc = (d[:, None] * (fh[i0:i1] + fh[i0 + 1:i1 + 1]) / 2.0).sum(axis=0) \
-            if i1 > i0 else np.zeros(f.shape[1])
-    tol = _location_tol(h.domain_end)
-    terms = [f[grid.node_index(loc)] * size
-             for loc, size in zip(h.jump_locs, h.jump_sizes)
-             # half-open: jump at t0 in, jump at t1 out
-             if t0 - tol <= loc < t1 - tol]
-    if not terms:
-        return acc
-    # compensated summation so telescoping jump families cancel exactly
-    if f.ndim == 1:
-        return acc + math.fsum(terms)
-    return acc + np.array([math.fsum(col) for col in zip(*terms)])

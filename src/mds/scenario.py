@@ -32,8 +32,7 @@ from ._quad import simpson_prefix_matrix, trapezoid_prefix_matrix  # noqa: F401
 from ._quad import simpson_prefix_edges, simpson_weights, trapezoid_weights
 from .errors import UsageError
 from .funcs import TimeFunction
-from .measure import (JumpMeasure, TimeGrid, build_time_grid, density_on_grid,
-                      jump_sizes_on_grid)
+from .measure import JumpMeasure, TimeGrid, density_on_grid, jump_sizes_on_grid
 from .spectral import build_resolvent_table  # noqa: F401 -- wrapped by bench/tracer.py
 from .spectral import (LinearPart, SpectralBasis, StepMaps, resolvent_final_row,
                        step_maps)
@@ -234,18 +233,3 @@ class Scenario:
 
     def g_of(self, values: np.ndarray) -> np.ndarray:
         return self.nonlocal_term.apply(self.basis, self.grid, values)
-
-
-def assemble_scenario(basis: SpectralBasis, linear: LinearPart, h: JumpMeasure,
-                      base_nodes: int, zeta0, zeta1,
-                      nonlinearity: NonlinearityEval | None = None,
-                      nonlocal_term: NonlocalEval | None = None,
-                      theta=1.0, tol: Tolerances | None = None,
-                      config: dict | None = None) -> Scenario:
-    """Build a Scenario on the merged grid (uniform base + jump nodes)."""
-    grid = build_time_grid(h, base_nodes)
-    return Scenario(basis, linear, h, grid, np.asarray(zeta0, dtype=float),
-                    np.asarray(zeta1, dtype=float),
-                    nonlinearity or NonlinearityEval("zero"),
-                    nonlocal_term or NonlocalEval("zero"),
-                    theta, tol or Tolerances(), config)

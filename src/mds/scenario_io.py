@@ -38,6 +38,9 @@ from .spectral import (LinearPart, check_autonomous_reduction, make_basis,
 
 MAX_MODES = 256
 MAX_NODES = 65536
+# max_picard and max_outer: a document can ask for at most this many sweeps
+# per solve and outer steering passes, so a run's work is bounded by its grid
+MAX_ITERATIONS = 1024
 # |v| of every number a document carries (a coefficient of a time function,
 # kernel or nonlinearity, a gain, a state, a jump size, d, a tolerance) and
 # exp(-rate a) of a kernel: a product of three such numbers stays finite
@@ -46,6 +49,7 @@ MAX_COEFFICIENT = 1e100
 # matching tolerance, and a few horizons times coefficients stay finite
 HORIZON_RANGE = (1e-6, 1e6)
 _SOLVER_ARRAYS = 16     # (M, N) arrays a psi sweep or a steering pass holds at once
+_COLLOCATION_ARRAYS = 3     # (M, J) arrays a psi sweep holds at once at the J nodes
 _DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
              for cls in (TimeFunction, MemoryKernel, Tolerances)}
 
@@ -249,7 +253,8 @@ def parse_scenario(doc: dict) -> Scenario:
     tl = doc.map("tolerances", _DEFAULTS[Tolerances], default={})
     try:
         tol = Tolerances(**{
-            name: (tl.integer(name, default=default) if isinstance(default, int)
+            name: (tl.integer(name, 0, MAX_ITERATIONS, default=default)
+                   if isinstance(default, int)
                    else tl.number(name, default))
             for name, default in _DEFAULTS[Tolerances].items()})
     except UsageError as exc:
@@ -261,14 +266,18 @@ def parse_scenario(doc: dict) -> Scenario:
         if len(grid) > MAX_NODES:
             raise ConfigError("$.grid.nodes", f"merged grid has {len(grid)} nodes, "
                               f"more than {MAX_NODES}")
-        # the solver's few (M, N) arrays; verify-resolvent's sampled columns
+        # the solver's few (M, N) arrays, plus the (M, J) path values a sweep
+        # synthesizes at the J collocation nodes for the cosine nonlinearity
+        # or the log-kernel nonlocal term; verify-resolvent's sampled columns
         # are charged by sample_resolvent, the only command that marches them
-        need = 8 * len(grid) * n_modes * _SOLVER_ARRAYS
+        synthesized = nonlinearity.kind == "cosine" or nonlocal_term.kind == "log_kernel"
+        j_count = collocation if synthesized else 0
+        need = 8 * len(grid) * (n_modes * _SOLVER_ARRAYS + j_count * _COLLOCATION_ARRAYS)
         have = physical_memory()
         if need > have:
             raise ConfigError("$.grid.nodes", f"{len(grid)} merged nodes x {n_modes} modes "
-                              f"need about {need:.3g} bytes, more than the "
-                              f"{have:.3g} bytes of physical memory")
+                              f"and {j_count} collocation nodes need about {need:.3g} "
+                              f"bytes, more than the {have:.3g} bytes of physical memory")
         scn = Scenario(basis, LinearPart(tau, kernel), h, grid, zeta0, zeta1,
                        nonlinearity, nonlocal_term, theta, tol, config=doc.out)
     except (UsageError, DomainError, GridError) as exc:
@@ -277,7 +286,10 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def serialize_scenario(scn: Scenario) -> dict:
-    """The canonical document this scenario was parsed from."""
+    """The canonical document this scenario was parsed from.
+
+    No command calls it yet; a run record is to hash the document it returns.
+    """
     if scn.config is None:
         raise UsageError("scenario was assembled in code; no source document to emit")
     return json.loads(json.dumps(scn.config))

@@ -5,10 +5,10 @@
                   + int_[0,t) R(t,s) delta(s, zeta(s)) dh(s)
 
 The u integral is Lebesgue (Simpson prefix rows); the dh integral goes
-through the Scenario's single dh rule (density trapezoid plus the jumps
-strictly before t at left values, matching ls_integral).  Right values at
-jump nodes carry the increment delta(t, zeta(t)) * jump(t) because
-R(t,t) = Id.
+through the Scenario's single dh rule: the density by trapezoid over
+[0, t] plus f(t_i) d_i for each jump t_i < t, at the left value of f, so a
+jump counts only after its node.  Right values at jump nodes carry the
+increment delta(t, zeta(t)) * jump(t) because R(t,t) = Id.
 
 One sweep is one forced run of the resolvent recurrence, O(N M), on the
 step maps the Scenario holds for the whole run: the seed at row s is the

@@ -395,6 +395,10 @@ def _table(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
 
 def build_resolvent_table(basis: SpectralBasis, linear: LinearPart,
                           grid: TimeGrid) -> ResolventTable:
+    """The full table, every node an anchor: the tests' dense reference.
+
+    No command calls it; it stays while bench/tracer.py wraps and builds it.
+    """
     return _table(basis, linear, grid, np.arange(len(grid)))
 
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mds import parse_scenario
+from mds import (JumpMeasure, LinearPart, NonlinearityEval, NonlocalEval, Scenario,
+                 SpectralBasis, Tolerances, build_time_grid, parse_scenario)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -24,6 +26,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+
+
+def assemble_scenario(basis: SpectralBasis, linear: LinearPart, h: JumpMeasure,
+                      base_nodes: int, zeta0, zeta1,
+                      nonlinearity: NonlinearityEval | None = None,
+                      nonlocal_term: NonlocalEval | None = None,
+                      theta=1.0, tol: Tolerances | None = None,
+                      config: dict | None = None) -> Scenario:
+    """A Scenario built in code on the merged grid (uniform base + jump nodes)."""
+    grid = build_time_grid(h, base_nodes)
+    return Scenario(basis, linear, h, grid, np.asarray(zeta0, dtype=float),
+                    np.asarray(zeta1, dtype=float),
+                    nonlinearity or NonlinearityEval("zero"),
+                    nonlocal_term or NonlocalEval("zero"),
+                    theta, tol or Tolerances(), config)
 
 
 def load_config(name: str) -> dict:

@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 
 from mds import (ConditionConstants, LinearPart, MemoryKernel, TimeFunction,
-                 assemble_scenario, build_report, build_resolvent_table,
-                 build_time_grid, check_autonomous_reduction, check_cond1,
-                 check_cond2, check_example_conditions, constant_measure,
-                 discontinuity_count, jump_consistency, ls_integral,
+                 build_report, build_time_grid, check_autonomous_reduction,
+                 check_cond1, check_cond2, check_example_conditions,
+                 constant_measure, discontinuity_count, jump_consistency,
                  make_basis, parse_scenario, picard_solve, sample_resolvent,
                  steer, verify_resolvent_pde, zeno_measure)
+from mds.spectral import build_resolvent_table
 
-from conftest import load_config, record_criterion
+from conftest import assemble_scenario, load_config, record_criterion
+from test_measure import ls_integral
 from test_spectral import second_order_oracle, solve_mode_resolvent
 
 

@@ -48,7 +48,7 @@ import mds.scenario_io
 import mds.spectral
 from mds import (ConfigError, JumpMeasure, build_time_grid, constant_measure,
                  parse_scenario, run_command, serialize_scenario, zeno_measure)
-from mds.scenario_io import HORIZON_RANGE, MAX_COEFFICIENT, MAX_NODES
+from mds.scenario_io import HORIZON_RANGE, MAX_COEFFICIENT, MAX_ITERATIONS, MAX_NODES
 from mds.spectral import ANCHOR_BLOCK
 
 COMMANDS = ("simulate", "steer", "check-conditions", "verify-resolvent")
@@ -163,7 +163,8 @@ MUTATIONS = [
     (_set("basis", "N"), [0, 257]),                                # counts out of range
     (_set("grid", "nodes"), [1, 65537]),
     (_set("measure"), [{"family": "zeno", "K": 1}]),
-    (_set("tolerances", "max_picard"), [-1]),
+    (_set("tolerances", "max_picard"), [-1, MAX_ITERATIONS + 1, 10 ** 9]),
+    (_set("tolerances", "max_outer"), [-1, MAX_ITERATIONS + 1]),
 ]
 
 
@@ -221,6 +222,19 @@ def test_extreme_magnitude_ends_in_a_typed_error(tmp_path, command, path, value,
         assert text.startswith("config error: $." + ".".join(path) + ":")
     else:
         assert "exceeded the overflow guard" in text
+
+
+@pytest.mark.parametrize("key", ["max_picard", "max_outer"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_iteration_limits_above_the_cap_are_refused(tmp_path, command, key):
+    # simulate with max_picard 1e9 and an unreachable tol_picard was still sweeping after 20 s
+    doc = _small_doc()
+    doc["tolerances"] = {key: MAX_ITERATIONS}
+    assert getattr(parse_scenario(doc).tol, key) == MAX_ITERATIONS
+    doc["tolerances"] = {key: 10 ** 9}
+    code, text = _run(command, doc, tmp_path)
+    assert code == 1
+    assert text.startswith(f"config error: $.tolerances.{key}:")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -8,10 +8,12 @@ import pytest
 
 from mds import (ControlSignal, DegenerateModeError, GridError, LinearPart,
                  MemoryKernel, SteeringError, TimeFunction, Tolerances,
-                 assemble_scenario, constant_measure, estimate_constants, gramians,
-                 make_basis, min_norm_inverse, steer, steering_residual,
-                 synthesize_control, terminal_error)
+                 constant_measure, estimate_constants, gramians, make_basis,
+                 min_norm_inverse, steer, steering_residual, synthesize_control,
+                 terminal_error)
 from mds.control import _weights_for
+
+from conftest import assemble_scenario
 
 
 def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
@@ -171,7 +173,8 @@ def test_demo_steer_report_is_consistent(demo_scn, demo_steered):
 
 def test_demo_control_norm_within_apriori_bound(demo_scn, demo_steered):
     k = estimate_constants(demo_scn)
-    r = demo_steered.trajectory.sup_norm()
+    traj = demo_steered.trajectory
+    r = np.linalg.norm(np.concatenate([traj.values, traj.right_values]), axis=-1).max()
     rhs = k.L3 * (np.linalg.norm(demo_scn.zeta1) + k.L1 * np.linalg.norm(demo_scn.zeta0)
                   + (1.0 + k.L1) * (k.c * r + k.d) + k.L1 * r * k.n_mass)
     assert demo_steered.report.control_norm <= rhs

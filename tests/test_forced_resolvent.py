@@ -82,12 +82,14 @@ from hypothesis import strategies as st
 
 from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  NonlinearityEval, RegulatedTrajectory, TimeFunction, apply_psi,
-                 assemble_scenario, build_resolvent_table, build_time_grid,
-                 constant_measure, density_on_grid, initial_iterate,
-                 lebesgue_measure, make_basis, zeno_measure)
+                 build_time_grid, constant_measure, density_on_grid,
+                 initial_iterate, lebesgue_measure, make_basis, zeno_measure)
 from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
-from mds.spectral import (StepMaps, _guard, _march, _step, resolvent_final_row,
-                          resolvent_sums, resolvent_sup, step_maps)
+from mds.spectral import (StepMaps, _guard, _march, _step, build_resolvent_table,
+                          resolvent_final_row, resolvent_sums, resolvent_sup,
+                          step_maps)
+
+from conftest import assemble_scenario
 
 EPS = np.finfo(float).eps
 RUNNING_ULPS = 32.0
@@ -265,7 +267,7 @@ def test_march_matches_the_elementwise_march(tau, kernel, measure, n_count, colu
     new = _march(step_maps(modes, linear, grid), seeds, np.empty(shape))
     j = np.arange(m_count)[:, None]
     assert np.all(np.abs(new - old) <= RUNNING_ULPS * (j + 1) * EPS * maj)
-    if kernel.is_zero:
+    if kernel.c0 == 0.0:
         steps = step_maps(modes, linear, grid)
         assert np.array_equal(row_march(steps, seeds, np.empty(shape)), old)
         assert np.all(np.abs(new - old) <= 6.0 * (j + 1) * EPS * maj)

@@ -9,8 +9,63 @@ from hypothesis import strategies as st
 
 from mds import (DomainError, GridError, JumpMeasure, RegulatedTrajectory,
                  TimeGrid, UsageError, build_time_grid, constant_measure,
-                 density_on_grid, jump_sizes_on_grid, ls_integral, zeno_measure)
-from mds.measure import _location_tol, _samples_for
+                 density_on_grid, jump_sizes_on_grid, zeno_measure)
+from mds.measure import _location_tol
+
+
+def node_index(grid: TimeGrid, t: float) -> int:
+    """Index of the node equal to t (within tolerance); GridError otherwise."""
+    i = int(np.searchsorted(grid.nodes, t))
+    tol = _location_tol(grid.end)
+    for j in (i - 1, i, i + 1):
+        if 0 <= j < len(grid.nodes) and abs(grid.nodes[j] - t) <= tol:
+            return j
+    raise GridError(f"t={t!r} is not a grid node")
+
+
+def _samples_for(grid: TimeGrid, f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.ndim == 0:
+        return np.full(len(grid), float(f))
+    if f.shape[0] != len(grid) or not np.all(np.isfinite(f)):
+        raise GridError("integrand must provide one finite sample per grid node")
+    return f
+
+
+def ls_integral(f, h: JumpMeasure, grid: TimeGrid, t0: float, t1: float):
+    """Stieltjes integral of f against dh over the half-open window [t0, t1).
+
+    A test reference, written apart from the Scenario's dh rule.  f is
+    node-sampled on the grid (scalar per node, or a vector per node).  The
+    density part is a composite trapezoid over [t0, t1]; jumps located in
+    [t0, t1) contribute f(t_i) * d_i using the LEFT value of f.
+
+    Both endpoints must be grid nodes.
+    """
+    if t1 < t0:
+        raise UsageError(f"integration window reversed: [{t0}, {t1})")
+    f = _samples_for(grid, f)
+    i0 = node_index(grid, t0)
+    i1 = node_index(grid, t1)
+    hp = density_on_grid(h, grid)
+    fh = f * (hp if f.ndim == 1 else hp[:, None])
+    d = np.diff(grid.nodes[i0:i1 + 1])
+    if f.ndim == 1:
+        acc = float(np.sum(d * (fh[i0:i1] + fh[i0 + 1:i1 + 1]) / 2.0)) if i1 > i0 else 0.0
+    else:
+        acc = (d[:, None] * (fh[i0:i1] + fh[i0 + 1:i1 + 1]) / 2.0).sum(axis=0) \
+            if i1 > i0 else np.zeros(f.shape[1])
+    tol = _location_tol(h.domain_end)
+    terms = [f[node_index(grid, loc)] * size
+             for loc, size in zip(h.jump_locs, h.jump_sizes)
+             # half-open: jump at t0 in, jump at t1 out
+             if t0 - tol <= loc < t1 - tol]
+    if not terms:
+        return acc
+    # compensated summation so telescoping jump families cancel exactly
+    if f.ndim == 1:
+        return acc + math.fsum(terms)
+    return acc + np.array([math.fsum(col) for col in zip(*terms)])
 
 
 def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> RegulatedTrajectory:
@@ -21,7 +76,7 @@ def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> RegulatedT
     Nodes before t0 carry 0.
     """
     f = _samples_for(grid, f)
-    i0 = grid.node_index(t0)
+    i0 = node_index(grid, t0)
     hp = density_on_grid(h, grid)
     sizes = jump_sizes_on_grid(h, grid)
     shape = (len(grid),) if f.ndim == 1 else (len(grid), f.shape[1])
@@ -120,9 +175,9 @@ def test_node_index_tolerance_and_failure():
     grid = build_time_grid(zeno_measure(5), 65)
     loc = 1.0 - 1.0 / 3.0
     # 1 - 1/3 and 2/3 differ by one ulp; both must resolve to the jump node
-    assert grid.nodes[grid.node_index(2.0 / 3.0)] == loc
+    assert grid.nodes[node_index(grid, 2.0 / 3.0)] == loc
     with pytest.raises(GridError):
-        grid.node_index(0.1234567)
+        node_index(grid, 0.1234567)
 
 
 def test_jump_sizes_on_grid_alignment():
@@ -150,7 +205,7 @@ def jump_sizes_on_grid_loop(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
     """Reference for ``jump_sizes_on_grid``: one ``node_index`` per jump."""
     out = np.zeros(len(grid))
     for loc, size in zip(h.jump_locs, h.jump_sizes):
-        out[grid.node_index(loc)] = size
+        out[node_index(grid, loc)] = size
     return out
 
 
@@ -236,7 +291,7 @@ def test_ls_integral_uses_left_values_at_jumps():
     h = _unit_jump(0.5, 2.0)
     grid = build_time_grid(h, 9)
     f = np.where(grid.nodes < 0.5, 3.0, 7.0)
-    i = grid.node_index(0.5)
+    i = node_index(grid, 0.5)
     f[i] = 3.0                     # left value at the jump node
     assert ls_integral(f, h, grid, 0.0, 1.0) == 6.0
 
@@ -316,7 +371,7 @@ def test_cumulative_of_unit_jump_is_a_step():
     h = _unit_jump(0.5)
     grid = build_time_grid(h, 9)
     traj = cumulative(np.ones(len(grid)), h, grid)
-    i = grid.node_index(0.5)
+    i = node_index(grid, 0.5)
     assert np.all(traj.values[:i + 1] == 0.0)
     assert traj.right_values[i] == 1.0
     assert np.all(traj.values[i + 1:] == 1.0)
@@ -326,21 +381,12 @@ def test_cumulative_respects_start_time():
     h = _unit_jump(0.25)
     grid = build_time_grid(h, 9)
     traj = cumulative(np.ones(len(grid)), h, grid, t0=0.5)
-    i = grid.node_index(0.5)
+    i = node_index(grid, 0.5)
     assert np.all(traj.values[:i + 1] == 0.0)
     assert traj.values[-1] == 0.0      # no density, jump was before t0
 
 
 # ---------------------------------------------------------------- trajectories
-
-def test_trajectory_sup_norm_covers_right_values():
-    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-    vals = np.zeros((3, 2))
-    right = vals.copy()
-    right[1] = [3.0, 4.0]
-    traj = RegulatedTrajectory(grid, vals, right)
-    assert traj.sup_norm() == 5.0
-
 
 def test_trajectory_shape_mismatch_rejected():
     grid = TimeGrid(np.array([0.0, 1.0]))

@@ -14,9 +14,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mds import (LinearPart, MemoryKernel, TimeFunction, assemble_scenario,
-                 build_time_grid, constant_measure, make_basis, zeno_measure)
+from mds import (LinearPart, MemoryKernel, TimeFunction, build_time_grid,
+                 constant_measure, make_basis, zeno_measure)
 from mds._quad import simpson_prefix_edges, simpson_prefix_matrix, simpson_weights
+
+from conftest import assemble_scenario
 
 
 def reference_simpson_weights(nodes: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ def reference_etd_build(modes, grid, linear, anchors):
     n2 = modes.astype(float) ** 2
     tau_cum = linear.tau.antiderivative(nodes)
     exmat = np.exp(-np.outer(n2, np.diff(tau_cum)))     # (n_count, M-1), exact
-    kernel = linear.kernel.value(nodes[:, None], nodes[None, :])
+    kernel = linear.kernel.c0 * np.exp(-linear.kernel.rate * (nodes[:, None] - nodes[None, :]))
 
     wfull = np.empty(m_count)
     wfull[0] = d[0] / 2.0

@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 
 from mds import (ConfigError, InstabilityError, RegulatedTrajectory, UsageError,
-                 assemble_scenario, build_resolvent_table, constant_measure,
-                 LinearPart, MemoryKernel, TimeFunction, Tolerances, make_basis,
-                 parse_scenario, run_command, serialize_scenario,
-                 write_control_csv, write_trajectory_csv)
+                 constant_measure, LinearPart, MemoryKernel, TimeFunction,
+                 Tolerances, make_basis, parse_scenario, run_command,
+                 serialize_scenario, write_control_csv, write_trajectory_csv)
 import mds._quad
 import mds.scenario
 import mds.spectral
 from mds import scenario_io
 from mds.cli import main as cli_main
 from mds.scenario_io import MAX_NODES
+from mds.spectral import build_resolvent_table
 
-from conftest import load_config
+from conftest import assemble_scenario, load_config
 
 
 def tiny_doc(**overrides):
@@ -57,7 +57,7 @@ def test_shipped_linear_config_parses():
 def test_shipped_resolvent_config_parses():
     scn = parse_scenario(load_config("resolvent_check.json"))
     assert scn.n_modes == 4
-    assert not scn.linear.kernel.is_zero
+    assert scn.linear.kernel.c0 != 0.0
 
 
 def test_minimal_document_gets_defaults():
@@ -67,7 +67,7 @@ def test_minimal_document_gets_defaults():
     assert scn.tol.tol_picard == 1e-10
     assert scn.tol.max_picard == 64
     assert scn.basis.collocation == 5
-    assert scn.linear.kernel.is_zero
+    assert scn.linear.kernel.c0 == 0.0
 
 
 @pytest.mark.parametrize("mutate, path_fragment", [
@@ -173,6 +173,23 @@ def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, c
     assert out.startswith("validation error: the resolvent sample of 65 nodes x 2 modes")
     assert f"{8 * 65 * 2 * 64:.3g} bytes" in out
     assert not (tmp_path / "verify" / "resolvent_report.txt").exists()
+
+
+def test_synthesized_collocation_values_are_charged(monkeypatch, tmp_path, capsys):
+    # 65 nodes x 2 modes: the solver's 16 columns take 16640 bytes, and the
+    # cosine nonlinearity's 3 (M, J) arrays at J = 2048 take 3194880, against
+    # 1 MiB of "memory"; the J values were not charged before
+    _physical_memory(monkeypatch, 256)
+    doc = tiny_doc(basis={"N": 2, "collocation": 2048})
+    parse_scenario(doc)                                 # nothing is synthesized
+    doc["nonlinearity"] = {"kind": "cosine", "M0": 0.1}
+    assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
+    assert run_command("steer", doc, str(tmp_path)) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("config error: $.grid.nodes: 65 merged nodes x 2 modes "
+                          "and 2048 collocation nodes")
+    assert f"{8 * 65 * (2 * 16 + 2048 * 3):.3g} bytes" in out
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_large_grid_parses_without_a_square_budget(monkeypatch):

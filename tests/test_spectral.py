@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mds import (GridError, InstabilityError, LinearPart, MemoryKernel,
-                 TimeFunction, UsageError, build_resolvent_table, build_time_grid,
+                 TimeFunction, UsageError, build_time_grid,
                  check_autonomous_reduction, constant_measure, make_basis,
                  sample_resolvent, verify_resolvent_pde)
-from mds.spectral import _etd_build, resolvent_sup, step_maps
+from mds.spectral import _etd_build, build_resolvent_table, resolvent_sup, step_maps
 
 
 def _grid(nodes: int, end: float = 1.0):

@@ -27,10 +27,11 @@ from hypothesis import strategies as st
 
 from mds import (AutonomyReport, GridError, InstabilityError, JumpMeasure, LinearPart,
                  MemoryKernel, PdeReport, ResolventTable, TimeFunction, UsageError,
-                 build_resolvent_table, build_time_grid, check_autonomous_reduction,
-                 constant_measure, make_basis, parse_scenario, run_command,
-                 sample_resolvent, verify_resolvent_pde, zeno_measure)
+                 build_time_grid, check_autonomous_reduction, constant_measure,
+                 make_basis, parse_scenario, run_command, sample_resolvent,
+                 verify_resolvent_pde, zeno_measure)
 from mds._quad import trapezoid_prefix_matrix
+from mds.spectral import build_resolvent_table
 
 from conftest import load_config
 
@@ -60,7 +61,8 @@ def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3)
     m_count = len(nodes)
     n2 = table.basis.mode_numbers.astype(float) ** 2
     tau = table.linear.tau.value(nodes)
-    kernel = table.linear.kernel.value(nodes[:, None], nodes[None, :])
+    kernel = table.linear.kernel.c0 * np.exp(-table.linear.kernel.rate
+                                             * (nodes[:, None] - nodes[None, :]))
     prefix = trapezoid_prefix_matrix(nodes)
     horizon = table.grid.end
     scale = np.array([table.linear.residual_scale(n, horizon)
@@ -179,7 +181,8 @@ def memory_rounding_bound(table: ResolventTable) -> np.ndarray:
     """Per mode: 8 (M + 2) eps n^2 max_(k, j>k) sum_u |w_u G(t_j, t_u) r_n(t_u, t_k)|."""
     nodes = table.grid.nodes
     m_count = len(nodes)
-    kernel = np.abs(table.linear.kernel.value(nodes[:, None], nodes[None, :]))
+    kernel = np.abs(table.linear.kernel.c0 * np.exp(-table.linear.kernel.rate
+                                                    * (nodes[:, None] - nodes[None, :])))
     prefix = trapezoid_prefix_matrix(nodes)
     anchor_list = reference_anchors(m_count)
     worst = np.zeros(table.basis.n_modes)
