@@ -131,25 +131,6 @@ class ConditionReport:
     def margins(self) -> tuple[float, float]:
         return 1.0 - self.lhs_cond1, 1.0 - self.lhs_cond2
 
-    def as_lines(self) -> list[str]:
-        k = self.constants
-        m1, m2 = self.margins
-        return [
-            f"L1={k.L1:.17g}", f"L2={k.L2:.17g}", f"L3={k.L3:.17g}",
-            f"c={k.c:.17g}", f"d={k.d:.17g}", f"gamma={k.gamma:.17g}",
-            f"n_mass={k.n_mass:.17g}", f"U_mass={k.U_mass:.17g}",
-            f"PZ_mass={k.PZ_mass:.17g}", f"horizon={k.horizon:.17g}",
-            f"cond1_lhs={self.lhs_cond1:.17g}",
-            f"cond1_pass={str(self.pass_cond1).lower()}",
-            f"cond1_margin={m1:.17g}",
-            f"cond2_lhs={self.lhs_cond2:.17g}",
-            f"cond2_pass={str(self.pass_cond2).lower()}",
-            f"cond2_margin={m2:.17g}",
-            f"worked1_lhs={self.lhs_worked1:.17g}",
-            f"worked2_lhs={self.lhs_worked2:.17g}",
-            f"examples_pass={str(self.pass_examples).lower()}",
-        ]
-
 
 def build_report(scn: Scenario) -> ConditionReport:
     """Full condition report; the specialized forms use the measured constants."""

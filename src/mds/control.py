@@ -107,16 +107,6 @@ class SteeringReport:
     history: tuple
     converged: bool
 
-    def as_lines(self) -> list[str]:
-        lines = [
-            f"converged={str(self.converged).lower()}",
-            f"terminal_error={self.terminal_error:.17g}",
-            f"outer_iterations={self.outer_iterations}",
-            f"control_norm={self.control_norm:.17g}",
-        ]
-        lines += [f"history_{i}={e:.17g}" for i, e in enumerate(self.history)]
-        return lines
-
 
 @dataclass(frozen=True, eq=False)
 class SteerOutcome:

@@ -13,8 +13,11 @@ import numpy as np
 
 from .errors import UsageError
 
-_TIME_KINDS = ("const", "affine", "sine", "cosine")
-_KERNEL_KINDS = ("zero", "const", "exp_diff")
+# each kind and the coefficients it reads, the keys a config's map of that
+# kind allows besides its kind
+_TIME_KINDS = {"const": ("c0",), "affine": ("c0", "c1"),
+              "sine": ("c0", "c1", "freq"), "cosine": ("c0", "c1", "freq")}
+_KERNEL_KINDS = {"zero": (), "const": ("c0",), "exp_diff": ("c0", "rate")}
 
 
 @dataclass(frozen=True)

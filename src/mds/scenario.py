@@ -37,8 +37,9 @@ from .spectral import build_resolvent_table  # noqa: F401 -- wrapped by bench/tr
 from .spectral import (LinearPart, SpectralBasis, StepMaps, resolvent_final_row,
                        step_maps)
 
-_NL_KINDS = ("zero", "cosine", "table")
-_NONLOCAL_KINDS = ("zero", "log_kernel")
+# each kind and the keys a config's map of that kind allows besides its kind
+_NL_KINDS = {"zero": (), "cosine": ("M0",), "table": ("values",)}
+_NONLOCAL_KINDS = {"zero": (), "log_kernel": ("f", "f_space", "d")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +70,13 @@ class NonlinearityEval:
     def values(self, basis: SpectralBasis, states: np.ndarray) -> np.ndarray:
         """delta at each row of states ((..., N) coefficients in, same shape out)."""
         states = np.asarray(states, dtype=float)
-        if self.kind == "zero":
+        if self.is_zero:
             return np.zeros_like(states)
         if self.kind == "cosine":
-            phys = basis.to_physical(states)
-            return basis.to_modes(self.amplitude * np.cos(phys))
+            phys = basis.to_physical(states)        # a fresh (..., J) array, used in place
+            np.cos(phys, out=phys)
+            phys *= self.amplitude
+            return basis.to_modes(phys)
         return np.broadcast_to(self.table, states.shape).copy()
 
     def bound_const(self) -> float:
@@ -126,8 +129,10 @@ class NonlocalEval:
         if self.kind == "zero":
             return np.zeros(basis.n_modes)
         ft, fx = self._f_grid(basis, grid)
-        phys = basis.to_physical(values)                     # (M, J)
-        inner = np.log1p(np.sqrt(np.abs(phys))) @ basis.weights
+        phys = basis.to_physical(values)        # a fresh (M, J) array, used in place
+        np.abs(phys, out=phys)
+        np.sqrt(phys, out=phys)
+        inner = np.log1p(phys, out=phys) @ basis.weights
         t_int = float(trapezoid_weights(grid.nodes) @ (ft * inner))
         return basis.to_modes(fx * t_int)
 

@@ -1,4 +1,4 @@
-"""Config parsing, canonical serialization, CSV export, command runner.
+"""Config parsing, canonical serialization, CSV and report output, command runner.
 
 Configs are JSON documents with fixed sections; unknown keys anywhere are
 rejected with the dotted path of the offender.  Function-valued entries
@@ -13,6 +13,12 @@ against one table of the keys its kind allows.  Each entry is read once,
 and the value the parse used, default or not, is written into the
 canonical document the Scenario keeps, so two documents that describe the
 same scenario serialize alike.
+
+Every report file is a record, an ordered map of name to value (a float,
+an int or a bool), written one ``name=value`` line per entry by
+``_write_record``.  ``_text`` is the one place a report value becomes
+text: ``%.17g`` (_NUMBER_FORMAT) for a number, ``true``/``false`` for a
+bool; the CSV rows use the same format.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ from .control import steer
 from .errors import (ConfigError, ConvergenceError, DegenerateModeError,
                      DomainError, GridError, InstabilityError, SteeringError,
                      UsageError)
-from .funcs import MemoryKernel, TimeFunction
+from .funcs import _KERNEL_KINDS, _TIME_KINDS, MemoryKernel, TimeFunction
 from .measure import JumpMeasure, build_time_grid, lebesgue_measure, zeno_measure, constant_measure
-from .scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
+from .scenario import (_NL_KINDS, _NONLOCAL_KINDS, NonlinearityEval, NonlocalEval,
+                       Scenario, Tolerances)
 from .solver import discontinuity_count, jump_consistency, picard_solve
 from .spectral import (LinearPart, check_autonomous_reduction, make_basis,
                        physical_memory, sample_resolvent, verify_resolvent_pde)
@@ -49,21 +56,18 @@ MAX_COEFFICIENT = 1e100
 # matching tolerance, and a few horizons times coefficients stay finite
 HORIZON_RANGE = (1e-6, 1e6)
 _SOLVER_ARRAYS = 16     # (M, N) arrays a psi sweep or a steering pass holds at once
-_COLLOCATION_ARRAYS = 3     # (M, J) arrays a psi sweep holds at once at the J nodes
+_COLLOCATION_ARRAYS = 1     # (M, J) arrays a psi sweep holds at once at the J nodes
+_NUMBER_FORMAT = "%.17g"     # every number a report or a CSV row writes
 _DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
              for cls in (TimeFunction, MemoryKernel, Tolerances)}
 
 _SECTIONS = ("basis", "grid", "linear", "measure", "nonlinearity", "nonlocal",
              "control", "states", "tolerances")
 _REQUIRED_SECTIONS = ("basis", "grid", "linear", "measure", "states")
-# the keys each kind of a kinded map allows besides its kind
-_TIME_FIELDS = {"const": ("c0",), "affine": ("c0", "c1"),
-                "sine": ("c0", "c1", "freq"), "cosine": ("c0", "c1", "freq")}
-_KERNEL_FIELDS = {"zero": (), "const": ("c0",), "exp_diff": ("c0", "rate")}
+# the keys each measure family allows besides its family; the other kinded
+# maps read the tables of the classes they build
 _MEASURE_FIELDS = {"zeno": ("K",), "constant": ("end",), "lebesgue": ("end",)}
 _EXPLICIT_MEASURE_FIELDS = ("end", "density", "jumps")
-_NL_FIELDS = {"zero": (), "cosine": ("M0",), "table": ("values",)}
-_NONLOCAL_FIELDS = {"zero": (), "log_kernel": ("f", "f_space", "d")}
 
 
 def _number(v, path: str) -> float:
@@ -176,7 +180,7 @@ def _parse_measure(doc: _Reader, base_nodes: int) -> JumpMeasure:
         return lebesgue_measure(m.horizon(), base_nodes)
     m = doc.map("measure", _EXPLICIT_MEASURE_FIELDS)
     end = m.horizon()
-    density = m.function("density", _TIME_FIELDS, TimeFunction,
+    density = m.function("density", _TIME_KINDS, TimeFunction,
                          default={"kind": "const", "c0": 0.0})
     nodes = np.linspace(0.0, end, max(base_nodes, 2))
     values = density.value(nodes)
@@ -208,15 +212,15 @@ def parse_scenario(doc: dict) -> Scenario:
     base_nodes = doc.map("grid", ("nodes",)).integer("nodes", 2, MAX_NODES)
 
     lin = doc.map("linear", ("tau", "kernel"))
-    tau = lin.function("tau", _TIME_FIELDS, TimeFunction)
-    kernel = lin.function("kernel", _KERNEL_FIELDS, MemoryKernel, default={"kind": "zero"})
+    tau = lin.function("tau", _TIME_KINDS, TimeFunction)
+    kernel = lin.function("kernel", _KERNEL_KINDS, MemoryKernel, default={"kind": "zero"})
 
     h = _parse_measure(doc, base_nodes)
     if -kernel.rate * h.domain_end > math.log(MAX_COEFFICIENT):
         raise ConfigError("$.linear.kernel.rate", f"the kernel grows by more than "
                           f"{MAX_COEFFICIENT:g} over the horizon {h.domain_end:g}")
 
-    kind, nl = doc.kinded("nonlinearity", _NL_FIELDS, default={"kind": "zero"})
+    kind, nl = doc.kinded("nonlinearity", _NL_KINDS, default={"kind": "zero"})
     if kind == "cosine":
         nonlinearity = NonlinearityEval(kind, amplitude=nl.number("M0"))
     elif kind == "table":
@@ -230,10 +234,10 @@ def parse_scenario(doc: dict) -> Scenario:
     else:
         nonlinearity = NonlinearityEval(kind)
 
-    kind, nc = doc.kinded("nonlocal", _NONLOCAL_FIELDS, default={"kind": "zero"})
+    kind, nc = doc.kinded("nonlocal", _NONLOCAL_KINDS, default={"kind": "zero"})
     if kind == "log_kernel":
-        f_time = nc.function("f", _TIME_FIELDS, TimeFunction)
-        f_space = (nc.function("f_space", _TIME_FIELDS, TimeFunction)
+        f_time = nc.function("f", _TIME_KINDS, TimeFunction)
+        f_space = (nc.function("f_space", _TIME_KINDS, TimeFunction)
                    if "f_space" in nc.obj else None)
         d = nc.number("d", default=1.0)
         if d < 0.0:
@@ -267,10 +271,12 @@ def parse_scenario(doc: dict) -> Scenario:
             raise ConfigError("$.grid.nodes", f"merged grid has {len(grid)} nodes, "
                               f"more than {MAX_NODES}")
         # the solver's few (M, N) arrays, plus the (M, J) path values a sweep
-        # synthesizes at the J collocation nodes for the cosine nonlinearity
-        # or the log-kernel nonlocal term; verify-resolvent's sampled columns
-        # are charged by sample_resolvent, the only command that marches them
-        synthesized = nonlinearity.kind == "cosine" or nonlocal_term.kind == "log_kernel"
+        # synthesizes at the J collocation nodes for a nonzero cosine
+        # nonlinearity or the log-kernel nonlocal term; verify-resolvent's
+        # sampled columns are charged by sample_resolvent, the only command
+        # that marches them
+        synthesized = ((nonlinearity.kind == "cosine" and not nonlinearity.is_zero)
+                       or not nonlocal_term.is_zero)
         j_count = collocation if synthesized else 0
         need = 8 * len(grid) * (n_modes * _SOLVER_ARRAYS + j_count * _COLLOCATION_ARRAYS)
         have = physical_memory()
@@ -295,16 +301,26 @@ def serialize_scenario(scn: Scenario) -> dict:
     return json.loads(json.dumps(scn.config))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _text(value) -> str:
+    """A report value as text: _NUMBER_FORMAT for a number, true or false for
+    a bool, numpy's included."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return _NUMBER_FORMAT % value
+
+
+def _write_record(path: str, record: dict) -> None:
+    """One name=value line per entry of the record, in its order."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{name}={_text(value)}\n" for name, value in record.items())
 
 
 def write_trajectory_csv(path: str, scn: Scenario, traj, physical: bool = False) -> None:
     """One row per node (kind=left), plus a kind=right row at each jump node.
 
-    Every number is written "%.17g", the same text as ``_fmt``; each row is
-    one format over ``.tolist()`` values.  The physical columns are
-    synthesized one row at a time: one product over all rows can round
+    Every number is written in _NUMBER_FORMAT, the same text as ``_text``;
+    each row is one format over ``.tolist()`` values.  The physical columns
+    are synthesized one row at a time: one product over all rows can round
     differently.
     """
     header = ["t", "node_kind"] + [f"coeff_{n}" for n in scn.basis.mode_numbers]
@@ -312,7 +328,7 @@ def write_trajectory_csv(path: str, scn: Scenario, traj, physical: bool = False)
     if physical:
         header += [f"phys_{j + 1}" for j in range(scn.basis.collocation)]
         numbers += scn.basis.collocation
-    row_format = ",".join(["%.17g", "%s"] + ["%.17g"] * numbers) + "\n"
+    row_format = ",".join([_NUMBER_FORMAT, "%s"] + [_NUMBER_FORMAT] * numbers) + "\n"
     jump_rows = set(int(i) for i in scn.jump_rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -329,16 +345,11 @@ def write_trajectory_csv(path: str, scn: Scenario, traj, physical: bool = False)
 
 def write_control_csv(path: str, scn: Scenario, samples: np.ndarray) -> None:
     header = ["t"] + [f"u_coeff_{n}" for n in scn.basis.mode_numbers]
-    row_format = ",".join(["%.17g"] * (1 + scn.basis.n_modes)) + "\n"
+    row_format = ",".join([_NUMBER_FORMAT] * (1 + scn.basis.n_modes)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row_format % (t, *row) for t, row in
                       zip(scn.grid.nodes.tolist(), np.asarray(samples).tolist()))
-
-
-def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def run_command(cmd: str, doc: dict, out_dir: str = ".",
@@ -358,13 +369,9 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
             write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
                                  scn, traj, physical)
             violation = jump_consistency(traj, scn)
-            lines = [
-                f"picard_iterations={result.iterations}",
-                f"final_delta={_fmt(result.final_delta)}",
-                f"jump_consistency={_fmt(violation)}",
-                f"discontinuities={discontinuity_count(traj)}",
-            ]
-            _write_lines(os.path.join(out_dir, "simulate.txt"), lines)
+            _write_record(os.path.join(out_dir, "simulate.txt"), dict(
+                picard_iterations=result.iterations, final_delta=result.final_delta,
+                jump_consistency=violation, discontinuities=discontinuity_count(traj)))
             say(f"simulate: {result.iterations} sweeps, "
                 f"jump consistency {violation:.3e}")
             return 0
@@ -374,16 +381,26 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
                                  scn, outcome.trajectory, physical)
             write_control_csv(os.path.join(out_dir, "control.csv"),
                               scn, outcome.control.samples)
-            _write_lines(os.path.join(out_dir, "steering.txt"),
-                         outcome.report.as_lines())
-            say(f"steer: terminal error {outcome.report.terminal_error:.3e} "
-                f"in {outcome.report.outer_iterations} outer iterations, "
-                f"control norm {outcome.report.control_norm:.6g}")
+            report = outcome.report
+            record = dict(converged=report.converged, terminal_error=report.terminal_error,
+                          outer_iterations=report.outer_iterations,
+                          control_norm=report.control_norm)
+            record.update((f"history_{i}", e) for i, e in enumerate(report.history))
+            _write_record(os.path.join(out_dir, "steering.txt"), record)
+            say(f"steer: terminal error {report.terminal_error:.3e} "
+                f"in {report.outer_iterations} outer iterations, "
+                f"control norm {report.control_norm:.6g}")
             return 0
         if cmd == "check-conditions":
             report = build_report(scn)
-            _write_lines(os.path.join(out_dir, "conditions.txt"), report.as_lines())
             m1, m2 = report.margins
+            record = dataclasses.asdict(report.constants)    # L1 .. horizon, in field order
+            record.update(cond1_lhs=report.lhs_cond1, cond1_pass=report.pass_cond1,
+                          cond1_margin=m1, cond2_lhs=report.lhs_cond2,
+                          cond2_pass=report.pass_cond2, cond2_margin=m2,
+                          worked1_lhs=report.lhs_worked1, worked2_lhs=report.lhs_worked2,
+                          examples_pass=report.pass_examples)
+            _write_record(os.path.join(out_dir, "conditions.txt"), record)
             say(f"cond1: lhs {report.lhs_cond1:.6g} margin {m1:.6g} "
                 f"{'pass' if report.pass_cond1 else 'FAIL'}")
             say(f"cond2: lhs {report.lhs_cond2:.6g} margin {m2:.6g} "
@@ -392,22 +409,16 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
         if cmd == "verify-resolvent":
             sample = sample_resolvent(scn.basis, scn.linear, scn.grid)
             pde = verify_resolvent_pde(sample, scn.tol.tol_pde)
-            lines = [
-                f"max_raw_residual={_fmt(pde.max_raw_residual)}",
-                f"max_scaled_residual={_fmt(pde.max_scaled_residual)}",
-                f"tol_pde={_fmt(pde.tol_pde)}",
-                f"anchors_checked={pde.anchors_checked}",
-                f"pde_pass={str(pde.passed).lower()}",
-            ]
+            record = dict(max_raw_residual=pde.max_raw_residual,
+                          max_scaled_residual=pde.max_scaled_residual, tol_pde=pde.tol_pde,
+                          anchors_checked=pde.anchors_checked, pde_pass=pde.passed)
             ok = pde.passed
             if scn.linear.autonomous and scn.grid.is_uniform():
                 auto = check_autonomous_reduction(sample)
-                lines += [
-                    f"autonomy_max_deviation={_fmt(auto.max_deviation)}",
-                    f"autonomy_pass={str(auto.passed).lower()}",
-                ]
+                record.update(autonomy_max_deviation=auto.max_deviation,
+                              autonomy_pass=auto.passed)
                 ok = ok and auto.passed
-            _write_lines(os.path.join(out_dir, "resolvent_report.txt"), lines)
+            _write_record(os.path.join(out_dir, "resolvent_report.txt"), record)
             say(f"resolvent: scaled residual {pde.max_scaled_residual:.3e} "
                 f"({'pass' if ok else 'FAIL'})")
             return 0 if ok else 1

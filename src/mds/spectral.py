@@ -47,8 +47,9 @@ The final row r_n(a, .) is the discrete adjoint: the same march on the
 transposed maps (a12 and a21 swapped) with the rows reversed, seeded 1 at
 its first row.  The subdiagonal r_n(t_{j+1}, t_j) is a11 itself.  L1 =
 sup |r| is one pass over the rows that marches every anchor column at once:
-column k joins at row k, each step is the row step on the columns that have
-joined, and a running max is kept, so L1 holds O(N M) state.
+column k joins at row k, and each step is the blocked step on the columns
+that have joined, as one block, so L1 holds O(N M) state.  It keeps each
+row's per-mode peak, and one guard reads the peaks of every march.
 ``sample_resolvent`` marches the one set of at most ANCHOR_BLOCK columns
 both resolvent checks read, and refuses a sample that does not fit in
 physical memory before it marches.  None of these holds more than O(N M
@@ -208,28 +209,31 @@ def _step(r, mem, ex, kq, d, decay):
     return r, carried + half * r
 
 
-def _guard(r: np.ndarray, modes: np.ndarray) -> float:
-    """max |r|, or InstabilityError naming the mode of the first largest entry."""
-    peak = float(np.abs(r).max())
-    if not peak < _OVERFLOW_GUARD:
-        worst = int(np.argmax(np.abs(r)))
-        raise InstabilityError(int(modes[worst // (r.size // len(modes))]), _OVERFLOW_GUARD)
-    return peak
+def _guard_peaks(peak: np.ndarray, modes: np.ndarray) -> None:
+    """The overflow guard on per-mode row peaks max |state|, shape (N, rows).
+
+    The earliest row that is not below the guard raises InstabilityError
+    naming the mode with the largest peak on it (the first on a tie or a NaN).
+    """
+    bad = np.flatnonzero(~np.all(peak < _OVERFLOW_GUARD, axis=0))
+    if bad.size:
+        raise InstabilityError(int(modes[np.argmax(peak[:, bad[0]])]), _OVERFLOW_GUARD)
 
 
 def _step_blocks(steps: StepMaps, rows: slice, r: np.ndarray, mem: np.ndarray,
                  work: np.ndarray) -> None:
     """Step the states (r, mem), one per block, from the rows ``rows`` in place.
 
-    ``work`` holds two scratch arrays at least the size of r for the cross
-    products, so a step allocates nothing.  Each entry is rounded as in a
-    single row step, a11 r + a12 mem and a21 r + a22 mem.
+    ``work`` holds two scratch arrays at least the size of r on both the
+    block and the column axis, for the cross products, so a step allocates
+    nothing.  Each entry is rounded as in a single row step, a11 r + a12 mem
+    and a21 r + a22 mem.
     """
     c11, c12, c21, c22 = (a[:, rows, None] for a in
                           (steps.a11, steps.a12, steps.a21, steps.a22))
-    count = r.shape[1]
-    from_mem = np.multiply(c12, mem, out=work[0, :, :count])
-    from_r = np.multiply(c21, r, out=work[1, :, :count])
+    count, width = r.shape[1:]
+    from_mem = np.multiply(c12, mem, out=work[0, :, :count, :width])
+    from_r = np.multiply(c21, r, out=work[1, :, :count, :width])
     r *= c11
     r += from_mem
     mem *= c22
@@ -300,9 +304,7 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
             r, mem = r[:, :count], mem[:, :count]
             _step_blocks(steps, slice(row, m_count - 1, size), r, mem, work)
             peak[:, row + 1::size] = np.abs(r, out=work[0, :, :count]).max(axis=2)
-    bad = np.flatnonzero(~np.all(peak < _OVERFLOW_GUARD, axis=0))
-    if bad.size:
-        raise InstabilityError(int(steps.modes[np.argmax(peak[:, bad[0]])]), _OVERFLOW_GUARD)
+    _guard_peaks(peak, steps.modes)
     return out
 
 
@@ -348,25 +350,23 @@ def resolvent_sup(steps: StepMaps) -> float:
     """sup_{n, s<=t} |r_n(t,s)|, the diagonal operator-norm estimate L1.
 
     One pass over the rows marches every anchor column at once: column k
-    joins with r = 1 at row k, and each step maps the columns that have
-    joined with the same arithmetic as a single column's march.  A running
-    max over the guarded states gives L1 without holding the table, on
-    O(N M) state.
+    joins with r = 1 at row k, and each step is ``_step_blocks`` on the
+    columns that have joined, taken as one block.  Each row's per-mode peak
+    is kept for the overflow guard, and L1 is their max beside the diagonal
+    r_n(s, s) = 1, without holding the table: O(N M) state.
     """
-    a11, a12, a21, a22 = steps.a11, steps.a12, steps.a21, steps.a22
-    r = np.zeros((len(steps.modes), steps.n_nodes))
-    mem = np.zeros_like(r)
-    sup = 1.0                                   # the diagonal r_n(s, s)
-    for j in range(steps.n_nodes - 1):
-        r[:, j] = 1.0
-        rj, mj = r[:, :j + 1], mem[:, :j + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            stepped = a11[:, j, None] * rj + a12[:, j, None] * mj
-            mj *= a22[:, j, None]
-            mj += a21[:, j, None] * rj
-        rj[...] = stepped
-        sup = max(sup, _guard(rj, steps.modes))
-    return sup
+    m_count = steps.n_nodes
+    r, mem = np.zeros((2, len(steps.modes), 1, m_count))
+    work = np.empty((2,) + r.shape)
+    peak = np.zeros((len(steps.modes), m_count))   # per-mode max |r| of each row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m_count - 1):
+            r[:, :, j] = 1.0
+            rj, mj = r[..., :j + 1], mem[..., :j + 1]
+            _step_blocks(steps, slice(j, j + 1), rj, mj, work)
+            peak[:, j + 1] = np.abs(rj, out=work[0, ..., :j + 1]).max(axis=(1, 2))
+    _guard_peaks(peak, steps.modes)
+    return max(1.0, float(peak.max()))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from mds import (ConditionConstants, UsageError, build_report, check_cond1,
                  check_cond2, check_example_conditions, estimate_constants,
-                 pz_samples)
+                 pz_samples, run_command)
+
+from conftest import load_config
 
 WORKED = ConditionConstants(L1=1.0, L2=0.1, L3=1.0, c=0.05, d=1.0, gamma=1.0,
                             n_mass=0.05, U_mass=0.05, PZ_mass=1.0, horizon=1.0)
@@ -131,11 +133,12 @@ def test_demo_specialized_forms_agree_with_general(demo_scn):
     assert abs(rep.lhs_cond2 - rep.lhs_worked2) <= 1e-12 * scale2
 
 
-def test_demo_report_structure(demo_scn):
+def test_demo_report_structure(tmp_path, demo_scn):
     rep = build_report(demo_scn)
-    lines = rep.as_lines()
+    run_command("check-conditions", load_config("demo.json"), str(tmp_path), quiet=True)
+    lines = (tmp_path / "conditions.txt").read_text().splitlines()
     assert len(lines) == 19
-    assert lines[0].startswith("L1=")
+    assert lines[0] == f"L1={rep.constants.L1:.17g}"
     m1, m2 = rep.margins
     assert m1 == 1.0 - rep.lhs_cond1
     assert m2 == 1.0 - rep.lhs_cond2

@@ -9,11 +9,11 @@ import pytest
 from mds import (ControlSignal, DegenerateModeError, GridError, LinearPart,
                  MemoryKernel, SteeringError, TimeFunction, Tolerances,
                  constant_measure, estimate_constants, gramians, make_basis,
-                 min_norm_inverse, steer, steering_residual, synthesize_control,
-                 terminal_error)
+                 min_norm_inverse, run_command, steer, steering_residual,
+                 synthesize_control, terminal_error)
 from mds.control import _weights_for
 
-from conftest import assemble_scenario
+from conftest import assemble_scenario, load_config
 
 
 def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
@@ -159,16 +159,17 @@ def test_unreachable_tolerance_raises_with_history(demo_scn):
     assert hist[1] < hist[0]          # the loop was making progress
 
 
-def test_demo_steer_report_is_consistent(demo_scn, demo_steered):
+def test_demo_steer_report_is_consistent(tmp_path, demo_scn, demo_steered):
     rep = demo_steered.report
     assert rep.converged
     assert rep.history[-1] == rep.terminal_error
     assert rep.outer_iterations == len(rep.history) - 1
     assert rep.control_norm == pytest.approx(
         demo_steered.control.l2_norm(demo_scn.wq_full), rel=1e-15)
-    lines = rep.as_lines()
+    assert run_command("steer", load_config("demo.json"), str(tmp_path), quiet=True) == 0
+    lines = (tmp_path / "steering.txt").read_text().splitlines()
     assert lines[0] == "converged=true"
-    assert any(line.startswith("control_norm=") for line in lines)
+    assert f"control_norm={rep.control_norm:.17g}" in lines
 
 
 def test_demo_control_norm_within_apriori_bound(demo_scn, demo_steered):

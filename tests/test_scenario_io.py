@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 
 from mds import (ConfigError, InstabilityError, RegulatedTrajectory, UsageError,
                  constant_measure, LinearPart, MemoryKernel, TimeFunction,
-                 Tolerances, make_basis, parse_scenario, run_command,
-                 serialize_scenario, write_control_csv, write_trajectory_csv)
+                 Tolerances, apply_psi, initial_iterate, make_basis, parse_scenario,
+                 run_command, serialize_scenario, write_control_csv,
+                 write_trajectory_csv)
 import mds._quad
 import mds.scenario
 import mds.spectral
@@ -177,19 +179,44 @@ def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, c
 
 def test_synthesized_collocation_values_are_charged(monkeypatch, tmp_path, capsys):
     # 65 nodes x 2 modes: the solver's 16 columns take 16640 bytes, and the
-    # cosine nonlinearity's 3 (M, J) arrays at J = 2048 take 3194880, against
+    # cosine nonlinearity's (M, J) array at J = 2048 takes 1064960, against
     # 1 MiB of "memory"; the J values were not charged before
     _physical_memory(monkeypatch, 256)
     doc = tiny_doc(basis={"N": 2, "collocation": 2048})
     parse_scenario(doc)                                 # nothing is synthesized
+    doc["nonlinearity"] = {"kind": "cosine", "M0": 0.0}
+    parse_scenario(doc)                                 # a zero cosine synthesizes nothing
     doc["nonlinearity"] = {"kind": "cosine", "M0": 0.1}
     assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
     assert run_command("steer", doc, str(tmp_path)) == 1
     out = capsys.readouterr().out
     assert out.startswith("config error: $.grid.nodes: 65 merged nodes x 2 modes "
                           "and 2048 collocation nodes")
-    assert f"{8 * 65 * (2 * 16 + 2048 * 3):.3g} bytes" in out
+    assert f"{8 * 65 * (2 * 16 + 2048):.3g} bytes" in out
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("term", [
+    {"nonlinearity": {"kind": "cosine", "M0": 0.1}},
+    {"nonlocal": {"kind": "log_kernel", "f": {"kind": "const", "c0": 0.05}}},
+])
+def test_a_sweep_stays_within_the_collocation_charge(term):
+    # N = 1 and J = 2048: the (M, J) path values are nearly all of what a sweep
+    # holds, so a sweep that held one more of them than the parse charges
+    # would be far over the charge
+    doc = tiny_doc(basis={"N": 1, "collocation": 2048}, grid={"nodes": 1025},
+                   states={"zeta0": [1.0]}, **term)
+    scn = parse_scenario(doc)
+    current = initial_iterate(scn)          # the run's step maps are built here
+    charge = 8 * len(scn.grid) * (scn.n_modes * scenario_io._SOLVER_ARRAYS
+                                  + 2048 * scenario_io._COLLOCATION_ARRAYS)
+    tracemalloc.start()
+    try:
+        apply_psi(scn, current)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * len(scn.grid) * 2048 <= peak <= charge
 
 
 def test_large_grid_parses_without_a_square_budget(monkeypatch):
@@ -477,8 +504,8 @@ EDGE_VALUES = [-0.0, 5e-324, 1e308, 1 / 3]
 
 
 def _per_cell_text(header: str, rows) -> bytes:
-    """The CSV text with each number formatted on its own by ``_fmt``."""
-    fmt = scenario_io._fmt
+    """The CSV text with each number formatted on its own by ``_text``."""
+    fmt = scenario_io._text
     lines = [header] + [",".join([fmt(t)] + kind + [fmt(x) for x in cells])
                         for t, kind, cells in rows]
     return ("\n".join(lines) + "\n").encode()

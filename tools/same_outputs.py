@@ -3,10 +3,14 @@
     python3 tools/same_outputs.py REF
 
 Exports REF's ``src/`` with ``git archive`` and runs each CLI command in a
-fresh interpreter under both trees: on every config in ``configs/``, and on
+fresh interpreter under both trees: on every config in ``configs/``, on
 the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
-2048).  Exit codes, stdout and every output file are compared byte for
-byte.  Prints one line per difference and exits 1 if there is any, else 0.
+2048), and on documents off the shipped path (``OFF_PATH``: runs that exit
+2 through the overflow guards or 3 on a zero gain, a zero cosine, the
+explicit-measure and lebesgue families, and a non-uniform grid whose
+``verify-resolvent`` writes no autonomy lines).  Exit codes, stdout and
+every output file are compared byte for byte.  Prints one line per
+difference and exits 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -23,14 +27,52 @@ COMMANDS = ("simulate", "steer", "check-conditions", "verify-resolvent")
 BENCHMARK_NODES = {"demo.json": 1025, "resolvent_check.json": 2048}
 
 
+def _config(name: str, **sections) -> dict:
+    doc = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+    return {**doc, **sections}
+
+
+def _tiny(**sections) -> dict:
+    """Two modes at 65 nodes, autonomous, a measure without jumps, sections replaced."""
+    doc = {"basis": {"N": 2}, "grid": {"nodes": 65},
+           "linear": {"tau": {"kind": "const", "c0": 1.0}},
+           "measure": {"family": "constant", "end": 1.0}, "states": {"zeta0": [1.0, 0.5]}}
+    return {**doc, **sections}
+
+
+OFF_PATH = {
+    # r_16(1, 1/2) = e^192: the final row's march meets the guard
+    "tau_3-6t": _tiny(basis={"N": 16}, states={"zeta0": [1.0] * 16},
+                      linear={"tau": {"kind": "affine", "c0": 3.0, "c1": -6.0}}),
+    # r_16(1/2, 0) = e^384 while r(1, s) <= 1: only L1's pass meets the guard
+    "tau_-6+12t": _tiny(basis={"N": 16}, states={"zeta0": [1.0] * 16},
+                        linear={"tau": {"kind": "affine", "c0": -6.0, "c1": 12.0}}),
+    "theta_0": _tiny(control={"theta": 0.0}),
+    "cosine_M0_0": _config("demo.json", nonlinearity={"kind": "cosine", "M0": 0.0}),
+    "explicit": {**_tiny(measure={"end": 1.0, "jumps": [[0.25, 0.1], [0.5, 0.2]],
+                                  "density": {"kind": "sine", "c0": 1.0, "c1": 0.5,
+                                              "freq": 2.0}},
+                         nonlinearity={"kind": "cosine", "M0": 0.05},
+                         control={"theta": [1.0, 0.5]}),
+                 "nonlocal": {"kind": "log_kernel", "f": {"kind": "const", "c0": 0.01},
+                              "f_space": {"kind": "affine", "c0": 1.0, "c1": 0.1}}},
+    "lebesgue": _tiny(measure={"family": "lebesgue", "end": 1.0},
+                      nonlinearity={"kind": "table", "values": [0.1, 0.0]}),
+    "resolvent_check_zeno": _config("resolvent_check.json",
+                                    measure={"family": "zeno", "K": 20}),
+}
+
+
 def documents():
-    """(name, document) for each shipped config and each benchmark size."""
+    """(name, document) for each shipped config, each benchmark size and
+    each document off the shipped path."""
     for path in sorted((ROOT / "configs").glob("*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = _config(path.name)
         yield path.stem, doc
         if path.name in BENCHMARK_NODES:
             nodes = BENCHMARK_NODES[path.name]
             yield f"{path.stem}@{nodes}", {**doc, "grid": {**doc["grid"], "nodes": nodes}}
+    yield from OFF_PATH.items()
 
 
 def export_src(ref: str, dest: Path) -> Path:
