@@ -16,7 +16,8 @@ Both rules are held in O(M): a prefix row j equals the full-span weights
 such exception).  The resolvent enters through O(N M) arrays built on
 first use and held for the run: ``steps``, the recurrence's 2x2 step maps
 that every march reads (their a11 is the subdiagonal r_n(t_{j+1}, t_j)),
-and ``final_row``, r_n(a, t_k).  No M x M array is formed.
+``picard_seed``, R(t, 0) zeta0, and ``final_row``, r_n(a, t_k).  No M x M
+array is formed.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from ._quad import simpson_prefix_matrix, trapezoid_prefix_matrix  # noqa: F401
 from ._quad import simpson_prefix_edges, simpson_weights, trapezoid_weights
 from .errors import UsageError
 from .funcs import TimeFunction
-from .measure import JumpMeasure, TimeGrid, density_on_grid, jump_sizes_on_grid
+from .measure import (JumpMeasure, RegulatedTrajectory, TimeGrid, density_on_grid,
+                      jump_sizes_on_grid)
 from .spectral import build_resolvent_table  # noqa: F401 -- wrapped by bench/tracer.py
 from .spectral import (LinearPart, SpectralBasis, StepMaps, resolvent_final_row,
-                       step_maps)
+                       resolvent_sums, step_maps)
 
 # each kind and the keys a config's map of that kind allows besides its kind
 _NL_KINDS = {"zero": (), "cosine": ("M0",), "table": ("values",)}
@@ -219,6 +221,14 @@ class Scenario:
     def steps(self) -> StepMaps:
         """The resolvent recurrence's step maps, four (N, M-1) arrays."""
         return step_maps(self.basis.mode_numbers, self.linear, self.grid)
+
+    @cached_property
+    def picard_seed(self) -> RegulatedTrajectory:
+        """The Picard seed zeta^0(t) = R(t, 0) zeta0, marched once and read-only."""
+        seeds = np.zeros((len(self.grid), self.n_modes))
+        seeds[0] = self.zeta0
+        path = resolvent_sums(self.steps, seeds)
+        return RegulatedTrajectory(self.grid, path, path)
 
     @cached_property
     def final_row(self) -> np.ndarray:

@@ -7,9 +7,11 @@ validation is total and parsing is deterministic.
 
 Every number a document carries, whether a scalar, a list entry, a table
 row, a jump pair or a tolerance, passes one check: a number, not a bool,
-finite and of magnitude at most MAX_COEFFICIENT.  Each kinded map (time
-spec, kernel, measure family, nonlinearity, nonlocal term) is checked
-against one table of the keys its kind allows.  Each entry is read once,
+finite and of magnitude at most MAX_COEFFICIENT; an explicit jump list
+passes it in one array pass, and pair by pair only to name a bad pair.
+Each kinded map (time spec, kernel, measure family, nonlinearity, nonlocal
+term) is checked against one table of the keys its kind allows.  Each
+entry is read once,
 and the value the parse used, default or not, is written into the
 canonical document the Scenario keeps, so two documents that describe the
 same scenario serialize alike.
@@ -24,6 +26,7 @@ bool; the CSV rows use the same format.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -55,7 +58,9 @@ MAX_COEFFICIENT = 1e100
 # horizons a: base nodes stay farther apart than the 1e-12 max(1, a) node
 # matching tolerance, and a few horizons times coefficients stay finite
 HORIZON_RANGE = (1e-6, 1e6)
-_SOLVER_ARRAYS = 16     # (M, N) arrays a psi sweep or a steering pass holds at once
+# (M, N) arrays a command holds at once: a psi sweep's or a steering pass's,
+# the Picard seed, and the step maps with their block-major copy
+_SOLVER_ARRAYS = 22
 _COLLOCATION_ARRAYS = 1     # (M, J) arrays a psi sweep holds at once at the J nodes
 _NUMBER_FORMAT = "%.17g"     # every number a report or a CSV row writes
 _DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
@@ -169,6 +174,26 @@ class _Reader:
         return end
 
 
+def _plain_pairs(jumps: list) -> np.ndarray | None:
+    """The jump list as an (n, 2) float array when every entry is a list of
+    two numbers that ``_number`` accepts, in one pass over the whole list;
+    None when some entry may fail, for the per-pair check to name."""
+    if not (set(map(type, jumps)) <= {list} and set(map(len, jumps)) <= {2}):
+        return None
+    flat = list(itertools.chain.from_iterable(jumps))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:       # an integer beyond the float range
+        return None
+    # strictly below: an integer that rounds onto the bound is left to
+    # _number's exact comparison, and nan and inf fail here too
+    if not np.all(np.abs(values) < MAX_COEFFICIENT):
+        return None
+    return values.reshape(-1, 2)
+
+
 def _parse_measure(doc: _Reader, base_nodes: int) -> JumpMeasure:
     spec = doc.obj["measure"]
     if isinstance(spec, dict) and "family" in spec:
@@ -191,9 +216,12 @@ def _parse_measure(doc: _Reader, base_nodes: int) -> JumpMeasure:
         raise ConfigError(f"{m.path}.jumps", "expected a list of [t, size] pairs")
     if len(jumps) > MAX_NODES:
         raise ConfigError(f"{m.path}.jumps", f"at most {MAX_NODES} jumps")
-    m.out["jumps"] = [_numbers(pair, f"{m.path}.jumps[{i}]", 2, by_entry=False)
-                      for i, pair in enumerate(jumps)]
-    locs, sizes = np.array(m.out["jumps"], dtype=float).reshape(-1, 2).T
+    pairs = _plain_pairs(jumps)
+    if pairs is None:       # some pair fails: the per-pair check names the first
+        pairs = np.array([_numbers(pair, f"{m.path}.jumps[{i}]", 2, by_entry=False)
+                          for i, pair in enumerate(jumps)], dtype=float)
+    m.out["jumps"] = pairs.tolist()
+    locs, sizes = pairs.T
     try:
         return JumpMeasure(end, nodes, values, locs, sizes)
     except (DomainError, UsageError) as exc:

@@ -16,6 +16,8 @@ full-span weight times the forcing, plus zeta0 - g(zeta) at row 0.  A
 prefix row differs from the full-span rule only in its last two entries,
 so a row-local closure finishes each row: its own diagonal weight, and on
 odd Simpson rows one cell through r(t_j, t_{j-1}), the step maps' a11.
+Every solve of a run starts from the same Picard seed R(t, 0) zeta0, which
+the Scenario marches once and keeps read-only (``picard_seed``).
 """
 
 from __future__ import annotations
@@ -73,11 +75,8 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTraj
 
 
 def initial_iterate(scn: Scenario) -> RegulatedTrajectory:
-    """Picard seed zeta^0(t) = R(t,0) zeta0."""
-    seeds = np.zeros((len(scn.grid), scn.n_modes))
-    seeds[0] = scn.zeta0
-    vals = resolvent_sums(scn.steps, seeds)
-    return RegulatedTrajectory(scn.grid, vals, vals.copy())
+    """Picard seed zeta^0(t) = R(t,0) zeta0, the same for every solve of the run."""
+    return scn.picard_seed
 
 
 def _sup_distance(a: RegulatedTrajectory, b: RegulatedTrajectory) -> float:

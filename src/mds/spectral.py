@@ -26,29 +26,53 @@ applications", 1990).  The marched rows first..M-1 are cut into blocks of
 L = ceil(sqrt(rows)) rows, block i starting at row first + i L; only the
 last block can be short.  Three passes replace the loop over rows:
 
-1. Every full block runs from a zero state, vectorized across blocks (row p
-   of every block is one step).  The unit states (1, 0) and (0, 1) ride
-   beside the seeded columns, so the same pass gives each block's 2x2
-   transfer map T_i and its forced end state z_i.
+1. Every full block runs its seeded columns from a zero state, vectorized
+   across blocks (row p of every block is one step), to its forced end
+   state z_i.
 2. One short pass over the block boundaries gives each block's state on
-   entry: x_0 = 0 and x_{i+1} = T_i x_i + z_i.
+   entry: x_0 = 0 and x_{i+1} = T_i x_i + z_i, with T_i the block's 2x2
+   transfer map.
 3. Every block runs again from its entry state, vectorized across blocks,
    and writes its rows straight into ``out`` through the strided views
    out[:, first + p::L].
 
-That is about 3 sqrt(M) vectorized steps instead of M row steps, with the
-same numbers up to the regrouped rounding.  The first block starts from
-zero and runs the row steps themselves, and a unit-seed column is exactly 0
-before its anchor and exactly 1 on it.  Overflow is checked after the
-passes: each row's per-mode max |state| is kept, and the earliest row in
-time that is not below the guard names the mode.
+That is about 2 sqrt(M) vectorized steps and sqrt(M) boundary steps
+instead of M row steps.  The first block starts from zero and runs the row
+steps themselves, and a unit-seed column is exactly 0 before its anchor and
+exactly 1 on it.  Overflow is checked after the passes: each row's
+per-mode max |state| is kept, and the earliest row in time that is not
+below the guard names the mode.
+
+What a march reads does not depend on its seeds, so it is laid out once.
+The first march from a row on a StepMaps makes the block layout
+(``_block_layout``), and the StepMaps keeps it for the next march from the
+same row; the Picard seed, the sweeps and L1 all start on row 0, so a run
+makes it once.  The layout holds the four maps stacked block-major, shape
+(L, 2, 2, N, blocks), so that step p of every block reads one contiguous
+slab, and each full block's T_i, made by running the unit states (1, 0)
+and (0, 1) alone through the block.  A step is one fused update of the stacked state (2, N,
+blocks, B): one broadcast product into a (2, 2, N, blocks, B) scratch,
+scratch[k, i] = maps[k, i] state[k], and one sum of its two halves, so r =
+a11 r + a12 mem and mem = a21 r + a22 mem.  A march of B columns runs its
+modes in groups of max(1, 64 // B), which bounds that scratch for the
+64-column sample; modes never mix, so the groups change no number.
+
+The result is bitwise that of the march that stepped every row through
+``a[:, p::L]`` and carried the unit states beside the seeded columns.
+Each entry is still the sum of the same two products, a11 r + a12 mem and
+a21 r + a22 mem, in the same order or with the two terms swapped, and
+IEEE multiplication and addition are commutative.  Every column is stepped
+elementwise apart from the others, so T_i from the unit states alone is
+the T_i they gave beside the seeds, and pass 2 still adds the two
+products of T_i x_i first and z_i last.
 
 The final row r_n(a, .) is the discrete adjoint: the same march on the
 transposed maps (a12 and a21 swapped) with the rows reversed, seeded 1 at
 its first row.  The subdiagonal r_n(t_{j+1}, t_j) is a11 itself.  L1 =
 sup |r| is one pass over the rows that marches every anchor column at once:
-column k joins at row k, and each step is the blocked step on the columns
-that have joined, as one block, so L1 holds O(N M) state.  It keeps each
+column k joins at row k, and each step is one fused step of the columns
+that have joined, as one block, on row j's maps read from the layout of
+row 0, so L1 holds O(N M) state.  It keeps each
 row's per-mode peak, and one guard reads the peaks of every march.
 ``sample_resolvent`` marches the one set of at most ANCHOR_BLOCK columns
 both resolvent checks read, and refuses a sample that does not fit in
@@ -70,7 +94,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +105,7 @@ from .measure import TimeGrid
 
 _OVERFLOW_GUARD = 1e12
 ANCHOR_BLOCK = 64      # columns the sampled resolvent checks march
+MODE_COLUMNS = 64      # a march of B columns steps max(1, 64 // B) modes at once
 TOL_AUTO = 1e-6        # largest |r_n(t,s) - r_n(t-s,0)| the autonomy check passes
 
 
@@ -160,7 +185,9 @@ class StepMaps:
 
     and is the same for every column, so a11 is also the subdiagonal
     r_n(t_{j+1}, t_j).  ``modes`` are the mode numbers of the rows, which
-    the overflow guard names.
+    the overflow guard names.  ``layouts`` keeps the block layout of the
+    last row a march started from (``_block_layout``), so the maps must not
+    change once they have been marched.
     """
 
     modes: np.ndarray
@@ -168,6 +195,7 @@ class StepMaps:
     a12: np.ndarray
     a21: np.ndarray
     a22: np.ndarray
+    layouts: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -178,7 +206,8 @@ def step_maps(modes: np.ndarray, linear: LinearPart, grid: TimeGrid) -> StepMaps
     """``_step`` applied to the unit states (1, 0) and (0, 1) on every step.
 
     A growing mode can make a coefficient overflow; the march that reads it
-    then meets the overflow guard, so no numpy warning is raised here.
+    then meets the overflow guard, so no numpy warning is raised here.  The
+    maps are read-only: the block layouts copy them.
     """
     d = np.diff(grid.nodes)
     n2 = modes.astype(float)[:, None] ** 2
@@ -187,6 +216,8 @@ def step_maps(modes: np.ndarray, linear: LinearPart, grid: TimeGrid) -> StepMaps
         kq, decay = -n2 * linear.kernel.c0, np.exp(-linear.kernel.rate * d)
         a11, a21 = _step(1.0, 0.0, ex, kq, d, decay)
         a12, a22 = _step(0.0, 1.0, ex, kq, d, decay)
+    for a in (a11, a12, a21, a22):
+        a.setflags(write=False)
     return StepMaps(modes, a11, a12, a21, a22)
 
 
@@ -210,62 +241,101 @@ def _step(r, mem, ex, kq, d, decay):
 
 
 def _guard_peaks(peak: np.ndarray, modes: np.ndarray) -> None:
-    """The overflow guard on per-mode row peaks max |state|, shape (N, rows).
+    """The overflow guard on per-mode row peaks max |state|, shape (N, ...).
 
-    The earliest row that is not below the guard raises InstabilityError
-    naming the mode with the largest peak on it (the first on a tie or a NaN).
+    The trailing axes hold the rows in time order, in C order.  The earliest
+    row that is not below the guard raises InstabilityError naming the mode
+    with the largest peak on it (the first on a tie or a NaN).
     """
-    bad = np.flatnonzero(~np.all(peak < _OVERFLOW_GUARD, axis=0))
-    if bad.size:
-        raise InstabilityError(int(modes[np.argmax(peak[:, bad[0]])]), _OVERFLOW_GUARD)
+    below = np.all(peak < _OVERFLOW_GUARD, axis=0)
+    if not below.all():
+        row = np.unravel_index(np.argmin(below), below.shape)
+        raise InstabilityError(int(modes[np.argmax(peak[(slice(None),) + row])]),
+                               _OVERFLOW_GUARD)
 
 
-def _step_blocks(steps: StepMaps, rows: slice, r: np.ndarray, mem: np.ndarray,
-                 work: np.ndarray) -> None:
-    """Step the states (r, mem), one per block, from the rows ``rows`` in place.
+class _States:
+    """Stacked column states, state[0] = r and state[1] = mem, stepped in place.
 
-    ``work`` holds two scratch arrays at least the size of r on both the
-    block and the column axis, for the cross products, so a step allocates
-    nothing.  Each entry is rounded as in a single row step, a11 r + a12 mem
-    and a21 r + a22 mem.
+    ``state`` is (2, N, blocks, B) and ``scratch`` (2, 2, N, blocks, B).  A
+    step reads a (2, 2, N, blocks, 1) slab of maps, maps[k, i] the
+    coefficient of component k in the next component i: one broadcast
+    product scratch[k, i] = maps[k, i] state[k], and one sum of its halves,
+    state = scratch[0] + scratch[1].  So r = a11 r + a12 mem and mem = a21 r
+    + a22 mem, each entry rounded as in a single row step.  The views a step
+    reads are made once, here.
     """
-    c11, c12, c21, c22 = (a[:, rows, None] for a in
-                          (steps.a11, steps.a12, steps.a21, steps.a22))
-    count, width = r.shape[1:]
-    from_mem = np.multiply(c12, mem, out=work[0, :, :count, :width])
-    from_r = np.multiply(c21, r, out=work[1, :, :count, :width])
-    r *= c11
-    r += from_mem
-    mem *= c22
-    mem += from_r
+
+    def __init__(self, state: np.ndarray, scratch: np.ndarray):
+        self.state, self.r, self.wide = state, state[0], state[:, None]
+        self.scratch, (self.lo, self.hi) = scratch, scratch
+        self.abs_r = scratch[0, 0]
+        self.column = state[0, ..., 0] if state.shape[-1] == 1 else None
+
+    def step(self, maps: np.ndarray) -> None:
+        np.multiply(maps, self.wide, out=self.scratch)
+        np.add(self.lo, self.hi, out=self.state)
+
+    def peaks(self, out: np.ndarray) -> None:
+        """Each block's per-mode max |r| over the columns, into ``out`` (N, blocks)."""
+        if self.column is not None:             # one column: nothing to reduce
+            np.abs(self.column, out=out)
+        else:
+            np.abs(self.r, out=self.abs_r).max(axis=-1, out=out)
 
 
-def _entry_states(steps: StepMaps, seeds: np.ndarray, first: int, size: int,
-                  width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Passes 1 and 2 of ``_march``: each block's state (r, mem) on entry.
+@dataclass(frozen=True)
+class _BlockLayout:
+    """The blocks of every march from row ``first`` on one StepMaps.
 
-    Pass 1 runs the full blocks from zero with the unit states (1, 0) and
-    (0, 1) in two extra columns, so block i ends in its forced state z_i and
-    its transfer map T_i.  Pass 2 gives the entry states x_0 = 0 and x_{i+1}
-    = T_i x_i + z_i, before each block's first seed.  Both are (N, blocks, B).
+    The rows first..M-1 are cut into ``count`` blocks of L = ``size`` rows,
+    block i starting at row first + i L; only the last can be short, with
+    ``last`` rows.  ``maps[p, k, i, :, b]`` is the coefficient of component k
+    of the state in component i of the next on the step from row p of block
+    b: the four maps stacked block-major, so that step p of every block
+    reads one contiguous slab maps[p], and 0 past the last row.
+    ``transfer[b]`` is full block b's 2x2 transfer map T_b, in the same
+    order: the unit states (1, 0) and (0, 1) stepped alone through the
+    block.
     """
-    full = -(-(steps.n_nodes - first) // size) - 1     # every block but the last
-    n_count = len(steps.modes)
-    ends_r, ends_m = np.zeros((2, n_count, full, width + 2))
-    ends_r[:, :, width] = ends_m[:, :, width + 1] = 1.0
-    work = np.empty((2, n_count, full, width + 2))
-    for p in range(size):
-        row = first + p
-        ends_r[:, :, :width] += seeds[row:row + full * size:size].transpose(1, 0, 2)
-        _step_blocks(steps, slice(row, row + full * size, size), ends_r, ends_m, work)
-    del work                                           # before pass 2 allocates
-    r, mem = np.zeros((2, n_count, full + 1, width))
-    for i in range(full):
-        r[:, i + 1] = (ends_r[:, i, width:width + 1] * r[:, i]
-                       + ends_r[:, i, width + 1:] * mem[:, i] + ends_r[:, i, :width])
-        mem[:, i + 1] = (ends_m[:, i, width:width + 1] * r[:, i]
-                         + ends_m[:, i, width + 1:] * mem[:, i] + ends_m[:, i, :width])
-    return r, mem
+
+    first: int
+    size: int
+    count: int
+    last: int
+    maps: np.ndarray        # (L, 2, 2, N, count, 1)
+    transfer: np.ndarray    # (count - 1, 2, 2, N, 1)
+
+
+def _block_layout(steps: StepMaps, first: int) -> _BlockLayout:
+    """The layout of the marches from row ``first``, made by the first of them.
+
+    ``steps`` keeps the one made last: every march of a run starts from the
+    same row, and one layout holds about 4 (N, M) floats.
+    """
+    if steps.layouts and steps.layouts[0].first == first:
+        return steps.layouts[0]
+    rows = steps.n_nodes - first
+    size = math.isqrt(rows - 1) + 1              # L = ceil(sqrt(rows))
+    count = -(-rows // size)
+    full, n_count = count - 1, len(steps.modes)
+    tail = first + full * size                   # the last block's first row
+    maps = np.zeros((size, 2, 2, n_count, count, 1))
+    for k, i, a in ((0, 0, steps.a11), (1, 0, steps.a12), (0, 1, steps.a21),
+                    (1, 1, steps.a22)):
+        blocks = a[:, first:tail].reshape(n_count, full, size)    # a view
+        maps[:, k, i, :, :full, 0] = blocks.transpose(2, 0, 1)
+        maps[:steps.n_nodes - 1 - tail, k, i, :, full, 0] = a[:, tail:].T
+    unit = np.zeros((2, n_count, full, 2))       # column k starts as the unit state k
+    unit[0, :, :, 0] = unit[1, :, :, 1] = 1.0
+    states = _States(unit, np.empty((2,) + unit.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for slab in maps[..., :full, :]:
+            states.step(slab)
+    transfer = np.ascontiguousarray(unit.transpose(2, 3, 0, 1)[..., None])
+    layout = _BlockLayout(first, size, count, rows - full * size, maps, transfer)
+    steps.layouts[:] = [layout]
+    return layout
 
 
 def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -275,9 +345,13 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     and is added to r at row j, before r is recorded.  The rows before the
     first nonzero seed are zero and not stepped.  The marched rows are cut
     into blocks of L = ceil(sqrt(rows)) rows and run in three vectorized
-    passes (see the module docstring), so a march takes about 3 L steps
-    instead of one per row.  Every stepped state is held to the overflow
-    guard, and the earliest row in time that is not below it raises.
+    passes on the block layout of ``steps`` (see the module docstring), so a
+    march takes about 2 L fused steps and one short pass over the blocks
+    instead of one step per row.  The modes run in groups of max(1,
+    MODE_COLUMNS // B) on the same layout, which bounds the scratch of a
+    wide march and changes no number: the modes are stepped apart.  Every
+    stepped state is held to the overflow guard, and the earliest row in
+    time that is not below it raises.
     """
     m_count = steps.n_nodes
     seeds = np.reshape(seeds, (len(seeds), -1, np.shape(seeds)[-1]))   # (M, N or 1, B)
@@ -286,26 +360,81 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[:, :first] = 0.0
     if first == m_count:
         return out
-    size = math.isqrt(m_count - first - 1) + 1       # L = ceil(sqrt(rows))
-    peak = np.zeros((len(steps.modes), m_count))   # per-mode max |state| of each row
+    lay = _block_layout(steps, first)
+    n_count, width = out.shape[0], out.shape[2]
+    # per-mode max |state| of row first + i L + p in peak[p, :, i], 0 where
+    # no state is stepped: row first and the rows past the last
+    peak = np.zeros((lay.size, n_count, lay.count))
+    group = max(1, MODE_COLUMNS // width)
     with np.errstate(over="ignore", invalid="ignore"):
-        r, mem = _entry_states(steps, seeds, first, size, out.shape[2])
-        work = np.empty((2,) + r.shape)
-        peak[:, first + size::size] = np.abs(r[:, 1:], out=work[0, :, 1:]).max(axis=2)
-        # pass 3: every block again from its entry state; row p of each block
-        # is written through the strided view out[:, first + p::L]
-        for p in range(size):
-            row = first + p
-            r += seeds[row::size].transpose(1, 0, 2)
-            out[:, row::size] = r
-            if p == size - 1:
-                break
-            count = len(range(row, m_count - 1, size))     # blocks with a next row
-            r, mem = r[:, :count], mem[:, :count]
-            _step_blocks(steps, slice(row, m_count - 1, size), r, mem, work)
-            peak[:, row + 1::size] = np.abs(r, out=work[0, :, :count]).max(axis=2)
-    _guard_peaks(peak, steps.modes)
+        for lo in range(0, n_count, group):
+            modes = slice(lo, lo + group)
+            _march_modes(lay, modes, seeds[:, modes] if seeds.shape[1] > 1 else seeds,
+                         out[modes], peak[:, modes])
+    _guard_peaks(peak.transpose(1, 2, 0), steps.modes)     # rows in time order from first
     return out
+
+
+def _march_modes(lay: _BlockLayout, modes: slice, seeds: np.ndarray, out: np.ndarray,
+                 peak: np.ndarray) -> None:
+    """The three passes of ``_march`` for the modes ``modes``, on ``lay``.
+
+    ``seeds``, ``out`` and ``peak`` hold those modes only: out[:, first:] is
+    written, and each stepped row's per-mode peak into ``peak``, (L, N, blocks).
+    """
+    first, size, count, last = lay.first, lay.size, lay.count, lay.last
+    full, shape = count - 1, (out.shape[0], count, out.shape[2])
+    if shape[2] == 1:
+        # one column: its seeds block-major, the seed of row first + i L + p
+        # in rows[p, :, i] and 0 past the last row, so each step reads one slab
+        tail = first + full * size
+        rows = np.zeros((size, seeds.shape[1], count, 1), seeds.dtype)
+        rows[:, :, :full] = seeds[first:tail].reshape(
+            (full, size) + seeds.shape[1:]).transpose(1, 2, 0, 3)
+        rows[:last, :, full] = seeds[tail:]
+    else:
+        rows = [seeds[first + p::size].transpose(1, 0, 2) for p in range(size)]
+    # one scratch for every pass; the full blocks' is a contiguous part of it
+    scratch = np.empty(4 * math.prod(shape))
+    blocks = _States(np.zeros((2,) + shape), scratch.reshape((2, 2) + shape))
+    full_scratch = scratch[:4 * shape[0] * full * shape[2]].reshape(
+        (2, 2, shape[0], full, shape[2]))
+    maps, transfer = lay.maps[:, :, :, modes], lay.transfer[:, :, :, modes]
+
+    # pass 1: the seeded columns of each full block from zero, to its forced
+    # end state z_i
+    ends = _States(np.zeros((2, shape[0], full, shape[2])), full_scratch)
+    for slab, seed in zip(maps[..., :full, :], rows):
+        ends.r += seed[:, :full]
+        ends.step(slab)
+    # pass 2: the entry states x_0 = 0 and x_{i+1} = T_i x_i + z_i
+    entry = blocks.state
+    carry = blocks.scratch[..., 0, :]                      # (2, 2, N, B)
+    lo, hi = carry
+    for t, z, x, x_next in zip(transfer, ends.state.transpose(2, 0, 1, 3),
+                               entry[:, None].transpose(3, 0, 1, 2, 4),
+                               entry.transpose(2, 0, 1, 3)[1:]):
+        np.multiply(t, x, out=carry)
+        np.add(lo, hi, out=x_next)
+        x_next += z
+    del ends                                               # z is spent
+    _States(entry[:, :, 1:], blocks.scratch[..., 1:, :]).peaks(peak[0, :, 1:])
+    # pass 3: every block again from its entry state, row p of each written
+    # through the strided view out[:, first + p::L]; the last block has rows
+    # while p < last and steps while it has a next row
+    full_blocks = _States(entry[:, :, :full], full_scratch)
+    for p in range(size):
+        states, with_row = (blocks, count) if p < last else (full_blocks, full)
+        states.r += rows[p][:, :with_row]
+        out[:, first + p::size] = states.r
+        if p == size - 1:
+            break
+        if p < last - 1:                                   # every block has a next row
+            blocks.step(maps[p])
+            blocks.peaks(peak[p + 1])
+        else:
+            full_blocks.step(maps[p, ..., :full, :])
+            full_blocks.peaks(peak[p + 1, :, :full])
 
 
 def _etd_build(steps: StepMaps, anchors: np.ndarray) -> np.ndarray:
@@ -335,7 +464,8 @@ def resolvent_final_row(steps: StepMaps) -> np.ndarray:
     through the transposes of the forward steps' 2x2 maps; its first
     component at row k is r_n(a, t_k).  That is ``_march`` on the maps with
     a12 and a21 swapped and the rows reversed, seeded 1 at its first row, so
-    it is O(N M) and guarded like every forward march.
+    it is O(N M) and guarded like every forward march.  The reversed maps
+    are views, and their block layout lives only as long as this march.
     """
     back = StepMaps(steps.modes, *(a[:, ::-1] for a in
                                    (steps.a11, steps.a21, steps.a12, steps.a22)))
@@ -350,21 +480,24 @@ def resolvent_sup(steps: StepMaps) -> float:
     """sup_{n, s<=t} |r_n(t,s)|, the diagonal operator-norm estimate L1.
 
     One pass over the rows marches every anchor column at once: column k
-    joins with r = 1 at row k, and each step is ``_step_blocks`` on the
-    columns that have joined, taken as one block.  Each row's per-mode peak
+    joins with r = 1 at row k, and each step is one fused step of the
+    columns that have joined, taken as one block, on row j's maps read from
+    the block layout of the marches from row 0.  Each row's per-mode peak
     is kept for the overflow guard, and L1 is their max beside the diagonal
     r_n(s, s) = 1, without holding the table: O(N M) state.
     """
-    m_count = steps.n_nodes
-    r, mem = np.zeros((2, len(steps.modes), 1, m_count))
-    work = np.empty((2,) + r.shape)
-    peak = np.zeros((len(steps.modes), m_count))   # per-mode max |r| of each row
+    m_count, n_count = steps.n_nodes, len(steps.modes)
+    lay = _block_layout(steps, 0)
+    state = np.zeros((2, n_count, 1, m_count))
+    scratch = np.empty((2,) + state.shape)
+    peak = np.zeros((n_count, m_count))   # per-mode max |r| of each row
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m_count - 1):
-            r[:, :, j] = 1.0
-            rj, mj = r[..., :j + 1], mem[..., :j + 1]
-            _step_blocks(steps, slice(j, j + 1), rj, mj, work)
-            peak[:, j + 1] = np.abs(rj, out=work[0, ..., :j + 1]).max(axis=(1, 2))
+            state[0, :, 0, j] = 1.0
+            joined = _States(state[..., :j + 1], scratch[..., :j + 1])
+            block, p = divmod(j, lay.size)
+            joined.step(lay.maps[p, ..., block:block + 1, :])
+            joined.peaks(peak[:, j + 1:j + 2])
     _guard_peaks(peak, steps.modes)
     return max(1.0, float(peak.max()))
 

@@ -7,10 +7,12 @@ dense prefix-weight matrices; those contractions are kept here, and only
 here, as the reference, on the table ``build_resolvent_table`` still builds.
 
 The march is blocked: the rows are cut into blocks of L = ceil(sqrt(rows))
-and run in three vectorized passes (``mds.spectral``).  It is held to the
+and run in three vectorized passes (``mds.spectral``) on a block layout
+the StepMaps keeps for its next march from the same row.  It is held to the
 row-by-row march it replaced, kept here, and only here, as ``row_march``,
 and to the elementwise march before that, which ran the predictor-corrector
-``_step`` on every row (``elementwise_march``).
+``_step`` on every row (``elementwise_march``).  A march that reuses a
+layout must give the bits of one that makes it afresh.
 
 Bounds, fixed before the first run.  They are running-error bounds (Higham,
 Accuracy and Stability, 2nd ed., 3.3).  Let m be the majorant recurrence:
@@ -74,6 +76,7 @@ a table column by at most 14 (j - s + 1) eps m(t_j, t_s).
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,10 +87,11 @@ from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  NonlinearityEval, RegulatedTrajectory, TimeFunction, apply_psi,
                  build_time_grid, constant_measure, density_on_grid,
                  initial_iterate, lebesgue_measure, make_basis, zeno_measure)
+import mds.spectral
 from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
-from mds.spectral import (StepMaps, _guard_peaks, _march, _step, build_resolvent_table,
-                          resolvent_final_row, resolvent_sums, resolvent_sup,
-                          step_maps)
+from mds.spectral import (_OVERFLOW_GUARD, StepMaps, _guard_peaks, _march, _step,
+                          build_resolvent_table, resolvent_final_row, resolvent_sums,
+                          resolvent_sup, step_maps)
 
 from conftest import assemble_scenario
 
@@ -111,7 +115,7 @@ def row_march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray
     before it r and mem are exactly zero, so the column is bitwise the same
     whatever else is marched beside it, and the rows before the first
     nonzero seed are not stepped at all.  Every marched state is held to the
-    overflow guard.
+    overflow guard; its InstabilityError carries the row it stopped on.
     """
     a11, a12, a21, a22 = (a.T[:, :, None] for a in
                           (steps.a11, steps.a12, steps.a21, steps.a22))
@@ -126,8 +130,13 @@ def row_march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray
         out[:, j] = r
         if j == m_count - 1:
             break
-        r, mem = a11[j] * r + a12[j] * mem, a21[j] * r + a22[j] * mem
-        _guard_peaks(np.abs(r).max(axis=1)[:, None], steps.modes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, mem = a11[j] * r + a12[j] * mem, a21[j] * r + a22[j] * mem
+        try:
+            _guard_peaks(np.abs(r).max(axis=1)[:, None], steps.modes)
+        except InstabilityError as exc:
+            exc.row = j + 1             # the row the guard stopped on
+            raise
     return out
 
 
@@ -448,3 +457,162 @@ def test_guard_names_the_mode_of_the_earliest_row(early, late):
         with pytest.raises(InstabilityError) as exc:
             march(steps, seeds, np.empty((2, m_count, 1)))
         assert exc.value.mode == early
+    assert guarded_row(steps, seeds, (2, m_count, 1)) == (20, early)
+
+
+def adjoint_maps(steps: StepMaps) -> StepMaps:
+    """The maps the final row marches: a12 and a21 swapped, rows reversed."""
+    return StepMaps(steps.modes, *(a[:, ::-1] for a in
+                                   (steps.a11, steps.a21, steps.a12, steps.a22)))
+
+
+def guarded_row(steps: StepMaps, seeds: np.ndarray, shape) -> tuple[int, int]:
+    """The row and mode on which ``_march`` meets the overflow guard.
+
+    The row is read from the peaks the march hands the guard, whose trailing
+    axes hold the rows in time order from the first marched row.
+    """
+    seen = []
+
+    def guard(peak, modes):
+        seen.append(peak.copy())
+        _guard_peaks(peak, modes)
+
+    first = int(np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mds.spectral, "_guard_peaks", guard)
+        with pytest.raises(InstabilityError) as exc:
+            _march(steps, seeds, np.empty(shape))
+    below = np.all(seen[0] < _OVERFLOW_GUARD, axis=0).ravel()
+    return first + int(np.argmin(below)), exc.value.mode
+
+
+def forced_seeds(rng, m_count: int, n_count: int, width: int, first: int) -> np.ndarray:
+    """Seeds of magnitude 0.5..1 from row ``first`` on, zero before it; each
+    column after the first starts on a random row, half of them as unit
+    seeds (resolvent columns)."""
+    seeds = np.zeros((m_count, n_count, width))
+    starts = rng.integers(first, m_count, width)
+    starts[0] = first
+    for b, start in enumerate(starts):
+        if b and rng.random() < 0.5:
+            seeds[start, :, b] = 1.0
+        else:
+            seeds[start:, :, b] = rng.uniform(0.5, 1.0, (m_count - start, n_count))
+            seeds[start:, :, b] *= rng.choice([-1.0, 1.0], (m_count - start, n_count))
+    return seeds
+
+
+# tau = c0 < 0 makes r(t, s) = exp(n^2 |c0| (t - s)): with n up to 4 these
+# meet the overflow guard
+growing = st.builds(TimeFunction, st.just("const"), c0=st.floats(min_value=-40.0,
+                                                                  max_value=-8.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(time_functions() | growing, kernels(), small_grids | measures(),
+       st.integers(min_value=1, max_value=4), st.booleans(), st.data())
+def test_marches_on_one_step_maps_reuse_its_layout(tau, kernel, measure, n_count,
+                                                    adjoint, data):
+    # Several marches from one first row on one StepMaps: the first makes the
+    # block layout and the others reuse it; then one from the row before,
+    # which replaces it, and one more from the first row.  Each must equal,
+    # bitwise, the same march on fresh maps, and meet the guard on the row
+    # and mode the row march meets it on.
+    grid = build_time_grid(*measure)
+    m_count = len(grid)
+    modes = np.arange(1, n_count + 1)
+    linear = LinearPart(tau, kernel)
+
+    def maps(linear):
+        steps = step_maps(modes, linear, grid)
+        return adjoint_maps(steps) if adjoint else steps
+
+    steps = maps(linear)
+    first = data.draw(st.integers(min_value=1, max_value=m_count - 1), label="first")
+    j = np.arange(m_count)[:, None]
+    for start in (first, first, first, first - 1, first):
+        width = data.draw(st.integers(min_value=1, max_value=64), label="width")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        seeds = forced_seeds(rng, m_count, n_count, width, start)
+        shape = (n_count, m_count, width)
+        try:
+            old = row_march(steps, seeds, np.empty(shape))
+        except InstabilityError as exc:
+            assert guarded_row(steps, seeds, shape) == (exc.row, exc.mode)
+            assert guarded_row(maps(linear), seeds, shape) == (exc.row, exc.mode)
+            continue
+        before = list(steps.layouts)
+        new = _march(steps, seeds, np.empty(shape))
+        (layout,) = steps.layouts
+        assert layout.first == start
+        if before and before[0].first == start:
+            assert layout is before[0]          # reused, not made again
+        assert np.array_equal(new, _march(maps(linear), seeds, np.empty(shape)))
+        size = math.isqrt(m_count - start - 1) + 1
+        assert np.array_equal(new[:, :start + size], old[:, :start + size])
+        try:
+            maj = row_march(maps(majorant_linear(linear)), np.abs(seeds), np.empty(shape))
+        except InstabilityError:
+            continue
+        assert np.all(np.abs(new - old) <= RUNNING_ULPS * (j + 1) * EPS * maj)
+
+
+@pytest.mark.parametrize("m_count, first, n_count, count, last", [
+    (2, 0, 1, 1, 2),        # the smallest grid: one block of two rows
+    (5, 3, 2, 1, 2),        # M - first = 2, no full block
+    (5, 4, 3, 1, 1),        # one marched row, L = 1
+    (4, 1, 1, 2, 1),        # a last block of one row
+    (9, 1, 1, 3, 2),
+    (29, 1, 2, 5, 4),
+    (44, 1, 1, 7, 1),       # N = 1, a last block of one row
+])
+def test_edge_layouts_march_like_fresh_maps_and_rows(m_count, first, n_count, count, last):
+    grid = build_time_grid(constant_measure(1.0), m_count)
+    linear = LinearPart(TimeFunction("cosine", c0=1.5, c1=0.5, freq=1.0),
+                        MemoryKernel("exp_diff", c0=0.7, rate=1.0))
+    modes = np.arange(1, n_count + 1)
+    rng = np.random.default_rng(m_count)
+    forward, majorant = (step_maps(modes, lin, grid)
+                         for lin in (linear, majorant_linear(linear)))
+    j = np.arange(m_count)[:, None]
+    for steps, maj_steps in ((forward, majorant),
+                             (adjoint_maps(forward), adjoint_maps(majorant))):
+        for width in (1, 5, 64):
+            seeds = forced_seeds(rng, m_count, n_count, width, first)
+            shape = (n_count, m_count, width)
+            new = _march(steps, seeds, np.empty(shape))
+            layout = steps.layouts[0]
+            assert (layout.first, layout.count, layout.last) == (first, count, last)
+            fresh = StepMaps(*(np.array(a) for a in (steps.modes, steps.a11, steps.a12,
+                                                     steps.a21, steps.a22)))
+            assert np.array_equal(new, _march(fresh, seeds, np.empty(shape)))
+            old = row_march(steps, seeds, np.empty(shape))
+            if count == 1:       # one block runs the row steps themselves
+                assert np.array_equal(new, old)
+            maj = row_march(maj_steps, np.abs(seeds), np.empty(shape))
+            assert np.all(np.abs(new - old) <= RUNNING_ULPS * (j + 1) * EPS * maj)
+
+
+def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
+    # the verify-resolvent sample at 2048 nodes: 64 unit-seed columns, marched
+    # one mode at a time.  The layout, seeds, scratch and peaks together stay
+    # below one more (N, M, 64) array beside the output, and the modes
+    # marched together give the same bits.
+    steps = step_maps(resolvent_scn.basis.mode_numbers, resolvent_scn.linear,
+                      build_time_grid(resolvent_scn.h, 2048))
+    m_count, n_count = steps.n_nodes, len(steps.modes)
+    anchors = np.unique(np.linspace(0, m_count - 3, 64).astype(int))
+    seeds = np.equal.outer(np.arange(m_count), anchors)
+    out = np.empty((n_count, m_count, len(anchors)))
+    tracemalloc.start()
+    try:
+        _march(steps, seeds, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps.layouts                # the layout was made inside the traced march
+    assert peak < out.nbytes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mds.spectral, "MODE_COLUMNS", n_count * len(anchors))
+        assert np.array_equal(_march(steps, seeds, np.empty_like(out)), out)

@@ -11,9 +11,9 @@ import pytest
 
 from mds import (ConfigError, InstabilityError, RegulatedTrajectory, UsageError,
                  constant_measure, LinearPart, MemoryKernel, TimeFunction,
-                 Tolerances, apply_psi, initial_iterate, make_basis, parse_scenario,
-                 run_command, serialize_scenario, write_control_csv,
-                 write_trajectory_csv)
+                 Tolerances, apply_psi, build_report, initial_iterate, make_basis,
+                 parse_scenario, run_command, serialize_scenario, steer,
+                 write_control_csv, write_trajectory_csv)
 import mds._quad
 import mds.scenario
 import mds.spectral
@@ -134,6 +134,63 @@ def test_overlong_jump_list_rejected_before_pair_checks(monkeypatch):
     assert exc.value.path == "$.measure.jumps"
 
 
+def _pair_by_pair(jumps, path="$.measure.jumps"):
+    """The per-pair check the whole-list one stands in for: its first error."""
+    for i, pair in enumerate(jumps):
+        try:
+            scenario_io._numbers(pair, f"{path}[{i}]", 2, by_entry=False)
+        except ConfigError as exc:
+            return exc
+    return None
+
+
+BAD_PAIRS = [None, "x", [0.5], [0.5, 0.1, 0.2], (0.5, 0.1), [0.5, True], [False, 0.1],
+             [0.5, "0.1"], [0.5, None], [float("nan"), 0.1], [0.5, float("inf")],
+             [0.5, 1e101], [-1e300, 0.1], [0.5, 10 ** 400], [0.5, int(1e100) + 1],
+             [0.5, [0.1]], {"t": 0.5}]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", BAD_PAIRS, ids=repr)
+def test_bad_jump_pair_is_named_as_pair_by_pair(where, bad):
+    # 9 good pairs with the bad one at index 0, 4 or 9: the message and path
+    # are those of the per-pair check, character for character
+    jumps = [[(i + 1) / 20, 0.1] for i in range(9)]
+    index = {"first": 0, "middle": 4, "last": 9}[where]
+    jumps.insert(index, bad)
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(tiny_doc(measure={"end": 1.0, "jumps": jumps}))
+    expected = _pair_by_pair(jumps)
+    assert (exc.value.path, str(exc.value)) == (expected.path, str(expected))
+    assert exc.value.path == f"$.measure.jumps[{index}]"
+
+
+def test_good_jump_lists_are_checked_in_one_pass(monkeypatch):
+    # plain ints and floats below the bound pass without the per-pair check;
+    # a value on the bound (float or int) or a numpy float is left to it,
+    # which accepts them too
+    checked = []
+    numbers = scenario_io._numbers
+
+    def counted(v, path, *args, **kwargs):
+        checked.append(path)
+        return numbers(v, path, *args, **kwargs)
+
+    monkeypatch.setattr(scenario_io, "_numbers", counted)
+    for jumps, canonical, per_pair in [
+            ([[0.25, 1], [0.5, 2.5e99], [0.75, 10 ** 99]],
+             [[0.25, 1.0], [0.5, 2.5e99], [0.75, 1e99]], False),
+            ([[0.25, 1e100]], [[0.25, 1e100]], True),
+            ([[0.25, 10 ** 100]], [[0.25, 1e100]], True),
+            ([[np.float64(0.25), 0.5]], [[0.25, 0.5]], True)]:
+        checked.clear()
+        scn = parse_scenario(tiny_doc(measure={"end": 1.0, "jumps": jumps}))
+        assert serialize_scenario(scn)["measure"]["jumps"] == canonical
+        pairs = [p for p in checked if ".jumps" in p]
+        assert pairs == ([f"$.measure.jumps[{i}]" for i in range(len(jumps))]
+                         if per_pair else [])
+
+
 @pytest.mark.parametrize("nodes, k", [(2, MAX_NODES), (MAX_NODES, 20)])
 def test_merged_grid_over_node_limit_rejected(monkeypatch, tmp_path, nodes, k):
     _forbid(monkeypatch, "Scenario")
@@ -153,18 +210,18 @@ def _physical_memory(monkeypatch, pages: int) -> None:
 def test_table_beyond_physical_memory_rejected(monkeypatch, tmp_path):
     _forbid(monkeypatch, "Scenario")
     _physical_memory(monkeypatch, 2 ** 18)            # 1 GiB
-    # the solver's 8 * 65536 * 256 * 16 bytes, about 2.15e9, passes every count limit
+    # the solver's 8 * 65536 * 256 * 22 bytes, about 2.95e9, passes every count limit
     doc = tiny_doc(basis={"N": 256}, grid={"nodes": MAX_NODES},
                    states={"zeta0": [0.0] * 256})
     with pytest.raises(ConfigError) as exc:
         parse_scenario(doc)
     assert exc.value.path == "$.grid.nodes"
-    assert f"{8 * MAX_NODES * 256 * 16:.3g} bytes" in str(exc.value)
+    assert f"{8 * MAX_NODES * 256 * 22:.3g} bytes" in str(exc.value)
     assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
 
 
 def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, capsys):
-    # 65 nodes x 2 modes: the solver's 16 columns take 16640 bytes and the
+    # 65 nodes x 2 modes: the solver's 22 columns take 22880 bytes and the
     # resolvent sample's 64 take 66560, against 32768 bytes of "memory"
     _physical_memory(monkeypatch, 8)
     parse_scenario(tiny_doc())
@@ -178,7 +235,7 @@ def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, c
 
 
 def test_synthesized_collocation_values_are_charged(monkeypatch, tmp_path, capsys):
-    # 65 nodes x 2 modes: the solver's 16 columns take 16640 bytes, and the
+    # 65 nodes x 2 modes: the solver's 22 columns take 22880 bytes, and the
     # cosine nonlinearity's (M, J) array at J = 2048 takes 1064960, against
     # 1 MiB of "memory"; the J values were not charged before
     _physical_memory(monkeypatch, 256)
@@ -192,7 +249,7 @@ def test_synthesized_collocation_values_are_charged(monkeypatch, tmp_path, capsy
     out = capsys.readouterr().out
     assert out.startswith("config error: $.grid.nodes: 65 merged nodes x 2 modes "
                           "and 2048 collocation nodes")
-    assert f"{8 * 65 * (2 * 16 + 2048):.3g} bytes" in out
+    assert f"{8 * 65 * (2 * 22 + 2048):.3g} bytes" in out
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -217,6 +274,28 @@ def test_a_sweep_stays_within_the_collocation_charge(term):
     finally:
         tracemalloc.stop()
     assert 8 * len(scn.grid) * 2048 <= peak <= charge
+
+
+@pytest.mark.parametrize("command", ["steer", "check-conditions"])
+def test_a_command_stays_within_the_solver_charge(command):
+    # the demo at 2049 nodes: a steer or a check holds its sweeps' arrays, the
+    # Picard seed, the step maps and their block layout, and at the end the
+    # adjoint's layout beside the forward one
+    doc = load_config("demo.json")
+    doc["grid"]["nodes"] = 2049
+    scn = parse_scenario(doc)
+    charge = 8 * len(scn.grid) * (scn.n_modes * scenario_io._SOLVER_ARRAYS
+                                  + scn.basis.collocation * scenario_io._COLLOCATION_ARRAYS)
+    tracemalloc.start()
+    try:
+        if command == "steer":
+            steer(scn)
+        else:
+            build_report(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge
 
 
 def test_large_grid_parses_without_a_square_budget(monkeypatch):

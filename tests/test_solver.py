@@ -7,10 +7,11 @@ from mds import (ConvergenceError, GridError, JumpMeasure, LinearPart,
                  MemoryKernel, NonlinearityEval, RegulatedTrajectory,
                  TimeFunction, Tolerances, apply_psi, constant_measure,
                  discontinuity_count, initial_iterate, jump_consistency,
-                 lebesgue_measure, make_basis, picard_solve, steer)
+                 lebesgue_measure, make_basis, parse_scenario, picard_solve, steer)
 import mds.solver
+import mds.spectral
 
-from conftest import assemble_scenario
+from conftest import assemble_scenario, load_config
 
 
 def _linear_scn(n_modes=3, nodes=129, zeta0=None, **kw):
@@ -77,6 +78,28 @@ def test_iterate_independent_psi_marches_once_per_solve(linear_scn, monkeypatch)
     marches.clear()
     assert steer(linear_scn).report.outer_iterations == 1
     assert len(marches) == 2
+
+
+def test_picard_seed_is_marched_once_per_scenario(monkeypatch):
+    # the demo's steer: three outer passes, so four Picard solves of 7, 8, 8
+    # and 8 sweeps; the seed R(t, 0) zeta0 is marched by the first solve
+    # only, and the final row once
+    marches = []
+
+    def counted(*args):
+        marches.append(args)
+        return march(*args)
+
+    march = mds.spectral._march
+    monkeypatch.setattr(mds.spectral, "_march", counted)
+    scn = parse_scenario(load_config("demo.json"))
+    seed = initial_iterate(scn)
+    assert len(marches) == 1
+    assert initial_iterate(scn) is seed
+    assert not seed.values.flags.writeable
+    outcome = steer(scn)
+    assert outcome.report.outer_iterations == 3
+    assert len(marches) == 33           # 31 sweeps, the seed and the final row
 
 
 def test_zero_control_matches_no_control():

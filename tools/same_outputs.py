@@ -7,8 +7,9 @@ fresh interpreter under both trees: on every config in ``configs/``, on
 the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
 2048), and on documents off the shipped path (``OFF_PATH``: runs that exit
 2 through the overflow guards or 3 on a zero gain, a zero cosine, the
-explicit-measure and lebesgue families, and a non-uniform grid whose
-``verify-resolvent`` writes no autonomy lines).  Exit codes, stdout and
+explicit-measure and lebesgue families, a non-uniform grid whose
+``verify-resolvent`` writes no autonomy lines, the smallest accepted grid
+and a single mode).  Exit codes, stdout and
 every output file are compared byte for byte.  Prints one line per
 difference and exits 1 if there is any, else 0.
 """
@@ -60,6 +61,15 @@ OFF_PATH = {
                       nonlinearity={"kind": "table", "values": [0.1, 0.0]}),
     "resolvent_check_zeno": _config("resolvent_check.json",
                                     measure={"family": "zeno", "K": 20}),
+    # the degenerate block layouts: 2 nodes make one block of two rows (and
+    # verify-resolvent exits 1), and N = 1 gives every march a single mode
+    "nodes_2": _tiny(grid={"nodes": 2}, measure={"family": "lebesgue", "end": 1.0},
+                     nonlinearity={"kind": "cosine", "M0": 0.05}),
+    "N_1": _tiny(basis={"N": 1}, states={"zeta0": [1.0], "zeta1": [0.25]},
+                 linear={"tau": {"kind": "const", "c0": 1.0},
+                         "kernel": {"kind": "exp_diff", "c0": 0.5, "rate": 1.0}},
+                 measure={"family": "lebesgue", "end": 1.0},
+                 nonlinearity={"kind": "cosine", "M0": 0.05}),
 }
 
 
