@@ -219,7 +219,7 @@ class Scenario:
 
     @cached_property
     def steps(self) -> StepMaps:
-        """The resolvent recurrence's step maps, four (N, M-1) arrays."""
+        """The resolvent recurrence's step maps, stacked in one (M-1, 2, 2, N) array."""
         return step_maps(self.basis.mode_numbers, self.linear, self.grid)
 
     @cached_property

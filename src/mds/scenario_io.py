@@ -59,8 +59,8 @@ MAX_COEFFICIENT = 1e100
 # matching tolerance, and a few horizons times coefficients stay finite
 HORIZON_RANGE = (1e-6, 1e6)
 # (M, N) arrays a command holds at once: a psi sweep's or a steering pass's,
-# the Picard seed, and the step maps with their block-major copy
-_SOLVER_ARRAYS = 22
+# and the Picard seed the run keeps
+_SOLVER_ARRAYS = 17
 _COLLOCATION_ARRAYS = 1     # (M, J) arrays a psi sweep holds at once at the J nodes
 _NUMBER_FORMAT = "%.17g"     # every number a report or a CSV row writes
 _DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)}

@@ -14,12 +14,13 @@ one-term recurrence.  All modes and all anchors advance together, so one
 time step costs O(modes x anchors).
 
 The step is linear in the column state (r, mem) and does not depend on the
-anchor: for each mode it is one 2x2 map.  ``step_maps`` works out the four
-coefficient arrays from the predictor-corrector ``_step``, and a Scenario
-holds them for the whole run, so every consumer reads the same arrays.  One
-routine, ``_march``, steps forward: a resolvent column is the run seeded
-with 1 at its anchor row, and a sum of columns against weights is one run
-seeded with those weights (``resolvent_sums``, the psi sweep).
+anchor: for each mode it is one 2x2 map.  ``step_maps`` works out the
+coefficients from the predictor-corrector ``_step`` and stacks them row by
+row, shape (M-1, 2, 2, N), so that step j reads one contiguous slab; a
+Scenario holds them for the whole run, so every consumer reads the same
+array.  One routine, ``_march``, steps forward: a resolvent column is the
+run seeded with 1 at its anchor row, and a sum of columns against weights is
+one run seeded with those weights (``resolvent_sums``, the psi sweep).
 
 The march is a two-level blocked scan (Blelloch, "Prefix sums and their
 applications", 1990).  The marched rows first..M-1 are cut into blocks of
@@ -46,16 +47,19 @@ below the guard names the mode.
 What a march reads does not depend on its seeds, so it is laid out once.
 The first march from a row on a StepMaps makes the block layout
 (``_block_layout``), and the StepMaps keeps it for the next march from the
-same row; the Picard seed, the sweeps and L1 all start on row 0, so a run
-makes it once.  The layout holds the four maps stacked block-major, shape
-(L, 2, 2, N, blocks), so that step p of every block reads one contiguous
-slab, and each full block's T_i, made by running the unit states (1, 0)
-and (0, 1) alone through the block.  A step is one fused update of the stacked state (2, N,
+same row; the Picard seed and the sweeps all start on row 0, so a run makes
+it once.  The layout holds, for each p, the view maps[first + p::L] of the
+steps from row p of every block (no copy of the maps), and each full
+block's T_i, made by running the unit states (1, 0) and (0, 1) alone
+through the block.  A step is one fused update of the stacked state (2, N,
 blocks, B): one broadcast product into a (2, 2, N, blocks, B) scratch,
 scratch[k, i] = maps[k, i] state[k], and one sum of its two halves, so r =
-a11 r + a12 mem and mem = a21 r + a22 mem.  A march of B columns runs its
-modes in groups of max(1, 64 // B), which bounds that scratch for the
-64-column sample; modes never mix, so the groups change no number.
+a11 r + a12 mem and mem = a21 r + a22 mem.  Pass 1 leaves each z_i in the
+array of entry states, where pass 2 turns it into x_{i+1} in place, and
+passes 1 and 3 run the modes in groups of max(1, 64 // B) on one scratch.
+So a march holds its entry states and one group's scratch beside ``out``:
+for the 64-column sample, one mode's; modes never mix, so the groups
+change no number.
 
 The result is bitwise that of the march that stepped every row through
 ``a[:, p::L]`` and carried the unit states beside the seeded columns.
@@ -67,18 +71,17 @@ the T_i they gave beside the seeds, and pass 2 still adds the two
 products of T_i x_i first and z_i last.
 
 The final row r_n(a, .) is the discrete adjoint: the same march on the
-transposed maps (a12 and a21 swapped) with the rows reversed, seeded 1 at
-its first row.  The subdiagonal r_n(t_{j+1}, t_j) is a11 itself.  L1 =
-sup |r| is one pass over the rows that marches every anchor column at once:
-column k joins at row k, and each step is one fused step of the columns
-that have joined, as one block, on row j's maps read from the layout of
-row 0, so L1 holds O(N M) state.  It keeps each
-row's per-mode peak, and one guard reads the peaks of every march.
-``sample_resolvent`` marches the one set of at most ANCHOR_BLOCK columns
-both resolvent checks read, and refuses a sample that does not fit in
-physical memory before it marches.  None of these holds more than O(N M
-ANCHOR_BLOCK); the full (N, M, M) table is built only as a reference for
-tests.
+transposed maps (a12 and a21 swapped, a view) with the rows reversed,
+seeded 1 at its first row.  The subdiagonal r_n(t_{j+1}, t_j) is a11
+itself.  L1 = sup |r| is one pass over the rows that marches every anchor
+column at once: column k joins at row k, and row j's step is the same
+fused step of the columns that have joined, on maps[j], so L1 holds
+O(N M) state.  It keeps each row's per-mode peak, and one guard reads the
+peaks of every march.  ``sample_resolvent`` marches the one set of at most
+ANCHOR_BLOCK columns both resolvent checks read, and refuses a sample that
+does not fit in physical memory before it marches.  None of these holds
+more than O(N M ANCHOR_BLOCK); the full (N, M, M) table is built only as a
+reference for tests.
 
 ``verify_resolvent_pde`` sums each sampled column's memory integral by a
 trapezoid recurrence of its own.  It runs the rows in chunks of about
@@ -177,29 +180,34 @@ class LinearPart:
 
 @dataclass(frozen=True)
 class StepMaps:
-    """The step coefficients a11, a12, a21, a22 of the recurrence, each (N, M-1).
+    """The step coefficients of the recurrence, stacked: ``maps`` is (M-1, 2, 2, N).
 
     Step j maps the column state at row j to row j+1,
 
-        r <- a11[:, j] r + a12[:, j] mem,   mem <- a21[:, j] r + a22[:, j] mem,
+        r <- a11 r + a12 mem,   mem <- a21 r + a22 mem,
 
-    and is the same for every column, so a11 is also the subdiagonal
-    r_n(t_{j+1}, t_j).  ``modes`` are the mode numbers of the rows, which
-    the overflow guard names.  ``layouts`` keeps the block layout of the
-    last row a march started from (``_block_layout``), so the maps must not
-    change once they have been marched.
+    with maps[j, k, i] the coefficient of component k of the state (r, mem)
+    in component i of the next, so that step j reads one contiguous slab
+    maps[j]: a11 = maps[:, 0, 0], a12 = maps[:, 1, 0], a21 = maps[:, 0, 1]
+    and a22 = maps[:, 1, 1].  The step is the same for every column, so a11
+    is also the subdiagonal r_n(t_{j+1}, t_j).  ``modes`` are the mode
+    numbers, which the overflow guard names.  ``layouts`` keeps the block
+    layout of the last row a march started from (``_block_layout``), so the
+    maps must not change once they have been marched.
     """
 
     modes: np.ndarray
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
+    maps: np.ndarray
     layouts: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
-        return self.a11.shape[1] + 1
+        return len(self.maps) + 1
+
+    @property
+    def a11(self) -> np.ndarray:
+        """The subdiagonal r_n(t_{j+1}, t_j), (N, M-1)."""
+        return self.maps[:, 0, 0].T
 
 
 def step_maps(modes: np.ndarray, linear: LinearPart, grid: TimeGrid) -> StepMaps:
@@ -207,18 +215,18 @@ def step_maps(modes: np.ndarray, linear: LinearPart, grid: TimeGrid) -> StepMaps
 
     A growing mode can make a coefficient overflow; the march that reads it
     then meets the overflow guard, so no numpy warning is raised here.  The
-    maps are read-only: the block layouts copy them.
+    maps are read-only: marches read them through views.
     """
-    d = np.diff(grid.nodes)
-    n2 = modes.astype(float)[:, None] ** 2
+    d = np.diff(grid.nodes)[:, None]
+    n2 = modes.astype(float) ** 2
+    maps = np.empty((len(d), 2, 2, len(modes)))
     with np.errstate(over="ignore", invalid="ignore"):
-        ex = np.exp(-n2 * np.diff(linear.tau.antiderivative(grid.nodes)))   # exact
+        ex = np.exp(-n2 * np.diff(linear.tau.antiderivative(grid.nodes))[:, None])  # exact
         kq, decay = -n2 * linear.kernel.c0, np.exp(-linear.kernel.rate * d)
-        a11, a21 = _step(1.0, 0.0, ex, kq, d, decay)
-        a12, a22 = _step(0.0, 1.0, ex, kq, d, decay)
-    for a in (a11, a12, a21, a22):
-        a.setflags(write=False)
-    return StepMaps(modes, a11, a12, a21, a22)
+        maps[:, 0, 0], maps[:, 0, 1] = _step(1.0, 0.0, ex, kq, d, decay)
+        maps[:, 1, 0], maps[:, 1, 1] = _step(0.0, 1.0, ex, kq, d, decay)
+    maps.setflags(write=False)
+    return StepMaps(modes, maps)
 
 
 def _step(r, mem, ex, kq, d, decay):
@@ -258,7 +266,7 @@ class _States:
     """Stacked column states, state[0] = r and state[1] = mem, stepped in place.
 
     ``state`` is (2, N, blocks, B) and ``scratch`` (2, 2, N, blocks, B).  A
-    step reads a (2, 2, N, blocks, 1) slab of maps, maps[k, i] the
+    step reads a (2, 2, N, blocks, 1) view of maps, maps[k, i] the
     coefficient of component k in the next component i: one broadcast
     product scratch[k, i] = maps[k, i] state[k], and one sum of its halves,
     state = scratch[0] + scratch[1].  So r = a11 r + a12 mem and mem = a21 r
@@ -270,7 +278,6 @@ class _States:
         self.state, self.r, self.wide = state, state[0], state[:, None]
         self.scratch, (self.lo, self.hi) = scratch, scratch
         self.abs_r = scratch[0, 0]
-        self.column = state[0, ..., 0] if state.shape[-1] == 1 else None
 
     def step(self, maps: np.ndarray) -> None:
         np.multiply(maps, self.wide, out=self.scratch)
@@ -278,10 +285,7 @@ class _States:
 
     def peaks(self, out: np.ndarray) -> None:
         """Each block's per-mode max |r| over the columns, into ``out`` (N, blocks)."""
-        if self.column is not None:             # one column: nothing to reduce
-            np.abs(self.column, out=out)
-        else:
-            np.abs(self.r, out=self.abs_r).max(axis=-1, out=out)
+        np.abs(self.r, out=self.abs_r).max(axis=-1, out=out)
 
 
 @dataclass(frozen=True)
@@ -290,20 +294,20 @@ class _BlockLayout:
 
     The rows first..M-1 are cut into ``count`` blocks of L = ``size`` rows,
     block i starting at row first + i L; only the last can be short, with
-    ``last`` rows.  ``maps[p, k, i, :, b]`` is the coefficient of component k
-    of the state in component i of the next on the step from row p of block
-    b: the four maps stacked block-major, so that step p of every block
-    reads one contiguous slab maps[p], and 0 past the last row.
-    ``transfer[b]`` is full block b's 2x2 transfer map T_b, in the same
-    order: the unit states (1, 0) and (0, 1) stepped alone through the
-    block.
+    ``last`` rows.  ``slabs[p]`` is the maps of the step from row p of
+    every block that has one, a (2, 2, N, blocks, 1) view of the stacked
+    maps (no copy), and ``full_slabs[p]`` its full blocks' part.
+    ``transfer[b]`` is full block b's 2x2 transfer map T_b,
+    in the same order: the unit states (1, 0) and (0, 1) stepped alone
+    through the block.
     """
 
     first: int
     size: int
     count: int
     last: int
-    maps: np.ndarray        # (L, 2, 2, N, count, 1)
+    slabs: list             # L views, (2, 2, N, blocks, 1)
+    full_slabs: list        # L views, (2, 2, N, count - 1, 1)
     transfer: np.ndarray    # (count - 1, 2, 2, N, 1)
 
 
@@ -311,29 +315,26 @@ def _block_layout(steps: StepMaps, first: int) -> _BlockLayout:
     """The layout of the marches from row ``first``, made by the first of them.
 
     ``steps`` keeps the one made last: every march of a run starts from the
-    same row, and one layout holds about 4 (N, M) floats.
+    same row.  Its views cost nothing, and T_i holds 4 N sqrt(M) floats.
     """
     if steps.layouts and steps.layouts[0].first == first:
         return steps.layouts[0]
     rows = steps.n_nodes - first
     size = math.isqrt(rows - 1) + 1              # L = ceil(sqrt(rows))
     count = -(-rows // size)
-    full, n_count = count - 1, len(steps.modes)
-    tail = first + full * size                   # the last block's first row
-    maps = np.zeros((size, 2, 2, n_count, count, 1))
-    for k, i, a in ((0, 0, steps.a11), (1, 0, steps.a12), (0, 1, steps.a21),
-                    (1, 1, steps.a22)):
-        blocks = a[:, first:tail].reshape(n_count, full, size)    # a view
-        maps[:, k, i, :, :full, 0] = blocks.transpose(2, 0, 1)
-        maps[:steps.n_nodes - 1 - tail, k, i, :, full, 0] = a[:, tail:].T
-    unit = np.zeros((2, n_count, full, 2))       # column k starts as the unit state k
+    full = count - 1
+    slabs = [steps.maps[first + p::size].transpose(1, 2, 3, 0)[..., None]
+             for p in range(size)]
+    full_slabs = [slab[..., :full, :] for slab in slabs]
+    unit = np.zeros((2, len(steps.modes), full, 2))   # column k starts as the unit state k
     unit[0, :, :, 0] = unit[1, :, :, 1] = 1.0
     states = _States(unit, np.empty((2,) + unit.shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        for slab in maps[..., :full, :]:
+        for slab in full_slabs:
             states.step(slab)
     transfer = np.ascontiguousarray(unit.transpose(2, 3, 0, 1)[..., None])
-    layout = _BlockLayout(first, size, count, rows - full * size, maps, transfer)
+    layout = _BlockLayout(first, size, count, rows - full * size, slabs, full_slabs,
+                          transfer)
     steps.layouts[:] = [layout]
     return layout
 
@@ -347,8 +348,8 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     into blocks of L = ceil(sqrt(rows)) rows and run in three vectorized
     passes on the block layout of ``steps`` (see the module docstring), so a
     march takes about 2 L fused steps and one short pass over the blocks
-    instead of one step per row.  The modes run in groups of max(1,
-    MODE_COLUMNS // B) on the same layout, which bounds the scratch of a
+    instead of one step per row.  Passes 1 and 3 run the modes in groups of
+    max(1, MODE_COLUMNS // B) on one scratch, which bounds the scratch of a
     wide march and changes no number: the modes are stepped apart.  Every
     stepped state is held to the overflow guard, and the earliest row in
     time that is not below it raises.
@@ -362,79 +363,99 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
         return out
     lay = _block_layout(steps, first)
     n_count, width = out.shape[0], out.shape[2]
+    # the state of block i on entry, x_i, in entry[:, :, i]; pass 1 leaves
+    # full block i's forced end state z_i in entry[:, :, i + 1] for pass 2
+    entry = np.zeros((2, n_count, lay.count, width))
     # per-mode max |state| of row first + i L + p in peak[p, :, i], 0 where
     # no state is stepped: row first and the rows past the last
     peak = np.zeros((lay.size, n_count, lay.count))
     group = max(1, MODE_COLUMNS // width)
-    with np.errstate(over="ignore", invalid="ignore"):
+    scratch = np.empty(4 * min(group, n_count) * lay.count * width)
+
+    def mode_groups():
+        # one group's views at a time: a wide march has many groups
         for lo in range(0, n_count, group):
             modes = slice(lo, lo + group)
-            _march_modes(lay, modes, seeds[:, modes] if seeds.shape[1] > 1 else seeds,
-                         out[modes], peak[:, modes])
+            yield _ModeGroup(lay, modes if group < n_count else None,
+                             seeds[:, modes] if seeds.shape[1] > 1 else seeds,
+                             entry[:, modes], scratch, out[modes], peak[:, modes])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in mode_groups():
+            g.forced_ends()
+        # pass 2, every mode at once: x_0 = 0 and x_{i+1} = T_i x_i + z_i
+        carry = np.empty((2, 2, n_count, width))
+        lo, hi = carry
+        for t, x, x_next in zip(lay.transfer, entry[:, None].transpose(3, 0, 1, 2, 4),
+                                entry.transpose(2, 0, 1, 3)[1:]):
+            np.multiply(t, x, out=carry)
+            np.add(lo, hi, out=lo)
+            np.add(lo, x_next, out=x_next)                 # z_i, held there, added last
+        for g in mode_groups():
+            g.rows_out()
     _guard_peaks(peak.transpose(1, 2, 0), steps.modes)     # rows in time order from first
     return out
 
 
-def _march_modes(lay: _BlockLayout, modes: slice, seeds: np.ndarray, out: np.ndarray,
-                 peak: np.ndarray) -> None:
-    """The three passes of ``_march`` for the modes ``modes``, on ``lay``.
+class _ModeGroup:
+    """Passes 1 and 3 of ``_march`` for the modes ``modes`` (None: all), on ``lay``.
 
-    ``seeds``, ``out`` and ``peak`` hold those modes only: out[:, first:] is
-    written, and each stepped row's per-mode peak into ``peak``, (L, N, blocks).
+    ``seeds``, ``entry``, ``out`` and ``peak`` hold those modes only:
+    entry (2, N, blocks, B) is their part of the march's entry states, and
+    peak (L, N, blocks) of its row peaks.  ``scratch`` is a flat buffer the
+    groups share.  The views the steps read are made here, outside the step
+    loops: the seeds of row p of every block, and the maps of the step from
+    row p for every block that has one and for the full blocks, the
+    layout's own when the group is every mode.
     """
-    first, size, count, last = lay.first, lay.size, lay.count, lay.last
-    full, shape = count - 1, (out.shape[0], count, out.shape[2])
-    if shape[2] == 1:
-        # one column: its seeds block-major, the seed of row first + i L + p
-        # in rows[p, :, i] and 0 past the last row, so each step reads one slab
-        tail = first + full * size
-        rows = np.zeros((size, seeds.shape[1], count, 1), seeds.dtype)
-        rows[:, :, :full] = seeds[first:tail].reshape(
-            (full, size) + seeds.shape[1:]).transpose(1, 2, 0, 3)
-        rows[:last, :, full] = seeds[tail:]
-    else:
-        rows = [seeds[first + p::size].transpose(1, 0, 2) for p in range(size)]
-    # one scratch for every pass; the full blocks' is a contiguous part of it
-    scratch = np.empty(4 * math.prod(shape))
-    blocks = _States(np.zeros((2,) + shape), scratch.reshape((2, 2) + shape))
-    full_scratch = scratch[:4 * shape[0] * full * shape[2]].reshape(
-        (2, 2, shape[0], full, shape[2]))
-    maps, transfer = lay.maps[:, :, :, modes], lay.transfer[:, :, :, modes]
 
-    # pass 1: the seeded columns of each full block from zero, to its forced
-    # end state z_i
-    ends = _States(np.zeros((2, shape[0], full, shape[2])), full_scratch)
-    for slab, seed in zip(maps[..., :full, :], rows):
-        ends.r += seed[:, :full]
-        ends.step(slab)
-    # pass 2: the entry states x_0 = 0 and x_{i+1} = T_i x_i + z_i
-    entry = blocks.state
-    carry = blocks.scratch[..., 0, :]                      # (2, 2, N, B)
-    lo, hi = carry
-    for t, z, x, x_next in zip(transfer, ends.state.transpose(2, 0, 1, 3),
-                               entry[:, None].transpose(3, 0, 1, 2, 4),
-                               entry.transpose(2, 0, 1, 3)[1:]):
-        np.multiply(t, x, out=carry)
-        np.add(lo, hi, out=x_next)
-        x_next += z
-    del ends                                               # z is spent
-    _States(entry[:, :, 1:], blocks.scratch[..., 1:, :]).peaks(peak[0, :, 1:])
-    # pass 3: every block again from its entry state, row p of each written
-    # through the strided view out[:, first + p::L]; the last block has rows
-    # while p < last and steps while it has a next row
-    full_blocks = _States(entry[:, :, :full], full_scratch)
-    for p in range(size):
-        states, with_row = (blocks, count) if p < last else (full_blocks, full)
-        states.r += rows[p][:, :with_row]
-        out[:, first + p::size] = states.r
-        if p == size - 1:
-            break
-        if p < last - 1:                                   # every block has a next row
-            blocks.step(maps[p])
-            blocks.peaks(peak[p + 1])
-        else:
-            full_blocks.step(maps[p, ..., :full, :])
-            full_blocks.peaks(peak[p + 1, :, :full])
+    def __init__(self, lay: _BlockLayout, modes: slice | None, seeds: np.ndarray,
+                 entry: np.ndarray, scratch: np.ndarray, out: np.ndarray,
+                 peak: np.ndarray):
+        self.lay, self.out, self.peak, full = lay, out, peak, lay.count - 1
+        self.rows = [seeds[lay.first + p::lay.size].transpose(1, 0, 2)
+                     for p in range(lay.size)]
+        self.maps, self.full_maps = (
+            (lay.slabs, lay.full_slabs) if modes is None else
+            ([slab[:, :, modes] for slab in slabs] for slabs in (lay.slabs, lay.full_slabs)))
+        n_count, count, width = entry.shape[1:]
+        self.blocks = _States(entry, scratch[:4 * n_count * count * width].reshape(
+            (2, 2, n_count, count, width)))
+        # the full blocks' scratch is a contiguous part of it
+        full_scratch = scratch[:4 * n_count * full * width].reshape(
+            (2, 2, n_count, full, width))
+        self.ends = _States(entry[:, :, 1:], full_scratch)
+        self.full_blocks = _States(entry[:, :, :full], full_scratch)
+
+    def forced_ends(self) -> None:
+        """Pass 1: the seeded columns of each full block from zero, to its
+        forced end state z_i, left in entry[:, :, i + 1]."""
+        ends, full = self.ends, self.lay.count - 1
+        for slab, seed in zip(self.full_maps, self.rows):
+            ends.r += seed[:, :full]
+            ends.step(slab)
+
+    def rows_out(self) -> None:
+        """Pass 3: every block again from its entry state, row p of each
+        written through the strided view out[:, first + p::L].  The last
+        block has rows while p < last and steps while it has a next row."""
+        lay, blocks, full_blocks, out, peak = (self.lay, self.blocks, self.full_blocks,
+                                               self.out, self.peak)
+        first, size, count, last = lay.first, lay.size, lay.count, lay.last
+        full = count - 1
+        _States(blocks.state[:, :, 1:], blocks.scratch[..., 1:, :]).peaks(peak[0, :, 1:])
+        for p in range(size):
+            states, with_row = (blocks, count) if p < last else (full_blocks, full)
+            states.r += self.rows[p][:, :with_row]
+            out[:, first + p::size] = states.r
+            if p == size - 1:
+                break
+            if p < last - 1:                               # every block has a next row
+                blocks.step(self.maps[p])
+                blocks.peaks(peak[p + 1])
+            else:
+                full_blocks.step(self.full_maps[p])
+                full_blocks.peaks(peak[p + 1, :, :full])
 
 
 def _etd_build(steps: StepMaps, anchors: np.ndarray) -> np.ndarray:
@@ -465,10 +486,9 @@ def resolvent_final_row(steps: StepMaps) -> np.ndarray:
     component at row k is r_n(a, t_k).  That is ``_march`` on the maps with
     a12 and a21 swapped and the rows reversed, seeded 1 at its first row, so
     it is O(N M) and guarded like every forward march.  The reversed maps
-    are views, and their block layout lives only as long as this march.
+    are a view, and their block layout lives only as long as this march.
     """
-    back = StepMaps(steps.modes, *(a[:, ::-1] for a in
-                                   (steps.a11, steps.a21, steps.a12, steps.a22)))
+    back = StepMaps(steps.modes, steps.maps[::-1].swapaxes(1, 2))
     seeds = np.zeros((steps.n_nodes, 1))
     seeds[0] = 1.0
     final = np.empty((len(steps.modes), steps.n_nodes))
@@ -480,24 +500,24 @@ def resolvent_sup(steps: StepMaps) -> float:
     """sup_{n, s<=t} |r_n(t,s)|, the diagonal operator-norm estimate L1.
 
     One pass over the rows marches every anchor column at once: column k
-    joins with r = 1 at row k, and each step is one fused step of the
-    columns that have joined, taken as one block, on row j's maps read from
-    the block layout of the marches from row 0.  Each row's per-mode peak
-    is kept for the overflow guard, and L1 is their max beside the diagonal
-    r_n(s, s) = 1, without holding the table: O(N M) state.
+    joins with r = 1 at row k, and row j's step is the fused step of
+    ``_States`` on the columns that have joined, read from maps[j].  Each
+    row's per-mode peak is kept for the overflow guard, and L1 is their max
+    beside the diagonal r_n(s, s) = 1, without holding the table: O(N M)
+    state.
     """
     m_count, n_count = steps.n_nodes, len(steps.modes)
-    lay = _block_layout(steps, 0)
-    state = np.zeros((2, n_count, 1, m_count))
+    state = np.zeros((2, n_count, m_count))
     scratch = np.empty((2,) + state.shape)
+    r, wide, (lo, hi), abs_r = state[0], state[:, None], scratch, scratch[0, 0]
     peak = np.zeros((n_count, m_count))   # per-mode max |r| of each row
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m_count - 1):
-            state[0, :, 0, j] = 1.0
-            joined = _States(state[..., :j + 1], scratch[..., :j + 1])
-            block, p = divmod(j, lay.size)
-            joined.step(lay.maps[p, ..., block:block + 1, :])
-            joined.peaks(peak[:, j + 1:j + 2])
+        for j, maps in enumerate(steps.maps[..., None]):
+            r[:, j] = 1.0
+            joined = slice(0, j + 1)
+            np.multiply(maps, wide[..., joined], out=scratch[..., joined])
+            np.add(lo[..., joined], hi[..., joined], out=state[..., joined])
+            np.abs(r[:, joined], out=abs_r[:, joined]).max(axis=1, out=peak[:, j + 1])
     _guard_peaks(peak, steps.modes)
     return max(1.0, float(peak.max()))
 

@@ -117,8 +117,7 @@ def row_march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray
     nonzero seed are not stepped at all.  Every marched state is held to the
     overflow guard; its InstabilityError carries the row it stopped on.
     """
-    a11, a12, a21, a22 = (a.T[:, :, None] for a in
-                          (steps.a11, steps.a12, steps.a21, steps.a22))
+    (a11, a21), (a12, a22) = steps.maps.transpose(1, 2, 0, 3)[..., None]
     m_count = steps.n_nodes
     seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
     first = int(seeded[0]) if seeded.size else m_count
@@ -450,7 +449,7 @@ def test_guard_names_the_mode_of_the_earliest_row(early, late):
     a11[late - 1, 22] = 1e13
     a11[late - 1, 23:] = 1e300
     zero = np.zeros_like(a11)
-    steps = StepMaps(np.array([1, 2]), a11, zero, zero, np.ones_like(a11))
+    steps = stacked_maps(np.array([1, 2]), a11, zero, zero, np.ones_like(a11))
     seeds = np.zeros((m_count, 2, 1))
     seeds[0] = 1.0
     for march in (row_march, _march, lambda steps, *_: resolvent_sup(steps)):
@@ -460,10 +459,16 @@ def test_guard_names_the_mode_of_the_earliest_row(early, late):
     assert guarded_row(steps, seeds, (2, m_count, 1)) == (20, early)
 
 
+def stacked_maps(modes: np.ndarray, a11, a12, a21, a22) -> StepMaps:
+    """StepMaps from its four (N, M-1) coefficient arrays."""
+    stacked = np.array([[a11, a21], [a12, a22]], dtype=float).transpose(3, 0, 1, 2)
+    return StepMaps(modes, np.ascontiguousarray(stacked))
+
+
 def adjoint_maps(steps: StepMaps) -> StepMaps:
     """The maps the final row marches: a12 and a21 swapped, rows reversed."""
-    return StepMaps(steps.modes, *(a[:, ::-1] for a in
-                                   (steps.a11, steps.a21, steps.a12, steps.a22)))
+    (a11, a21), (a12, a22) = steps.maps.transpose(1, 2, 0, 3)      # each (M-1, N)
+    return stacked_maps(steps.modes, *(a[::-1].T for a in (a11, a21, a12, a22)))
 
 
 def guarded_row(steps: StepMaps, seeds: np.ndarray, shape) -> tuple[int, int]:
@@ -584,8 +589,7 @@ def test_edge_layouts_march_like_fresh_maps_and_rows(m_count, first, n_count, co
             new = _march(steps, seeds, np.empty(shape))
             layout = steps.layouts[0]
             assert (layout.first, layout.count, layout.last) == (first, count, last)
-            fresh = StepMaps(*(np.array(a) for a in (steps.modes, steps.a11, steps.a12,
-                                                     steps.a21, steps.a22)))
+            fresh = StepMaps(steps.modes, np.array(steps.maps))
             assert np.array_equal(new, _march(fresh, seeds, np.empty(shape)))
             old = row_march(steps, seeds, np.empty(shape))
             if count == 1:       # one block runs the row steps themselves
@@ -597,8 +601,10 @@ def test_edge_layouts_march_like_fresh_maps_and_rows(m_count, first, n_count, co
 def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
     # the verify-resolvent sample at 2048 nodes: 64 unit-seed columns, marched
     # one mode at a time.  The layout, seeds, scratch and peaks together stay
-    # below one more (N, M, 64) array beside the output, and the modes
-    # marched together give the same bits.
+    # below one more (N, M, 64) array beside the output, and below 4 arrays
+    # of the march's stacked entry states (2, N, blocks, 64): the entry
+    # states, one mode's (2, 2, 1, blocks, 64) scratch, the row peaks and the
+    # transfer maps.  The modes marched together give the same bits.
     steps = step_maps(resolvent_scn.basis.mode_numbers, resolvent_scn.linear,
                       build_time_grid(resolvent_scn.h, 2048))
     m_count, n_count = steps.n_nodes, len(steps.modes)
@@ -613,6 +619,8 @@ def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
         tracemalloc.stop()
     assert steps.layouts                # the layout was made inside the traced march
     assert peak < out.nbytes
+    blocks = -(-m_count // (math.isqrt(m_count - 1) + 1))
+    assert peak < 4 * (2 * n_count * blocks * len(anchors) * 8)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mds.spectral, "MODE_COLUMNS", n_count * len(anchors))
         assert np.array_equal(_march(steps, seeds, np.empty_like(out)), out)

@@ -210,18 +210,18 @@ def _physical_memory(monkeypatch, pages: int) -> None:
 def test_table_beyond_physical_memory_rejected(monkeypatch, tmp_path):
     _forbid(monkeypatch, "Scenario")
     _physical_memory(monkeypatch, 2 ** 18)            # 1 GiB
-    # the solver's 8 * 65536 * 256 * 22 bytes, about 2.95e9, passes every count limit
+    # the solver's 8 * 65536 * 256 * 17 bytes, about 2.28e9, passes every count limit
     doc = tiny_doc(basis={"N": 256}, grid={"nodes": MAX_NODES},
                    states={"zeta0": [0.0] * 256})
     with pytest.raises(ConfigError) as exc:
         parse_scenario(doc)
     assert exc.value.path == "$.grid.nodes"
-    assert f"{8 * MAX_NODES * 256 * 22:.3g} bytes" in str(exc.value)
+    assert f"{8 * MAX_NODES * 256 * 17:.3g} bytes" in str(exc.value)
     assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
 
 
 def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, capsys):
-    # 65 nodes x 2 modes: the solver's 22 columns take 22880 bytes and the
+    # 65 nodes x 2 modes: the solver's 17 columns take 17680 bytes and the
     # resolvent sample's 64 take 66560, against 32768 bytes of "memory"
     _physical_memory(monkeypatch, 8)
     parse_scenario(tiny_doc())
@@ -235,7 +235,7 @@ def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, c
 
 
 def test_synthesized_collocation_values_are_charged(monkeypatch, tmp_path, capsys):
-    # 65 nodes x 2 modes: the solver's 22 columns take 22880 bytes, and the
+    # 65 nodes x 2 modes: the solver's 17 columns take 17680 bytes, and the
     # cosine nonlinearity's (M, J) array at J = 2048 takes 1064960, against
     # 1 MiB of "memory"; the J values were not charged before
     _physical_memory(monkeypatch, 256)
@@ -249,7 +249,7 @@ def test_synthesized_collocation_values_are_charged(monkeypatch, tmp_path, capsy
     out = capsys.readouterr().out
     assert out.startswith("config error: $.grid.nodes: 65 merged nodes x 2 modes "
                           "and 2048 collocation nodes")
-    assert f"{8 * 65 * (2 * 22 + 2048):.3g} bytes" in out
+    assert f"{8 * 65 * (2 * 17 + 2048):.3g} bytes" in out
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -279,8 +279,7 @@ def test_a_sweep_stays_within_the_collocation_charge(term):
 @pytest.mark.parametrize("command", ["steer", "check-conditions"])
 def test_a_command_stays_within_the_solver_charge(command):
     # the demo at 2049 nodes: a steer or a check holds its sweeps' arrays, the
-    # Picard seed, the step maps and their block layout, and at the end the
-    # adjoint's layout beside the forward one
+    # Picard seed, the step maps, and at the end L1's or the adjoint's state
     doc = load_config("demo.json")
     doc["grid"]["nodes"] = 2049
     scn = parse_scenario(doc)
