@@ -1,4 +1,4 @@
-"""Steering operator Z, its minimal-norm inverse, and the outer loop.
+"""Steering operator Z, its minimal-norm inverse, and the steering loop.
 
 Z u = int_0^a R(a,s) V u(s) ds with V = diag(theta).  Because R acts
 diagonally, the normal equations decouple into scalar mode Gramians
@@ -15,6 +15,13 @@ the solver uses at t = a.
 Everything here reads the resolvent only through its final row
 r_n(a, t_k), an (N, M) array the Scenario builds once by the discrete
 adjoint of the recurrence.
+
+``steer`` looks for a fixed point of the combined operator
+Phi(zeta) = psi(zeta, u_zeta), where u_zeta = Z^-1 p(zeta) is the
+minimal-norm control for the steering residual of zeta: one loop of
+synthesis and one psi sweep per pass, from the Picard seed.  At a fixed
+point zeta(a) + g(zeta) = zeta1 up to the rounding of the preimage, which
+is what the smallness conditions on Phi guarantee.
 """
 
 from __future__ import annotations
@@ -23,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .errors import DegenerateModeError, GridError, SteeringError
 from .measure import RegulatedTrajectory
 from .scenario import Scenario
-from .solver import picard_solve
+from .solver import picard_solve  # noqa: F401 -- wrapped by bench/tracer.py
 
 GAMMA_FLOOR = 1e-12
 
@@ -116,25 +124,39 @@ class SteerOutcome:
 
 
 def steer(scn: Scenario) -> SteerOutcome:
-    """Alternate control synthesis and Picard solves until the target is hit.
+    """Iterate Phi(zeta) = psi(zeta, u_zeta) from the Picard seed to its fixed point.
 
-    Starts from the uncontrolled solution; each outer pass synthesizes the
-    control for the current trajectory and re-solves.  Raises SteeringError
-    with the error history when max_outer passes do not reach tol_target.
+    Each pass synthesizes the control for the current iterate, applies psi
+    once with it and records the new iterate's terminal error; the loop
+    stops when the sweep moves the path by less than tol_picard.  With no
+    nonlinearity and no nonlocal term psi does not depend on its iterate:
+    the seed R(t, 0) zeta0 is then the uncontrolled solution (returned with
+    u = 0 when it already meets tol_target), and one pass is the fixed
+    point.  Raises SteeringError with the error history when max_outer
+    passes reach no fixed point, or when the fixed point misses tol_target.
     """
-    traj = picard_solve(scn, None).trajectory
+    tol = scn.tol
+    traj = scn.picard_seed
     u = ControlSignal(np.zeros((len(scn.grid), scn.n_modes)))
     history = [terminal_error(scn, traj)]
-    outer = 0
-    while history[-1] > scn.tol.tol_target:
-        if outer >= scn.tol.max_outer:
+    linear = scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero
+    fixed = linear and history[0] <= tol.tol_target
+    while not fixed:
+        if len(history) > tol.max_outer:
             raise SteeringError(
-                f"terminal error {history[-1]:.3e} after {outer} outer "
-                f"iterations (target {scn.tol.tol_target:g})", history)
+                f"no fixed point after {tol.max_outer} outer iterations "
+                f"(terminal error {history[-1]:.3e})", history)
+        # through the module attributes, which bench/tracer.py wraps
         u = synthesize_control(scn, traj)
-        traj = picard_solve(scn, u.samples).trajectory
-        outer += 1
-        history.append(terminal_error(scn, traj))
+        new = solver.apply_psi(scn, traj, u.samples)
+        history.append(terminal_error(scn, new))
+        fixed = linear or solver._sup_distance(new, traj) < tol.tol_picard
+        traj = new
+    outer = len(history) - 1
+    if history[-1] > tol.tol_target:
+        raise SteeringError(
+            f"terminal error {history[-1]:.3e} at the fixed point after {outer} "
+            f"outer iterations (target {tol.tol_target:g})", history)
     report = SteeringReport(history[-1], outer, u.l2_norm(scn.wq_full),
                             tuple(history), True)
     return SteerOutcome(u, traj, report)

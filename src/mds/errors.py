@@ -55,12 +55,16 @@ class ConvergenceError(RuntimeError):
 
 
 class SteeringError(RuntimeError):
-    """The outer steering loop exhausted its iteration budget.
+    """Steering missed the target.
+
+    Either max_outer passes reached no fixed point of the steering loop,
+    or the loop reached its fixed point with the terminal error still
+    above tol_target.
 
     Attributes
     ----------
     history : list of float
-        Terminal errors per outer iteration.
+        Terminal errors: the Picard seed's, then one per outer iteration.
     """
 
     def __init__(self, message: str, history: list[float]):

@@ -49,7 +49,8 @@ from .spectral import (LinearPart, check_autonomous_reduction, make_basis,
 MAX_MODES = 256
 MAX_NODES = 65536
 # max_picard and max_outer: a document can ask for at most this many sweeps
-# per solve and outer steering passes, so a run's work is bounded by its grid
+# per Picard solve and steering passes; a steering pass is one sweep, so no
+# command runs more than this many sweeps and a run's work is bounded by its grid
 MAX_ITERATIONS = 1024
 # |v| of every number a document carries (a coefficient of a time function,
 # kernel or nonlinearity, a gain, a state, a jump size, d, a tolerance) and

@@ -16,8 +16,11 @@ full-span weight times the forcing, plus zeta0 - g(zeta) at row 0.  A
 prefix row differs from the full-span rule only in its last two entries,
 so a row-local closure finishes each row: its own diagonal weight, and on
 odd Simpson rows one cell through r(t_j, t_{j-1}), the step maps' a11.
-Every solve of a run starts from the same Picard seed R(t, 0) zeta0, which
-the Scenario marches once and keeps read-only (``picard_seed``).
+Iteration starts from the Picard seed R(t, 0) zeta0, which the Scenario
+marches once and keeps read-only (``picard_seed``).  ``picard_solve``
+iterates psi at a fixed control (``simulate``'s solve); ``steer`` in
+``mds.control`` sweeps psi itself, once per control synthesis, from the
+same seed.
 """
 
 from __future__ import annotations
@@ -67,9 +70,10 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTraj
         closure += (scn.dh_diag - scn.dh_full)[:, None] * delta
     values = resolvent_sums(scn.steps, seeds) + closure
 
-    right = values.copy()
+    right = values                 # RegulatedTrajectory freezes both
     rows = scn.jump_rows
     if rows.size:
+        right = values.copy()
         right[rows] += delta[rows] * scn.jump_sizes[rows, None]
     return RegulatedTrajectory(scn.grid, values, right)
 

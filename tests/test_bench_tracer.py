@@ -42,11 +42,16 @@ def test_tracer_wraps_every_steer_layer(tmp_path):
     record = _trace(tmp_path, "steer", str(cfg))
     names = {span["name"] for span in record["spans"]}
     assert {"cli.import", "cli.main", "scenario_io.parse_scenario",
-            "measure.build_time_grid", "control.steer", "solver.picard_solve",
+            "measure.build_time_grid", "control.steer",
             "solver.apply_psi", "control.synthesize_control",
             "scenario_io.write_trajectory_csv", "scenario_io.write_control_csv",
             "bench.extras", "bench.half_build", "bench.peak_build"} <= names
     assert record["counts"]["control.outer_iterations"] >= 1
+    # steer sweeps psi itself, one sweep per synthesis, and runs no Picard solve
+    assert "solver.picard_solve" not in names
+    sweeps = sum(span["name"] == "solver.apply_psi" for span in record["spans"])
+    syntheses = sum(span["name"] == "control.synthesize_control" for span in record["spans"])
+    assert sweeps == syntheses == record["counts"]["control.outer_iterations"]
     # steer builds neither the table nor a quadrature matrix
     assert not names & {"spectral.build_resolvent_table", "quad.simpson_prefix_matrix",
                         "quad.trapezoid_prefix_matrix"}

@@ -6,14 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from mds import (ControlSignal, DegenerateModeError, GridError, LinearPart,
-                 MemoryKernel, SteeringError, TimeFunction, Tolerances,
-                 constant_measure, estimate_constants, gramians, make_basis,
-                 min_norm_inverse, run_command, steer, steering_residual,
-                 synthesize_control, terminal_error)
+from hypothesis import HealthCheck, given, settings
+
+import mds.solver
+from mds import (ConfigError, ControlSignal, DegenerateModeError, DomainError, GridError,
+                 InstabilityError, LinearPart, MemoryKernel, SteeringError, TimeFunction,
+                 Tolerances, UsageError, apply_psi, constant_measure, estimate_constants,
+                 gramians, make_basis, min_norm_inverse, parse_scenario, picard_solve,
+                 run_command, steer, steering_residual, synthesize_control,
+                 terminal_error)
 from mds.control import _weights_for
+from mds.scenario_io import MAX_ITERATIONS
+from mds.solver import _sup_distance
 
 from conftest import assemble_scenario, load_config
+from test_config_fuzz import documents
 
 
 def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
@@ -179,3 +186,138 @@ def test_demo_control_norm_within_apriori_bound(demo_scn, demo_steered):
     rhs = k.L3 * (np.linalg.norm(demo_scn.zeta1) + k.L1 * np.linalg.norm(demo_scn.zeta0)
                   + (1.0 + k.L1) * (k.c * r + k.d) + k.L1 * r * k.n_mass)
     assert demo_steered.report.control_norm <= rhs
+
+
+# ---------------------------------------------------------------- the fixed point of Phi
+
+def _phi_defect(scn, out) -> float:
+    """||psi(zeta, u) - zeta||_sup for the path and the control steer returned."""
+    again = apply_psi(scn, out.trajectory, out.control.samples)
+    return _sup_distance(again, out.trajectory)
+
+
+def _steer_recording_the_last_sweep(scn):
+    """steer's outcome and the iterate its last psi sweep started from."""
+    starts = []
+
+    def recorded(scn_, traj, u=None):
+        starts.append(traj)
+        return sweep(scn_, traj, u)
+
+    sweep = mds.solver.apply_psi
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mds.solver, "apply_psi", recorded)
+        out = steer(scn)
+    assert len(starts) == out.report.outer_iterations
+    return out, (starts[-1] if starts else None)
+
+
+def _assert_fixed_point_of_phi(scn, out, start):
+    """The returned path is Phi(start) = psi(start, u_start) with u_start the
+    returned control, and the last sweep moved its iterate by < tol_picard."""
+    rep = out.report
+    assert rep.converged and rep.terminal_error <= scn.tol.tol_target
+    assert rep.terminal_error == terminal_error(scn, out.trajectory) == rep.history[-1]
+    linear = scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero
+    if start is None:                   # the seed already met the target
+        assert linear and rep.outer_iterations == 0
+        assert out.trajectory is scn.picard_seed
+        assert not np.any(out.control.samples)
+        return
+    u = synthesize_control(scn, start)
+    assert out.control.samples.tobytes() == u.samples.tobytes()
+    assert apply_psi(scn, start, u.samples).values.tobytes() == out.trajectory.values.tobytes()
+    if linear:                          # psi does not depend on its iterate
+        assert _phi_defect(scn, out) == 0.0
+    else:
+        assert _sup_distance(out.trajectory, start) < scn.tol.tol_picard
+
+
+def test_demo_steer_is_a_fixed_point_of_phi(demo_scn):
+    out, start = _steer_recording_the_last_sweep(demo_scn)
+    _assert_fixed_point_of_phi(demo_scn, out, start)
+    assert out.report.outer_iterations == 9
+    # psi with the control is a contraction on the demo, so the returned pair
+    # is a fixed point of psi itself too
+    assert _phi_defect(demo_scn, out) < demo_scn.tol.tol_picard
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_steer_returns_a_fixed_point_of_phi(doc):
+    # room for the nonlinear documents to converge; a fuzz document allows 4 passes
+    doc["tolerances"]["max_outer"] = 64
+    try:
+        scn = parse_scenario(doc)
+        out, start = _steer_recording_the_last_sweep(scn)
+    except (ConfigError, DomainError, GridError, UsageError, SteeringError,
+            InstabilityError, DegenerateModeError):
+        return
+    _assert_fixed_point_of_phi(scn, out, start)
+
+
+def _nested_reference(scn):
+    """The nested loop's linear case: an uncontrolled Picard solve, then one
+    synthesis and one controlled Picard solve when the target is missed."""
+    traj = picard_solve(scn, None).trajectory
+    history = [terminal_error(scn, traj)]
+    u = np.zeros((len(scn.grid), scn.n_modes))
+    if history[0] > scn.tol.tol_target and scn.tol.max_outer > 0:
+        u = synthesize_control(scn, traj).samples
+        traj = picard_solve(scn, u).trajectory
+        history.append(terminal_error(scn, traj))
+    return u, traj, history
+
+
+def _assert_steers_like_the_nested_loop(scn):
+    try:
+        u, traj, history = _nested_reference(scn)
+    except (InstabilityError, DegenerateModeError) as exc:
+        with pytest.raises(type(exc)):
+            steer(scn)
+        return
+    if history[-1] > scn.tol.tol_target:
+        with pytest.raises(SteeringError) as exc:
+            steer(scn)
+        assert exc.value.history == history
+        return
+    out = steer(scn)
+    assert out.report.history == tuple(history)
+    assert out.report.outer_iterations == len(history) - 1
+    assert out.control.samples.tobytes() == u.tobytes()
+    assert out.trajectory.values.tobytes() == traj.values.tobytes()
+    assert out.trajectory.right_values.tobytes() == traj.right_values.tobytes()
+
+
+def test_linear_steering_matches_the_nested_loop(linear_scn):
+    _assert_steers_like_the_nested_loop(linear_scn)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_linear_documents_steer_like_the_nested_loop(doc):
+    doc["nonlinearity"] = {"kind": "zero"}
+    doc["nonlocal"] = {"kind": "zero"}
+    doc["tolerances"]["max_picard"] = 1     # the reference's Picard solves sweep once
+    try:
+        scn = parse_scenario(doc)
+    except ConfigError:
+        return
+    _assert_steers_like_the_nested_loop(scn)
+
+
+def test_unreachable_target_stops_at_the_fixed_point(demo_scn, monkeypatch):
+    # the nested loop ran all 1024 outer passes here (8199 sweeps) while the
+    # terminal error sat at 1.1e-13
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+
+    sweep = mds.solver.apply_psi
+    monkeypatch.setattr(mds.solver, "apply_psi", counted)
+    tol = dataclasses.replace(demo_scn.tol, tol_target=1e-300, max_outer=MAX_ITERATIONS)
+    with pytest.raises(SteeringError, match="at the fixed point") as exc:
+        steer(dataclasses.replace(demo_scn, tol=tol, config=None))
+    assert len(sweeps) == len(exc.value.history) - 1 <= demo_scn.tol.max_outer

@@ -76,14 +76,15 @@ def test_iterate_independent_psi_marches_once_per_solve(linear_scn, monkeypatch)
     assert np.array_equal(res.trajectory.values, seeded.values)
     assert np.array_equal(res.trajectory.right_values, seeded.right_values)
     marches.clear()
+    # steer starts from the Picard seed, which the Scenario marches, and
+    # sweeps once with the control
     assert steer(linear_scn).report.outer_iterations == 1
-    assert len(marches) == 2
+    assert len(marches) == 1
 
 
 def test_picard_seed_is_marched_once_per_scenario(monkeypatch):
-    # the demo's steer: three outer passes, so four Picard solves of 7, 8, 8
-    # and 8 sweeps; the seed R(t, 0) zeta0 is marched by the first solve
-    # only, and the final row once
+    # the demo's steer: nine passes of one synthesis and one sweep each from
+    # the seed R(t, 0) zeta0, which is marched once, and the final row once
     marches = []
 
     def counted(*args):
@@ -98,8 +99,8 @@ def test_picard_seed_is_marched_once_per_scenario(monkeypatch):
     assert initial_iterate(scn) is seed
     assert not seed.values.flags.writeable
     outcome = steer(scn)
-    assert outcome.report.outer_iterations == 3
-    assert len(marches) == 33           # 31 sweeps, the seed and the final row
+    assert outcome.report.outer_iterations == 9
+    assert len(marches) == 11           # 9 sweeps, the seed and the final row
 
 
 def test_zero_control_matches_no_control():
