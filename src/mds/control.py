@@ -126,14 +126,18 @@ class SteerOutcome:
 def steer(scn: Scenario) -> SteerOutcome:
     """Iterate Phi(zeta) = psi(zeta, u_zeta) from the Picard seed to its fixed point.
 
-    Each pass synthesizes the control for the current iterate, applies psi
+    Each pass synthesizes the control u for the current iterate, applies psi
     once with it and records the new iterate's terminal error; the loop
-    stops when the sweep moves the path by less than tol_picard.  With no
-    nonlinearity and no nonlocal term psi does not depend on its iterate:
-    the seed R(t, 0) zeta0 is then the uncontrolled solution (returned with
-    u = 0 when it already meets tol_target), and one pass is the fixed
-    point.  Raises SteeringError with the error history when max_outer
-    passes reach no fixed point, or when the fixed point misses tol_target.
+    stops when the sweep moves the path by less than tol_picard.  It returns
+    the iterate that last sweep started from, with its own control, so
+    ||psi(zeta, u) - zeta|| < tol_picard holds for the pair it returns, and
+    reports that iterate's terminal error (the last entry of the history is
+    the error of psi(zeta, u)).  With no nonlinearity and no nonlocal term
+    psi does not depend on its iterate: the seed R(t, 0) zeta0 is then the
+    uncontrolled solution (returned with u = 0 when it already meets
+    tol_target), and one pass reaches the fixed point, which is returned.
+    Raises SteeringError with the error history when max_outer passes reach
+    no fixed point, or when the fixed point misses tol_target.
     """
     tol = scn.tol
     traj = scn.picard_seed
@@ -150,13 +154,15 @@ def steer(scn: Scenario) -> SteerOutcome:
         u = synthesize_control(scn, traj)
         new = solver.apply_psi(scn, traj, u.samples)
         history.append(terminal_error(scn, new))
+        # psi(traj, u) = new, and psi(new, u) = new when psi does not read its iterate
         fixed = linear or solver._sup_distance(new, traj) < tol.tol_picard
-        traj = new
+        if linear or not fixed:
+            traj = new
+    error = history[-1] if linear else history[-2]
     outer = len(history) - 1
-    if history[-1] > tol.tol_target:
+    if error > tol.tol_target:
         raise SteeringError(
-            f"terminal error {history[-1]:.3e} at the fixed point after {outer} "
+            f"terminal error {error:.3e} at the fixed point after {outer} "
             f"outer iterations (target {tol.tol_target:g})", history)
-    report = SteeringReport(history[-1], outer, u.l2_norm(scn.wq_full),
-                            tuple(history), True)
+    report = SteeringReport(error, outer, u.l2_norm(scn.wq_full), tuple(history), True)
     return SteerOutcome(u, traj, report)
