@@ -126,18 +126,16 @@ class SteerOutcome:
 def steer(scn: Scenario) -> SteerOutcome:
     """Iterate Phi(zeta) = psi(zeta, u_zeta) from the Picard seed to its fixed point.
 
-    Each pass synthesizes the control u for the current iterate, applies psi
+    Each pass synthesizes the control for the current iterate, applies psi
     once with it and records the new iterate's terminal error; the loop
-    stops when the sweep moves the path by less than tol_picard.  It returns
-    the iterate that last sweep started from, with its own control, so
-    ||psi(zeta, u) - zeta|| < tol_picard holds for the pair it returns, and
-    reports that iterate's terminal error (the last entry of the history is
-    the error of psi(zeta, u)).  With no nonlinearity and no nonlocal term
-    psi does not depend on its iterate: the seed R(t, 0) zeta0 is then the
+    stops when the sweep moves the path by less than tol_picard, and returns
+    the path that sweep started from with its control, a pair psi moves by
+    less than tol_picard.  With no nonlinearity and no nonlocal term psi
+    does not depend on its iterate: the seed R(t, 0) zeta0 is the
     uncontrolled solution (returned with u = 0 when it already meets
-    tol_target), and one pass reaches the fixed point, which is returned.
-    Raises SteeringError with the error history when max_outer passes reach
-    no fixed point, or when the fixed point misses tol_target.
+    tol_target), and one pass reaches the fixed point.  Raises SteeringError
+    with the error history when max_outer passes reach no fixed point, or
+    when the fixed point misses tol_target.
     """
     tol = scn.tol
     traj = scn.picard_seed
@@ -154,7 +152,7 @@ def steer(scn: Scenario) -> SteerOutcome:
         u = synthesize_control(scn, traj)
         new = solver.apply_psi(scn, traj, u.samples)
         history.append(terminal_error(scn, new))
-        # psi(traj, u) = new, and psi(new, u) = new when psi does not read its iterate
+        # psi(traj, u) = new; psi(new, u) = new too when psi does not read its iterate
         fixed = linear or solver._sup_distance(new, traj) < tol.tol_picard
         if linear or not fixed:
             traj = new
