@@ -26,7 +26,7 @@ from .scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
 from .scenario_io import (parse_scenario, run_command, serialize_scenario,
                           write_control_csv, write_trajectory_csv)
 from .solver import (PicardResult, apply_psi, discontinuity_count,
-                     initial_iterate, jump_consistency, picard_solve)
+                     jump_consistency, picard_solve)
 from .spectral import (AutonomyReport, LinearPart, PdeReport, ResolventTable,
                        SpectralBasis, check_autonomous_reduction, make_basis,
                        sample_resolvent, verify_resolvent_pde)

@@ -78,11 +78,6 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTraj
     return RegulatedTrajectory(scn.grid, values, right)
 
 
-def initial_iterate(scn: Scenario) -> RegulatedTrajectory:
-    """Picard seed zeta^0(t) = R(t,0) zeta0, the same for every solve of the run."""
-    return scn.picard_seed
-
-
 def _sup_distance(a: RegulatedTrajectory, b: RegulatedTrajectory) -> float:
     dv = np.sqrt(np.sum((a.values - b.values) ** 2, axis=-1)).max()
     dr = np.sqrt(np.sum((a.right_values - b.right_values) ** 2, axis=-1)).max()
@@ -110,7 +105,7 @@ def picard_solve(scn: Scenario, u=None) -> PicardResult:
         zero = np.zeros((len(scn.grid), scn.n_modes))
         return PicardResult(apply_psi(scn, RegulatedTrajectory(scn.grid, zero, zero), u),
                             1, 0.0, (0.0,))
-    current = initial_iterate(scn)
+    current = scn.picard_seed
     deltas = []
     for sweep in range(1, scn.tol.max_picard + 1):
         new = apply_psi(scn, current, u)
@@ -131,7 +126,7 @@ def jump_consistency(traj: RegulatedTrajectory, scn: Scenario) -> float:
     rows = scn.jump_rows
     if rows.size == 0:
         return 0.0
-    delta = scn.delta_values(traj.values[rows])
+    delta = scn.delta_values(traj.values)[rows]      # a table has a row per node
     gap = traj.right_values[rows] - traj.values[rows] - delta * scn.jump_sizes[rows, None]
     return float(np.sqrt(np.sum(gap * gap, axis=-1)).max())
 

@@ -56,10 +56,8 @@ blocks, B): one broadcast product into a (2, 2, N, blocks, B) scratch,
 scratch[k, i] = maps[k, i] state[k], and one sum of its two halves, so r =
 a11 r + a12 mem and mem = a21 r + a22 mem.  Pass 1 leaves each z_i in the
 array of entry states, where pass 2 turns it into x_{i+1} in place, and
-passes 1 and 3 run the modes in groups of max(1, 64 // B) on one scratch.
-So a march holds its entry states and one group's scratch beside ``out``:
-for the 64-column sample, one mode's; modes never mix, so the groups
-change no number.
+passes 1 and 3 step every mode at once.  So a march holds its entry
+states, a scratch twice their size and its row peaks beside ``out``.
 
 The result is bitwise that of the march that stepped every row through
 ``a[:, p::L]`` and carried the unit states beside the seeded columns.
@@ -108,7 +106,6 @@ from .measure import TimeGrid
 
 _OVERFLOW_GUARD = 1e12
 ANCHOR_BLOCK = 64      # columns the sampled resolvent checks march
-MODE_COLUMNS = 64      # a march of B columns steps max(1, 64 // B) modes at once
 TOL_AUTO = 1e-6        # largest |r_n(t,s) - r_n(t-s,0)| the autonomy check passes
 
 
@@ -348,11 +345,8 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     into blocks of L = ceil(sqrt(rows)) rows and run in three vectorized
     passes on the block layout of ``steps`` (see the module docstring), so a
     march takes about 2 L fused steps and one short pass over the blocks
-    instead of one step per row.  Passes 1 and 3 run the modes in groups of
-    max(1, MODE_COLUMNS // B) on one scratch, which bounds the scratch of a
-    wide march and changes no number: the modes are stepped apart.  Every
-    stepped state is held to the overflow guard, and the earliest row in
-    time that is not below it raises.
+    instead of one step per row.  Every stepped state is held to the
+    overflow guard, and the earliest row in time that is not below it raises.
     """
     m_count = steps.n_nodes
     seeds = np.reshape(seeds, (len(seeds), -1, np.shape(seeds)[-1]))   # (M, N or 1, B)
@@ -362,28 +356,27 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     if first == m_count:
         return out
     lay = _block_layout(steps, first)
+    size, count, last, full = lay.size, lay.count, lay.last, lay.count - 1
     n_count, width = out.shape[0], out.shape[2]
     # the state of block i on entry, x_i, in entry[:, :, i]; pass 1 leaves
     # full block i's forced end state z_i in entry[:, :, i + 1] for pass 2
-    entry = np.zeros((2, n_count, lay.count, width))
+    entry = np.zeros((2, n_count, count, width))
     # per-mode max |state| of row first + i L + p in peak[p, :, i], 0 where
     # no state is stepped: row first and the rows past the last
-    peak = np.zeros((lay.size, n_count, lay.count))
-    group = max(1, MODE_COLUMNS // width)
-    scratch = np.empty(4 * min(group, n_count) * lay.count * width)
-
-    def mode_groups():
-        # one group's views at a time: a wide march has many groups
-        for lo in range(0, n_count, group):
-            modes = slice(lo, lo + group)
-            yield _ModeGroup(lay, modes if group < n_count else None,
-                             seeds[:, modes] if seeds.shape[1] > 1 else seeds,
-                             entry[:, modes], scratch, out[modes], peak[:, modes])
-
+    peak = np.zeros((size, n_count, count))
+    scratch = np.empty(4 * n_count * count * width)
+    blocks = _States(entry, scratch.reshape((2, 2, n_count, count, width)))
+    # the full blocks' scratch is a contiguous part of it
+    full_scratch = scratch[:4 * n_count * full * width].reshape((2, 2, n_count, full, width))
+    ends = _States(entry[:, :, 1:], full_scratch)
+    full_blocks = _States(entry[:, :, :full], full_scratch)
+    rows = [seeds[first + p::size].transpose(1, 0, 2) for p in range(size)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in mode_groups():
-            g.forced_ends()
-        # pass 2, every mode at once: x_0 = 0 and x_{i+1} = T_i x_i + z_i
+        # pass 1: the seeded columns of each full block from zero to z_i
+        for slab, seed in zip(lay.full_slabs, rows):
+            ends.r += seed[:, :full]
+            ends.step(slab)
+        # pass 2: x_0 = 0 and x_{i+1} = T_i x_i + z_i
         carry = np.empty((2, 2, n_count, width))
         lo, hi = carry
         for t, x, x_next in zip(lay.transfer, entry[:, None].transpose(3, 0, 1, 2, 4),
@@ -391,81 +384,24 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
             np.multiply(t, x, out=carry)
             np.add(lo, hi, out=lo)
             np.add(lo, x_next, out=x_next)                 # z_i, held there, added last
-        for g in mode_groups():
-            g.rows_out()
-    _guard_peaks(peak.transpose(1, 2, 0), steps.modes)     # rows in time order from first
-    return out
-
-
-class _ModeGroup:
-    """Passes 1 and 3 of ``_march`` for the modes ``modes`` (None: all), on ``lay``.
-
-    ``seeds``, ``entry``, ``out`` and ``peak`` hold those modes only:
-    entry (2, N, blocks, B) is their part of the march's entry states, and
-    peak (L, N, blocks) of its row peaks.  ``scratch`` is a flat buffer the
-    groups share.  The views the steps read are made here, outside the step
-    loops: the seeds of row p of every block, and the maps of the step from
-    row p for every block that has one and for the full blocks, the
-    layout's own when the group is every mode.
-    """
-
-    def __init__(self, lay: _BlockLayout, modes: slice | None, seeds: np.ndarray,
-                 entry: np.ndarray, scratch: np.ndarray, out: np.ndarray,
-                 peak: np.ndarray):
-        self.lay, self.out, self.peak, full = lay, out, peak, lay.count - 1
-        self.rows = [seeds[lay.first + p::lay.size].transpose(1, 0, 2)
-                     for p in range(lay.size)]
-        self.maps, self.full_maps = (
-            (lay.slabs, lay.full_slabs) if modes is None else
-            ([slab[:, :, modes] for slab in slabs] for slabs in (lay.slabs, lay.full_slabs)))
-        n_count, count, width = entry.shape[1:]
-        self.blocks = _States(entry, scratch[:4 * n_count * count * width].reshape(
-            (2, 2, n_count, count, width)))
-        # the full blocks' scratch is a contiguous part of it
-        full_scratch = scratch[:4 * n_count * full * width].reshape(
-            (2, 2, n_count, full, width))
-        self.ends = _States(entry[:, :, 1:], full_scratch)
-        self.full_blocks = _States(entry[:, :, :full], full_scratch)
-
-    def forced_ends(self) -> None:
-        """Pass 1: the seeded columns of each full block from zero, to its
-        forced end state z_i, left in entry[:, :, i + 1]."""
-        ends, full = self.ends, self.lay.count - 1
-        for slab, seed in zip(self.full_maps, self.rows):
-            ends.r += seed[:, :full]
-            ends.step(slab)
-
-    def rows_out(self) -> None:
-        """Pass 3: every block again from its entry state, row p of each
-        written through the strided view out[:, first + p::L].  The last
-        block has rows while p < last and steps while it has a next row."""
-        lay, blocks, full_blocks, out, peak = (self.lay, self.blocks, self.full_blocks,
-                                               self.out, self.peak)
-        first, size, count, last = lay.first, lay.size, lay.count, lay.last
-        full = count - 1
-        _States(blocks.state[:, :, 1:], blocks.scratch[..., 1:, :]).peaks(peak[0, :, 1:])
+        # pass 3: every block again from its entry state, row p of each written
+        # through out[:, first + p::L]; the last block has rows while p < last
+        # and steps while it has a next row
+        ends.peaks(peak[0, :, 1:])                         # x_i, stepped into block i >= 1
         for p in range(size):
             states, with_row = (blocks, count) if p < last else (full_blocks, full)
-            states.r += self.rows[p][:, :with_row]
+            states.r += rows[p][:, :with_row]
             out[:, first + p::size] = states.r
             if p == size - 1:
                 break
             if p < last - 1:                               # every block has a next row
-                blocks.step(self.maps[p])
+                blocks.step(lay.slabs[p])
                 blocks.peaks(peak[p + 1])
             else:
-                full_blocks.step(self.full_maps[p])
+                full_blocks.step(lay.full_slabs[p])
                 full_blocks.peaks(peak[p + 1, :, :full])
-
-
-def _etd_build(steps: StepMaps, anchors: np.ndarray) -> np.ndarray:
-    """The resolvent columns r_n(t_j, t_k) for the given anchors, (N, M, K).
-
-    Entries before a column's anchor row are exactly zero; the anchor entry
-    is exactly 1.
-    """
-    seeds = np.equal.outer(np.arange(steps.n_nodes), anchors)
-    return _march(steps, seeds, np.empty((len(steps.modes), steps.n_nodes, len(anchors))))
+    _guard_peaks(peak.transpose(1, 2, 0), steps.modes)     # rows in time order from first
+    return out
 
 
 def resolvent_sums(steps: StepMaps, seeds: np.ndarray) -> np.ndarray:
@@ -526,10 +462,12 @@ def resolvent_sup(steps: StepMaps) -> float:
 class ResolventTable:
     """Resolvent columns r_n(t_j, t_k) for every mode at the sorted anchors k.
 
-    data[n - 1, j, i] is r_n(t_j, t_anchors[i]), 0 for j < anchors[i].  The
-    full table (every node an anchor) is the dense reference the tests
-    compare the O(N M) marches against; ``sample_resolvent`` builds the
-    sampled one that ``verify-resolvent`` checks.
+    data[n - 1, j, i] is r_n(t_j, t_anchors[i]), one march seeded 1 on each
+    anchor row: exactly 0 for j < anchors[i] and exactly 1 for j =
+    anchors[i].  The full table (every node an anchor) is the dense
+    reference the tests compare the O(N M) marches against;
+    ``sample_resolvent`` builds the sampled one that ``verify-resolvent``
+    checks.
     """
 
     basis: SpectralBasis
@@ -541,7 +479,9 @@ class ResolventTable:
 
 def _table(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
            anchors: np.ndarray) -> ResolventTable:
-    data = _etd_build(step_maps(basis.mode_numbers, linear, grid), anchors)
+    seeds = np.equal.outer(np.arange(len(grid)), anchors)
+    data = _march(step_maps(basis.mode_numbers, linear, grid), seeds,
+                  np.empty((basis.n_modes, len(grid), len(anchors))))
     data.setflags(write=False)
     return ResolventTable(basis, linear, grid, anchors, data)
 

@@ -86,7 +86,7 @@ from hypothesis import strategies as st
 from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  NonlinearityEval, RegulatedTrajectory, TimeFunction, apply_psi,
                  build_time_grid, constant_measure, density_on_grid,
-                 initial_iterate, lebesgue_measure, make_basis, zeno_measure)
+                 lebesgue_measure, make_basis, zeno_measure)
 import mds.spectral
 from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
 from mds.spectral import (_OVERFLOW_GUARD, StepMaps, _guard_peaks, _march, _step,
@@ -144,6 +144,13 @@ def row_table(steps: StepMaps) -> np.ndarray:
     anchors = np.arange(steps.n_nodes)
     return row_march(steps, np.equal.outer(anchors, anchors),
                      np.empty((len(steps.modes), steps.n_nodes, steps.n_nodes)))
+
+
+def resolvent_columns(steps: StepMaps, anchors: np.ndarray) -> np.ndarray:
+    """The resolvent columns of ``anchors`` by ``_march``, (N, M, K): the
+    march a ``ResolventTable`` is built by."""
+    return _march(steps, np.equal.outer(np.arange(steps.n_nodes), anchors),
+                  np.empty((len(steps.modes), steps.n_nodes, len(anchors))))
 
 
 def elementwise_march(modes, grid, linear, seeds, out):
@@ -326,7 +333,7 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
     first[0] = zeta0
     anchor0 = (np.eye(m_count)[0], np.zeros((m_count, m_count)), first)
 
-    seed_traj = initial_iterate(scn).values
+    seed_traj = scn.picard_seed.values
     old_seed = data[:, :, 0].T * zeta0
     assert np.all(np.abs(seed_traj - old_seed) <= running_bound(maj, [anchor0]))
 
@@ -599,12 +606,20 @@ def test_edge_layouts_march_like_fresh_maps_and_rows(m_count, first, n_count, co
 
 
 def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
-    # the verify-resolvent sample at 2048 nodes: 64 unit-seed columns, marched
-    # one mode at a time.  The layout, seeds, scratch and peaks together stay
-    # below one more (N, M, 64) array beside the output, and below 4 arrays
-    # of the march's stacked entry states (2, N, blocks, 64): the entry
-    # states, one mode's (2, 2, 1, blocks, 64) scratch, the row peaks and the
-    # transfer maps.  The modes marched together give the same bits.
+    # The verify-resolvent sample at 2048 nodes: 64 unit-seed columns, every
+    # mode marched at once.  With E the bytes of the stacked entry states
+    # (2, N, blocks, 64), the march holds beside ``out``:
+    # - the entry states, E, and one step's scratch (2, 2, N, blocks, 64),
+    #   2 E, of which the full blocks' scratch is a part: 3 E
+    # - the row peaks (L, N, blocks) and the transfer maps (blocks - 1, 2, 2,
+    #   N); the layout's unit states are freed before the march's arrays
+    #   are made
+    # - numpy's iteration buffers: a step's broadcast product and a bool seed
+    #   added to r are buffered, at most np.getbufsize() doubles for each of
+    #   a ufunc's 3 operands
+    # - 64 KiB more for the pass-2 carry (2, 2, N, 64), 8 KiB, and the
+    #   views of the layout and of the seed rows, about 200 of them
+    # At N = 4 that is about 0.89 MB, below the 4.2 MB of one more output.
     steps = step_maps(resolvent_scn.basis.mode_numbers, resolvent_scn.linear,
                       build_time_grid(resolvent_scn.h, 2048))
     m_count, n_count = steps.n_nodes, len(steps.modes)
@@ -618,9 +633,43 @@ def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
     finally:
         tracemalloc.stop()
     assert steps.layouts                # the layout was made inside the traced march
-    assert peak < out.nbytes
-    blocks = -(-m_count // (math.isqrt(m_count - 1) + 1))
-    assert peak < 4 * (2 * n_count * blocks * len(anchors) * 8)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mds.spectral, "MODE_COLUMNS", n_count * len(anchors))
-        assert np.array_equal(_march(steps, seeds, np.empty_like(out)), out)
+    size = math.isqrt(m_count - 1) + 1
+    blocks = -(-m_count // size)
+    entry = 2 * n_count * blocks * len(anchors) * 8
+    held = 3 * entry + size * n_count * blocks * 8 + (blocks - 1) * 4 * n_count * 8
+    bound = held + 3 * np.getbufsize() * 8 + 64 * 1024
+    assert peak < bound < out.nbytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(time_functions() | growing, kernels(), small_grids | measures(),
+       st.sampled_from([1, 80]) | st.integers(min_value=2, max_value=80),
+       st.sampled_from([1, 5, 64]), st.booleans(), st.booleans(), st.data())
+def test_all_modes_march_like_each_mode_alone(tau, kernel, measure, n_count, width,
+                                               adjoint, broadcast, data):
+    # Passes 1 and 3 step every mode at once on one scratch.  The modes never
+    # mix, so each mode's rows and row peaks are bitwise those of the mode
+    # marched alone on its slice of the maps, overflowing modes included.
+    grid = build_time_grid(*measure)
+    m_count = len(grid)
+    steps = step_maps(np.arange(1, n_count + 1), LinearPart(tau, kernel), grid)
+    if adjoint:
+        steps = adjoint_maps(steps)
+    first = data.draw(st.integers(min_value=0, max_value=m_count - 1), label="first")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    seeds = forced_seeds(rng, m_count, 1 if broadcast else n_count, width, first)
+
+    def march(steps, seeds):
+        """The march's rows and the row peaks it hands the guard."""
+        peaks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mds.spectral, "_guard_peaks", lambda peak, modes: peaks.append(peak))
+            out = _march(steps, seeds, np.empty((len(steps.modes), m_count, width)))
+        return out, peaks[0]
+
+    out, peak = march(steps, seeds)
+    for i in range(n_count):
+        alone = StepMaps(steps.modes[i:i + 1], steps.maps[..., i:i + 1])
+        out_i, peak_i = march(alone, seeds if broadcast else seeds[:, i:i + 1])
+        assert np.array_equal(out[i:i + 1], out_i, equal_nan=True)
+        assert np.array_equal(peak[i:i + 1], peak_i, equal_nan=True)

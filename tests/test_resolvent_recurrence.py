@@ -1,11 +1,11 @@
 """Differential tests for the recurrence resolvent build.
 
-``_etd_build`` carries each column's memory integral as a one-exponential
-recurrence.  The build it replaced re-summed the trapezoid over the whole
-prefix at every step with the M x M kernel matrix; that O(M^3) build is
-kept here, and only here, as the reference.  It is the replaced code with
-the two forwarding wrappers and the kernel-matrix helper it called spelled
-out.
+The resolvent table's march (``resolvent_columns``) carries each column's
+memory integral as a one-exponential recurrence.  The build it replaced
+re-summed the trapezoid over the whole prefix at every step with the M x M
+kernel matrix; that O(M^3) build is kept here, and only here, as the
+reference.  It is the replaced code with the two forwarding wrappers and the
+kernel-matrix helper it called spelled out.
 
 With no memory kernel both builds reduce to products of the exact factors
 ex = exp(-n^2 int tau) > 0.  The reference computes r <- ex r (its memory
@@ -29,9 +29,9 @@ from hypothesis import strategies as st
 
 from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  TimeFunction, build_time_grid, constant_measure, zeno_measure)
-from mds.spectral import _OVERFLOW_GUARD, _etd_build, step_maps
+from mds.spectral import _OVERFLOW_GUARD, step_maps
 
-from test_forced_resolvent import row_table
+from test_forced_resolvent import resolvent_columns, row_table
 
 # fixed before any run: |new - old| <= 1e-13 * max(1, max|old|)
 REL_TOL = 1e-13
@@ -150,10 +150,10 @@ def test_recurrence_matches_full_prefix_build(tau, kernel, grid, n_count, data):
         old = reference_etd_build(modes, grid, linear, anchors)
     except InstabilityError as exc:
         with pytest.raises(InstabilityError) as new_exc:
-            _etd_build(step_maps(modes, linear, grid), anchors)
+            resolvent_columns(step_maps(modes, linear, grid), anchors)
         assert new_exc.value.mode == exc.mode
         return
-    new = _etd_build(step_maps(modes, linear, grid), anchors)
+    new = resolvent_columns(step_maps(modes, linear, grid), anchors)
     assert new.shape == old.shape == (n_count, m_count, len(anchors))
     scale = max(1.0, float(np.max(np.abs(old))))
     assert np.max(np.abs(new - old)) <= REL_TOL * scale
@@ -171,7 +171,7 @@ def test_zero_kernel_build_matches_reference_to_rounding():
     old = reference_etd_build(modes, grid, linear, anchors)
     assert np.array_equal(row_table(steps), old)
     span = np.maximum(anchors[:, None] - anchors[None, :], 0)     # j - s, 0 above the anchor
-    assert np.all(np.abs(_etd_build(steps, anchors) - old)
+    assert np.all(np.abs(resolvent_columns(steps, anchors) - old)
                   <= 3.0 * (span + 1) * np.finfo(float).eps * np.abs(old))
 
 
@@ -184,5 +184,5 @@ def test_unstable_tau_raises_same_mode_on_both_builds():
     with pytest.raises(InstabilityError) as old:
         reference_etd_build(modes, grid, linear, anchors)
     with pytest.raises(InstabilityError) as new:
-        _etd_build(step_maps(modes, linear, grid), anchors)
+        resolvent_columns(step_maps(modes, linear, grid), anchors)
     assert new.value.mode == old.value.mode

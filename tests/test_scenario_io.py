@@ -11,7 +11,7 @@ import pytest
 
 from mds import (ConfigError, InstabilityError, RegulatedTrajectory, UsageError,
                  constant_measure, LinearPart, MemoryKernel, TimeFunction,
-                 Tolerances, apply_psi, build_report, initial_iterate, make_basis,
+                 Tolerances, apply_psi, build_report, make_basis,
                  parse_scenario, run_command, serialize_scenario, steer,
                  write_control_csv, write_trajectory_csv)
 import mds._quad
@@ -264,7 +264,7 @@ def test_a_sweep_stays_within_the_collocation_charge(term):
     doc = tiny_doc(basis={"N": 1, "collocation": 2048}, grid={"nodes": 1025},
                    states={"zeta0": [1.0]}, **term)
     scn = parse_scenario(doc)
-    current = initial_iterate(scn)          # the run's step maps are built here
+    current = scn.picard_seed      # the run's step maps are built here
     charge = 8 * len(scn.grid) * (scn.n_modes * scenario_io._SOLVER_ARRAYS
                                   + 2048 * scenario_io._COLLOCATION_ARRAYS)
     tracemalloc.start()
@@ -631,6 +631,22 @@ def test_cli_simulate_quiet(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert (tmp_path / "simulate.txt").exists()
+
+
+def test_cli_simulate_checks_the_jump_of_a_per_node_table(tmp_path):
+    # one table row per node, 5 nodes with the jump on row 1: delta is read at
+    # the jump row of the whole path, not broadcast to the jump rows alone
+    doc = tiny_doc(grid={"nodes": 5}, measure={"end": 1.0, "jumps": [[0.3, 0.1]]},
+                   nonlinearity={"kind": "table",
+                                 "values": [[0.1, 0.0], [0.2, 0.1], [0.0, 0.3],
+                                            [0.1, 0.1], [0.4, 0.0]]})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    lines = (tmp_path / "simulate.txt").read_text().splitlines()
+    record = dict(line.split("=") for line in lines)
+    assert record["discontinuities"] == "1"
+    assert float(record["jump_consistency"]) < 1e-15
 
 
 def test_cli_reports_summary_by_default(tmp_path, capsys):

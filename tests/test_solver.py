@@ -6,8 +6,8 @@ import pytest
 from mds import (ConvergenceError, GridError, JumpMeasure, LinearPart,
                  MemoryKernel, NonlinearityEval, RegulatedTrajectory,
                  TimeFunction, Tolerances, apply_psi, constant_measure,
-                 discontinuity_count, initial_iterate, jump_consistency,
-                 lebesgue_measure, make_basis, parse_scenario, picard_solve, steer)
+                 discontinuity_count, jump_consistency, lebesgue_measure,
+                 make_basis, parse_scenario, picard_solve, steer)
 import mds.solver
 import mds.spectral
 
@@ -55,7 +55,7 @@ def test_zero_initial_state_stays_zero():
 
 def test_initial_iterate_row_zero_is_zeta0():
     scn = _linear_scn()
-    seed = initial_iterate(scn)
+    seed = scn.picard_seed
     assert np.array_equal(seed.values[0], scn.zeta0)
 
 
@@ -72,7 +72,7 @@ def test_iterate_independent_psi_marches_once_per_solve(linear_scn, monkeypatch)
     res = picard_solve(linear_scn, u)
     assert len(marches) == 1
     # the one sweep from the zero path equals the sweep from the Picard seed
-    seeded = apply_psi(linear_scn, initial_iterate(linear_scn), u)
+    seeded = apply_psi(linear_scn, linear_scn.picard_seed, u)
     assert np.array_equal(res.trajectory.values, seeded.values)
     assert np.array_equal(res.trajectory.right_values, seeded.right_values)
     marches.clear()
@@ -94,9 +94,9 @@ def test_picard_seed_is_marched_once_per_scenario(monkeypatch):
     march = mds.spectral._march
     monkeypatch.setattr(mds.spectral, "_march", counted)
     scn = parse_scenario(load_config("demo.json"))
-    seed = initial_iterate(scn)
+    seed = scn.picard_seed
     assert len(marches) == 1
-    assert initial_iterate(scn) is seed
+    assert scn.picard_seed is seed
     assert not seed.values.flags.writeable
     outcome = steer(scn)
     assert outcome.report.outer_iterations == 9
@@ -105,7 +105,7 @@ def test_picard_seed_is_marched_once_per_scenario(monkeypatch):
 
 def test_zero_control_matches_no_control():
     scn = _linear_scn()
-    seed = initial_iterate(scn)
+    seed = scn.picard_seed
     a = apply_psi(scn, seed)
     b = apply_psi(scn, seed, np.zeros((len(scn.grid), scn.n_modes)))
     assert np.array_equal(a.values, b.values)
@@ -192,10 +192,10 @@ def test_foreign_grid_rejected():
     scn = _linear_scn(nodes=65)
     other = _linear_scn(nodes=129)
     with pytest.raises(GridError):
-        apply_psi(scn, initial_iterate(other))
+        apply_psi(scn, other.picard_seed)
 
 
 def test_misshapen_control_rejected():
     scn = _linear_scn(nodes=65)
     with pytest.raises(GridError):
-        apply_psi(scn, initial_iterate(scn), np.zeros((7, scn.n_modes)))
+        apply_psi(scn, scn.picard_seed, np.zeros((7, scn.n_modes)))

@@ -12,7 +12,9 @@ from mds import (GridError, InstabilityError, LinearPart, MemoryKernel,
                  TimeFunction, UsageError, build_time_grid,
                  check_autonomous_reduction, constant_measure, make_basis,
                  sample_resolvent, verify_resolvent_pde)
-from mds.spectral import _etd_build, build_resolvent_table, resolvent_sup, step_maps
+from mds.spectral import build_resolvent_table, resolvent_sup, step_maps
+
+from test_forced_resolvent import resolvent_columns
 
 
 def _grid(nodes: int, end: float = 1.0):
@@ -27,7 +29,8 @@ def _const_linear(tau0: float, g0: float = 0.0) -> LinearPart:
 def solve_mode_resolvent(n: int, anchor: int, linear: LinearPart,
                          grid) -> np.ndarray:
     """r_n(t_j, t_anchor) on the whole grid (zeros before the anchor row)."""
-    return _etd_build(step_maps(np.array([n]), linear, grid), np.array([anchor]))[0, :, 0]
+    return resolvent_columns(step_maps(np.array([n]), linear, grid),
+                             np.array([anchor]))[0, :, 0]
 
 
 def second_order_oracle(n: int, tau0: float, g0: float, t: np.ndarray) -> np.ndarray:

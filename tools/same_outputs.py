@@ -8,10 +8,10 @@ the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
 2048), and on documents off the shipped path (``OFF_PATH``: runs that exit
 2 through the overflow guards or 3 on a zero gain, a zero cosine, the
 explicit-measure and lebesgue families, a non-uniform grid whose
-``verify-resolvent`` writes no autonomy lines, the smallest accepted grid
-and a single mode).  Exit codes, stdout and
-every output file are compared byte for byte.  Prints one line per
-difference and exits 1 if there is any, else 0.
+``verify-resolvent`` writes no autonomy lines, the smallest accepted grid,
+a single mode, 80 modes and a per-node table nonlinearity with a jump).
+Exit codes, stdout and every output file are compared byte for byte.
+Prints one line per difference and exits 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -70,6 +70,15 @@ OFF_PATH = {
                          "kernel": {"kind": "exp_diff", "c0": 0.5, "rate": 1.0}},
                  measure={"family": "lebesgue", "end": 1.0},
                  nonlinearity={"kind": "cosine", "M0": 0.05}),
+    # 80 modes: one-column marches of more than 64 modes
+    "N_80": _tiny(basis={"N": 80}, states={"zeta0": [1.0] * 80},
+                  measure={"family": "lebesgue", "end": 1.0},
+                  nonlinearity={"kind": "cosine", "M0": 0.05}),
+    # one table row per node and a jump on row 1, which simulate's jump check reads
+    "table_jump": _tiny(grid={"nodes": 5}, measure={"end": 1.0, "jumps": [[0.3, 0.1]]},
+                        nonlinearity={"kind": "table",
+                                      "values": [[0.1, 0.0], [0.2, 0.1], [0.0, 0.3],
+                                                 [0.1, 0.1], [0.4, 0.0]]}),
 }
 
 
