@@ -126,7 +126,9 @@ def jump_consistency(traj: RegulatedTrajectory, scn: Scenario) -> float:
     rows = scn.jump_rows
     if rows.size == 0:
         return 0.0
-    delta = scn.delta_values(traj.values)[rows]      # a table has a row per node
+    table = scn.nonlinearity.table
+    per_node = np.ndim(table) == 2 and len(table) > 1      # a table with a row per node
+    delta = table[rows] if per_node else scn.delta_values(traj.values[rows])
     gap = traj.right_values[rows] - traj.values[rows] - delta * scn.jump_sizes[rows, None]
     return float(np.sqrt(np.sum(gap * gap, axis=-1)).max())
 

@@ -464,10 +464,11 @@ class ResolventTable:
 
     data[n - 1, j, i] is r_n(t_j, t_anchors[i]), one march seeded 1 on each
     anchor row: exactly 0 for j < anchors[i] and exactly 1 for j =
-    anchors[i].  The full table (every node an anchor) is the dense
-    reference the tests compare the O(N M) marches against;
-    ``sample_resolvent`` builds the sampled one that ``verify-resolvent``
-    checks.
+    anchors[i].  The march writes a row-major (M, N, K) array and ``data`` is
+    its (N, M, K) view, so row j of every column is one contiguous slab.
+    The full table (every node an anchor) is the dense reference the tests
+    compare the O(N M) marches against; ``sample_resolvent`` builds the
+    sampled one that ``verify-resolvent`` checks.
     """
 
     basis: SpectralBasis
@@ -480,8 +481,8 @@ class ResolventTable:
 def _table(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
            anchors: np.ndarray) -> ResolventTable:
     seeds = np.equal.outer(np.arange(len(grid)), anchors)
-    data = _march(step_maps(basis.mode_numbers, linear, grid), seeds,
-                  np.empty((basis.n_modes, len(grid), len(anchors))))
+    data = np.empty((len(grid), basis.n_modes, len(anchors))).transpose(1, 0, 2)  # row-major
+    _march(step_maps(basis.mode_numbers, linear, grid), seeds, data)
     data.setflags(write=False)
     return ResolventTable(basis, linear, grid, anchors, data)
 
@@ -516,8 +517,8 @@ def sample_resolvent(basis: SpectralBasis, linear: LinearPart,
                         f"of physical memory")
     if m_count - 2 <= ANCHOR_BLOCK:
         anchors = np.arange(m_count - 2)
-    else:
-        anchors = np.unique(np.linspace(0, m_count - 3, ANCHOR_BLOCK).astype(int))
+    else:   # a step (M-3)/63 > 1 keeps the truncated anchors strictly increasing
+        anchors = np.linspace(0, m_count - 3, ANCHOR_BLOCK).astype(int)
     return _table(basis, linear, grid, anchors)
 
 
@@ -550,16 +551,16 @@ def verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeRep
     only (a cell of a column not yet live is set to 0, not multiplied by
     it).  Only the memory recurrence mem <- decay mem + cell runs row by row,
     with the arithmetic of a single row, so every field of the report is
-    bitwise that of a row-by-row loop.  The chunk's arrays are (chunk, N, K).
+    bitwise that of a row-by-row loop.  The chunk's arrays are (chunk, N, K),
+    read as contiguous slices of the row-major table.
     """
-    basis, linear, grid, anchors, data = (table.basis, table.linear, table.grid,
-                                          table.anchors, table.data)
+    basis, linear, grid, anchors = table.basis, table.linear, table.grid, table.anchors
+    data = table.data.transpose(1, 0, 2)              # (M, N, K), row-major as marched
     nodes = grid.nodes
     m_count = len(nodes)
     n2 = basis.mode_numbers.astype(float)[:, None] ** 2
     tau = linear.tau.value(nodes)
-    scale = np.array([linear.residual_scale(n, grid.end) for n in basis.mode_numbers])
-    scale = np.maximum(scale, 1e-30)
+    scale = np.maximum([linear.residual_scale(n, grid.end) for n in basis.mode_numbers], 1e-30)
 
     d = np.diff(nodes)
     decay = np.exp(-linear.kernel.rate * d)
@@ -571,21 +572,18 @@ def verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeRep
         hi = min(lo + size, m_count - 1)
         rows, before, after = slice(lo, hi), slice(lo - 1, hi - 1), slice(lo + 1, hi + 1)
         live = (anchors < np.arange(lo, hi)[:, None])[:, None]      # (rows, 1, K)
-        # row-major (rows, N, K) chunks, so that each row below is contiguous
-        r_before, r, r_after = (data[:, s].transpose(1, 0, 2) for s in (before, rows, after))
-        cells = np.multiply(decay[before, None, None], r_before, order="C")
+        r_before, r, r_after = data[before], data[rows], data[after]
+        cells = decay[before, None, None] * r_before
         cells += r
         cells *= half[before, None, None]
         np.copyto(cells, 0.0, where=~live)
         for row, factor in zip(cells, decay[before].tolist()):
             row += mem * factor                        # the row's mem, in place of its cell
             mem = row
-        res = np.multiply(tau[rows, None, None], r, order="C")
+        res = tau[rows, None, None] * r
         res += cells
         res *= n2
-        fd = np.subtract(r_after, r_before, order="C")
-        fd /= (nodes[after] - nodes[before])[:, None, None]
-        res += fd
+        res += (r_after - r_before) / (nodes[after] - nodes[before])[:, None, None]
         np.abs(res, out=res)
         per_mode = np.maximum(per_mode, np.max(res, axis=(0, 2), where=live, initial=0.0))
     per_mode_scaled = per_mode / scale
@@ -605,16 +603,18 @@ class AutonomyReport:
 def check_autonomous_reduction(table: ResolventTable) -> AutonomyReport:
     """Check r_n(t,s) = r_n(t-s, 0) on the table's anchors (uniform grid).
 
-    Each column is compared with the column of anchor 0, which comes first.
+    Each column is compared with the column of anchor 0, which comes first,
+    in one (M, N) buffer.
     """
     if not table.linear.autonomous:
         raise UsageError("autonomous reduction requires constant tau "
                          "and a difference kernel")
     if not table.grid.is_uniform():
         raise GridError("autonomous reduction check needs a uniform grid")
-    m_count = len(table.grid)
-    data = table.data
+    data = table.data.transpose(1, 0, 2)              # (M, N, K)
+    diff = np.empty(data.shape[:2])
     dev = 0.0
     for i, k in enumerate(table.anchors):
-        dev = max(dev, float(np.max(np.abs(data[:, k:, i] - data[:, :m_count - k, 0]))))
+        part = np.subtract(data[k:, :, i], data[:len(data) - k, :, 0], out=diff[k:])
+        dev = max(dev, float(np.max(np.abs(part, out=part))))
     return AutonomyReport(bool(dev <= TOL_AUTO), dev, TOL_AUTO, len(table.anchors))

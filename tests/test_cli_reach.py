@@ -7,7 +7,8 @@ and documents that exit 1, 2 and 3.  Every function, method, property and
 cached property defined in a module of the package must be called at least
 once; the only exceptions are the names in ``KEPT``, each with its reason.
 A helper that only the tests or the benchmark call belongs in ``tests/`` or
-``bench/``, not in the package.
+``bench/``, not in the package.  A fresh interpreter running every command
+must also never import ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import mds
 import mds.cli
@@ -129,3 +133,33 @@ def test_every_package_function_runs_under_a_cli_command(tmp_path):
     assert not unreached, "unreached: " + ", ".join(unreached)
     # an entry of KEPT that a command now reaches no longer needs its exception
     assert not [name for name in KEPT if defined[name] in called]
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs a run that imports it about 14 ms and close to 1 MiB,
+    # and no command needs it.  At 257 nodes verify-resolvent spreads its
+    # 64 anchors by linspace, the branch that once deduplicated them with
+    # np.unique.
+    runs = []
+    for name in ("demo.json", "linear_steering.json", "resolvent_check.json"):
+        doc = load_config(name)
+        doc["grid"]["nodes"] = 257
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        runs += [[command, str(path), "--out", str(tmp_path / f"{path.stem}-{command}"),
+                  "--quiet"]
+                 for command in ("simulate", "steer", "check-conditions", "verify-resolvent")]
+    child = ("import json, sys\n"
+             "import mds.cli\n"
+             "codes = [mds.cli.main(args) for args in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, imported = json.loads(proc.stdout)
+    assert codes[-1] == 0                      # the resolvent_check sample passed
+    assert not imported

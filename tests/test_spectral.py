@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mds import (GridError, InstabilityError, LinearPart, MemoryKernel,
                  TimeFunction, UsageError, build_time_grid,
                  check_autonomous_reduction, constant_measure, make_basis,
                  sample_resolvent, verify_resolvent_pde)
+from mds import spectral
 from mds.spectral import build_resolvent_table, resolvent_sup, step_maps
 
 from test_forced_resolvent import resolvent_columns
@@ -215,6 +216,23 @@ def test_pde_residual_passes_on_smooth_config(resolvent_scn):
     assert report.passed
     assert report.max_scaled_residual <= 1e-3
     assert report.anchors_checked <= 64
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=67, max_value=65536))
+@example(67)
+@example(65536)
+def test_sampled_anchors_are_strictly_increasing(m_count):
+    # From 67 nodes the 64 anchors are linspace(0, M - 3, 64) truncated.  Its
+    # step (M - 3) / 63 is above 1, so no two anchors coincide and np.unique
+    # (which imports numpy.ma) would change nothing.  The march is stubbed:
+    # only the anchors are read.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_table", lambda basis, linear, grid, anchors: anchors)
+        anchors = sample_resolvent(make_basis(1), _const_linear(1.0), _grid(m_count))
+    assert len(anchors) == 64 and anchors[0] == 0 and anchors[-1] == m_count - 3
+    assert np.all(np.diff(anchors) > 0)
+    assert np.array_equal(anchors, np.unique(anchors))
 
 
 def test_pde_residual_on_coarse_grid_is_finite_only():

@@ -215,6 +215,9 @@ def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count):
     sample = sample_resolvent(basis, linear, grid)
     assert np.array_equal(sample.anchors, reference_anchors(len(grid)))
     assert np.array_equal(sample.data, table.data[:, :, sample.anchors])
+    # both are marched row-major: row j of every column is one slab
+    assert sample.data.transpose(1, 0, 2).flags.c_contiguous
+    assert table.data.transpose(1, 0, 2).flags.c_contiguous
     old = reference_verify_resolvent_pde(table)
     new = verify_resolvent_pde(sample)
     rounding = memory_rounding_bound(table)

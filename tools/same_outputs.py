@@ -9,7 +9,8 @@ the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
 2 through the overflow guards or 3 on a zero gain, a zero cosine, the
 explicit-measure and lebesgue families, a non-uniform grid whose
 ``verify-resolvent`` writes no autonomy lines, the smallest accepted grid,
-a single mode, 80 modes and a per-node table nonlinearity with a jump).
+a single mode, 80 modes, the two grids either side of the 64-anchor sample
+and a per-node table nonlinearity with a jump).
 Exit codes, stdout and every output file are compared byte for byte.
 Prints one line per difference and exits 1 if there is any, else 0.
 """
@@ -74,6 +75,10 @@ OFF_PATH = {
     "N_80": _tiny(basis={"N": 80}, states={"zeta0": [1.0] * 80},
                   measure={"family": "lebesgue", "end": 1.0},
                   nonlinearity={"kind": "cosine", "M0": 0.05}),
+    # the last grid whose anchors are every row up to M - 3 and the first whose
+    # 64 anchors are spread by linspace, where the anchor gap 64/63 is smallest
+    "nodes_66": _config("resolvent_check.json", grid={"nodes": 66}),
+    "nodes_67": _config("resolvent_check.json", grid={"nodes": 67}),
     # one table row per node and a jump on row 1, which simulate's jump check reads
     "table_jump": _tiny(grid={"nodes": 5}, measure={"end": 1.0, "jumps": [[0.3, 0.1]]},
                         nonlinearity={"kind": "table",
