@@ -27,8 +27,8 @@ from .scenario_io import (parse_scenario, run_command, serialize_scenario,
                           write_control_csv, write_trajectory_csv)
 from .solver import (PicardResult, apply_psi, discontinuity_count,
                      jump_consistency, picard_solve)
-from .spectral import (AutonomyReport, LinearPart, PdeReport, ResolventTable,
-                       SpectralBasis, check_autonomous_reduction, make_basis,
-                       sample_resolvent, verify_resolvent_pde)
+from .spectral import LinearPart, SpectralBasis, make_basis
+from .verify import (AutonomyReport, PdeReport, check_autonomous_reduction,
+                     verify_resolvent_pde)
 
 __version__ = "0.1.0"

@@ -43,8 +43,8 @@ from .measure import JumpMeasure, build_time_grid, lebesgue_measure, zeno_measur
 from .scenario import (_NL_KINDS, _NONLOCAL_KINDS, NonlinearityEval, NonlocalEval,
                        Scenario, Tolerances)
 from .solver import discontinuity_count, jump_consistency, picard_solve
-from .spectral import (LinearPart, check_autonomous_reduction, make_basis,
-                       physical_memory, sample_resolvent, verify_resolvent_pde)
+from .spectral import LinearPart, make_basis, physical_memory
+from .verify import check_autonomous_reduction, sample_windows, verify_resolvent_pde
 
 MAX_MODES = 256
 MAX_NODES = 65536
@@ -301,9 +301,10 @@ def parse_scenario(doc: dict) -> Scenario:
                               f"more than {MAX_NODES}")
         # the solver's few (M, N) arrays, plus the (M, J) path values a sweep
         # synthesizes at the J collocation nodes for a nonzero cosine
-        # nonlinearity or the log-kernel nonlocal term; verify-resolvent's
-        # sampled columns are charged by sample_resolvent, the only command
-        # that marches them
+        # nonlinearity or the log-kernel nonlocal term; verify-resolvent
+        # marches its sampled columns in windows of about as many floats as
+        # the solver's arrays, and sample_windows charges a window with the
+        # march's entry states and the autonomy check's column
         synthesized = ((nonlinearity.kind == "cosine" and not nonlinearity.is_zero)
                        or not nonlocal_term.is_zero)
         j_count = collocation if synthesized else 0
@@ -436,14 +437,15 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
                 f"{'pass' if report.pass_cond2 else 'FAIL'}")
             return 0 if report.all_pass else 1
         if cmd == "verify-resolvent":
-            sample = sample_resolvent(scn.basis, scn.linear, scn.grid)
-            pde = verify_resolvent_pde(sample, scn.tol.tol_pde)
+            autonomy = scn.linear.autonomous and scn.grid.is_uniform()
+            for sample in sample_windows(scn.basis, scn.linear, scn.grid, _SOLVER_ARRAYS):
+                pde = verify_resolvent_pde(sample, scn.tol.tol_pde)
+                auto = check_autonomous_reduction(sample) if autonomy else None
             record = dict(max_raw_residual=pde.max_raw_residual,
                           max_scaled_residual=pde.max_scaled_residual, tol_pde=pde.tol_pde,
                           anchors_checked=pde.anchors_checked, pde_pass=pde.passed)
             ok = pde.passed
-            if scn.linear.autonomous and scn.grid.is_uniform():
-                auto = check_autonomous_reduction(sample)
+            if autonomy:
                 record.update(autonomy_max_deviation=auto.max_deviation,
                               autonomy_pass=auto.passed)
                 ok = ok and auto.passed

@@ -10,17 +10,15 @@ factor exp(-n^2 int tau), so the stiff diagonal part carries no
 quadrature error; only the memory integral is approximated.  Every
 catalog kernel is one exponential c0 exp(-rate (t-s)), so each column's
 trapezoid memory integral is carried as state and updated by an exact
-one-term recurrence.  All modes and all anchors advance together, so one
-time step costs O(modes x anchors).
+one-term recurrence.
 
 The step is linear in the column state (r, mem) and does not depend on the
-anchor: for each mode it is one 2x2 map.  ``step_maps`` works out the
-coefficients from the predictor-corrector ``_step`` and stacks them row by
+anchor: for each mode it is one 2x2 map.  ``step_maps`` stacks them row by
 row, shape (M-1, 2, 2, N), so that step j reads one contiguous slab; a
-Scenario holds them for the whole run, so every consumer reads the same
-array.  One routine, ``_march``, steps forward: a resolvent column is the
-run seeded with 1 at its anchor row, and a sum of columns against weights is
-one run seeded with those weights (``resolvent_sums``, the psi sweep).
+Scenario holds them for the whole run.  One routine, ``_march_windows``,
+steps forward: a resolvent column is the run seeded with 1 at its anchor
+row, and a sum of columns against weights is one run seeded with those
+weights (``resolvent_sums``, the psi sweep).
 
 The march is a two-level blocked scan (Blelloch, "Prefix sums and their
 applications", 1990).  The marched rows first..M-1 are cut into blocks of
@@ -33,62 +31,44 @@ last block can be short.  Three passes replace the loop over rows:
 2. One short pass over the block boundaries gives each block's state on
    entry: x_0 = 0 and x_{i+1} = T_i x_i + z_i, with T_i the block's 2x2
    transfer map.
-3. Every block runs again from its entry state, vectorized across blocks,
-   and writes its rows straight into ``out`` through the strided views
-   out[:, first + p::L].
+3. Every block runs again from its entry state and writes its rows through
+   strided views.  This pass can run over consecutive windows of whole
+   blocks, which hands the rows out in time order, one window at a time.
 
 That is about 2 sqrt(M) vectorized steps and sqrt(M) boundary steps
-instead of M row steps.  The first block starts from zero and runs the row
-steps themselves, and a unit-seed column is exactly 0 before its anchor and
-exactly 1 on it.  Overflow is checked after the passes: each row's
-per-mode max |state| is kept, and the earliest row in time that is not
-below the guard names the mode.
+instead of M row steps, and L more steps for each window past the first.
+The first block starts from zero and runs the row steps themselves, and a
+unit-seed column is exactly 0 before its anchor and exactly 1 on it.  Each
+row's per-mode max |state| is kept, and after each window the earliest row
+in time that is not below the overflow guard names the mode.
+The first march from a row on a StepMaps makes the block layout: the views
+maps[first + p::L] of the steps from row p of every block, and each full
+block's T_i, from the unit states (1, 0) and (0, 1) run alone through it.
+The StepMaps keeps it for the next march from the same row.  A step is one
+fused update of the stacked state (2, N, blocks, B): one broadcast product
+into a (2, 2, N, blocks, B) scratch and one sum of its halves, so r = a11 r
++ a12 mem and mem = a21 r + a22 mem.  Pass 1 leaves each z_i in the array
+of entry states, where pass 2 turns it into x_{i+1} in place.  A march
+holds its entry states, a scratch twice their size and its row peaks
+beside its rows.
 
-What a march reads does not depend on its seeds, so it is laid out once.
-The first march from a row on a StepMaps makes the block layout
-(``_block_layout``), and the StepMaps keeps it for the next march from the
-same row; the Picard seed and the sweeps all start on row 0, so a run makes
-it once.  The layout holds, for each p, the view maps[first + p::L] of the
-steps from row p of every block (no copy of the maps), and each full
-block's T_i, made by running the unit states (1, 0) and (0, 1) alone
-through the block.  A step is one fused update of the stacked state (2, N,
-blocks, B): one broadcast product into a (2, 2, N, blocks, B) scratch,
-scratch[k, i] = maps[k, i] state[k], and one sum of its two halves, so r =
-a11 r + a12 mem and mem = a21 r + a22 mem.  Pass 1 leaves each z_i in the
-array of entry states, where pass 2 turns it into x_{i+1} in place, and
-passes 1 and 3 step every mode at once.  So a march holds its entry
-states, a scratch twice their size and its row peaks beside ``out``.
-
-The result is bitwise that of the march that stepped every row through
-``a[:, p::L]`` and carried the unit states beside the seeded columns.
-Each entry is still the sum of the same two products, a11 r + a12 mem and
-a21 r + a22 mem, in the same order or with the two terms swapped, and
-IEEE multiplication and addition are commutative.  Every column is stepped
-elementwise apart from the others, so T_i from the unit states alone is
-the T_i they gave beside the seeds, and pass 2 still adds the two
-products of T_i x_i first and z_i last.
+The result is bitwise that of the march that stepped every row: each entry
+is the sum of the same two products, in the same order or with the two
+terms swapped, and IEEE multiplication and addition are commutative.  Every
+column is stepped elementwise apart from the others, so T_i from the unit
+states alone is the T_i they gave beside the seeds, and pass 2 still adds
+the products of T_i x_i first and z_i last.  A window steps a slice of the
+blocks with the same arithmetic, so no row depends on the window count.
 
 The final row r_n(a, .) is the discrete adjoint: the same march on the
-transposed maps (a12 and a21 swapped, a view) with the rows reversed,
-seeded 1 at its first row.  The subdiagonal r_n(t_{j+1}, t_j) is a11
-itself.  L1 = sup |r| is one pass over the rows that marches every anchor
-column at once: column k joins at row k, and row j's step is the same
-fused step of the columns that have joined, on maps[j], so L1 holds
-O(N M) state.  It keeps each row's per-mode peak, and one guard reads the
-peaks of every march.  ``sample_resolvent`` marches the one set of at most
-ANCHOR_BLOCK columns both resolvent checks read, and refuses a sample that
-does not fit in physical memory before it marches.  None of these holds
-more than O(N M ANCHOR_BLOCK); the full (N, M, M) table is built only as a
+transposed maps with the rows reversed.  The subdiagonal r_n(t_{j+1}, t_j)
+is a11 itself.  L1 = sup |r| is one pass over the rows that marches every
+anchor column at once in O(N M) state, refused over a budget of
+entry-steps.  verify-resolvent (``mds.verify``) marches its sampled
+columns in windows of about as many floats as the solver's (M, N) arrays.
+So no command holds more than O(N M) floats beside a march's
+O(N sqrt(M) B) entry states; the full (N, M, M) table is built only as a
 reference for tests.
-
-``verify_resolvent_pde`` sums each sampled column's memory integral by a
-trapezoid recurrence of its own.  It runs the rows in chunks of about
-sqrt(M): a chunk's trapezoid cells, central differences and residuals are
-formed for every row and column at once, on (chunk, N, K) arrays, and the
-per-mode max is taken over the live entries (columns anchored before the
-row) by selection.  Only mem <- decay mem + cell steps row by row, two
-in-place operations on an (N, K) row, so the report is bitwise that of the
-row-by-row loop.
 """
 
 from __future__ import annotations
@@ -105,8 +85,10 @@ from .funcs import MemoryKernel, TimeFunction
 from .measure import TimeGrid
 
 _OVERFLOW_GUARD = 1e12
-ANCHOR_BLOCK = 64      # columns the sampled resolvent checks march
-TOL_AUTO = 1e-6        # largest |r_n(t,s) - r_n(t-s,0)| the autonomy check passes
+# entry-steps N M^2 / 2 the L1 pass may take: about 100 s at the 6 ns an
+# entry-step took on a 2-core host (6.4 s for 8 modes at 16386 nodes), and
+# exactly what 8 modes take at 65536 nodes
+L1_ENTRY_STEPS = 2 ** 34
 
 
 def physical_memory() -> int:
@@ -294,9 +276,8 @@ class _BlockLayout:
     ``last`` rows.  ``slabs[p]`` is the maps of the step from row p of
     every block that has one, a (2, 2, N, blocks, 1) view of the stacked
     maps (no copy), and ``full_slabs[p]`` its full blocks' part.
-    ``transfer[b]`` is full block b's 2x2 transfer map T_b,
-    in the same order: the unit states (1, 0) and (0, 1) stepped alone
-    through the block.
+    ``transfer[b]`` is full block b's 2x2 transfer map T_b, in the same
+    order: the unit states (1, 0) and (0, 1) stepped alone through the block.
     """
 
     first: int
@@ -308,6 +289,13 @@ class _BlockLayout:
     transfer: np.ndarray    # (count - 1, 2, 2, N, 1)
 
 
+def _blocks(rows: int) -> tuple[int, int]:
+    """The block length L = ceil(sqrt(rows)) of a march over ``rows`` rows and its
+    block count."""
+    size = math.isqrt(rows - 1) + 1
+    return size, -(-rows // size)
+
+
 def _block_layout(steps: StepMaps, first: int) -> _BlockLayout:
     """The layout of the marches from row ``first``, made by the first of them.
 
@@ -317,8 +305,7 @@ def _block_layout(steps: StepMaps, first: int) -> _BlockLayout:
     if steps.layouts and steps.layouts[0].first == first:
         return steps.layouts[0]
     rows = steps.n_nodes - first
-    size = math.isqrt(rows - 1) + 1              # L = ceil(sqrt(rows))
-    count = -(-rows // size)
+    size, count = _blocks(rows)
     full = count - 1
     slabs = [steps.maps[first + p::size].transpose(1, 2, 3, 0)[..., None]
              for p in range(size)]
@@ -339,14 +326,26 @@ def _block_layout(steps: StepMaps, first: int) -> _BlockLayout:
 def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Forced run of the recurrence: out[:, j] = sum_{s<=j} r_n(t_j, t_s) seeds[s].
 
-    The state has the shape of out[:, 0], (N, B); seeds[j] broadcasts to it
-    and is added to r at row j, before r is recorded.  The rows before the
-    first nonzero seed are zero and not stepped.  The marched rows are cut
-    into blocks of L = ceil(sqrt(rows)) rows and run in three vectorized
-    passes on the block layout of ``steps`` (see the module docstring), so a
-    march takes about 2 L fused steps and one short pass over the blocks
-    instead of one step per row.  Every stepped state is held to the
-    overflow guard, and the earliest row in time that is not below it raises.
+    ``_march_windows`` in one window, which writes every row of ``out``.
+    """
+    for _ in _march_windows(steps, seeds, out, 1):
+        pass
+    return out
+
+
+def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows: int):
+    """Forced run of the recurrence, handed out in time order window by window.
+
+    Row j is sum_{s<=j} r_n(t_j, t_s) seeds[s]: the state has the shape of
+    out[:, 0], (N, B), and seeds[j] broadcasts to it and is added to r at
+    row j, before r is recorded.  The rows before the first nonzero seed are
+    zero and not stepped.  The three passes run on the block layout of
+    ``steps`` (see the module docstring), pass 3 over consecutive windows of
+    ceil(blocks / ``windows``) whole blocks.  A window's rows start..stop-1
+    are written to out[:, :stop - start], held to the overflow guard and
+    yielded as (start, stop); the next window overwrites them.  The first
+    window starts at row 0, so ``out`` holds the longest window's rows.  The
+    rows, and the row the guard raises on, do not depend on the window count.
     """
     m_count = steps.n_nodes
     seeds = np.reshape(seeds, (len(seeds), -1, np.shape(seeds)[-1]))   # (M, N or 1, B)
@@ -354,7 +353,8 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     first = int(seeded[0]) if seeded.size else m_count
     out[:, :first] = 0.0
     if first == m_count:
-        return out
+        yield 0, m_count
+        return
     lay = _block_layout(steps, first)
     size, count, last, full = lay.size, lay.count, lay.last, lay.count - 1
     n_count, width = out.shape[0], out.shape[2]
@@ -365,11 +365,13 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     # no state is stepped: row first and the rows past the last
     peak = np.zeros((size, n_count, count))
     scratch = np.empty(4 * n_count * count * width)
-    blocks = _States(entry, scratch.reshape((2, 2, n_count, count, width)))
-    # the full blocks' scratch is a contiguous part of it
-    full_scratch = scratch[:4 * n_count * full * width].reshape((2, 2, n_count, full, width))
-    ends = _States(entry[:, :, 1:], full_scratch)
-    full_blocks = _States(entry[:, :, :full], full_scratch)
+
+    def states(lo: int, hi: int) -> _States:
+        """Blocks lo..hi-1, stepped on a contiguous part of the scratch."""
+        part = scratch[:4 * n_count * (hi - lo) * width]
+        return _States(entry[:, :, lo:hi], part.reshape((2, 2, n_count, hi - lo, width)))
+
+    ends = states(1, count)
     rows = [seeds[first + p::size].transpose(1, 0, 2) for p in range(size)]
     with np.errstate(over="ignore", invalid="ignore"):
         # pass 1: the seeded columns of each full block from zero to z_i
@@ -384,24 +386,35 @@ def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
             np.multiply(t, x, out=carry)
             np.add(lo, hi, out=lo)
             np.add(lo, x_next, out=x_next)                 # z_i, held there, added last
-        # pass 3: every block again from its entry state, row p of each written
-        # through out[:, first + p::L]; the last block has rows while p < last
-        # and steps while it has a next row
         ends.peaks(peak[0, :, 1:])                         # x_i, stepped into block i >= 1
-        for p in range(size):
-            states, with_row = (blocks, count) if p < last else (full_blocks, full)
-            states.r += rows[p][:, :with_row]
-            out[:, first + p::size] = states.r
-            if p == size - 1:
-                break
-            if p < last - 1:                               # every block has a next row
-                blocks.step(lay.slabs[p])
-                blocks.peaks(peak[p + 1])
-            else:
-                full_blocks.step(lay.full_slabs[p])
-                full_blocks.peaks(peak[p + 1, :, :full])
-    _guard_peaks(peak.transpose(1, 2, 0), steps.modes)     # rows in time order from first
-    return out
+    per = -(-count // windows)
+    for b0 in range(0, count, per):
+        # pass 3 on blocks b0..b1-1: every block again from its entry state,
+        # row p of each written through out[:, off + p::L]; a window's last
+        # block has rows while p < ends_at and steps while it has a next row
+        b1 = min(b0 + per, count)
+        start, stop = (0 if b0 == 0 else first + b0 * size), min(first + b1 * size, m_count)
+        off, ends_at = first + b0 * size - start, (last if b1 == count else size)
+        blocks, full_blocks = states(b0, b1), states(b0, min(b1, full))
+        slabs, full_slabs = ((lay.slabs, lay.full_slabs) if per == count else    # one window
+                             ([slab[..., b0:b1, :] for slab in lay.slabs],
+                              [slab[..., b0:, :] for slab in lay.full_slabs]))
+        window_peak = peak[:, :, b0:b1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in range(size):
+                part, with_row = (blocks, b1) if p < ends_at else (full_blocks, full)
+                part.r += rows[p][:, b0:with_row]
+                out[:, off + p:stop - start:size] = part.r
+                if p == size - 1:
+                    break
+                if p < ends_at - 1:                        # every block has a next row
+                    blocks.step(slabs[p])
+                    blocks.peaks(window_peak[p + 1])
+                else:
+                    full_blocks.step(full_slabs[p])
+                    full_blocks.peaks(window_peak[p + 1, :, :full - b0])
+        _guard_peaks(window_peak.transpose(1, 2, 0), steps.modes)  # rows in time order
+        yield start, stop
 
 
 def resolvent_sums(steps: StepMaps, seeds: np.ndarray) -> np.ndarray:
@@ -440,9 +453,15 @@ def resolvent_sup(steps: StepMaps) -> float:
     ``_States`` on the columns that have joined, read from maps[j].  Each
     row's per-mode peak is kept for the overflow guard, and L1 is their max
     beside the diagonal r_n(s, s) = 1, without holding the table: O(N M)
-    state.
+    state.  The pass takes N M^2 / 2 entry-steps; over L1_ENTRY_STEPS it is
+    refused before it starts.
     """
     m_count, n_count = steps.n_nodes, len(steps.modes)
+    work = n_count * m_count * m_count // 2
+    if work > L1_ENTRY_STEPS:
+        raise GridError(f"the L1 pass over {m_count} nodes x {n_count} modes takes about "
+                        f"{work:.3g} entry-steps, more than the budget of "
+                        f"{L1_ENTRY_STEPS:.3g}")
     state = np.zeros((2, n_count, m_count))
     scratch = np.empty((2,) + state.shape)
     r, wide, (lo, hi), abs_r = state[0], state[:, None], scratch, scratch[0, 0]
@@ -458,163 +477,16 @@ def resolvent_sup(steps: StepMaps) -> float:
     return max(1.0, float(peak.max()))
 
 
-@dataclass(frozen=True)
-class ResolventTable:
-    """Resolvent columns r_n(t_j, t_k) for every mode at the sorted anchors k.
-
-    data[n - 1, j, i] is r_n(t_j, t_anchors[i]), one march seeded 1 on each
-    anchor row: exactly 0 for j < anchors[i] and exactly 1 for j =
-    anchors[i].  The march writes a row-major (M, N, K) array and ``data`` is
-    its (N, M, K) view, so row j of every column is one contiguous slab.
-    The full table (every node an anchor) is the dense reference the tests
-    compare the O(N M) marches against; ``sample_resolvent`` builds the
-    sampled one that ``verify-resolvent`` checks.
-    """
-
-    basis: SpectralBasis
-    linear: LinearPart
-    grid: TimeGrid
-    anchors: np.ndarray     # (K,)
-    data: np.ndarray        # (N, M, K)
-
-
-def _table(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
-           anchors: np.ndarray) -> ResolventTable:
-    seeds = np.equal.outer(np.arange(len(grid)), anchors)
-    data = np.empty((len(grid), basis.n_modes, len(anchors))).transpose(1, 0, 2)  # row-major
-    _march(step_maps(basis.mode_numbers, linear, grid), seeds, data)
-    data.setflags(write=False)
-    return ResolventTable(basis, linear, grid, anchors, data)
-
-
 def build_resolvent_table(basis: SpectralBasis, linear: LinearPart,
-                          grid: TimeGrid) -> ResolventTable:
-    """The full table, every node an anchor: the tests' dense reference.
+                          grid: TimeGrid) -> np.ndarray:
+    """The full table r_n(t_j, t_k), (N, M, M) read-only: the tests' dense reference.
 
-    No command calls it; it stays while bench/tracer.py wraps and builds it.
+    Column k is one march seeded 1 on row k, so it is exactly 0 before row k
+    and exactly 1 on it; the march writes it row-major.  No command calls
+    it; it stays while bench/tracer.py wraps and builds it.
     """
-    return _table(basis, linear, grid, np.arange(len(grid)))
-
-
-def sample_resolvent(basis: SpectralBasis, linear: LinearPart,
-                     grid: TimeGrid) -> ResolventTable:
-    """The columns both resolvent checks read, in one march.
-
-    At most ANCHOR_BLOCK anchors, spread evenly from 0 to M-3, so that every
-    column has the two rows after its anchor a central difference needs;
-    anchor 0 is the base the autonomy check shifts the others onto.  The
-    sample is refused before it is marched if its 8 M N ANCHOR_BLOCK bytes
-    exceed physical memory.
-    """
-    m_count = len(grid)
-    if m_count < 3:
-        raise GridError(f"the central-difference check needs 3 or more nodes, got {m_count}")
-    need = 8 * m_count * basis.n_modes * ANCHOR_BLOCK
-    have = physical_memory()
-    if need > have:
-        raise GridError(f"the resolvent sample of {m_count} nodes x {basis.n_modes} modes "
-                        f"needs about {need:.3g} bytes, more than the {have:.3g} bytes "
-                        f"of physical memory")
-    if m_count - 2 <= ANCHOR_BLOCK:
-        anchors = np.arange(m_count - 2)
-    else:   # a step (M-3)/63 > 1 keeps the truncated anchors strictly increasing
-        anchors = np.linspace(0, m_count - 3, ANCHOR_BLOCK).astype(int)
-    return _table(basis, linear, grid, anchors)
-
-
-@dataclass(frozen=True)
-class PdeReport:
-    """Finite-difference residual of the defining equation over the triangle."""
-
-    max_raw_residual: float
-    max_scaled_residual: float
-    per_mode_scaled: np.ndarray
-    tol_pde: float
-    anchors_checked: int
-    passed: bool
-
-
-def verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeReport:
-    """Central-difference check of r' = -n^2 tau r - n^2 int G r du per anchor.
-
-    Reads the table's columns.  Their memory integrals are summed from the
-    marched r by a trapezoid recurrence of their own (decay by exp(-rate d),
-    add one cell), so the check does not reuse the build's state.  The raw
-    residual of mode n scales like n^2 (sup|tau| + a sup|G|) times the
-    finite-difference truncation, so the pass verdict uses residuals divided
-    by that per-mode scale; raw maxima are reported alongside.
-
-    The rows 1..M-2 run in chunks of ceil(sqrt(M - 2)) rows.  A column is
-    live on row j once its anchor is before j.  Per chunk, the trapezoid
-    cells, the central differences and the residuals of every row and column
-    are formed at once, and the per-mode max is taken over the live entries
-    only (a cell of a column not yet live is set to 0, not multiplied by
-    it).  Only the memory recurrence mem <- decay mem + cell runs row by row,
-    with the arithmetic of a single row, so every field of the report is
-    bitwise that of a row-by-row loop.  The chunk's arrays are (chunk, N, K),
-    read as contiguous slices of the row-major table.
-    """
-    basis, linear, grid, anchors = table.basis, table.linear, table.grid, table.anchors
-    data = table.data.transpose(1, 0, 2)              # (M, N, K), row-major as marched
-    nodes = grid.nodes
-    m_count = len(nodes)
-    n2 = basis.mode_numbers.astype(float)[:, None] ** 2
-    tau = linear.tau.value(nodes)
-    scale = np.maximum([linear.residual_scale(n, grid.end) for n in basis.mode_numbers], 1e-30)
-
-    d = np.diff(nodes)
-    decay = np.exp(-linear.kernel.rate * d)
-    half = linear.kernel.c0 * d / 2.0
-    mem = np.zeros((basis.n_modes, len(anchors)))
-    per_mode = np.zeros(basis.n_modes)
-    size = math.isqrt(max(m_count - 3, 0)) + 1          # ceil(sqrt(M - 2))
-    for lo in range(1, m_count - 1, size):
-        hi = min(lo + size, m_count - 1)
-        rows, before, after = slice(lo, hi), slice(lo - 1, hi - 1), slice(lo + 1, hi + 1)
-        live = (anchors < np.arange(lo, hi)[:, None])[:, None]      # (rows, 1, K)
-        r_before, r, r_after = data[before], data[rows], data[after]
-        cells = decay[before, None, None] * r_before
-        cells += r
-        cells *= half[before, None, None]
-        np.copyto(cells, 0.0, where=~live)
-        for row, factor in zip(cells, decay[before].tolist()):
-            row += mem * factor                        # the row's mem, in place of its cell
-            mem = row
-        res = tau[rows, None, None] * r
-        res += cells
-        res *= n2
-        res += (r_after - r_before) / (nodes[after] - nodes[before])[:, None, None]
-        np.abs(res, out=res)
-        per_mode = np.maximum(per_mode, np.max(res, axis=(0, 2), where=live, initial=0.0))
-    per_mode_scaled = per_mode / scale
-    max_scaled = float(per_mode_scaled.max())
-    return PdeReport(float(per_mode.max()), max_scaled, per_mode_scaled, tol_pde,
-                     len(anchors), bool(max_scaled <= tol_pde))
-
-
-@dataclass(frozen=True)
-class AutonomyReport:
-    passed: bool
-    max_deviation: float
-    tol_auto: float
-    anchors_checked: int
-
-
-def check_autonomous_reduction(table: ResolventTable) -> AutonomyReport:
-    """Check r_n(t,s) = r_n(t-s, 0) on the table's anchors (uniform grid).
-
-    Each column is compared with the column of anchor 0, which comes first,
-    in one (M, N) buffer.
-    """
-    if not table.linear.autonomous:
-        raise UsageError("autonomous reduction requires constant tau "
-                         "and a difference kernel")
-    if not table.grid.is_uniform():
-        raise GridError("autonomous reduction check needs a uniform grid")
-    data = table.data.transpose(1, 0, 2)              # (M, N, K)
-    diff = np.empty(data.shape[:2])
-    dev = 0.0
-    for i, k in enumerate(table.anchors):
-        part = np.subtract(data[k:, :, i], data[:len(data) - k, :, 0], out=diff[k:])
-        dev = max(dev, float(np.max(np.abs(part, out=part))))
-    return AutonomyReport(bool(dev <= TOL_AUTO), dev, TOL_AUTO, len(table.anchors))
+    anchors = np.arange(len(grid))
+    data = np.empty((len(grid), basis.n_modes, len(grid))).transpose(1, 0, 2)  # row-major
+    _march(step_maps(basis.mode_numbers, linear, grid), np.equal.outer(anchors, anchors), data)
+    data.setflags(write=False)
+    return data

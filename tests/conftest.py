@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from mds import (JumpMeasure, LinearPart, NonlinearityEval, NonlocalEval, Scenario,
-                 SpectralBasis, Tolerances, build_time_grid, parse_scenario)
+                 SpectralBasis, Tolerances, build_time_grid, check_autonomous_reduction,
+                 parse_scenario, verify_resolvent_pde)
+from mds.scenario_io import _SOLVER_ARRAYS
+from mds.verify import sample_windows
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -41,6 +44,25 @@ def assemble_scenario(basis: SpectralBasis, linear: LinearPart, h: JumpMeasure,
                     nonlinearity or NonlinearityEval("zero"),
                     nonlocal_term or NonlocalEval("zero"),
                     theta, tol or Tolerances(), config)
+
+
+def sample_reports(basis: SpectralBasis, linear: LinearPart, grid, tol_pde: float = 1e-3,
+                   autonomy: bool | None = None, arrays: int = _SOLVER_ARRAYS):
+    """The PDE and autonomy reports of verify-resolvent, run window by window
+    as the command runs them.
+
+    The autonomy check runs where the command runs it (constant tau on a
+    uniform grid) unless ``autonomy`` says otherwise; its report is None
+    where it does not run.  ``arrays`` sets the window rule's budget.
+    """
+    if autonomy is None:
+        autonomy = linear.autonomous and grid.is_uniform()
+    auto = None
+    for sample in sample_windows(basis, linear, grid, arrays):
+        pde = verify_resolvent_pde(sample, tol_pde)
+        if autonomy:
+            auto = check_autonomous_reduction(sample)
+    return pde, auto
 
 
 def load_config(name: str) -> dict:

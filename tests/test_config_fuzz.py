@@ -46,10 +46,12 @@ from hypothesis import strategies as st
 
 import mds.scenario_io
 import mds.spectral
+import mds.verify
 from mds import (ConfigError, JumpMeasure, build_time_grid, constant_measure,
                  parse_scenario, run_command, serialize_scenario, zeno_measure)
-from mds.scenario_io import HORIZON_RANGE, MAX_COEFFICIENT, MAX_ITERATIONS, MAX_NODES
-from mds.spectral import ANCHOR_BLOCK
+from mds.scenario_io import (_SOLVER_ARRAYS, HORIZON_RANGE, MAX_COEFFICIENT, MAX_ITERATIONS,
+                             MAX_NODES)
+from mds.verify import ANCHOR_BLOCK
 
 COMMANDS = ("simulate", "steer", "check-conditions", "verify-resolvent")
 
@@ -382,20 +384,41 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("allocated past a byte budget")
 
 
+def _sample_bytes(m_count: int, n_count: int) -> int:
+    """What verify-resolvent charges for its sample, from the window rule.
+
+    ceil(K / _SOLVER_ARRAYS) windows of whole blocks (L = ceil(sqrt(M))
+    rows each), spread evenly: the window with its 2-row halo, the march's
+    entry states and their scratch (6 N blocks K floats) and the anchor-0
+    column (M, N).
+    """
+    size = math.isqrt(m_count - 1) + 1
+    blocks = -(-m_count // size)
+    k_count = min(m_count - 2, ANCHOR_BLOCK)
+    windows = -(-k_count // _SOLVER_ARRAYS)
+    rows = -(-blocks // windows) * size + 2
+    return 8 * n_count * (rows * k_count + 6 * blocks * k_count + m_count)
+
+
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(large_grid_documents(), st.sampled_from(COMMANDS), st.sampled_from(["solver", "sample"]))
 def test_grids_near_the_limits_are_refused_without_a_large_allocation(
         tmp_path_factory, doc, command, budget):
     m_count, n_count = _merged_nodes(doc), doc["basis"]["N"]
     over = m_count > MAX_NODES
-    # memory for 8 of the solver's 16 (M, N) columns, or for 32 of the sample's 64
-    columns = 8 if budget == "solver" else ANCHOR_BLOCK // 2
-    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * m_count * n_count * columns}
+    # memory for 8 of the solver's 17 (M, N) columns, or one byte less than
+    # the sample's charge
+    memory = (8 * m_count * n_count * 8 if budget == "solver"
+              else _sample_bytes(m_count, n_count) - 1)
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
     if budget == "sample" and not over:
         command = "verify-resolvent"     # the other commands would run the full grid
+        # near the limits the window fills most of the solver's arrays, so the
+        # sample needs more than the parse charges and the parse passes
+        assert memory >= 8 * m_count * n_count * _SOLVER_ARRAYS
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sysconf", sizes.__getitem__)
-        patch.setattr(mds.spectral, "_table", _forbidden)           # the sample's march
+        patch.setattr(mds.verify, "step_maps", _forbidden)          # the sample's march
         if budget == "solver" or over:
             patch.setattr(mds.scenario_io, "Scenario", _forbidden)  # its O(M N) arrays
         code, text = _run(command, doc, tmp_path_factory.mktemp("large"))
@@ -405,3 +428,22 @@ def test_grids_near_the_limits_are_refused_without_a_large_allocation(
     else:
         assert text.startswith(f"validation error: the resolvent sample of "
                                f"{m_count} nodes x {n_count} modes")
+
+
+@pytest.mark.parametrize("over", [True, False])
+def test_an_l1_pass_over_its_budget_is_refused_before_it_starts(tmp_path, over):
+    # check-conditions' L1 pass takes N M^2 / 2 entry-steps: 2 x 17^2 / 2 =
+    # 289 on the small document.  One over the budget, the command exits 1
+    # naming the grid and writes no report; at the budget it runs.
+    doc = _small_doc()
+    steps = 2 * 17 * 17 // 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mds.spectral, "L1_ENTRY_STEPS", steps - 1 if over else steps)
+        code, text = _run("check-conditions", doc, tmp_path)
+    if over:
+        assert code == 1
+        assert text.startswith("validation error: the L1 pass over 17 nodes x 2 modes "
+                               "takes about 289 entry-steps, more than the budget of 288")
+        assert not (tmp_path / "conditions.txt").exists()
+    else:
+        assert (tmp_path / "conditions.txt").exists()

@@ -154,8 +154,8 @@ def _check_consumers(scn, values):
     """
     traj = RegulatedTrajectory(scn.grid, values, values)
     delta = scn.delta_values(values)
-    data = build_resolvent_table(scn.basis, scn.linear, scn.grid).data
-    maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid).data
+    data = build_resolvent_table(scn.basis, scn.linear, scn.grid)
+    maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid)
     rows = dense_rules(scn)[1]
     scale = np.einsum("js,njs,sn->jn", np.abs(rows), np.abs(data),
                       np.abs(delta), optimize=True)

@@ -89,11 +89,11 @@ from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
                  lebesgue_measure, make_basis, zeno_measure)
 import mds.spectral
 from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
-from mds.spectral import (_OVERFLOW_GUARD, StepMaps, _guard_peaks, _march, _step,
-                          build_resolvent_table, resolvent_final_row, resolvent_sums,
+from mds.spectral import (_OVERFLOW_GUARD, StepMaps, _guard_peaks, _march, _march_windows,
+                          _step, build_resolvent_table, resolvent_final_row, resolvent_sums,
                           resolvent_sup, step_maps)
 
-from conftest import assemble_scenario
+from conftest import assemble_scenario, sample_reports
 
 EPS = np.finfo(float).eps
 RUNNING_ULPS = 32.0
@@ -148,7 +148,7 @@ def row_table(steps: StepMaps) -> np.ndarray:
 
 def resolvent_columns(steps: StepMaps, anchors: np.ndarray) -> np.ndarray:
     """The resolvent columns of ``anchors`` by ``_march``, (N, M, K): the
-    march a ``ResolventTable`` is built by."""
+    march ``build_resolvent_table`` runs."""
     return _march(steps, np.equal.outer(np.arange(steps.n_nodes), anchors),
                   np.empty((len(steps.modes), steps.n_nodes, len(anchors))))
 
@@ -301,7 +301,7 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
     grid = build_time_grid(h, base)
     m_count = len(grid)
     try:
-        data = build_resolvent_table(basis, linear, grid).data
+        data = build_resolvent_table(basis, linear, grid)
     except InstabilityError:
         # the table guards every entry, and so does the streamed L1
         try:
@@ -310,7 +310,7 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
             return
         raise AssertionError("L1 missed an entry over the overflow guard")
     try:
-        maj = build_resolvent_table(basis, majorant_linear(linear), grid).data
+        maj = build_resolvent_table(basis, majorant_linear(linear), grid)
     except InstabilityError:
         assume(False)
 
@@ -354,8 +354,8 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
 
 def test_demo_marches_match_the_dense_table(demo_scn, demo_solution):
     scn = demo_scn
-    data = build_resolvent_table(scn.basis, scn.linear, scn.grid).data
-    maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid).data
+    data = build_resolvent_table(scn.basis, scn.linear, scn.grid)
+    maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid)
     assert resolvent_sup(scn.steps) == np.max(np.abs(data))
     assert resolvent_sup(scn.steps) == np.max(np.abs(row_table(scn.steps)))
 
@@ -606,8 +606,9 @@ def test_edge_layouts_march_like_fresh_maps_and_rows(m_count, first, n_count, co
 
 
 def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
-    # The verify-resolvent sample at 2048 nodes: 64 unit-seed columns, every
-    # mode marched at once.  With E the bytes of the stacked entry states
+    # The verify-resolvent sample at 2048 nodes marched in one window, as the
+    # solver's marches run: 64 unit-seed columns, every mode marched at
+    # once.  With E the bytes of the stacked entry states
     # (2, N, blocks, 64), the march holds beside ``out``:
     # - the entry states, E, and one step's scratch (2, 2, N, blocks, 64),
     #   2 E, of which the full blocks' scratch is a part: 3 E
@@ -673,3 +674,95 @@ def test_all_modes_march_like_each_mode_alone(tau, kernel, measure, n_count, wid
         out_i, peak_i = march(alone, seeds if broadcast else seeds[:, i:i + 1])
         assert np.array_equal(out[i:i + 1], out_i, equal_nan=True)
         assert np.array_equal(peak[i:i + 1], peak_i, equal_nan=True)
+
+
+def test_verify_resolvent_holds_one_window_of_the_sample(resolvent_scn):
+    # verify-resolvent at 2048 nodes, N = 4 and K = 64 anchors: L = 46-row
+    # blocks, 45 of them, in ceil(64 / 17) = 4 windows of 12 blocks.  Beside
+    # the step maps (M - 1, 2, 2, N) it holds:
+    # - the window of 552 rows and its 2-row halo, (554, N, K)
+    # - the march's entry states E = (2, N, blocks, K) and their 2 E
+    #   scratch, its row peaks (L, N, blocks), transfer maps and the seeds
+    #   (M, K) as bools
+    # - the anchor-0 column (M, N) and a (window rows, N) difference buffer
+    # - the PDE check's chunks of ceil(sqrt(M - 2)) = 46 rows: cells,
+    #   residuals, a difference and its quotient, and the previous chunk's
+    #   cells, which hold the memory sums; tau, d, decay and half on the nodes
+    # - numpy's iteration buffers, at most np.getbufsize() doubles for each of
+    #   a ufunc's 3 operands, and 64 KiB for the carry and the views
+    # That is about 3.0 MB, below the 4.2 MB of the whole (M, N, K) sample.
+    grid = build_time_grid(resolvent_scn.h, 2048)
+    m_count, n_count, k_count = len(grid), resolvent_scn.basis.n_modes, 64
+    size = math.isqrt(m_count - 1) + 1
+    blocks = -(-m_count // size)
+    windows = -(-k_count // 17)
+    rows = -(-blocks // windows) * size
+    assert (size, blocks, windows, rows) == (46, 45, 4, 552)
+    window = 8 * (rows + 2) * n_count * k_count
+    march = (8 * (m_count - 1) * 4 * n_count + 3 * 8 * 2 * n_count * blocks * k_count
+             + 8 * size * n_count * blocks + 8 * (blocks - 1) * 4 * n_count
+             + m_count * k_count)
+    checks = (8 * m_count * n_count + 8 * rows * n_count
+              + 5 * 8 * size * n_count * k_count + 4 * 8 * m_count)
+    bound = window + march + checks + 3 * np.getbufsize() * 8 + 64 * 1024
+    tracemalloc.start()
+    try:
+        sample_reports(resolvent_scn.basis, resolvent_scn.linear, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert window < peak < bound < 8 * m_count * n_count * k_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(time_functions() | growing, kernels(), small_grids | measures(),
+       st.integers(min_value=1, max_value=4), st.sampled_from([1, 64]) | st.integers(2, 5),
+       st.booleans(), st.data())
+def test_windows_join_to_the_one_window_march(tau, kernel, measure, n_count, width,
+                                              adjoint, data):
+    # Pass 3 run window by window hands out the rows of the one-window march
+    # in time order, bitwise, for every window count from 1 to the block
+    # count and one past it, and hands the guard the same row peaks.  With
+    # the guard on, an overflowing march raises in the window that holds
+    # the earliest row not below the guard, naming the same mode.
+    grid = build_time_grid(*measure)
+    m_count = len(grid)
+    steps = step_maps(np.arange(1, n_count + 1), LinearPart(tau, kernel), grid)
+    if adjoint:
+        steps = adjoint_maps(steps)
+    first = data.draw(st.integers(min_value=0, max_value=m_count - 1), label="first")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    seeds = forced_seeds(rng, m_count, n_count, width, first)
+    shape = (n_count, m_count, width)
+
+    def windows(count):
+        """The windows' rows joined, and the row peaks they hand the guard."""
+        parts, peaks = [], []
+        out = np.empty(shape)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mds.spectral, "_guard_peaks", lambda peak, modes: peaks.append(peak))
+            for start, stop in _march_windows(steps, seeds, out, count):
+                assert start == sum(part.shape[1] for part in parts)
+                parts.append(out[:, :stop - start].copy())
+        return np.concatenate(parts, axis=1), np.concatenate(peaks, axis=1)
+
+    rows, peak = windows(1)
+    blocks, size = peak.shape[1:]
+    for count in range(2, blocks + 2):
+        rows_w, peak_w = windows(count)
+        assert np.array_equal(rows_w, rows, equal_nan=True)
+        assert np.array_equal(peak_w, peak, equal_nan=True)
+    below = np.all(peak < _OVERFLOW_GUARD, axis=0).ravel()     # rows first.. in time order
+    if below.all():
+        return
+    row = first + int(np.argmin(below))
+    with pytest.raises(InstabilityError) as one:
+        _march(steps, seeds, np.empty(shape))
+    for count in range(2, blocks + 2):
+        stops = []
+        with pytest.raises(InstabilityError) as exc:
+            for _, stop in _march_windows(steps, seeds, np.empty(shape), count):
+                stops.append(stop)
+        per = -(-blocks // count)
+        assert exc.value.mode == one.value.mode
+        assert (stops[-1] if stops else 0) <= row < first + (len(stops) + 1) * per * size

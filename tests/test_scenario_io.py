@@ -17,6 +17,7 @@ from mds import (ConfigError, InstabilityError, RegulatedTrajectory, UsageError,
 import mds._quad
 import mds.scenario
 import mds.spectral
+import mds.verify
 from mds import scenario_io
 from mds.cli import main as cli_main
 from mds.scenario_io import MAX_NODES
@@ -221,8 +222,12 @@ def test_table_beyond_physical_memory_rejected(monkeypatch, tmp_path):
 
 
 def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, capsys):
-    # 65 nodes x 2 modes: the solver's 17 columns take 17680 bytes and the
-    # resolvent sample's 64 take 66560, against 32768 bytes of "memory"
+    # 65 nodes x 2 modes: the solver's 17 columns take 17680 bytes, against
+    # 32768 bytes of "memory".  The resolvent sample's 63 anchors march in 8
+    # blocks of 9 rows, in ceil(63 / 17) = 4 windows of 2 blocks, so
+    # verify-resolvent holds the window with its 2-row halo (20 rows), the
+    # entry states and their scratch (6 x 8 blocks) and the anchor-0 column
+    # (65 rows): 69584 bytes
     _physical_memory(monkeypatch, 8)
     parse_scenario(tiny_doc())
     assert run_command("steer", tiny_doc(), str(tmp_path / "steer"), quiet=True) == 0
@@ -230,7 +235,7 @@ def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, c
     assert run_command("verify-resolvent", tiny_doc(), str(tmp_path / "verify")) == 1
     out = capsys.readouterr().out
     assert out.startswith("validation error: the resolvent sample of 65 nodes x 2 modes")
-    assert f"{8 * 65 * 2 * 64:.3g} bytes" in out
+    assert f"{8 * 2 * (20 * 63 + 6 * 8 * 63 + 65):.3g} bytes" in out
     assert not (tmp_path / "verify" / "resolvent_report.txt").exists()
 
 
@@ -462,22 +467,23 @@ def test_verify_resolvent_and_parsing_build_no_square_array(monkeypatch, tmp_pat
     ("simulate", "demo.json"), ("steer", "demo.json"), ("check-conditions", "demo.json"),
     ("verify-resolvent", "resolvent_check.json")])
 def test_each_command_computes_the_step_maps_once(monkeypatch, tmp_path, command, config):
-    calls = {"_step": 0, "_march": 0}
+    calls = {"_step": 0, "_march_windows": 0}
 
-    def counting(name):
-        inner = getattr(mds.spectral, name)
+    def counting(module, name):
+        inner = getattr(module, name)
 
         def counted(*args):
             calls[name] += 1
             return inner(*args)
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(mds.spectral, name, counting(name))
+    # the verify-resolvent sample marches through mds.verify's binding
+    for module, name in ((mds.spectral, "_step"), (mds.verify, "_march_windows")):
+        monkeypatch.setattr(module, name, counting(module, name))
     run_command(command, load_config(config), str(tmp_path), quiet=True)
     assert calls["_step"] == 2          # the unit states (1, 0) and (0, 1), once each
     if command == "verify-resolvent":
-        assert calls["_march"] == 1
+        assert calls["_march_windows"] == 1     # one march, handed out in windows
 
 
 def _unstable_demo(tau, zero_nonlinearity=False, zero_kernel=False):

@@ -9,12 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mds import (GridError, InstabilityError, LinearPart, MemoryKernel,
-                 TimeFunction, UsageError, build_time_grid,
-                 check_autonomous_reduction, constant_measure, make_basis,
-                 sample_resolvent, verify_resolvent_pde)
-from mds import spectral
+                 TimeFunction, UsageError, build_time_grid, constant_measure, make_basis)
 from mds.spectral import build_resolvent_table, resolvent_sup, step_maps
+from mds.verify import sample_anchors
 
+from conftest import sample_reports
 from test_forced_resolvent import resolvent_columns
 
 
@@ -168,14 +167,14 @@ def test_table_diagonal_is_exactly_one():
     grid = _grid(129)
     table = build_resolvent_table(make_basis(4), _const_linear(1.0, -0.2), grid)
     for n in range(4):
-        assert np.all(np.diag(table.data[n]) == 1.0)
+        assert np.all(np.diag(table[n]) == 1.0)
 
 
 def test_table_vanishes_below_the_anchor():
     grid = _grid(65)
     table = build_resolvent_table(make_basis(3), _const_linear(1.0, -0.2), grid)
     for n in range(3):
-        assert np.all(table.data[n][np.tril_indices(65, k=-1)[::-1]] == 0.0)
+        assert np.all(table[n][np.tril_indices(65, k=-1)[::-1]] == 0.0)
 
 
 def test_table_matches_single_anchor_solves():
@@ -185,13 +184,13 @@ def test_table_matches_single_anchor_solves():
     table = build_resolvent_table(make_basis(3), linear, grid)
     for n, k in [(1, 0), (2, 31), (3, 64)]:
         single = solve_mode_resolvent(n, k, linear, grid)
-        assert np.max(np.abs(table.data[n - 1, :, k] - single)) < 1e-13
+        assert np.max(np.abs(table[n - 1, :, k] - single)) < 1e-13
 
 
 def test_contraction_config_has_unit_sup():
     grid = _grid(129)
     table = build_resolvent_table(make_basis(4), _const_linear(1.0), grid)
-    assert np.max(np.abs(table.data)) == 1.0
+    assert np.max(np.abs(table)) == 1.0
     assert resolvent_sup(step_maps(np.arange(1, 5), _const_linear(1.0), grid)) == 1.0
 
 
@@ -202,7 +201,7 @@ def test_successive_node_continuity_bound():
                                              MemoryKernel("exp_diff", c0=1.0, rate=1.0)),
                                   grid)
     dt = grid.nodes[1] - grid.nodes[0]
-    diffs = np.abs(np.diff(table.data[:, :, 0], axis=1)).max()
+    diffs = np.abs(np.diff(table[:, :, 0], axis=1)).max()
     # |r'| <= n^2 (sup tau + a sup G) * sup|r| = 32 here
     assert diffs <= 40.0 * dt
 
@@ -211,8 +210,7 @@ def test_successive_node_continuity_bound():
 
 def test_pde_residual_passes_on_smooth_config(resolvent_scn):
     scn = resolvent_scn
-    report = verify_resolvent_pde(sample_resolvent(scn.basis, scn.linear, scn.grid),
-                                  tol_pde=1e-3)
+    report, _ = sample_reports(scn.basis, scn.linear, scn.grid, tol_pde=1e-3)
     assert report.passed
     assert report.max_scaled_residual <= 1e-3
     assert report.anchors_checked <= 64
@@ -225,19 +223,15 @@ def test_pde_residual_passes_on_smooth_config(resolvent_scn):
 def test_sampled_anchors_are_strictly_increasing(m_count):
     # From 67 nodes the 64 anchors are linspace(0, M - 3, 64) truncated.  Its
     # step (M - 3) / 63 is above 1, so no two anchors coincide and np.unique
-    # (which imports numpy.ma) would change nothing.  The march is stubbed:
-    # only the anchors are read.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "_table", lambda basis, linear, grid, anchors: anchors)
-        anchors = sample_resolvent(make_basis(1), _const_linear(1.0), _grid(m_count))
+    # (which imports numpy.ma) would change nothing.
+    anchors = sample_anchors(m_count)
     assert len(anchors) == 64 and anchors[0] == 0 and anchors[-1] == m_count - 3
     assert np.all(np.diff(anchors) > 0)
     assert np.array_equal(anchors, np.unique(anchors))
 
 
 def test_pde_residual_on_coarse_grid_is_finite_only():
-    report = verify_resolvent_pde(
-        sample_resolvent(make_basis(2), _const_linear(1.0, -0.2), _grid(16)), tol_pde=1e-3)
+    report, _ = sample_reports(make_basis(2), _const_linear(1.0, -0.2), _grid(16), tol_pde=1e-3)
     assert math.isfinite(report.max_scaled_residual)
     assert report.max_scaled_residual > 1e-5   # visibly coarser than 512 nodes
 
@@ -246,36 +240,35 @@ def test_pde_residual_needs_an_interior_node():
     linear = LinearPart(TimeFunction("const", c0=1.0),
                         MemoryKernel("exp_diff", c0=1.0, rate=1.0))
     with pytest.raises(GridError):
-        sample_resolvent(make_basis(2), linear, _grid(2))
-    report = verify_resolvent_pde(sample_resolvent(make_basis(2), linear, _grid(3)))
+        sample_reports(make_basis(2), linear, _grid(2))
+    report, _ = sample_reports(make_basis(2), linear, _grid(3))
     # one residual point
     assert report.anchors_checked == 1
     assert math.isfinite(report.max_raw_residual) and report.max_raw_residual > 0.0
 
 
 def test_autonomous_reduction_difference_kernel():
-    report = check_autonomous_reduction(sample_resolvent(
+    _, report = sample_reports(
         make_basis(4),
         LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("exp_diff", c0=1.0, rate=1.0)),
-        _grid(257)))
+        _grid(257))
     assert report.passed
     assert report.max_deviation <= 1e-6
 
 
 def test_autonomous_reduction_pure_ode_is_machine_exact():
-    report = check_autonomous_reduction(
-        sample_resolvent(make_basis(3), _const_linear(1.0), _grid(129)))
+    _, report = sample_reports(make_basis(3), _const_linear(1.0), _grid(129))
     assert report.max_deviation <= 1e-8
 
 
 def test_autonomous_reduction_rejects_time_dependence():
     linear = LinearPart(TimeFunction("affine", c0=1.0, c1=1.0), MemoryKernel("zero"))
     with pytest.raises(UsageError):
-        check_autonomous_reduction(sample_resolvent(make_basis(2), linear, _grid(33)))
+        sample_reports(make_basis(2), linear, _grid(33), autonomy=True)
 
 
 def test_autonomous_reduction_rejects_nonuniform_grid():
     from mds import zeno_measure
     grid = build_time_grid(zeno_measure(5), 65)
     with pytest.raises(GridError):
-        check_autonomous_reduction(sample_resolvent(make_basis(2), _const_linear(1.0), grid))
+        sample_reports(make_basis(2), _const_linear(1.0), grid, autonomy=True)

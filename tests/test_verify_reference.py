@@ -1,24 +1,26 @@
-"""Differential tests for the table-free resolvent verifier.
+"""Differential tests for the windowed, table-free resolvent verifier.
 
-``verify_resolvent_pde`` and ``check_autonomous_reduction`` read one sampled
-column set, which ``sample_resolvent`` marches once, and the verifier sums
-each column's memory integral by a running trapezoid recurrence.  The
-versions they replaced read the full (N, M, M) resolvent table and, for the
-PDE check, formed an M x M kernel, prefix and weight matrix per anchor.
-Those are kept here, and only here, as the reference.  They are the
-replaced code with the kernel-matrix helper it called spelled out; both
-references pick their anchors by ``reference_anchors``, the PDE check's rule.
+``verify_resolvent_pde`` and ``check_autonomous_reduction`` read the sampled
+columns window by window as ``sample_windows`` marches them, and the
+verifier sums each column's memory integral by a running trapezoid
+recurrence.  The versions they replaced read the full (N, M, M) resolvent
+table and, for the PDE check, formed an M x M kernel, prefix and weight
+matrix per anchor.  Those are kept here, and only here, as the reference.
+They are the replaced code with the kernel-matrix helper it called spelled
+out; both references pick their anchors by ``reference_anchors``, the PDE
+check's rule.
 
-``verify_resolvent_pde`` now forms its cells, differences and residuals a
-chunk of rows at a time and steps only the memory recurrence row by row,
-with the same arithmetic per entry.  The row-by-row loop it replaced is kept
-here as ``row_verify_resolvent_pde``, and the two reports must be bitwise
-equal.
+The checks form their cells, differences and residuals a chunk of rows at a
+time and step only the memory recurrence row by row, with the same
+arithmetic per entry.  The row-by-row loop they replaced is kept here as
+``row_verify_resolvent_pde``, on the whole sample marched at once
+(``sample_resolvent``, which the command held before it ran in windows), and
+the reports must be bitwise equal whatever the window count.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,14 +28,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mds import (AutonomyReport, GridError, InstabilityError, JumpMeasure, LinearPart,
-                 MemoryKernel, PdeReport, ResolventTable, TimeFunction, UsageError,
-                 build_time_grid, check_autonomous_reduction, constant_measure,
-                 make_basis, parse_scenario, run_command, sample_resolvent,
+                 MemoryKernel, PdeReport, SpectralBasis, TimeFunction, TimeGrid, UsageError,
+                 build_time_grid, constant_measure, make_basis, parse_scenario, run_command,
                  verify_resolvent_pde, zeno_measure)
 from mds._quad import trapezoid_prefix_matrix
-from mds.spectral import build_resolvent_table
+from mds.scenario_io import _SOLVER_ARRAYS
+from mds.spectral import _march, build_resolvent_table, step_maps
+from mds.verify import sample_anchors, sample_windows
 
-from conftest import load_config
+from conftest import load_config, sample_reports
 
 EPS = np.finfo(float).eps
 # Residual maxima agree to 1e-12 relative, plus the rounding of the memory sum.
@@ -54,6 +57,50 @@ def reference_anchors(m_count: int, max_anchors: int = 64) -> np.ndarray:
     if m_count - 2 <= max_anchors:
         return np.arange(0, max(m_count - 2, 1))
     return np.unique(np.linspace(0, m_count - 3, max_anchors).astype(int))
+
+
+@dataclass(frozen=True)
+class ResolventTable:
+    """Resolvent columns r_n(t_j, t_k) at the sorted anchors k: data[n - 1, j, i]
+    is r_n(t_j, t_anchors[i]), (N, M, K)."""
+
+    basis: SpectralBasis
+    linear: LinearPart
+    grid: TimeGrid
+    anchors: np.ndarray
+    data: np.ndarray
+
+
+def dense_table(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid) -> ResolventTable:
+    """Every node an anchor: the table the replaced verifiers read."""
+    return ResolventTable(basis, linear, grid, np.arange(len(grid)),
+                          build_resolvent_table(basis, linear, grid))
+
+
+def sample_resolvent(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid) -> ResolventTable:
+    """The sampled columns in one march, the whole (N, M, K) sample the
+    command held before it checked it in windows."""
+    anchors = sample_anchors(len(grid))
+    data = np.empty((len(grid), basis.n_modes, len(anchors))).transpose(1, 0, 2)
+    _march(step_maps(basis.mode_numbers, linear, grid),
+           np.equal.outer(np.arange(len(grid)), anchors), data)
+    return ResolventTable(basis, linear, grid, anchors, data)
+
+
+def windowed_columns(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
+                     arrays: int) -> np.ndarray:
+    """The sampled columns as ``sample_windows`` hands them out, joined, (N, M, K).
+
+    The windows must follow each other, and each window's halo must hold the
+    two rows before it.
+    """
+    parts = []
+    for sample in sample_windows(basis, linear, grid, arrays):
+        assert sample.start == sum(len(part) for part in parts)
+        if parts:
+            assert np.array_equal(sample.rows[:2], np.concatenate(parts)[-2:])
+        parts.append(sample.rows[2:2 + sample.stop - sample.start].copy())
+    return np.concatenate(parts).transpose(1, 0, 2)
 
 
 def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> PdeReport:
@@ -198,28 +245,27 @@ def _close(new: float, old: float, rounding: float) -> bool:
 
 
 @settings(max_examples=150, deadline=None)
-@given(time_functions(), kernels(), grids(), st.integers(min_value=1, max_value=4))
-def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count):
+@given(time_functions(), kernels(), grids(), st.integers(min_value=1, max_value=4),
+       st.sampled_from([1, 2, _SOLVER_ARRAYS]))
+def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count, arrays):
     assert 3 <= len(grid) <= 200
     basis = make_basis(n_count)
     linear = LinearPart(tau, kernel)
     try:
-        table = build_resolvent_table(basis, linear, grid)
+        table = dense_table(basis, linear, grid)
     except InstabilityError as exc:
         # the table guards every column, the sample only its own
         try:
-            sample_resolvent(basis, linear, grid)
+            sample_reports(basis, linear, grid, arrays=arrays)
         except InstabilityError as new_exc:
             assert new_exc.mode == exc.mode
         return
-    sample = sample_resolvent(basis, linear, grid)
-    assert np.array_equal(sample.anchors, reference_anchors(len(grid)))
-    assert np.array_equal(sample.data, table.data[:, :, sample.anchors])
-    # both are marched row-major: row j of every column is one slab
-    assert sample.data.transpose(1, 0, 2).flags.c_contiguous
-    assert table.data.transpose(1, 0, 2).flags.c_contiguous
+    anchors = sample_anchors(len(grid))
+    assert np.array_equal(anchors, reference_anchors(len(grid)))
+    assert np.array_equal(windowed_columns(basis, linear, grid, arrays),
+                          table.data[:, :, anchors])
     old = reference_verify_resolvent_pde(table)
-    new = verify_resolvent_pde(sample)
+    new, new_auto = sample_reports(basis, linear, grid, arrays=arrays)
     rounding = memory_rounding_bound(table)
     scale = np.maximum([linear.residual_scale(n, grid.end) for n in basis.mode_numbers],
                        1e-30)
@@ -230,23 +276,22 @@ def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count):
     assert new.anchors_checked == old.anchors_checked
     if linear.autonomous and grid.is_uniform():
         old_auto = reference_check_autonomous_reduction(table)
-        new_auto = check_autonomous_reduction(sample)
         assert new_auto.max_deviation == old_auto.max_deviation
         assert (new_auto.passed, new_auto.anchors_checked) == \
             (old_auto.passed, old_auto.anchors_checked)
+    else:
+        assert new_auto is None
 
 
 def test_shipped_resolvent_config_matches_table_verifier(resolvent_scn):
     scn = resolvent_scn
-    table = build_resolvent_table(scn.basis, scn.linear, scn.grid)
+    table = dense_table(scn.basis, scn.linear, scn.grid)
     old = reference_verify_resolvent_pde(table, scn.tol.tol_pde)
-    sample = sample_resolvent(scn.basis, scn.linear, scn.grid)
-    new = verify_resolvent_pde(sample, scn.tol.tol_pde)
+    new, auto = sample_reports(scn.basis, scn.linear, scn.grid, scn.tol.tol_pde)
     assert new.max_raw_residual == old.max_raw_residual
     assert new.max_scaled_residual == old.max_scaled_residual
     assert np.array_equal(new.per_mode_scaled, old.per_mode_scaled)
-    assert (check_autonomous_reduction(sample).max_deviation
-            == reference_check_autonomous_reduction(table).max_deviation)
+    assert auto.max_deviation == reference_check_autonomous_reduction(table).max_deviation
 
 
 @pytest.mark.parametrize("tau", [{"kind": "const", "c0": -50.0},
@@ -260,7 +305,7 @@ def test_overflowing_sampled_column_raises_same_mode(tau, tmp_path):
     with pytest.raises(InstabilityError) as old:
         build_resolvent_table(scn.basis, scn.linear, scn.grid)
     with pytest.raises(InstabilityError) as new:
-        sample_resolvent(scn.basis, scn.linear, scn.grid)
+        sample_reports(scn.basis, scn.linear, scn.grid)
     assert new.value.mode == old.value.mode
     assert run_command("verify-resolvent", doc, str(tmp_path), quiet=True) == 2
 
@@ -299,28 +344,32 @@ def chunked_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(chunked_cases(), st.integers(min_value=1, max_value=4))
+@given(chunked_cases(), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=_SOLVER_ARRAYS))
 @example((LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
-          build_time_grid(constant_measure(1.0), 3)), 1)
+          build_time_grid(constant_measure(1.0), 3)), 1, _SOLVER_ARRAYS)
 @example((LinearPart(TimeFunction("affine", c0=1.0, c1=-1.0),
                      MemoryKernel("exp_diff", c0=1.0, rate=1.0)),
-          build_time_grid(constant_measure(1.0), 66)), 2)
-def test_chunked_verifier_is_bitwise_the_row_loop(case, n_count):
+          build_time_grid(constant_measure(1.0), 66)), 2, _SOLVER_ARRAYS)
+def test_chunked_verifier_is_bitwise_the_row_loop(case, n_count, arrays):
     linear, grid = case
     assert 3 <= len(grid) <= 300
+    basis = make_basis(n_count)
     try:
-        sample = sample_resolvent(make_basis(n_count), linear, grid)
+        table = sample_resolvent(basis, linear, grid)
+        report, _ = sample_reports(basis, linear, grid, arrays=arrays)
     except InstabilityError:
         return
-    assert len(sample.anchors) == min(len(grid) - 2, 64)
-    report = verify_resolvent_pde(sample)
-    assert _report_bits(report) == _report_bits(row_verify_resolvent_pde(sample))
+    assert len(table.anchors) == min(len(grid) - 2, 64)
+    assert _report_bits(report) == _report_bits(row_verify_resolvent_pde(table))
     # entries before each column's anchor are never live: poisoning them with
-    # NaN and inf changes nothing, so they are dropped, not multiplied by 0
-    data = sample.data.copy()
-    before = np.arange(len(grid))[:, None] < sample.anchors
-    data[:, before] = np.inf
-    data[1::2, before] = np.nan
-    poisoned = dataclasses.replace(sample, data=data)
+    # NaN and inf in every window changes nothing, so they are dropped, not
+    # multiplied by 0
     with np.errstate(invalid="ignore", over="ignore"):
-        assert _report_bits(verify_resolvent_pde(poisoned)) == _report_bits(report)
+        for sample in sample_windows(basis, linear, grid, arrays):
+            window = sample.rows[:sample.stop - sample.start + 2]     # the halo too
+            before = (np.arange(sample.start - 2, sample.stop)[:, None] < sample.anchors)[:, None]
+            np.copyto(window, np.inf, where=before)
+            np.copyto(window[:, 1::2], np.nan, where=before)
+            poisoned = verify_resolvent_pde(sample)
+    assert _report_bits(poisoned) == _report_bits(report)

@@ -9,8 +9,9 @@ the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
 2 through the overflow guards or 3 on a zero gain, a zero cosine, the
 explicit-measure and lebesgue families, a non-uniform grid whose
 ``verify-resolvent`` writes no autonomy lines, the smallest accepted grid,
-a single mode, 80 modes, the two grids either side of the 64-anchor sample
-and a per-node table nonlinearity with a jump).
+a single mode, 80 modes, the two grids either side of the 64-anchor sample,
+a per-node table nonlinearity with a jump, and the edge cases of the
+verify-resolvent windows).
 Exit codes, stdout and every output file are compared byte for byte.
 Prints one line per difference and exits 1 if there is any, else 0.
 """
@@ -79,6 +80,14 @@ OFF_PATH = {
     # 64 anchors are spread by linspace, where the anchor gap 64/63 is smallest
     "nodes_66": _config("resolvent_check.json", grid={"nodes": 66}),
     "nodes_67": _config("resolvent_check.json", grid={"nodes": 67}),
+    # verify-resolvent's windows, ceil(K / 17) of whole blocks: at 157 nodes
+    # 13 blocks of 13 rows go in 4 windows of 4, so the short last block, one
+    # row, is alone in its window; at 65 nodes 63 anchors go in 4 windows of
+    # 2 of the 8 blocks, the fewest blocks a window gets (the rule never asks
+    # for more windows than blocks); at 4097 nodes 64 blocks in 4 of 16
+    "nodes_157": _config("resolvent_check.json", grid={"nodes": 157}),
+    "nodes_65": _config("resolvent_check.json", grid={"nodes": 65}),
+    "nodes_4097": _config("resolvent_check.json", grid={"nodes": 4097}),
     # one table row per node and a jump on row 1, which simulate's jump check reads
     "table_jump": _tiny(grid={"nodes": 5}, measure={"end": 1.0, "jumps": [[0.3, 0.1]]},
                         nonlinearity={"kind": "table",
