@@ -39,22 +39,6 @@ from .solver import picard_solve  # noqa: F401 -- wrapped by bench/tracer.py
 GAMMA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ControlSignal:
-    """Mode-coefficient control samples, one row per grid node."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    def l2_norm(self, weights: np.ndarray) -> float:
-        """(int ||u(t)||^2 dt)^(1/2) under the supplied quadrature weights."""
-        return float(np.sqrt(weights @ np.sum(self.samples ** 2, axis=-1)))
-
-
 def _weights_for(final: np.ndarray, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != final.shape[1:]:
@@ -76,13 +60,17 @@ def gramians(final: np.ndarray, theta: np.ndarray, weights) -> np.ndarray:
     return gam
 
 
-def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights) -> ControlSignal:
-    """Minimal-L2-norm grid preimage of p under Z (per-mode normal equations)."""
+def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights) -> np.ndarray:
+    """Minimal-L2-norm grid preimage of p under Z (per-mode normal equations).
+
+    The control's mode coefficients, one row per grid node: (M, N), read-only.
+    """
     theta = np.asarray(theta, dtype=float)
     gam = gramians(final, theta, weights)
     p = np.asarray(p, dtype=float)
     samples = final.T * (theta * p / gam)
-    return ControlSignal(samples)
+    samples.setflags(write=False)
+    return samples
 
 
 def steering_residual(scn: Scenario, traj: RegulatedTrajectory) -> np.ndarray:
@@ -95,7 +83,7 @@ def steering_residual(scn: Scenario, traj: RegulatedTrajectory) -> np.ndarray:
             - (final * delta.T) @ last)
 
 
-def synthesize_control(scn: Scenario, traj: RegulatedTrajectory) -> ControlSignal:
+def synthesize_control(scn: Scenario, traj: RegulatedTrajectory) -> np.ndarray:
     """The steering control for the current iterate: Z^-1 of the residual."""
     p = steering_residual(scn, traj)
     return min_norm_inverse(scn.final_row, scn.theta, p, scn.wq_full)
@@ -118,7 +106,7 @@ class SteeringReport:
 
 @dataclass(frozen=True, eq=False)
 class SteerOutcome:
-    control: ControlSignal
+    control: np.ndarray     # (M, N) mode coefficients, read-only
     trajectory: RegulatedTrajectory
     report: SteeringReport
 
@@ -139,7 +127,8 @@ def steer(scn: Scenario) -> SteerOutcome:
     """
     tol = scn.tol
     traj = scn.picard_seed
-    u = ControlSignal(np.zeros((len(scn.grid), scn.n_modes)))
+    u = np.zeros((len(scn.grid), scn.n_modes))
+    u.setflags(write=False)
     history = [terminal_error(scn, traj)]
     linear = scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero
     fixed = linear and history[0] <= tol.tol_target
@@ -150,7 +139,7 @@ def steer(scn: Scenario) -> SteerOutcome:
                 f"(terminal error {history[-1]:.3e})", history)
         # through the module attributes, which bench/tracer.py wraps
         u = synthesize_control(scn, traj)
-        new = solver.apply_psi(scn, traj, u.samples)
+        new = solver.apply_psi(scn, traj, u)
         history.append(terminal_error(scn, new))
         # psi(traj, u) = new; psi(new, u) = new too when psi does not read its iterate
         fixed = linear or solver._sup_distance(new, traj) < tol.tol_picard
@@ -162,5 +151,6 @@ def steer(scn: Scenario) -> SteerOutcome:
         raise SteeringError(
             f"terminal error {error:.3e} at the fixed point after {outer} "
             f"outer iterations (target {tol.tol_target:g})", history)
-    report = SteeringReport(error, outer, u.l2_norm(scn.wq_full), tuple(history), True)
+    norm = float(np.sqrt(scn.wq_full @ np.sum(u ** 2, axis=-1)))   # (int ||u||^2 dt)^(1/2)
+    report = SteeringReport(error, outer, norm, tuple(history), True)
     return SteerOutcome(u, traj, report)

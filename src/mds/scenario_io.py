@@ -409,8 +409,7 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
             outcome = steer(scn)
             write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
                                  scn, outcome.trajectory, physical)
-            write_control_csv(os.path.join(out_dir, "control.csv"),
-                              scn, outcome.control.samples)
+            write_control_csv(os.path.join(out_dir, "control.csv"), scn, outcome.control)
             report = outcome.report
             record = dict(converged=report.converged, terminal_error=report.terminal_error,
                           outer_iterations=report.outer_iterations,

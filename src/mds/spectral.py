@@ -52,13 +52,13 @@ of entry states, where pass 2 turns it into x_{i+1} in place.  A march
 holds its entry states, a scratch twice their size and its row peaks
 beside its rows.
 
-The result is bitwise that of the march that stepped every row: each entry
-is the sum of the same two products, in the same order or with the two
-terms swapped, and IEEE multiplication and addition are commutative.  Every
-column is stepped elementwise apart from the others, so T_i from the unit
-states alone is the T_i they gave beside the seeds, and pass 2 still adds
-the products of T_i x_i first and z_i last.  A window steps a slice of the
-blocks with the same arithmetic, so no row depends on the window count.
+The first block runs the row steps themselves and the second enters with
+x_1 = T_0 x_0 + z_0 = z_0, so their rows are bitwise those of the march
+that steps every row; later blocks enter through another sum of the same
+terms (a demo column at 1025 nodes moves by up to 1.2e-15).  Columns are stepped
+apart, so T_i from the unit states alone is the T_i they gave beside the
+seeds, and a window steps a slice of the blocks with the same arithmetic:
+no row depends on the window count.
 
 The final row r_n(a, .) is the discrete adjoint: the same march on the
 transposed maps with the rows reversed.  The subdiagonal r_n(t_{j+1}, t_j)
@@ -396,9 +396,8 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
         start, stop = (0 if b0 == 0 else first + b0 * size), min(first + b1 * size, m_count)
         off, ends_at = first + b0 * size - start, (last if b1 == count else size)
         blocks, full_blocks = states(b0, b1), states(b0, min(b1, full))
-        slabs, full_slabs = ((lay.slabs, lay.full_slabs) if per == count else    # one window
-                             ([slab[..., b0:b1, :] for slab in lay.slabs],
-                              [slab[..., b0:, :] for slab in lay.full_slabs]))
+        slabs = [slab[..., b0:b1, :] for slab in lay.slabs]
+        full_slabs = [slab[..., b0:, :] for slab in lay.full_slabs]
         window_peak = peak[:, :, b0:b1]
         with np.errstate(over="ignore", invalid="ignore"):
             for p in range(size):
@@ -453,8 +452,10 @@ def resolvent_sup(steps: StepMaps) -> float:
     ``_States`` on the columns that have joined, read from maps[j].  Each
     row's per-mode peak is kept for the overflow guard, and L1 is their max
     beside the diagonal r_n(s, s) = 1, without holding the table: O(N M)
-    state.  The pass takes N M^2 / 2 entry-steps; over L1_ENTRY_STEPS it is
-    refused before it starts.
+    state.  So L1 is the max over row-stepped entries, not the blocked
+    march's; on every shipped config it is the diagonal's 1.0.  The pass
+    takes N M^2 / 2 entry-steps; over L1_ENTRY_STEPS it is refused before
+    it starts.
     """
     m_count, n_count = steps.n_nodes, len(steps.modes)
     work = n_count * m_count * m_count // 2

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mds import (JumpMeasure, LinearPart, NonlinearityEval, NonlocalEval, Scenario,
-                 SpectralBasis, Tolerances, build_time_grid, check_autonomous_reduction,
-                 parse_scenario, verify_resolvent_pde)
-from mds.scenario_io import _SOLVER_ARRAYS
-from mds.verify import sample_windows
+from mds.measure import JumpMeasure, build_time_grid
+from mds.scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
+from mds.scenario_io import _SOLVER_ARRAYS, parse_scenario
+from mds.spectral import LinearPart, SpectralBasis
+from mds.verify import check_autonomous_reduction, sample_windows, verify_resolvent_pde
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -87,11 +87,11 @@ def resolvent_scn():
 
 @pytest.fixture(scope="session")
 def demo_solution(demo_scn):
-    from mds import picard_solve
+    from mds.solver import picard_solve
     return picard_solve(demo_scn, None)
 
 
 @pytest.fixture(scope="session")
 def demo_steered(demo_scn):
-    from mds import steer
+    from mds.control import steer
     return steer(demo_scn)

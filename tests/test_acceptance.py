@@ -15,12 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from mds import (ConditionConstants, LinearPart, MemoryKernel, TimeFunction,
-                 build_report, build_time_grid, check_cond1, check_cond2,
-                 check_example_conditions, constant_measure, discontinuity_count,
-                 jump_consistency, make_basis, parse_scenario, picard_solve, steer,
-                 zeno_measure)
-from mds.spectral import build_resolvent_table
+from mds.conditions import (ConditionConstants, build_report, check_cond1, check_cond2,
+                            check_example_conditions)
+from mds.control import steer
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import build_time_grid, constant_measure, zeno_measure
+from mds.scenario_io import parse_scenario
+from mds.solver import discontinuity_count, jump_consistency, picard_solve
+from mds.spectral import LinearPart, build_resolvent_table, make_basis
 
 from conftest import assemble_scenario, load_config, record_criterion, sample_reports
 from test_measure import ls_integral

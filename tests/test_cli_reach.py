@@ -9,10 +9,15 @@ once; the only exceptions are the names in ``KEPT``, each with its reason.
 A helper that only the tests or the benchmark call belongs in ``tests/`` or
 ``bench/``, not in the package.  A fresh interpreter running every command
 must also never import ``numpy.ma``.
+
+Every name has one home: ``import mds`` loads no module of the package and
+not numpy, and no module imports a name it never references, apart from the
+re-exports in ``REEXPORTS`` that ``bench/tracer.py`` wraps by attribute.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import inspect
 import json
@@ -39,6 +44,17 @@ KEPT = {
     "mds.scenario_io.serialize_scenario":
         "the run record will hash the canonical document it returns",
 }
+
+# names a module imports and never references: bench/tracer.py wraps each by
+# attribute, as tracer.wrap(mds.<module>, "<name>", ...), for one of its spans
+REEXPORTS = {
+    "mds.scenario.simpson_prefix_matrix": "the quad.simpson_prefix_matrix span",
+    "mds.scenario.trapezoid_prefix_matrix": "the quad.trapezoid_prefix_matrix span",
+    "mds.scenario.build_resolvent_table": "the spectral.build_resolvent_table span",
+    "mds.spectral.trapezoid_prefix_matrix": "the quad.trapezoid_prefix_matrix span",
+    "mds.control.picard_solve": "the solver.picard_solve span",
+}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _runs() -> list[tuple[dict, list[str], int]]:
@@ -163,3 +179,54 @@ def test_no_command_imports_numpy_ma(tmp_path):
     codes, imported = json.loads(proc.stdout)
     assert codes[-1] == 0                      # the resolvent_check sample passed
     assert not imported
+
+
+def test_import_mds_loads_no_module():
+    # the package root binds only __version__, so every name is imported from
+    # the module that defines it
+    child = ("import json, sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import mds\n"
+             "print(json.dumps([mds.__file__, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", child, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    path, loaded = json.loads(proc.stdout)
+    assert Path(path) == ROOT / "src" / "mds" / "__init__.py"
+    assert not [name for name in loaded
+                if name.startswith("mds.") or name.split(".")[0] == "numpy"]
+
+
+def _unreferenced_imports() -> set[str]:
+    """``mds.<module>.<name>`` of every name a module imports and never references."""
+    found = set()
+    for path in sorted((ROOT / "src" / "mds").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                found |= {f"mds.{path.stem}.{name}" for name in bound if name not in referenced}
+    return found
+
+
+def _tracer_wraps() -> set[str]:
+    """``mds.<module>.<name>`` of every ``tracer.wrap(mds.<module>, "<name>", ...)``."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    return {f"mds.{call.args[0].attr}.{call.args[1].value}" for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "wrap" and isinstance(call.args[0], ast.Attribute)
+            and isinstance(call.args[0].value, ast.Name) and call.args[0].value.id == "mds"}
+
+
+def test_every_import_is_referenced_but_the_tracer_reexports():
+    found = _unreferenced_imports()
+    assert not found - set(REEXPORTS), "imported, never referenced: " + ", ".join(
+        sorted(found - set(REEXPORTS)))
+    # an entry that is now referenced or no longer imported needs no exception
+    assert not set(REEXPORTS) - found, "no longer a bare re-export: " + ", ".join(
+        sorted(set(REEXPORTS) - found))
+    # once the tracer stops wrapping a name, the re-export that kept it can go
+    unwrapped = set(REEXPORTS) - _tracer_wraps()
+    assert not unwrapped, "bench/tracer.py no longer wraps: " + ", ".join(sorted(unwrapped))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mds import (ConditionConstants, UsageError, build_report, check_cond1,
-                 check_cond2, check_example_conditions, estimate_constants,
-                 pz_samples, run_command)
+from mds.conditions import (ConditionConstants, build_report, check_cond1, check_cond2,
+                            check_example_conditions, estimate_constants, pz_samples)
+from mds.errors import UsageError
+from mds.scenario_io import run_command
 
 from conftest import load_config
 

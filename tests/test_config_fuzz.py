@@ -47,10 +47,10 @@ from hypothesis import strategies as st
 import mds.scenario_io
 import mds.spectral
 import mds.verify
-from mds import (ConfigError, JumpMeasure, build_time_grid, constant_measure,
-                 parse_scenario, run_command, serialize_scenario, zeno_measure)
+from mds.errors import ConfigError
+from mds.measure import JumpMeasure, build_time_grid, constant_measure, zeno_measure
 from mds.scenario_io import (_SOLVER_ARRAYS, HORIZON_RANGE, MAX_COEFFICIENT, MAX_ITERATIONS,
-                             MAX_NODES)
+                             MAX_NODES, parse_scenario, run_command, serialize_scenario)
 from mds.verify import ANCHOR_BLOCK
 
 COMMANDS = ("simulate", "steer", "check-conditions", "verify-resolvent")

@@ -10,25 +10,31 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mds.solver
-from mds import (ConfigError, ControlSignal, DegenerateModeError, DomainError, GridError,
-                 InstabilityError, LinearPart, MemoryKernel, SteeringError, TimeFunction,
-                 Tolerances, UsageError, apply_psi, constant_measure, estimate_constants,
-                 gramians, make_basis, min_norm_inverse, parse_scenario, picard_solve,
-                 run_command, steer, steering_residual, synthesize_control,
-                 terminal_error)
-from mds.control import _weights_for
-from mds.scenario_io import MAX_ITERATIONS
-from mds.solver import _sup_distance
+from mds.conditions import estimate_constants
+from mds.control import (_weights_for, gramians, min_norm_inverse, steer, steering_residual,
+                         synthesize_control, terminal_error)
+from mds.errors import (ConfigError, DegenerateModeError, DomainError, GridError,
+                        InstabilityError, SteeringError, UsageError)
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import constant_measure
+from mds.scenario import Tolerances
+from mds.scenario_io import MAX_ITERATIONS, parse_scenario, run_command
+from mds.solver import _sup_distance, apply_psi, picard_solve
+from mds.spectral import LinearPart, make_basis
 
 from conftest import assemble_scenario, load_config
 from test_config_fuzz import documents
 
 
-def z_apply(final: np.ndarray, theta, u: ControlSignal, weights) -> np.ndarray:
+def z_apply(final: np.ndarray, theta, u: np.ndarray, weights) -> np.ndarray:
     """Mode n of Zu: int_0^a r_n(a,s) theta_n u_n(s) ds (the test oracle for Z)."""
     w = _weights_for(final, weights)
-    samples = u.samples if isinstance(u, ControlSignal) else np.asarray(u, dtype=float)
-    return np.asarray(theta, dtype=float) * ((final * samples.T) @ w)
+    return np.asarray(theta, dtype=float) * ((final * np.asarray(u, dtype=float).T) @ w)
+
+
+def l2_norm(u: np.ndarray, weights: np.ndarray) -> float:
+    """(int ||u(t)||^2 dt)^(1/2) under the quadrature weights, as steer's control_norm."""
+    return float(np.sqrt(weights @ np.sum(u ** 2, axis=-1)))
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +61,8 @@ def test_min_norm_control_profile(small_scn):
     u = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
     s = small_scn.grid.nodes
     gamma1 = (1.0 - math.exp(-2.0)) / 2.0
-    assert np.max(np.abs(u.samples[:, 0] - np.exp(-(1.0 - s)) / gamma1)) < 1e-6
-    assert np.all(u.samples[:, 1:] == 0.0)
+    assert np.max(np.abs(u[:, 0] - np.exp(-(1.0 - s)) / gamma1)) < 1e-6
+    assert np.all(u[:, 1:] == 0.0)
     reached = z_apply(final, small_scn.theta, u, small_scn.wq_full)
     assert reached[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -64,7 +70,7 @@ def test_min_norm_control_profile(small_scn):
 def test_zero_target_gives_zero_control(small_scn):
     u = min_norm_inverse(small_scn.final_row, small_scn.theta,
                          np.zeros(3), small_scn.wq_full)
-    assert np.all(u.samples == 0.0)
+    assert np.all(u == 0.0)
 
 
 def test_zero_gain_is_degenerate(small_scn):
@@ -89,7 +95,7 @@ def test_control_norm_identity(small_scn):
     p = np.array([0.3, -1.2, 0.8])
     gam = gramians(final, small_scn.theta, small_scn.wq_full)
     u = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
-    norm = u.l2_norm(small_scn.wq_full)
+    norm = l2_norm(u, small_scn.wq_full)
     assert norm == pytest.approx(math.sqrt(np.sum(p * p / gam)), rel=1e-12)
 
 
@@ -99,14 +105,13 @@ def test_minimality_against_kernel_perturbations(small_scn):
     w = small_scn.wq_full
     p = np.array([1.0, -0.5, 0.25])
     u = min_norm_inverse(final, small_scn.theta, p, w)
-    base = u.l2_norm(w)
+    base = l2_norm(u, w)
     for _ in range(5):
         v0 = rng.standard_normal((len(small_scn.grid), 3))
         # project v0 onto ker Z: subtract the preimage of its image
         hit = z_apply(final, small_scn.theta, v0, w)
-        v = v0 - min_norm_inverse(final, small_scn.theta, hit, w).samples
-        competitor = ControlSignal(u.samples + v)
-        assert base <= competitor.l2_norm(w) + 1e-12
+        v = v0 - min_norm_inverse(final, small_scn.theta, hit, w)
+        assert base <= l2_norm(u + v, w) + 1e-12
 
 
 def test_weights_length_checked(small_scn):
@@ -124,10 +129,10 @@ def test_reachable_target_needs_no_control():
         make_basis(n),
         LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
         constant_measure(1.0), 257, zeta0, np.exp(-n2.astype(float)) * zeta0)
-    from mds import picard_solve
+    from mds.solver import picard_solve
     traj = picard_solve(scn).trajectory
     u = synthesize_control(scn, traj)
-    assert np.max(np.abs(u.samples)) < 1e-14
+    assert np.max(np.abs(u)) < 1e-14
 
 
 def test_trivial_steer_does_nothing():
@@ -138,7 +143,7 @@ def test_trivial_steer_does_nothing():
     out = steer(scn)
     assert out.report.outer_iterations == 0
     assert out.report.converged
-    assert np.all(out.control.samples == 0.0)
+    assert np.all(out.control == 0.0)
     assert out.report.terminal_error == 0.0
 
 
@@ -150,7 +155,7 @@ def test_linear_steering_hits_target_in_one_pass(linear_scn):
 
 
 def test_steering_residual_matches_defect_for_linear(linear_scn):
-    from mds import picard_solve
+    from mds.solver import picard_solve
     traj = picard_solve(linear_scn).trajectory
     p = steering_residual(linear_scn, traj)
     gap = linear_scn.zeta1 - traj.values[-1]
@@ -175,7 +180,7 @@ def test_demo_steer_report_is_consistent(tmp_path, demo_scn, demo_steered):
     assert rep.terminal_error == terminal_error(demo_scn, demo_steered.trajectory)
     assert rep.outer_iterations == len(rep.history) - 1
     assert rep.control_norm == pytest.approx(
-        demo_steered.control.l2_norm(demo_scn.wq_full), rel=1e-15)
+        l2_norm(demo_steered.control, demo_scn.wq_full), rel=1e-15)
     assert run_command("steer", load_config("demo.json"), str(tmp_path), quiet=True) == 0
     lines = (tmp_path / "steering.txt").read_text().splitlines()
     assert lines[0] == "converged=true"
@@ -195,7 +200,7 @@ def test_demo_control_norm_within_apriori_bound(demo_scn, demo_steered):
 
 def _phi_defect(scn, out) -> float:
     """||psi(zeta, u) - zeta||_sup for the path and the control steer returned."""
-    again = apply_psi(scn, out.trajectory, out.control.samples)
+    again = apply_psi(scn, out.trajectory, out.control)
     return _sup_distance(again, out.trajectory)
 
 
@@ -210,12 +215,12 @@ def _assert_fixed_point_of_phi(scn, out):
     if rep.outer_iterations == 0:       # the seed already met the target
         assert linear
         assert out.trajectory is scn.picard_seed
-        assert not np.any(out.control.samples)
+        assert not np.any(out.control)
         return
     assert rep.terminal_error == rep.history[-1 if linear else -2]
     if not linear:
         u = synthesize_control(scn, out.trajectory)
-        assert out.control.samples.tobytes() == u.samples.tobytes()
+        assert out.control.tobytes() == u.tobytes()
     assert _phi_defect(scn, out) < scn.tol.tol_picard
 
 
@@ -247,7 +252,7 @@ def _nested_reference(scn):
     history = [terminal_error(scn, traj)]
     u = np.zeros((len(scn.grid), scn.n_modes))
     if history[0] > scn.tol.tol_target and scn.tol.max_outer > 0:
-        u = synthesize_control(scn, traj).samples
+        u = synthesize_control(scn, traj)
         traj = picard_solve(scn, u).trajectory
         history.append(terminal_error(scn, traj))
     return u, traj, history
@@ -268,7 +273,7 @@ def _assert_steers_like_the_nested_loop(scn):
     out = steer(scn)
     assert out.report.history == tuple(history)
     assert out.report.outer_iterations == len(history) - 1
-    assert out.control.samples.tobytes() == u.tobytes()
+    assert out.control.tobytes() == u.tobytes()
     assert out.trajectory.values.tobytes() == traj.values.tobytes()
     assert out.trajectory.right_values.tobytes() == traj.right_values.tobytes()
 

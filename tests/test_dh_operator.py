@@ -18,11 +18,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mds import (JumpMeasure, LinearPart, MemoryKernel, NonlinearityEval,
-                 NonlocalEval, RegulatedTrajectory, TimeFunction, apply_psi,
-                 density_on_grid, make_basis, steering_residual, zeno_measure)
 from mds._quad import trapezoid_prefix_matrix, trapezoid_weights
-from mds.spectral import build_resolvent_table
+from mds.control import steering_residual
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import JumpMeasure, RegulatedTrajectory, density_on_grid, zeno_measure
+from mds.scenario import NonlinearityEval, NonlocalEval
+from mds.solver import apply_psi
+from mds.spectral import LinearPart, build_resolvent_table, make_basis
 
 from conftest import assemble_scenario
 from test_forced_resolvent import EPS, RUNNING_ULPS, dense_rules, majorant_linear

@@ -83,15 +83,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
-                 NonlinearityEval, RegulatedTrajectory, TimeFunction, apply_psi,
-                 build_time_grid, constant_measure, density_on_grid,
-                 lebesgue_measure, make_basis, zeno_measure)
 import mds.spectral
 from mds._quad import simpson_prefix_matrix, trapezoid_prefix_matrix
-from mds.spectral import (_OVERFLOW_GUARD, StepMaps, _guard_peaks, _march, _march_windows,
-                          _step, build_resolvent_table, resolvent_final_row, resolvent_sums,
-                          resolvent_sup, step_maps)
+from mds.errors import InstabilityError
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import (JumpMeasure, RegulatedTrajectory, build_time_grid, constant_measure,
+                         density_on_grid, lebesgue_measure, zeno_measure)
+from mds.scenario import NonlinearityEval
+from mds.solver import apply_psi
+from mds.spectral import (_OVERFLOW_GUARD, LinearPart, StepMaps, _guard_peaks, _march,
+                          _march_windows, _step, build_resolvent_table, make_basis,
+                          resolvent_final_row, resolvent_sums, resolvent_sup, step_maps)
 
 from conftest import assemble_scenario, sample_reports
 

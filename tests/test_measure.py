@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mds import (DomainError, GridError, JumpMeasure, RegulatedTrajectory,
-                 TimeGrid, UsageError, build_time_grid, constant_measure,
-                 density_on_grid, jump_sizes_on_grid, zeno_measure)
-from mds.measure import _location_tol
+from mds.errors import DomainError, GridError, UsageError
+from mds.measure import (JumpMeasure, RegulatedTrajectory, TimeGrid, _location_tol,
+                         build_time_grid, constant_measure, density_on_grid, jump_sizes_on_grid,
+                         zeno_measure)
 
 
 def node_index(grid: TimeGrid, t: float) -> int:

@@ -14,9 +14,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mds import (LinearPart, MemoryKernel, TimeFunction, build_time_grid,
-                 constant_measure, make_basis, zeno_measure)
 from mds._quad import simpson_prefix_edges, simpson_prefix_matrix, simpson_weights
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import build_time_grid, constant_measure, zeno_measure
+from mds.spectral import LinearPart, make_basis
 
 from conftest import assemble_scenario
 

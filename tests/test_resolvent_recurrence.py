@@ -27,9 +27,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mds import (InstabilityError, JumpMeasure, LinearPart, MemoryKernel,
-                 TimeFunction, build_time_grid, constant_measure, zeno_measure)
-from mds.spectral import _OVERFLOW_GUARD, step_maps
+from mds.errors import InstabilityError
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import JumpMeasure, build_time_grid, constant_measure, zeno_measure
+from mds.spectral import _OVERFLOW_GUARD, LinearPart, step_maps
 
 from test_forced_resolvent import resolvent_columns, row_table
 

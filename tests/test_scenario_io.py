@@ -9,19 +9,22 @@ import warnings
 import numpy as np
 import pytest
 
-from mds import (ConfigError, InstabilityError, RegulatedTrajectory, UsageError,
-                 constant_measure, LinearPart, MemoryKernel, TimeFunction,
-                 Tolerances, apply_psi, build_report, make_basis,
-                 parse_scenario, run_command, serialize_scenario, steer,
-                 write_control_csv, write_trajectory_csv)
 import mds._quad
 import mds.scenario
 import mds.spectral
 import mds.verify
 from mds import scenario_io
 from mds.cli import main as cli_main
-from mds.scenario_io import MAX_NODES
-from mds.spectral import build_resolvent_table
+from mds.conditions import build_report
+from mds.control import steer
+from mds.errors import ConfigError, InstabilityError, UsageError
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import RegulatedTrajectory, constant_measure
+from mds.scenario import Tolerances
+from mds.scenario_io import (MAX_NODES, parse_scenario, run_command, serialize_scenario,
+                             write_control_csv, write_trajectory_csv)
+from mds.solver import apply_psi
+from mds.spectral import LinearPart, build_resolvent_table, make_basis
 
 from conftest import assemble_scenario, load_config
 
@@ -575,7 +578,7 @@ def test_demo_trajectory_csv_has_right_rows(tmp_path, demo_scn, demo_solution):
 
 def test_physical_columns_appended(tmp_path):
     scn = parse_scenario(tiny_doc())
-    from mds import picard_solve
+    from mds.solver import picard_solve
     traj = picard_solve(scn).trajectory
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(str(path), scn, traj, physical=True)

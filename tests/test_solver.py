@@ -3,13 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mds import (ConvergenceError, GridError, JumpMeasure, LinearPart,
-                 MemoryKernel, NonlinearityEval, RegulatedTrajectory,
-                 TimeFunction, Tolerances, apply_psi, constant_measure,
-                 discontinuity_count, jump_consistency, lebesgue_measure,
-                 make_basis, parse_scenario, picard_solve, steer)
 import mds.solver
 import mds.spectral
+from mds.control import steer
+from mds.errors import ConvergenceError, GridError
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import JumpMeasure, RegulatedTrajectory, constant_measure, lebesgue_measure
+from mds.scenario import NonlinearityEval, Tolerances
+from mds.scenario_io import parse_scenario
+from mds.solver import apply_psi, discontinuity_count, jump_consistency, picard_solve
+from mds.spectral import LinearPart, make_basis
 
 from conftest import assemble_scenario, load_config
 

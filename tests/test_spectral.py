@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mds import (GridError, InstabilityError, LinearPart, MemoryKernel,
-                 TimeFunction, UsageError, build_time_grid, constant_measure, make_basis)
-from mds.spectral import build_resolvent_table, resolvent_sup, step_maps
+from mds.errors import GridError, InstabilityError, UsageError
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import build_time_grid, constant_measure
+from mds.spectral import LinearPart, build_resolvent_table, make_basis, resolvent_sup, step_maps
 from mds.verify import sample_anchors
 
 from conftest import sample_reports
@@ -268,7 +269,7 @@ def test_autonomous_reduction_rejects_time_dependence():
 
 
 def test_autonomous_reduction_rejects_nonuniform_grid():
-    from mds import zeno_measure
+    from mds.measure import zeno_measure
     grid = build_time_grid(zeno_measure(5), 65)
     with pytest.raises(GridError):
         sample_reports(make_basis(2), _const_linear(1.0), grid, autonomy=True)

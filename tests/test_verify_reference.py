@@ -27,14 +27,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mds import (AutonomyReport, GridError, InstabilityError, JumpMeasure, LinearPart,
-                 MemoryKernel, PdeReport, SpectralBasis, TimeFunction, TimeGrid, UsageError,
-                 build_time_grid, constant_measure, make_basis, parse_scenario, run_command,
-                 verify_resolvent_pde, zeno_measure)
 from mds._quad import trapezoid_prefix_matrix
-from mds.scenario_io import _SOLVER_ARRAYS
-from mds.spectral import _march, build_resolvent_table, step_maps
-from mds.verify import sample_anchors, sample_windows
+from mds.errors import GridError, InstabilityError, UsageError
+from mds.funcs import MemoryKernel, TimeFunction
+from mds.measure import JumpMeasure, TimeGrid, build_time_grid, constant_measure, zeno_measure
+from mds.scenario_io import _SOLVER_ARRAYS, parse_scenario, run_command
+from mds.spectral import (LinearPart, SpectralBasis, _march, build_resolvent_table, make_basis,
+                          step_maps)
+from mds.verify import (AutonomyReport, PdeReport, sample_anchors, sample_windows,
+                        verify_resolvent_pde)
 
 from conftest import load_config, sample_reports
 

@@ -11,7 +11,9 @@ explicit-measure and lebesgue families, a non-uniform grid whose
 ``verify-resolvent`` writes no autonomy lines, the smallest accepted grid,
 a single mode, 80 modes, the two grids either side of the 64-anchor sample,
 a per-node table nonlinearity with a jump, and the edge cases of the
-verify-resolvent windows).
+verify-resolvent windows).  Each document also runs ``simulate --physical``,
+whose trajectory.csv carries the per-row physical synthesis; those runs add
+about a quarter to the time (57 s against 45 s on a 2-core host).
 Exit codes, stdout and every output file are compared byte for byte.
 Prints one line per difference and exits 1 if there is any, else 0.
 """
@@ -27,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("simulate", "steer", "check-conditions", "verify-resolvent")
+# every command, then simulate with the per-row physical synthesis of trajectory.csv
+RUNS = tuple((command,) for command in COMMANDS) + (("simulate", "--physical"),)
 BENCHMARK_NODES = {"demo.json": 1025, "resolvent_check.json": 2048}
 
 
@@ -116,10 +120,10 @@ def export_src(ref: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run(src: Path, command: str, config: Path, out: Path):
+def run(src: Path, args: tuple, config: Path, out: Path):
     """Exit code, stdout and output files of one command in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-m", "mds.cli", command, str(config),
-                           "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-m", "mds.cli", args[0], str(config),
+                           "--out", str(out), *args[1:]],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           cwd=config.parent, capture_output=True)
     files = {p.relative_to(out).as_posix(): p.read_bytes()
@@ -153,11 +157,11 @@ def main(argv: list[str]) -> int:
         for name, doc in documents():
             config = tmp / f"{name}.json"
             config.write_text(json.dumps(doc), encoding="utf-8")
-            for command in COMMANDS:
-                ref, work = (run(src, command, config, tmp / "out" / side / name / command)
+            for args in RUNS:
+                ref, work = (run(src, args, config, tmp / "out" / side / name / "".join(args))
                              for side, src in trees.items())
                 for line in differences(ref, work):
-                    print(f"{name} {command}: {line}")
+                    print(f"{name} {' '.join(args)}: {line}")
                     found += 1
     print(f"{found} difference(s) against {argv[0]}")
     return 1 if found else 0
