@@ -16,18 +16,17 @@ No resolvent table is held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .control import gramians
 from .errors import UsageError
+from .record import Record
 from .scenario import Scenario
 from .spectral import resolvent_sup
 
 
-@dataclass(frozen=True)
-class ConditionConstants:
+class ConditionConstants(Record):
     """Measured constants feeding the sufficient inequalities.
 
     L1: sup resolvent norm.  L2: gain norm max theta_n.  L3: operator-norm
@@ -35,20 +34,13 @@ class ConditionConstants:
     gamma: asymptotic slope of the nonlinearity's growth modulus.
     n_mass / U_mass: bound and Lipschitz constants integrated against dh.
     PZ_mass: int_0^a P_Z(s) ds for the inverse's pointwise kernel bound.
+    The attributes are set in this order, which conditions.txt keeps.
     """
 
-    L1: float
-    L2: float
-    L3: float
-    c: float
-    d: float
-    gamma: float
-    n_mass: float
-    U_mass: float
-    PZ_mass: float
-    horizon: float
-
-    def __post_init__(self):
+    def __init__(self, L1: float, L2: float, L3: float, c: float, d: float, gamma: float,
+                 n_mass: float, U_mass: float, PZ_mass: float, horizon: float):
+        self.L1, self.L2, self.L3, self.c, self.d, self.gamma = L1, L2, L3, c, d, gamma
+        self.n_mass, self.U_mass, self.PZ_mass, self.horizon = n_mass, U_mass, PZ_mass, horizon
         if self.L1 < 1.0:
             raise UsageError("L1 below 1 contradicts r_n(s,s) = 1")
         for name in ("L2", "L3", "c", "d", "gamma", "n_mass", "U_mass", "PZ_mass"):
@@ -106,22 +98,19 @@ def check_example_conditions(k: ConditionConstants, m0: float, theta: float,
     """cond1 and cond2 at the worked configuration: gain theta, nonlocal growth
     f_norm, unit horizon, and bound and Lipschitz masses m0/2 (1/2 is the
     driver's mass)."""
-    worked = replace(k, L2=theta, c=f_norm, gamma=1.0, n_mass=m0 / 2.0,
-                     U_mass=m0 / 2.0, horizon=1.0)
+    worked = ConditionConstants(**{**vars(k), "L2": theta, "c": f_norm, "gamma": 1.0,
+                                   "n_mass": m0 / 2.0, "U_mass": m0 / 2.0, "horizon": 1.0})
     (lhs5, ok5), (lhs6, ok6) = check_cond1(worked), check_cond2(worked)
     return lhs5, lhs6, (ok5 and ok6)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    constants: ConditionConstants
-    lhs_cond1: float
-    lhs_cond2: float
-    lhs_worked1: float
-    lhs_worked2: float
-    pass_cond1: bool
-    pass_cond2: bool
-    pass_examples: bool
+class ConditionReport(Record):
+    def __init__(self, constants: ConditionConstants, lhs_cond1: float, lhs_cond2: float,
+                 lhs_worked1: float, lhs_worked2: float, pass_cond1: bool, pass_cond2: bool,
+                 pass_examples: bool):
+        self.constants, self.lhs_cond1, self.lhs_cond2 = constants, lhs_cond1, lhs_cond2
+        self.lhs_worked1, self.lhs_worked2, self.pass_cond1 = lhs_worked1, lhs_worked2, pass_cond1
+        self.pass_cond2, self.pass_examples = pass_cond2, pass_examples
 
     @property
     def all_pass(self) -> bool:

@@ -26,13 +26,12 @@ is what the smallness conditions on Phi guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import solver
 from .errors import DegenerateModeError, GridError, SteeringError
 from .measure import RegulatedTrajectory
+from .record import Record
 from .scenario import Scenario
 from .solver import picard_solve  # noqa: F401 -- wrapped by bench/tracer.py
 
@@ -95,20 +94,18 @@ def terminal_error(scn: Scenario, traj: RegulatedTrajectory) -> float:
     return float(np.sqrt(gap @ gap))
 
 
-@dataclass(frozen=True)
-class SteeringReport:
-    terminal_error: float
-    outer_iterations: int
-    control_norm: float
-    history: tuple
-    converged: bool
+class SteeringReport(Record):
+    def __init__(self, terminal_error: float, outer_iterations: int, control_norm: float,
+                 history: tuple, converged: bool):
+        self.terminal_error, self.outer_iterations = terminal_error, outer_iterations
+        self.control_norm, self.history, self.converged = control_norm, history, converged
 
 
-@dataclass(frozen=True, eq=False)
-class SteerOutcome:
-    control: np.ndarray     # (M, N) mode coefficients, read-only
-    trajectory: RegulatedTrajectory
-    report: SteeringReport
+class SteerOutcome(Record):
+    def __init__(self, control: np.ndarray, trajectory: RegulatedTrajectory,
+                 report: SteeringReport):
+        # control: the (M, N) mode coefficients, read-only
+        self.control, self.trajectory, self.report = control, trajectory, report
 
 
 def steer(scn: Scenario) -> SteerOutcome:

@@ -7,11 +7,10 @@ up quadrature error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UsageError
+from .record import Record
 
 # each kind and the coefficients it reads, the keys a config's map of that
 # kind allows besides its kind
@@ -20,8 +19,7 @@ _TIME_KINDS = {"const": ("c0",), "affine": ("c0", "c1"),
 _KERNEL_KINDS = {"zero": (), "const": ("c0",), "exp_diff": ("c0", "rate")}
 
 
-@dataclass(frozen=True)
-class TimeFunction:
+class TimeFunction(Record):
     """f(t) from a small catalog with an exact antiderivative.
 
     const:  f = c0
@@ -30,16 +28,12 @@ class TimeFunction:
     cosine: f = c0 + c1*cos(freq*t)
     """
 
-    kind: str
-    c0: float = 0.0
-    c1: float = 0.0
-    freq: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in _TIME_KINDS:
-            raise UsageError(f"unknown time function kind {self.kind!r}")
-        if self.kind in ("sine", "cosine") and self.freq == 0.0:
+    def __init__(self, kind: str, c0: float = 0.0, c1: float = 0.0, freq: float = 1.0):
+        if kind not in _TIME_KINDS:
+            raise UsageError(f"unknown time function kind {kind!r}")
+        if kind in ("sine", "cosine") and freq == 0.0:
             raise UsageError("oscillatory time function needs freq != 0")
+        self.kind, self.c0, self.c1, self.freq = kind, c0, c1, freq
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -71,8 +65,7 @@ class TimeFunction:
         return float(np.max(np.abs(self.value(np.linspace(0.0, a, 4097)))))
 
 
-@dataclass(frozen=True)
-class MemoryKernel:
+class MemoryKernel(Record):
     """Convolution-type kernel G(t, s) = c0 * exp(-rate*(t-s)), on t >= s.
 
     zero:     G = 0        (c0 and rate normalized to 0)
@@ -83,17 +76,12 @@ class MemoryKernel:
     build carry its memory integral as a one-term recurrence.
     """
 
-    kind: str
-    c0: float = 0.0
-    rate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KERNEL_KINDS:
-            raise UsageError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "zero":
-            object.__setattr__(self, "c0", 0.0)
-        if self.kind != "exp_diff":
-            object.__setattr__(self, "rate", 0.0)
+    def __init__(self, kind: str, c0: float = 0.0, rate: float = 0.0):
+        if kind not in _KERNEL_KINDS:
+            raise UsageError(f"unknown kernel kind {kind!r}")
+        self.kind = kind
+        self.c0 = 0.0 if kind == "zero" else c0
+        self.rate = rate if kind == "exp_diff" else 0.0
 
     def sup_abs(self, a: float) -> float:
         return abs(self.c0) * max(1.0, float(np.exp(-self.rate * a)))

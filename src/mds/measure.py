@@ -11,11 +11,11 @@ p(t+) = p(t) + f(t) * jump(t) at every jump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridError, UsageError
+from .record import Record
 
 _UNIFORM_REL_TOL = 1e-9    # spread of the step lengths that still counts as uniform
 
@@ -26,8 +26,7 @@ def _location_tol(a: float) -> float:
     return 1e-12 * max(1.0, a)
 
 
-@dataclass(frozen=True)
-class JumpMeasure:
+class JumpMeasure(Record):
     """Driver h: absolutely continuous density + jumps.
 
     Parameters
@@ -43,18 +42,13 @@ class JumpMeasure:
         closer than 1e-12 max(1, a) to each other or to 0 or a are refused.
     """
 
-    domain_end: float
-    density_nodes: np.ndarray
-    density_values: np.ndarray
-    jump_locs: np.ndarray
-    jump_sizes: np.ndarray
-
-    def __post_init__(self):
-        a = float(self.domain_end)
+    def __init__(self, domain_end: float, density_nodes: np.ndarray,
+                 density_values: np.ndarray, jump_locs: np.ndarray, jump_sizes: np.ndarray):
+        a = float(domain_end)
         if not (a > 0.0 and math.isfinite(a)):
             raise DomainError(f"domain_end must be positive and finite, got {a}")
-        dn = np.asarray(self.density_nodes, dtype=float)
-        dv = np.asarray(self.density_values, dtype=float)
+        dn = np.asarray(density_nodes, dtype=float)
+        dv = np.asarray(density_values, dtype=float)
         if dn.ndim != 1 or dn.shape != dv.shape or len(dn) < 2:
             raise UsageError("density must be sampled on >= 2 nodes")
         if not (dn[0] == 0.0 and abs(dn[-1] - a) <= _location_tol(a)):
@@ -63,8 +57,8 @@ class JumpMeasure:
             raise UsageError("density grid must be strictly increasing")
         if np.any(dv < 0.0) or not np.all(np.isfinite(dv)):
             raise UsageError("density samples must be finite and nonnegative")
-        locs = np.asarray(self.jump_locs, dtype=float)
-        sizes = np.asarray(self.jump_sizes, dtype=float)
+        locs = np.asarray(jump_locs, dtype=float)
+        sizes = np.asarray(jump_sizes, dtype=float)
         if locs.shape != sizes.shape or locs.ndim != 1:
             raise UsageError("jump locations and sizes must align")
         if locs.size:
@@ -77,10 +71,11 @@ class JumpMeasure:
                                   f"more than {tol:g} from either end")
             if np.any(sizes <= 0.0) or not np.all(np.isfinite(sizes)):
                 raise UsageError("jump sizes must be finite and positive")
+        self.domain_end = domain_end
         for name, arr in (("density_nodes", dn), ("density_values", dv),
                           ("jump_locs", locs), ("jump_sizes", sizes)):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            setattr(self, name, arr)
 
     def density_mass(self) -> float:
         """Trapezoid of the density over [0, a], summed in order as a running sum."""
@@ -120,14 +115,11 @@ def zeno_measure(k_max: int = 20) -> JumpMeasure:
                        np.array(locs), np.array(sizes))
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Record):
     """Strictly increasing nodes covering [0, a]."""
 
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+    def __init__(self, nodes: np.ndarray):
+        nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise GridError("grid needs >= 2 nodes")
         if np.any(np.diff(nodes) <= 0.0):
@@ -135,7 +127,7 @@ class TimeGrid:
         if nodes[0] != 0.0:
             raise GridError("grid must start at 0")
         nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        self.nodes = nodes
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -199,24 +191,18 @@ def jump_sizes_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RegulatedTrajectory:
+class RegulatedTrajectory(Record):
     """A path on the grid with explicit left and right values per node.
 
     ``values`` are the left values (the path is left-continuous);
     ``right_values`` differ only at jump nodes.
     """
 
-    grid: TimeGrid
-    values: np.ndarray
-    right_values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        r = np.asarray(self.right_values, dtype=float)
-        if v.shape != r.shape or v.shape[0] != len(self.grid):
+    def __init__(self, grid: TimeGrid, values: np.ndarray, right_values: np.ndarray):
+        v = np.asarray(values, dtype=float)
+        r = np.asarray(right_values, dtype=float)
+        if v.shape != r.shape or v.shape[0] != len(grid):
             raise GridError("trajectory arrays must align with the grid")
         v.setflags(write=False)
         r.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "right_values", r)
+        self.grid, self.values, self.right_values = grid, v, r

@@ -22,7 +22,6 @@ array is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +34,7 @@ from .errors import UsageError
 from .funcs import TimeFunction
 from .measure import (JumpMeasure, RegulatedTrajectory, TimeGrid, density_on_grid,
                       jump_sizes_on_grid)
+from .record import Record
 from .spectral import build_resolvent_table  # noqa: F401 -- wrapped by bench/tracer.py
 from .spectral import (LinearPart, SpectralBasis, StepMaps, resolvent_final_row,
                        resolvent_sums, step_maps)
@@ -44,26 +44,24 @@ _NL_KINDS = {"zero": (), "cosine": ("M0",), "table": ("values",)}
 _NONLOCAL_KINDS = {"zero": (), "log_kernel": ("f", "f_space", "d")}
 
 
-@dataclass(frozen=True, eq=False)
-class NonlinearityEval:
+class NonlinearityEval(Record):
     """State nonlinearity delta(t, zeta) evaluated in mode coefficients.
 
     cosine: amplitude * cos applied pointwise at the collocation nodes,
     projected back to modes.  table: fixed state-independent samples,
-    one coefficient row per grid node (or a single broadcast row).
+    one coefficient row per grid node (or a single broadcast row), held
+    as a read-only copy.
     """
 
-    kind: str
-    amplitude: float = 0.0
-    table: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in _NL_KINDS:
-            raise UsageError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "table":
-            if self.table is None:
+    def __init__(self, kind: str, amplitude: float = 0.0, table: np.ndarray | None = None):
+        if kind not in _NL_KINDS:
+            raise UsageError(f"unknown nonlinearity kind {kind!r}")
+        if kind == "table":
+            if table is None:
                 raise UsageError("table nonlinearity needs sample values")
-            object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
+            table = np.array(table, dtype=float)
+            table.setflags(write=False)
+        self.kind, self.amplitude, self.table = kind, amplitude, table
 
     @property
     def is_zero(self) -> bool:
@@ -95,25 +93,22 @@ class NonlinearityEval:
         return abs(self.amplitude) if self.kind == "cosine" else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class NonlocalEval:
+class NonlocalEval(Record):
     """Nonlocal term g(zeta), a state-space vector built from the whole path.
 
     log_kernel: g(zeta)(x) = int_0^a f(t,x) [ int log(1+|zeta(t)(p)|^(1/2)) dp ] dt
     with f(t,x) = f_time(t) * f_space(x), the p-integral over the collocation
-    nodes and the t-integral by trapezoid on the grid.
+    nodes and the t-integral by trapezoid on the grid.  ``offset`` is the
+    additive growth constant d in ||g|| <= c||zeta|| + d.
     """
 
-    kind: str
-    f_time: TimeFunction | None = None
-    f_space: TimeFunction | None = None
-    offset: float = 1.0     # the additive growth constant d in ||g|| <= c||zeta|| + d
-
-    def __post_init__(self):
-        if self.kind not in _NONLOCAL_KINDS:
-            raise UsageError(f"unknown nonlocal kind {self.kind!r}")
-        if self.kind == "log_kernel" and self.f_time is None:
+    def __init__(self, kind: str, f_time: TimeFunction | None = None,
+                 f_space: TimeFunction | None = None, offset: float = 1.0):
+        if kind not in _NONLOCAL_KINDS:
+            raise UsageError(f"unknown nonlocal kind {kind!r}")
+        if kind == "log_kernel" and f_time is None:
             raise UsageError("log_kernel nonlocal term needs an f spec")
+        self.kind, self.f_time, self.f_space, self.offset = kind, f_time, f_space, offset
 
     @property
     def is_zero(self) -> bool:
@@ -146,15 +141,11 @@ class NonlocalEval:
         return float(np.max(np.abs(ft)) * np.max(np.abs(fx)))
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    tol_picard: float = 1e-10
-    tol_target: float = 1e-4
-    tol_pde: float = 1e-3
-    max_picard: int = 64
-    max_outer: int = 20
-
-    def __post_init__(self):
+class Tolerances(Record):
+    def __init__(self, tol_picard: float = 1e-10, tol_target: float = 1e-4,
+                 tol_pde: float = 1e-3, max_picard: int = 64, max_outer: int = 20):
+        self.tol_picard, self.tol_target, self.tol_pde = tol_picard, tol_target, tol_pde
+        self.max_picard, self.max_outer = max_picard, max_outer
         for name in ("tol_picard", "tol_target", "tol_pde"):
             if not getattr(self, name) > 0.0:
                 raise UsageError(f"{name} must be positive")
@@ -163,59 +154,50 @@ class Tolerances:
                 raise UsageError(f"{name} must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    basis: SpectralBasis
-    linear: LinearPart
-    h: JumpMeasure
-    grid: TimeGrid
-    zeta0: np.ndarray
-    zeta1: np.ndarray
-    nonlinearity: NonlinearityEval
-    nonlocal_term: NonlocalEval
-    theta: np.ndarray
-    tol: Tolerances
-    config: dict | None = field(default=None, repr=False)
-    # O(M) quadrature data, filled on construction
-    wq_full: np.ndarray = field(init=False, repr=False)
-    wq_diag: np.ndarray = field(init=False, repr=False)
-    wq_sub: np.ndarray = field(init=False, repr=False)
-    dh_full: np.ndarray = field(init=False, repr=False)
-    dh_diag: np.ndarray = field(init=False, repr=False)
-    jump_sizes: np.ndarray = field(init=False, repr=False)
-    jump_rows: np.ndarray = field(init=False, repr=False)
+class Scenario(Record):
+    """The system data of one run and its O(M) quadrature data, read-only.
 
-    def __post_init__(self):
-        n = self.basis.n_modes
-        for name in ("zeta0", "zeta1"):
-            vec = np.asarray(getattr(self, name), dtype=float)
+    ``wq_full``, ``wq_diag``, ``wq_sub``, ``dh_full``, ``dh_diag``, the
+    per-node ``jump_sizes`` and the ``jump_rows`` holding a jump are
+    computed here; ``config`` is the canonical document a parse keeps.
+    """
+
+    def __init__(self, basis: SpectralBasis, linear: LinearPart, h: JumpMeasure,
+                 grid: TimeGrid, zeta0: np.ndarray, zeta1: np.ndarray,
+                 nonlinearity: NonlinearityEval, nonlocal_term: NonlocalEval, theta,
+                 tol: Tolerances, config: dict | None = None):
+        n = basis.n_modes
+        self.basis, self.linear, self.h, self.grid = basis, linear, h, grid
+        for name, vec in (("zeta0", zeta0), ("zeta1", zeta1)):
+            vec = np.asarray(vec, dtype=float)
             if vec.shape != (n,):
                 raise UsageError(f"{name} must have one coefficient per mode")
             vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
-        theta = np.asarray(self.theta, dtype=float)
+            setattr(self, name, vec)
+        theta = np.asarray(theta, dtype=float)
         if theta.ndim == 0:
             theta = np.full(n, float(theta))
         if theta.shape != (n,):
             raise UsageError("theta must be scalar or one gain per mode")
         theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        if self.nonlinearity.kind == "table":
-            rows = np.atleast_2d(self.nonlinearity.table)
-            if rows.shape[-1] != n or rows.shape[0] not in (1, len(self.grid)):
+        self.theta, self.nonlinearity, self.nonlocal_term = theta, nonlinearity, nonlocal_term
+        self.tol, self.config = tol, config
+        if nonlinearity.kind == "table":
+            rows = np.atleast_2d(nonlinearity.table)
+            if rows.shape[-1] != n or rows.shape[0] not in (1, len(grid)):
                 raise UsageError("nonlinearity table must broadcast to (grid, modes)")
-        nodes = self.grid.nodes
-        object.__setattr__(self, "wq_full", simpson_weights(nodes))
+        nodes = grid.nodes
+        wq_full = simpson_weights(nodes)
         wq_diag, wq_sub = simpson_prefix_edges(nodes)
-        object.__setattr__(self, "wq_diag", wq_diag)
-        object.__setattr__(self, "wq_sub", wq_sub)
-        sizes = jump_sizes_on_grid(self.h, self.grid)   # raises if a jump is off-grid
-        density = density_on_grid(self.h, self.grid)
+        sizes = jump_sizes_on_grid(h, grid)     # raises if a jump is off-grid
+        density = density_on_grid(h, grid)
         # a jump at t_i acts only for t > t_i: in the full span, not on row i itself
-        object.__setattr__(self, "dh_full", density * trapezoid_weights(nodes) + sizes)
-        object.__setattr__(self, "dh_diag", density * np.append(0.0, np.diff(nodes) / 2.0))
-        object.__setattr__(self, "jump_sizes", sizes)
-        object.__setattr__(self, "jump_rows", np.where(sizes > 0.0)[0])
+        for name, arr in (("wq_full", wq_full), ("wq_diag", wq_diag), ("wq_sub", wq_sub),
+                          ("dh_full", density * trapezoid_weights(nodes) + sizes),
+                          ("dh_diag", density * np.append(0.0, np.diff(nodes) / 2.0)),
+                          ("jump_sizes", sizes), ("jump_rows", np.where(sizes > 0.0)[0])):
+            arr.setflags(write=False)
+            setattr(self, name, arr)
 
     @cached_property
     def steps(self) -> StepMaps:

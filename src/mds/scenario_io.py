@@ -25,7 +25,7 @@ bool; the CSV rows use the same format.
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -64,7 +64,7 @@ HORIZON_RANGE = (1e-6, 1e6)
 _SOLVER_ARRAYS = 17
 _COLLOCATION_ARRAYS = 1     # (M, J) arrays a psi sweep holds at once at the J nodes
 _NUMBER_FORMAT = "%.17g"     # every number a report or a CSV row writes
-_DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
+_DEFAULTS = {cls: {name: p.default for name, p in inspect.signature(cls).parameters.items()}
              for cls in (TimeFunction, MemoryKernel, Tolerances)}
 
 _SECTIONS = ("basis", "grid", "linear", "measure", "nonlinearity", "nonlocal",
@@ -423,7 +423,7 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
         if cmd == "check-conditions":
             report = build_report(scn)
             m1, m2 = report.margins
-            record = dataclasses.asdict(report.constants)    # L1 .. horizon, in field order
+            record = dict(vars(report.constants))   # a copy, L1 .. horizon in __init__ order
             record.update(cond1_lhs=report.lhs_cond1, cond1_pass=report.pass_cond1,
                           cond1_margin=m1, cond2_lhs=report.lhs_cond2,
                           cond2_pass=report.pass_cond2, cond2_margin=m2,

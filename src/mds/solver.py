@@ -25,12 +25,11 @@ same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, GridError
 from .measure import RegulatedTrajectory
+from .record import Record
 from .scenario import Scenario
 from .spectral import resolvent_sums
 
@@ -84,12 +83,11 @@ def _sup_distance(a: RegulatedTrajectory, b: RegulatedTrajectory) -> float:
     return float(max(dv, dr))
 
 
-@dataclass(frozen=True)
-class PicardResult:
-    trajectory: RegulatedTrajectory
-    iterations: int
-    final_delta: float
-    deltas: tuple
+class PicardResult(Record):
+    def __init__(self, trajectory: RegulatedTrajectory, iterations: int, final_delta: float,
+                 deltas: tuple):
+        self.trajectory, self.iterations = trajectory, iterations
+        self.final_delta, self.deltas = final_delta, deltas
 
 
 def picard_solve(scn: Scenario, u=None) -> PicardResult:

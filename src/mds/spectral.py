@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +82,7 @@ from ._quad import trapezoid_prefix_matrix  # noqa: F401 -- wrapped by bench/tra
 from .errors import GridError, InstabilityError, UsageError
 from .funcs import MemoryKernel, TimeFunction
 from .measure import TimeGrid
+from .record import Record
 
 _OVERFLOW_GUARD = 1e12
 # entry-steps N M^2 / 2 the L1 pass may take: about 100 s at the 6 ns an
@@ -96,22 +96,20 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
+class SpectralBasis(Record):
     """Sine eigenbasis e_n(x) = sqrt(2/pi) sin(n x) on (0, pi), n = 1..N.
 
     ``synthesis`` maps mode coefficients to values at the collocation
     nodes; ``analysis`` maps values back via the quadrature weights.
     With the default J = 2N+1 uniform interior nodes the discrete inner
-    products reproduce orthonormality exactly.
+    products reproduce orthonormality exactly.  ``synthesis`` is (J, N) and
+    ``analysis`` (N, J); the arrays are read-only.
     """
 
-    n_modes: int
-    collocation: int
-    x: np.ndarray
-    weights: np.ndarray
-    synthesis: np.ndarray   # (J, N)
-    analysis: np.ndarray    # (N, J)
+    def __init__(self, n_modes: int, collocation: int, x: np.ndarray, weights: np.ndarray,
+                 synthesis: np.ndarray, analysis: np.ndarray):
+        self.n_modes, self.collocation, self.x, self.weights = n_modes, collocation, x, weights
+        self.synthesis, self.analysis = synthesis, analysis
 
     @property
     def mode_numbers(self) -> np.ndarray:
@@ -140,12 +138,11 @@ def make_basis(n_modes: int, collocation: int | None = None) -> SpectralBasis:
     return SpectralBasis(n_modes, j_count, x, w, syn, ana)
 
 
-@dataclass(frozen=True)
-class LinearPart:
+class LinearPart(Record):
     """Time coefficient tau(t) and memory kernel G(t,s) of the linear part."""
 
-    tau: TimeFunction
-    kernel: MemoryKernel
+    def __init__(self, tau: TimeFunction, kernel: MemoryKernel):
+        self.tau, self.kernel = tau, kernel
 
     @property
     def autonomous(self) -> bool:
@@ -157,8 +154,7 @@ class LinearPart:
         return n * n * (self.tau.sup_abs(horizon) + horizon * self.kernel.sup_abs(horizon))
 
 
-@dataclass(frozen=True)
-class StepMaps:
+class StepMaps(Record):
     """The step coefficients of the recurrence, stacked: ``maps`` is (M-1, 2, 2, N).
 
     Step j maps the column state at row j to row j+1,
@@ -170,14 +166,15 @@ class StepMaps:
     maps[j]: a11 = maps[:, 0, 0], a12 = maps[:, 1, 0], a21 = maps[:, 0, 1]
     and a22 = maps[:, 1, 1].  The step is the same for every column, so a11
     is also the subdiagonal r_n(t_{j+1}, t_j).  ``modes`` are the mode
-    numbers, which the overflow guard names.  ``layouts`` keeps the block
-    layout of the last row a march started from (``_block_layout``), so the
-    maps must not change once they have been marched.
+    numbers, which the overflow guard names; both arrays are read-only.
+    ``layouts`` keeps the block layout of the last row a march started from
+    (``_block_layout``).
     """
 
-    modes: np.ndarray
-    maps: np.ndarray
-    layouts: list = field(default_factory=list, init=False, repr=False, compare=False)
+    def __init__(self, modes: np.ndarray, maps: np.ndarray):
+        modes.setflags(write=False)
+        maps.setflags(write=False)
+        self.modes, self.maps, self.layouts = modes, maps, []
 
     @property
     def n_nodes(self) -> int:
@@ -204,7 +201,6 @@ def step_maps(modes: np.ndarray, linear: LinearPart, grid: TimeGrid) -> StepMaps
         kq, decay = -n2 * linear.kernel.c0, np.exp(-linear.kernel.rate * d)
         maps[:, 0, 0], maps[:, 0, 1] = _step(1.0, 0.0, ex, kq, d, decay)
         maps[:, 1, 0], maps[:, 1, 1] = _step(0.0, 1.0, ex, kq, d, decay)
-    maps.setflags(write=False)
     return StepMaps(modes, maps)
 
 
@@ -267,8 +263,7 @@ class _States:
         np.abs(self.r, out=self.abs_r).max(axis=-1, out=out)
 
 
-@dataclass(frozen=True)
-class _BlockLayout:
+class _BlockLayout(Record):
     """The blocks of every march from row ``first`` on one StepMaps.
 
     The rows first..M-1 are cut into ``count`` blocks of L = ``size`` rows,
@@ -278,15 +273,15 @@ class _BlockLayout:
     maps (no copy), and ``full_slabs[p]`` its full blocks' part.
     ``transfer[b]`` is full block b's 2x2 transfer map T_b, in the same
     order: the unit states (1, 0) and (0, 1) stepped alone through the block.
+    The slabs are L views, (2, 2, N, blocks, 1) and (2, 2, N, count - 1, 1);
+    ``transfer`` is (count - 1, 2, 2, N, 1), read-only.
     """
 
-    first: int
-    size: int
-    count: int
-    last: int
-    slabs: list             # L views, (2, 2, N, blocks, 1)
-    full_slabs: list        # L views, (2, 2, N, count - 1, 1)
-    transfer: np.ndarray    # (count - 1, 2, 2, N, 1)
+    def __init__(self, first: int, size: int, count: int, last: int, slabs: list,
+                 full_slabs: list, transfer: np.ndarray):
+        transfer.setflags(write=False)
+        self.first, self.size, self.count, self.last = first, size, count, last
+        self.slabs, self.full_slabs, self.transfer = slabs, full_slabs, transfer
 
 
 def _blocks(rows: int) -> tuple[int, int]:
@@ -441,6 +436,7 @@ def resolvent_final_row(steps: StepMaps) -> np.ndarray:
     seeds[0] = 1.0
     final = np.empty((len(steps.modes), steps.n_nodes))
     _march(back, seeds, final[:, ::-1, None])
+    final.setflags(write=False)
     return final
 
 

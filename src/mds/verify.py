@@ -14,12 +14,12 @@ column.  Every report is bitwise that of the checks on the whole sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, UsageError
 from .measure import TimeGrid
+from .record import Record
 from .spectral import (LinearPart, SpectralBasis, _blocks, _march_windows, physical_memory,
                        step_maps)
 
@@ -89,16 +89,16 @@ def sample_windows(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
         rows[:2] = rows[stop - start:stop - start + 2]       # the next window's halo
 
 
-@dataclass(frozen=True)
-class PdeReport:
+class PdeReport(Record):
     """Finite-difference residual of the defining equation over the triangle."""
 
-    max_raw_residual: float
-    max_scaled_residual: float
-    per_mode_scaled: np.ndarray
-    tol_pde: float
-    anchors_checked: int
-    passed: bool
+    def __init__(self, max_raw_residual: float, max_scaled_residual: float,
+                 per_mode_scaled: np.ndarray, tol_pde: float, anchors_checked: int,
+                 passed: bool):
+        per_mode_scaled.setflags(write=False)
+        self.max_raw_residual, self.max_scaled_residual = max_raw_residual, max_scaled_residual
+        self.per_mode_scaled, self.tol_pde = per_mode_scaled, tol_pde
+        self.anchors_checked, self.passed = anchors_checked, passed
 
 
 def verify_resolvent_pde(sample: ResolventSample, tol_pde: float = 1e-3) -> PdeReport:
@@ -158,12 +158,11 @@ def verify_resolvent_pde(sample: ResolventSample, tol_pde: float = 1e-3) -> PdeR
                      len(anchors), bool(max_scaled <= tol_pde))
 
 
-@dataclass(frozen=True)
-class AutonomyReport:
-    passed: bool
-    max_deviation: float
-    tol_auto: float
-    anchors_checked: int
+class AutonomyReport(Record):
+    def __init__(self, passed: bool, max_deviation: float, tol_auto: float,
+                 anchors_checked: int):
+        self.passed, self.max_deviation = passed, max_deviation
+        self.tol_auto, self.anchors_checked = tol_auto, anchors_checked
 
 
 def check_autonomous_reduction(sample: ResolventSample) -> AutonomyReport:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
@@ -29,6 +30,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+
+
+def replaced(record, **changes):
+    """A new record of ``record``'s class, built from its constructor's arguments
+    as ``record`` holds them, with ``changes`` in place of some; the new
+    record's ``__init__`` validates them."""
+    names = inspect.signature(type(record)).parameters
+    assert set(changes) <= set(names), sorted(set(changes) - set(names))
+    return type(record)(**{name: changes.get(name, vars(record)[name]) for name in names})
 
 
 def assemble_scenario(basis: SpectralBasis, linear: LinearPart, h: JumpMeasure,

@@ -8,7 +8,8 @@ cached property defined in a module of the package must be called at least
 once; the only exceptions are the names in ``KEPT``, each with its reason.
 A helper that only the tests or the benchmark call belongs in ``tests/`` or
 ``bench/``, not in the package.  A fresh interpreter running every command
-must also never import ``numpy.ma``.
+must also never import ``numpy.ma`` or ``dataclasses``: no module of the
+package generates code, which ``ast`` checks by the names in ``CODEGEN``.
 
 Every name has one home: ``import mds`` loads no module of the package and
 not numpy, and no module imports a name it never references, apart from the
@@ -27,6 +28,8 @@ import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import mds
 import mds.cli
@@ -54,6 +57,9 @@ REEXPORTS = {
     "mds.spectral.trapezoid_prefix_matrix": "the quad.trapezoid_prefix_matrix span",
     "mds.control.picard_solve": "the solver.picard_solve span",
 }
+# names whose use generates code at import or run time; a record class is a
+# plain class on mds.record.Record with its __init__ written in its module
+CODEGEN = {"dataclass", "make_dataclass", "namedtuple", "NamedTuple", "exec", "eval"}
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -98,8 +104,8 @@ def _defined() -> dict[str, object]:
     """Qualified name -> code object of every function a module of mds defines.
 
     Methods count, and so do the getters of properties and cached
-    properties; the methods a dataclass generates do not, since their code
-    is not in the module's file.
+    properties.  A function whose code is not in the module's file does not
+    count, but the package generates none (``CODEGEN``).
     """
     codes = {}
     for info in pkgutil.iter_modules(mds.__path__):
@@ -151,11 +157,12 @@ def test_every_package_function_runs_under_a_cli_command(tmp_path):
     assert not [name for name in KEPT if defined[name] in called]
 
 
-def test_no_command_imports_numpy_ma(tmp_path):
-    # numpy.ma costs a run that imports it about 14 ms and close to 1 MiB,
-    # and no command needs it.  At 257 nodes verify-resolvent spreads its
-    # 64 anchors by linspace, the branch that once deduplicated them with
-    # np.unique.
+@pytest.fixture(scope="module")
+def command_modules(tmp_path_factory):
+    """The modules a fresh interpreter holds after running every command on
+    every shipped config at 257 nodes, where verify-resolvent spreads its 64
+    anchors by linspace."""
+    tmp_path = tmp_path_factory.mktemp("commands")
     runs = []
     for name in ("demo.json", "linear_steering.json", "resolvent_check.json"):
         doc = load_config(name)
@@ -168,7 +175,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
     child = ("import json, sys\n"
              "import mds.cli\n"
              "codes = [mds.cli.main(args) for args in json.loads(sys.argv[1])]\n"
-             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+             "print(json.dumps([codes, sorted(sys.modules)]))\n")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
@@ -176,9 +183,21 @@ def test_no_command_imports_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, imported = json.loads(proc.stdout)
+    codes, modules = json.loads(proc.stdout)
     assert codes[-1] == 0                      # the resolvent_check sample passed
-    assert not imported
+    return modules
+
+
+def test_no_command_imports_numpy_ma(command_modules):
+    # numpy.ma costs a run that imports it about 14 ms and close to 1 MiB,
+    # and no command needs it; np.unique once imported it
+    assert "numpy.ma" not in command_modules
+
+
+def test_no_command_imports_dataclasses(command_modules):
+    # @dataclass(frozen=True) compiled about 112 methods through exec for the
+    # 20 record classes, 11-22 ms of every cold start; numpy does not import it
+    assert "dataclasses" not in command_modules
 
 
 def test_import_mds_loads_no_module():
@@ -197,18 +216,25 @@ def test_import_mds_loads_no_module():
                 if name.startswith("mds.") or name.split(".")[0] == "numpy"]
 
 
-def _unreferenced_imports() -> set[str]:
-    """``mds.<module>.<name>`` of every name a module imports and never references."""
-    found = set()
+def _scan_modules() -> tuple[set[str], set[str]]:
+    """``mds.<module>.<name>`` of every name a module imports and never
+    references, and of every name in ``CODEGEN`` a module imports or reads,
+    as a name or an attribute."""
+    unreferenced, generating = set(), set()
     for path in sorted((ROOT / "src" / "mds").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read = referenced | {node.attr for node in ast.walk(tree)
+                             if isinstance(node, ast.Attribute)}
         for node in ast.walk(tree):
-            if (isinstance(node, (ast.Import, ast.ImportFrom))
-                    and getattr(node, "module", None) != "__future__"):
-                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
-                found |= {f"mds.{path.stem}.{name}" for name in bound if name not in referenced}
-    return found
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                read |= {alias.name.split(".")[-1] for alias in node.names}
+                if getattr(node, "module", None) != "__future__":
+                    bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                    unreferenced |= {f"mds.{path.stem}.{name}" for name in bound
+                                     if name not in referenced}
+        generating |= {f"mds.{path.stem}.{name}" for name in read & CODEGEN}
+    return unreferenced, generating
 
 
 def _tracer_wraps() -> set[str]:
@@ -221,7 +247,7 @@ def _tracer_wraps() -> set[str]:
 
 
 def test_every_import_is_referenced_but_the_tracer_reexports():
-    found = _unreferenced_imports()
+    found, _ = _scan_modules()
     assert not found - set(REEXPORTS), "imported, never referenced: " + ", ".join(
         sorted(found - set(REEXPORTS)))
     # an entry that is now referenced or no longer imported needs no exception
@@ -230,3 +256,8 @@ def test_every_import_is_referenced_but_the_tracer_reexports():
     # once the tracer stops wrapping a name, the re-export that kept it can go
     unwrapped = set(REEXPORTS) - _tracer_wraps()
     assert not unwrapped, "bench/tracer.py no longer wraps: " + ", ".join(sorted(unwrapped))
+
+
+def test_no_module_generates_code():
+    _, generating = _scan_modules()
+    assert not generating, "generates code: " + ", ".join(sorted(generating))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ from mds.conditions import (ConditionConstants, build_report, check_cond1, check
 from mds.errors import UsageError
 from mds.scenario_io import run_command
 
-from conftest import load_config
+from conftest import load_config, replaced
 
 WORKED = ConditionConstants(L1=1.0, L2=0.1, L3=1.0, c=0.05, d=1.0, gamma=1.0,
                             n_mass=0.05, U_mass=0.05, PZ_mass=1.0, horizon=1.0)
@@ -66,9 +65,9 @@ def test_l1_below_one_rejected():
         ConditionConstants(L1=0.5, L2=0.0, L3=0.0, c=0.0, d=0.0, gamma=0.0,
                            n_mass=0.0, U_mass=0.0, PZ_mass=0.0, horizon=1.0)
     with pytest.raises(UsageError):
-        dataclasses.replace(WORKED, n_mass=-0.1)
+        replaced(WORKED, n_mass=-0.1)
     with pytest.raises(UsageError):
-        dataclasses.replace(WORKED, horizon=0.0)
+        replaced(WORKED, horizon=0.0)
 
 
 _FIELDS = ("L1", "L2", "L3", "c", "gamma", "n_mass", "U_mass", "PZ_mass", "horizon")
@@ -89,7 +88,7 @@ def test_both_sides_monotone_in_every_constant(l1, l2, l3, c, n_mass, u_mass,
                                                field, bump):
     k = ConditionConstants(L1=l1, L2=l2, L3=l3, c=c, d=0.5, gamma=0.7,
                            n_mass=n_mass, U_mass=u_mass, PZ_mass=0.9, horizon=0.8)
-    bigger = dataclasses.replace(k, **{field: getattr(k, field) + bump})
+    bigger = replaced(k, **{field: getattr(k, field) + bump})
     for check in (check_cond1, check_cond2):
         lo, _ = check(k)
         hi, _ = check(bigger)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from mds.scenario_io import MAX_ITERATIONS, parse_scenario, run_command
 from mds.solver import _sup_distance, apply_psi, picard_solve
 from mds.spectral import LinearPart, make_basis
 
-from conftest import assemble_scenario, load_config
+from conftest import assemble_scenario, load_config, replaced
 from test_config_fuzz import documents
 
 
@@ -163,7 +162,7 @@ def test_steering_residual_matches_defect_for_linear(linear_scn):
 
 
 def test_unreachable_tolerance_raises_with_history(demo_scn):
-    tight = dataclasses.replace(
+    tight = replaced(
         demo_scn, tol=Tolerances(tol_target=1e-13, max_outer=2), config=None)
     with pytest.raises(SteeringError) as exc:
         steer(tight)
@@ -306,7 +305,7 @@ def test_unreachable_target_stops_at_the_fixed_point(demo_scn, monkeypatch):
 
     sweep = mds.solver.apply_psi
     monkeypatch.setattr(mds.solver, "apply_psi", counted)
-    tol = dataclasses.replace(demo_scn.tol, tol_target=1e-300, max_outer=MAX_ITERATIONS)
+    tol = replaced(demo_scn.tol, tol_target=1e-300, max_outer=MAX_ITERATIONS)
     with pytest.raises(SteeringError, match="at the fixed point") as exc:
-        steer(dataclasses.replace(demo_scn, tol=tol, config=None))
+        steer(replaced(demo_scn, tol=tol, config=None))
     assert len(sweeps) == len(exc.value.history) - 1 <= demo_scn.tol.max_outer

@@ -12,8 +12,6 @@ it to the running-error bound of ``test_forced_resolvent``.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +24,7 @@ from mds.scenario import NonlinearityEval, NonlocalEval
 from mds.solver import apply_psi
 from mds.spectral import LinearPart, build_resolvent_table, make_basis
 
-from conftest import assemble_scenario
+from conftest import assemble_scenario, replaced
 from test_forced_resolvent import EPS, RUNNING_ULPS, dense_rules, majorant_linear
 from test_measure import cumulative, ls_integral
 
@@ -180,7 +178,7 @@ def _check_consumers(scn, values):
 
 def test_psi_dh_term_matches_per_jump_reference_on_demo(demo_scn, demo_solution):
     n = demo_scn.n_modes
-    scn = dataclasses.replace(demo_scn, zeta0=np.zeros(n), zeta1=np.zeros(n),
+    scn = replaced(demo_scn, zeta0=np.zeros(n), zeta1=np.zeros(n),
                               nonlocal_term=NonlocalEval("zero"))
     _check_consumers(scn, demo_solution.trajectory.values)
 

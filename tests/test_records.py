@@ -1,0 +1,81 @@
+"""Every record of the package refuses change once it is built.
+
+A record class derives from ``mds.record.Record``: its attributes are set
+once, by its ``__init__``, and every array it holds is read-only.  The
+records are found by walking the base's subclasses, so a new record class
+is checked as soon as some run below builds one: a demo ``steer`` and
+``simulate``, ``check-conditions`` on the demo and ``verify-resolvent`` on
+resolvent_check.json.
+"""
+
+from __future__ import annotations
+
+import pkgutil
+from importlib import import_module
+
+import numpy as np
+import pytest
+
+import mds
+from mds.conditions import build_report
+from mds.control import steer
+from mds.record import Record
+from mds.scenario import NonlinearityEval
+from mds.scenario_io import parse_scenario
+from mds.solver import picard_solve
+
+from conftest import load_config, sample_reports
+
+
+def _record_classes() -> set[type]:
+    for info in pkgutil.iter_modules(mds.__path__):
+        import_module(f"mds.{info.name}")
+    classes, stack = set(), [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            classes.add(cls)
+            stack.append(cls)
+    return classes
+
+
+def _reachable(roots) -> list[Record]:
+    """Every record reachable from ``roots`` through record attributes, lists and tuples."""
+    found, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, Record) and id(obj) not in found:
+            found[id(obj)] = obj
+            stack.extend(vars(obj).values())
+    return list(found.values())
+
+
+def test_every_record_refuses_change():
+    demo = parse_scenario(load_config("demo.json"))     # fresh: the test tries to change it
+    check = parse_scenario(load_config("resolvent_check.json"))
+    roots = [demo, steer(demo), picard_solve(demo, None), build_report(demo),
+             *sample_reports(check.basis, check.linear, check.grid)]
+    records = _reachable(roots)
+    assert "final_row" in vars(demo) and demo.steps.layouts     # the cached data is built
+    missing = _record_classes() - {type(record) for record in records}
+    assert not missing, "no instance built: " + ", ".join(sorted(c.__name__ for c in missing))
+    for record in records:
+        for name, value in list(vars(record).items()):
+            where = f"{type(record).__name__}.{name}"
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert vars(record)[name] is value, where
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, where
+
+
+def test_a_table_nonlinearity_holds_a_read_only_copy():
+    table = np.array([[0.1, 0.0], [0.2, 0.3]])
+    nonlinearity = NonlinearityEval("table", table=table)
+    assert table.flags.writeable
+    assert not nonlinearity.table.flags.writeable
+    assert not np.shares_memory(table, nonlinearity.table)
+    assert np.array_equal(nonlinearity.table, table)

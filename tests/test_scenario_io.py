@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
+import inspect
 import json
 import tracemalloc
 import warnings
@@ -337,11 +337,11 @@ def test_serialize_round_trip_is_stable():
 
 def test_missing_tolerances_serialize_to_the_field_defaults():
     scn = parse_scenario(tiny_doc())
-    defaults = {f.name: f.default for f in dataclasses.fields(Tolerances)}
+    defaults = {name: p.default for name, p in inspect.signature(Tolerances).parameters.items()}
     assert defaults == {"tol_picard": 1e-10, "tol_target": 1e-4, "tol_pde": 1e-3,
                         "max_picard": 64, "max_outer": 20}
     assert serialize_scenario(scn)["tolerances"] == defaults
-    assert scn.tol == Tolerances()
+    assert vars(scn.tol) == vars(Tolerances())
 
 
 def test_round_trip_preserves_shipped_demo():
