@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, GridError, UsageError
-from .record import Record
+from .record import Record, read_only
 
 _UNIFORM_REL_TOL = 1e-9    # spread of the step lengths that still counts as uniform
 
@@ -40,6 +40,8 @@ class JumpMeasure(Record):
         Jump locations strictly increasing in (0, a), sizes strictly
         positive.  Jumps at 0 or a are not representable, and locations
         closer than 1e-12 max(1, a) to each other or to 0 or a are refused.
+
+    Each array is held as a read-only copy, so the caller's stay writable.
     """
 
     def __init__(self, domain_end: float, density_nodes: np.ndarray,
@@ -47,8 +49,8 @@ class JumpMeasure(Record):
         a = float(domain_end)
         if not (a > 0.0 and math.isfinite(a)):
             raise DomainError(f"domain_end must be positive and finite, got {a}")
-        dn = np.asarray(density_nodes, dtype=float)
-        dv = np.asarray(density_values, dtype=float)
+        dn = np.array(density_nodes, dtype=float)
+        dv = np.array(density_values, dtype=float)
         if dn.ndim != 1 or dn.shape != dv.shape or len(dn) < 2:
             raise UsageError("density must be sampled on >= 2 nodes")
         if not (dn[0] == 0.0 and abs(dn[-1] - a) <= _location_tol(a)):
@@ -57,8 +59,8 @@ class JumpMeasure(Record):
             raise UsageError("density grid must be strictly increasing")
         if np.any(dv < 0.0) or not np.all(np.isfinite(dv)):
             raise UsageError("density samples must be finite and nonnegative")
-        locs = np.asarray(jump_locs, dtype=float)
-        sizes = np.asarray(jump_sizes, dtype=float)
+        locs = np.array(jump_locs, dtype=float)
+        sizes = np.array(jump_sizes, dtype=float)
         if locs.shape != sizes.shape or locs.ndim != 1:
             raise UsageError("jump locations and sizes must align")
         if locs.size:
@@ -71,11 +73,8 @@ class JumpMeasure(Record):
                                   f"more than {tol:g} from either end")
             if np.any(sizes <= 0.0) or not np.all(np.isfinite(sizes)):
                 raise UsageError("jump sizes must be finite and positive")
-        self.domain_end = domain_end
-        for name, arr in (("density_nodes", dn), ("density_values", dv),
-                          ("jump_locs", locs), ("jump_sizes", sizes)):
-            arr.setflags(write=False)
-            setattr(self, name, arr)
+        self.domain_end, self.density_nodes, self.density_values = a, read_only(dn), read_only(dv)
+        self.jump_locs, self.jump_sizes = read_only(locs), read_only(sizes)
 
     def density_mass(self) -> float:
         """Trapezoid of the density over [0, a], summed in order as a running sum."""
@@ -116,18 +115,17 @@ def zeno_measure(k_max: int = 20) -> JumpMeasure:
 
 
 class TimeGrid(Record):
-    """Strictly increasing nodes covering [0, a]."""
+    """Strictly increasing nodes covering [0, a], held as a read-only copy."""
 
     def __init__(self, nodes: np.ndarray):
-        nodes = np.asarray(nodes, dtype=float)
+        nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise GridError("grid needs >= 2 nodes")
         if np.any(np.diff(nodes) <= 0.0):
             raise GridError("grid nodes must be strictly increasing")
         if nodes[0] != 0.0:
             raise GridError("grid must start at 0")
-        nodes.setflags(write=False)
-        self.nodes = nodes
+        self.nodes = read_only(nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -195,7 +193,9 @@ class RegulatedTrajectory(Record):
     """A path on the grid with explicit left and right values per node.
 
     ``values`` are the left values (the path is left-continuous);
-    ``right_values`` differ only at jump nodes.
+    ``right_values`` differ only at jump nodes.  The trajectory takes
+    ownership of the arrays it is given and makes them read-only, without a
+    copy: the solver hands it a fresh pair of (M, N) arrays on every sweep.
     """
 
     def __init__(self, grid: TimeGrid, values: np.ndarray, right_values: np.ndarray):
@@ -203,6 +203,4 @@ class RegulatedTrajectory(Record):
         r = np.asarray(right_values, dtype=float)
         if v.shape != r.shape or v.shape[0] != len(grid):
             raise GridError("trajectory arrays must align with the grid")
-        v.setflags(write=False)
-        r.setflags(write=False)
-        self.grid, self.values, self.right_values = grid, v, r
+        self.grid, self.values, self.right_values = grid, read_only(v), read_only(r)

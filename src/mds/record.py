@@ -7,7 +7,7 @@ through ``hasattr``, which would run a cached property; a
 ``functools.cached_property`` stores its value in ``__dict__`` itself, so
 it fills once and is guarded from then on.  No method is generated: a
 record compares by identity and has the default repr, and the arrays it
-holds are read-only.
+holds are read-only (``read_only``).
 """
 
 _DELETED = object()     # the value __delattr__ passes, which it never stores
@@ -22,3 +22,9 @@ class Record:
         attrs[name] = value
 
     __delattr__ = __setattr__
+
+
+def read_only(arr):
+    """``arr`` itself, made read-only, for a record to hold."""
+    arr.setflags(write=False)
+    return arr

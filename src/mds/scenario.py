@@ -2,22 +2,26 @@
 
 A Scenario freezes everything a run needs: basis, linear part, driver,
 grid, states, nonlinearity, nonlocal term, control gains, tolerances.
-It also owns the two shared integration rules: the Lebesgue-in-t rule
-(composite Simpson prefix rows) and the Stieltjes rule (row j holds the
-weights of int_[0,t_j) . dh, density times trapezoid plus the jumps
-strictly before t_j at left values).  The solver, the control synthesis
-and the Gramians draw on these and nothing else; using a single rule per
-integral is what makes the steering residual cancel exactly instead of to
-quadrature order.
+Building one validates them and places the jumps on the grid; every array
+that only a later stage reads is formed the first time it is read and held
+for the run, read-only.  It owns the two shared integration rules: the
+Lebesgue-in-t rule (composite Simpson prefix rows) and the Stieltjes rule
+(row j holds the weights of int_[0,t_j) . dh, density times trapezoid plus
+the jumps strictly before t_j at left values).  The solver, the control
+synthesis and the Gramians draw on these and nothing else; using a single
+rule per integral is what makes the steering residual cancel exactly
+instead of to quadrature order.
 
 Both rules are held in O(M): a prefix row j equals the full-span weights
 (``wq_full``, ``dh_full``) except in its last two entries, W[j, j]
 (``wq_diag``, ``dh_diag``) and W[j, j-1] (``wq_sub``; the dh rule has no
-such exception).  The resolvent enters through O(N M) arrays built on
-first use and held for the run: ``steps``, the recurrence's 2x2 step maps
-that every march reads (their a11 is the subdiagonal r_n(t_{j+1}, t_j)),
-``picard_seed``, R(t, 0) zeta0, and ``final_row``, r_n(a, t_k).  No M x M
-array is formed.
+such exception).  Each of the five is formed on first use: verify-resolvent
+reads none of them, and ``wq_diag`` and ``wq_sub`` come from one
+``simpson_prefix_edges`` call, ``dh_full`` and ``dh_diag`` from one density
+sample.  The resolvent enters through O(N M) arrays, also built on first
+use: ``steps``, the recurrence's 2x2 step maps that every march reads
+(their a11 is the subdiagonal r_n(t_{j+1}, t_j)), ``picard_seed``,
+R(t, 0) zeta0, and ``final_row``, r_n(a, t_k).  No M x M array is formed.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import UsageError
 from .funcs import TimeFunction
 from .measure import (JumpMeasure, RegulatedTrajectory, TimeGrid, density_on_grid,
                       jump_sizes_on_grid)
-from .record import Record
+from .record import Record, read_only
 from .spectral import build_resolvent_table  # noqa: F401 -- wrapped by bench/tracer.py
 from .spectral import (LinearPart, SpectralBasis, StepMaps, resolvent_final_row,
                        resolvent_sums, step_maps)
@@ -157,9 +161,11 @@ class Tolerances(Record):
 class Scenario(Record):
     """The system data of one run and its O(M) quadrature data, read-only.
 
-    ``wq_full``, ``wq_diag``, ``wq_sub``, ``dh_full``, ``dh_diag``, the
-    per-node ``jump_sizes`` and the ``jump_rows`` holding a jump are
-    computed here; ``config`` is the canonical document a parse keeps.
+    The per-node ``jump_sizes`` and the ``jump_rows`` holding a jump are
+    computed here, where an off-grid jump is refused; the rules ``wq_full``,
+    ``wq_diag``, ``wq_sub``, ``dh_full`` and ``dh_diag`` are cached
+    properties, formed on first read.  ``config`` is the canonical document
+    a parse keeps.
     """
 
     def __init__(self, basis: SpectralBasis, linear: LinearPart, h: JumpMeasure,
@@ -186,18 +192,42 @@ class Scenario(Record):
             rows = np.atleast_2d(nonlinearity.table)
             if rows.shape[-1] != n or rows.shape[0] not in (1, len(grid)):
                 raise UsageError("nonlinearity table must broadcast to (grid, modes)")
-        nodes = grid.nodes
-        wq_full = simpson_weights(nodes)
-        wq_diag, wq_sub = simpson_prefix_edges(nodes)
-        sizes = jump_sizes_on_grid(h, grid)     # raises if a jump is off-grid
-        density = density_on_grid(h, grid)
+        sizes = read_only(jump_sizes_on_grid(h, grid))     # raises if a jump is off-grid
+        self.jump_sizes, self.jump_rows = sizes, read_only(np.where(sizes > 0.0)[0])
+
+    @cached_property
+    def wq_full(self) -> np.ndarray:
+        """The full-span Simpson weights, the last row of the Lebesgue rule."""
+        return read_only(simpson_weights(self.grid.nodes))
+
+    @cached_property
+    def _simpson_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(read_only, simpson_prefix_edges(self.grid.nodes)))
+
+    @cached_property
+    def wq_diag(self) -> np.ndarray:
+        """W[j, j] of the Lebesgue rule's prefix rows."""
+        return self._simpson_edges[0]
+
+    @cached_property
+    def wq_sub(self) -> np.ndarray:
+        """W[j, j-1] of the Lebesgue rule's prefix rows (0 at j = 0)."""
+        return self._simpson_edges[1]
+
+    @cached_property
+    def _density(self) -> np.ndarray:
+        return read_only(density_on_grid(self.h, self.grid))
+
+    @cached_property
+    def dh_full(self) -> np.ndarray:
+        """The full-span dh weights: density times trapezoid, plus the jumps."""
         # a jump at t_i acts only for t > t_i: in the full span, not on row i itself
-        for name, arr in (("wq_full", wq_full), ("wq_diag", wq_diag), ("wq_sub", wq_sub),
-                          ("dh_full", density * trapezoid_weights(nodes) + sizes),
-                          ("dh_diag", density * np.append(0.0, np.diff(nodes) / 2.0)),
-                          ("jump_sizes", sizes), ("jump_rows", np.where(sizes > 0.0)[0])):
-            arr.setflags(write=False)
-            setattr(self, name, arr)
+        return read_only(self._density * trapezoid_weights(self.grid.nodes) + self.jump_sizes)
+
+    @cached_property
+    def dh_diag(self) -> np.ndarray:
+        """W[j, j] of the dh rule's prefix rows, which hold no jump."""
+        return read_only(self._density * np.append(0.0, np.diff(self.grid.nodes) / 2.0))
 
     @cached_property
     def steps(self) -> StepMaps:

@@ -36,7 +36,7 @@ import os
 # heap, which stays resident.  spectral's compile is the largest after this
 # module's (1.2 MB under tracemalloc), so it runs here, in the memory this
 # module's compile has just freed.
-from .spectral import LinearPart, make_basis, physical_memory
+from .spectral import MAX_MODES, LinearPart, make_basis, physical_memory
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .scenario import (_NL_KINDS, _NONLOCAL_KINDS, NonlinearityEval, NonlocalEva
 from .solver import discontinuity_count, jump_consistency, picard_solve
 from .verify import check_autonomous_reduction, sample_windows, verify_resolvent_pde
 
-MAX_MODES = 256
 MAX_NODES = 65536
 # max_picard and max_outer: a document can ask for at most this many sweeps
 # per Picard solve and steering passes; a steering pass is one sweep, so no

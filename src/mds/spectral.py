@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -82,8 +83,9 @@ from ._quad import trapezoid_prefix_matrix  # noqa: F401 -- wrapped by bench/tra
 from .errors import GridError, InstabilityError, UsageError
 from .funcs import MemoryKernel, TimeFunction
 from .measure import TimeGrid
-from .record import Record
+from .record import Record, read_only
 
+MAX_MODES = 256             # modes a basis may have, and so a document
 _OVERFLOW_GUARD = 1e12
 # entry-steps N M^2 / 2 the L1 pass may take: about 100 s at the 6 ns an
 # entry-step took on a 2-core host (6.4 s for 8 modes at 16386 nodes), and
@@ -99,17 +101,35 @@ def physical_memory() -> int:
 class SpectralBasis(Record):
     """Sine eigenbasis e_n(x) = sqrt(2/pi) sin(n x) on (0, pi), n = 1..N.
 
-    ``synthesis`` maps mode coefficients to values at the collocation
-    nodes; ``analysis`` maps values back via the quadrature weights.
-    With the default J = 2N+1 uniform interior nodes the discrete inner
-    products reproduce orthonormality exactly.  ``synthesis`` is (J, N) and
-    ``analysis`` (N, J); the arrays are read-only.
+    Built from the mode count N and the collocation count J alone
+    (``make_basis`` checks both).  ``synthesis`` maps mode coefficients to
+    values at the collocation nodes ``x``; ``analysis`` maps values back via
+    the quadrature ``weights``.  With the default J = 2N+1 uniform interior
+    nodes the discrete inner products reproduce orthonormality exactly.
+    ``synthesis`` is (J, N) and ``analysis`` (N, J); the four arrays are
+    cached properties, formed on first read and read-only, so a command that
+    never leaves mode space (verify-resolvent, a linear steer) forms none.
     """
 
-    def __init__(self, n_modes: int, collocation: int, x: np.ndarray, weights: np.ndarray,
-                 synthesis: np.ndarray, analysis: np.ndarray):
-        self.n_modes, self.collocation, self.x, self.weights = n_modes, collocation, x, weights
-        self.synthesis, self.analysis = synthesis, analysis
+    def __init__(self, n_modes: int, collocation: int):
+        self.n_modes, self.collocation = n_modes, collocation
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        j = np.arange(1, self.collocation + 1)
+        return read_only(j * math.pi / (self.collocation + 1))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return read_only(np.full(self.collocation, math.pi / (self.collocation + 1)))
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        return read_only(math.sqrt(2.0 / math.pi) * np.sin(np.outer(self.x, self.mode_numbers)))
+
+    @cached_property
+    def analysis(self) -> np.ndarray:
+        return read_only(self.synthesis.T * self.weights)
 
     @property
     def mode_numbers(self) -> np.ndarray:
@@ -123,19 +143,12 @@ class SpectralBasis(Record):
 
 
 def make_basis(n_modes: int, collocation: int | None = None) -> SpectralBasis:
-    if not 1 <= n_modes <= 256:
-        raise UsageError(f"mode count must be in 1..256, got {n_modes}")
+    if not 1 <= n_modes <= MAX_MODES:
+        raise UsageError(f"mode count must be in 1..{MAX_MODES}, got {n_modes}")
     j_count = 2 * n_modes + 1 if collocation is None else collocation
     if j_count < n_modes:
         raise UsageError("need at least as many collocation nodes as modes")
-    j = np.arange(1, j_count + 1)
-    x = j * math.pi / (j_count + 1)
-    w = np.full(j_count, math.pi / (j_count + 1))
-    syn = math.sqrt(2.0 / math.pi) * np.sin(np.outer(x, np.arange(1, n_modes + 1)))
-    ana = syn.T * w
-    for arr in (x, w, syn, ana):
-        arr.setflags(write=False)
-    return SpectralBasis(n_modes, j_count, x, w, syn, ana)
+    return SpectralBasis(n_modes, j_count)
 
 
 class LinearPart(Record):

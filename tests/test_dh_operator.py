@@ -8,18 +8,28 @@ solver's and the steering residual's dh terms must match the per-jump
 computation that the operator replaced (kept here, and only here, as the
 reference): the dense contraction to 64 ulps, the recurrence that replaced
 it to the running-error bound of ``test_forced_resolvent``.
+
+A Scenario and its basis form their arrays on first read.  On the same
+measures, and the lebesgue family, each rule must be bitwise what the
+calls that form it give on the grid's nodes, each basis matrix bitwise what
+``make_basis`` formed before it deferred them, and each must be read-only
+and the same object on a second read.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mds._quad import trapezoid_prefix_matrix, trapezoid_weights
+from mds._quad import (simpson_prefix_edges, simpson_weights, trapezoid_prefix_matrix,
+                       trapezoid_weights)
 from mds.control import steering_residual
 from mds.funcs import MemoryKernel, TimeFunction
-from mds.measure import JumpMeasure, RegulatedTrajectory, density_on_grid, zeno_measure
+from mds.measure import (JumpMeasure, RegulatedTrajectory, density_on_grid, jump_sizes_on_grid,
+                         lebesgue_measure, zeno_measure)
 from mds.scenario import NonlinearityEval, NonlocalEval
 from mds.solver import apply_psi
 from mds.spectral import LinearPart, build_resolvent_table, make_basis
@@ -66,6 +76,13 @@ def explicit_measures(draw):
 measures = zeno_measures() | explicit_measures()
 
 
+@st.composite
+def lebesgue_measures(draw):
+    end = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    base = draw(st.integers(min_value=2, max_value=65))
+    return lebesgue_measure(end, base), base
+
+
 def _scenario(h, base, n_modes=1, **kw):
     return assemble_scenario(
         make_basis(n_modes),
@@ -84,11 +101,40 @@ def dh_rows(scn) -> np.ndarray:
 
 # ---------------------------------------------------------------- operator vs measure references
 
-@settings(max_examples=60, deadline=None)
-@given(measures)
-def test_dh_rule_rows_equal_the_dense_operator(measure):
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def eager_basis_arrays(n_modes: int, j_count: int) -> dict:
+    """x, weights, synthesis and analysis by the formulas make_basis ran eagerly."""
+    j = np.arange(1, j_count + 1)
+    x = j * math.pi / (j_count + 1)
+    w = np.full(j_count, math.pi / (j_count + 1))
+    syn = math.sqrt(2.0 / math.pi) * np.sin(np.outer(x, np.arange(1, n_modes + 1)))
+    return {"x": x, "weights": w, "synthesis": syn, "analysis": syn.T * w}
+
+
+@settings(max_examples=80, deadline=None)
+@given(measures | lebesgue_measures(), st.integers(min_value=1, max_value=6),
+       st.none() | st.integers(min_value=0, max_value=9))
+def test_dh_rule_rows_equal_the_dense_operator(measure, n_modes, extra):
     h, base = measure
-    scn = _scenario(h, base)
+    scn = _scenario(h, base, n_modes)
+    basis = scn.basis if extra is None else make_basis(n_modes, n_modes + extra)
+    nodes = scn.grid.nodes
+    density = density_on_grid(h, scn.grid)
+    wq_diag, wq_sub = simpson_prefix_edges(nodes)
+    rules = {"wq_full": simpson_weights(nodes), "wq_diag": wq_diag, "wq_sub": wq_sub,
+             "dh_full": density * trapezoid_weights(nodes) + jump_sizes_on_grid(h, scn.grid),
+             "dh_diag": density * np.append(0.0, np.diff(nodes) / 2.0)}
+    # formed on first read: bitwise what those calls give, read-only, formed once
+    for owner, expected in ((scn, rules),
+                            (basis, eager_basis_arrays(n_modes, basis.collocation))):
+        assert not set(expected) & set(vars(owner))
+        for name, reference in expected.items():
+            first = getattr(owner, name)
+            assert _same_bits(first, reference), name
+            assert not first.flags.writeable and getattr(owner, name) is first
     assert np.array_equal(dh_rows(scn), dense_rules(scn)[1])
 
 

@@ -1,11 +1,13 @@
 """Every record of the package refuses change once it is built.
 
 A record class derives from ``mds.record.Record``: its attributes are set
-once, by its ``__init__``, and every array it holds is read-only.  The
+once, by its ``__init__`` or a cached property, and every array it holds,
+alone or in a tuple or list, is read-only.  The
 records are found by walking the base's subclasses, so a new record class
 is checked as soon as some run below builds one: a demo ``steer`` and
 ``simulate``, ``check-conditions`` on the demo and ``verify-resolvent`` on
-resolvent_check.json.
+resolvent_check.json.  The demo's ``steer`` reads every array a Scenario or
+its basis forms on first use, so the walk sees those too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 import mds
 from mds.conditions import build_report
 from mds.control import steer
+from mds.measure import JumpMeasure, RegulatedTrajectory, TimeGrid, constant_measure
 from mds.record import Record
 from mds.scenario import NonlinearityEval
 from mds.scenario_io import parse_scenario
@@ -58,6 +61,8 @@ def test_every_record_refuses_change():
              *sample_reports(check.basis, check.linear, check.grid)]
     records = _reachable(roots)
     assert "final_row" in vars(demo) and demo.steps.layouts     # the cached data is built
+    assert {"wq_full", "wq_diag", "wq_sub", "dh_full", "dh_diag"} <= set(vars(demo))
+    assert {"x", "weights", "synthesis", "analysis"} <= set(vars(demo.basis))
     missing = _record_classes() - {type(record) for record in records}
     assert not missing, "no instance built: " + ", ".join(sorted(c.__name__ for c in missing))
     for record in records:
@@ -68,8 +73,9 @@ def test_every_record_refuses_change():
             with pytest.raises(AttributeError):
                 delattr(record, name)
             assert vars(record)[name] is value, where
-            if isinstance(value, np.ndarray):
-                assert not value.flags.writeable, where
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(item, np.ndarray):
+                    assert not item.flags.writeable, where
 
 
 def test_a_table_nonlinearity_holds_a_read_only_copy():
@@ -79,3 +85,22 @@ def test_a_table_nonlinearity_holds_a_read_only_copy():
     assert not nonlinearity.table.flags.writeable
     assert not np.shares_memory(table, nonlinearity.table)
     assert np.array_equal(nonlinearity.table, table)
+
+
+def test_grids_and_measures_copy_what_they_are_given_and_trajectories_take_it():
+    nodes = np.linspace(0.0, 1.0, 5)
+    grid = TimeGrid(nodes)
+    assert nodes.flags.writeable and not grid.nodes.flags.writeable
+    assert not np.shares_memory(nodes, grid.nodes)
+    h = constant_measure(2)
+    assert type(h.domain_end) is float and h.domain_end == 2.0
+    given = (nodes, np.ones(5), np.array([0.5]), np.array([0.25]))
+    h = JumpMeasure(1.0, *given)
+    held = (h.density_nodes, h.density_values, h.jump_locs, h.jump_sizes)
+    for mine, its in zip(given, held):
+        assert mine.flags.writeable and not np.shares_memory(mine, its)
+    # a trajectory owns the fresh arrays a sweep hands it: frozen, not copied
+    values = np.zeros((5, 2))
+    traj = RegulatedTrajectory(grid, values, values)
+    assert traj.values is values and traj.right_values is values
+    assert not values.flags.writeable

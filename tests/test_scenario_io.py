@@ -24,7 +24,7 @@ from mds.scenario import Tolerances
 from mds.scenario_io import (MAX_NODES, parse_scenario, run_command, serialize_scenario,
                              write_control_csv, write_trajectory_csv)
 from mds.solver import apply_psi
-from mds.spectral import LinearPart, build_resolvent_table, make_basis
+from mds.spectral import LinearPart, SpectralBasis, build_resolvent_table, make_basis
 
 from conftest import assemble_scenario, load_config
 
@@ -444,11 +444,28 @@ def test_verify_resolvent_passes_shipped_config(tmp_path):
     assert "autonomy_pass=true" in text
 
 
+COMMAND_RUNS = [("simulate", "demo.json"), ("steer", "demo.json"),
+                ("check-conditions", "demo.json"), ("verify-resolvent", "resolvent_check.json")]
+RULES = ("wq_full", "wq_diag", "wq_sub", "dh_full", "dh_diag")
+BASIS_MATRICES = ("x", "weights", "synthesis", "analysis")
+# what a Scenario forms its rules from, through mds.scenario's bindings; not
+# trapezoid_weights, which NonlocalEval.apply calls on every sweep
+RULE_FUNCTIONS = ("simpson_weights", "simpson_prefix_edges", "density_on_grid")
+
+
+def _count_calls(monkeypatch, calls: dict, module, name: str) -> None:
+    """Patch ``module.name`` to add one to ``calls[name]`` on each call."""
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return inner(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_verify_resolvent_and_parsing_build_no_square_array(monkeypatch, tmp_path):
-    runs = [("simulate", "demo.json"), ("steer", "demo.json"),
-            ("check-conditions", "demo.json"), ("verify-resolvent", "resolvent_check.json")]
     codes = [run_command(command, load_config(config), str(tmp_path / "plain" / command),
-                         quiet=True) for command, config in runs]
+                         quiet=True) for command, config in COMMAND_RUNS]
 
     def refuse(*args, **kwargs):
         raise AssertionError("an M x M array was built")
@@ -458,35 +475,53 @@ def test_verify_resolvent_and_parsing_build_no_square_array(monkeypatch, tmp_pat
                      "trapezoid_prefix_matrix"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    for (command, config), code in zip(runs, codes):
+    for (command, config), code in zip(COMMAND_RUNS, codes):
         lean = tmp_path / "lean" / command
         assert run_command(command, load_config(config), str(lean), quiet=True) == code
         for path in (tmp_path / "plain" / command).iterdir():
             assert (lean / path.name).read_bytes() == path.read_bytes()
-    parse_scenario(load_config("demo.json"))
+    scn = parse_scenario(load_config("demo.json"))
+    # a parse forms no rule and no basis matrix; each is formed on first read
+    assert not set(RULES) & set(vars(scn))
+    assert not set(BASIS_MATRICES) & set(vars(scn.basis))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("verify-resolvent formed a rule or a basis matrix")
+
+    for name in RULE_FUNCTIONS:
+        monkeypatch.setattr(mds.scenario, name, unread)
+    for name in BASIS_MATRICES:
+        monkeypatch.setattr(SpectralBasis, name, property(unread))
+    unformed = tmp_path / "unformed"
+    assert run_command("verify-resolvent", load_config("resolvent_check.json"),
+                       str(unformed), quiet=True) == codes[-1]
+    for path in (tmp_path / "plain" / "verify-resolvent").iterdir():
+        assert (unformed / path.name).read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("command, config", [
-    ("simulate", "demo.json"), ("steer", "demo.json"), ("check-conditions", "demo.json"),
-    ("verify-resolvent", "resolvent_check.json")])
+@pytest.mark.parametrize("command, config", COMMAND_RUNS)
 def test_each_command_computes_the_step_maps_once(monkeypatch, tmp_path, command, config):
     calls = {"_step": 0, "_march_windows": 0}
-
-    def counting(module, name):
-        inner = getattr(module, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return inner(*args)
-        return counted
-
     # the verify-resolvent sample marches through mds.verify's binding
     for module, name in ((mds.spectral, "_step"), (mds.verify, "_march_windows")):
-        monkeypatch.setattr(module, name, counting(module, name))
+        _count_calls(monkeypatch, calls, module, name)
     run_command(command, load_config(config), str(tmp_path), quiet=True)
     assert calls["_step"] == 2          # the unit states (1, 0) and (0, 1), once each
     if command == "verify-resolvent":
         assert calls["_march_windows"] == 1     # one march, handed out in windows
+
+
+@pytest.mark.parametrize("command, config", COMMAND_RUNS)
+def test_each_command_forms_each_rule_at_most_once(monkeypatch, tmp_path, command, config):
+    calls = dict.fromkeys(RULE_FUNCTIONS, 0)
+    for name in RULE_FUNCTIONS:
+        _count_calls(monkeypatch, calls, mds.scenario, name)
+    run_command(command, load_config(config), str(tmp_path), quiet=True)
+    # once each for the rules the command reads: simulate (no control) reads
+    # only the dh rule, check-conditions only wq_full, verify-resolvent none
+    formed = {"simulate": {"density_on_grid"}, "steer": set(RULE_FUNCTIONS),
+              "check-conditions": {"simpson_weights"}, "verify-resolvent": set()}[command]
+    assert calls == {name: int(name in formed) for name in RULE_FUNCTIONS}
 
 
 def _unstable_demo(tau, zero_nonlinearity=False, zero_kernel=False):

@@ -5,8 +5,9 @@ git revision.
 
 ``bench/run.py`` reads a child's ``ru_maxrss``.  The child is started by
 vfork, and at exec the kernel keeps the parent's high-water RSS as the
-child's, so every reading is at least the bench process's own (about 33 MiB
-once it has imported numpy and mds); a CLI that peaks lower does not show.
+child's, so every reading is at least the bench process's own (about
+32.0-32.4 MiB on the three workloads once it has imported numpy and mds and
+parsed the workload's document); a CLI that peaks lower does not show.
 This script starts each command through a small helper process, ``python3
 -S`` running HELPER, which imports nothing but ``os``, ``sys`` and the
 built-in ``time``: the helper spawns the CLI and reads its ``ru_maxrss``
