@@ -72,25 +72,26 @@ def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights) -> np.nda
     return samples
 
 
-def steering_residual(scn: Scenario, traj: RegulatedTrajectory) -> np.ndarray:
-    """p = zeta1 - g(zeta) - R(a,0)(zeta0 - g(zeta)) - int R(a,s) delta dh."""
-    g = scn.g_of(traj.values)
+def steering_residual(scn: Scenario, g, delta) -> np.ndarray:
+    """p = zeta1 - g(zeta) - R(a,0)(zeta0 - g(zeta)) - int R(a,s) delta dh.
+
+    ``g`` and ``delta`` are the iterate's g(zeta), (N,), and delta(zeta), (M, N).
+    """
     final = scn.final_row
-    delta = scn.delta_values(traj.values)
     last = np.append(scn.dh_full[:-1], scn.dh_diag[-1])   # the dh rule's row at t = a
     return (scn.zeta1 - g - final[:, 0] * (scn.zeta0 - g)
             - (final * delta.T) @ last)
 
 
-def synthesize_control(scn: Scenario, traj: RegulatedTrajectory) -> np.ndarray:
-    """The steering control for the current iterate: Z^-1 of the residual."""
-    p = steering_residual(scn, traj)
+def synthesize_control(scn: Scenario, g, delta) -> np.ndarray:
+    """The steering control for the current iterate: Z^-1 of its residual."""
+    p = steering_residual(scn, g, delta)
     return min_norm_inverse(scn.final_row, scn.theta, p, scn.wq_full)
 
 
-def terminal_error(scn: Scenario, traj: RegulatedTrajectory) -> float:
+def terminal_error(scn: Scenario, traj: RegulatedTrajectory, g=None) -> float:
     """||zeta(a) + g(zeta) - zeta1||: the exact-controllability defect."""
-    gap = traj.values[-1] + scn.g_of(traj.values) - scn.zeta1
+    gap = traj.values[-1] + (scn.g_of(traj.values) if g is None else g) - scn.zeta1
     return float(np.sqrt(gap @ gap))
 
 
@@ -126,7 +127,8 @@ def steer(scn: Scenario) -> SteerOutcome:
     traj = scn.picard_seed
     u = np.zeros((len(scn.grid), scn.n_modes))
     u.setflags(write=False)
-    history = [terminal_error(scn, traj)]
+    g = scn.g_of(traj.values)
+    history = [terminal_error(scn, traj, g)]
     linear = scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero
     fixed = linear and history[0] <= tol.tol_target
     while not fixed:
@@ -135,13 +137,20 @@ def steer(scn: Scenario) -> SteerOutcome:
                 f"no fixed point after {tol.max_outer} outer iterations "
                 f"(terminal error {history[-1]:.3e})", history)
         # through the module attributes, which bench/tracer.py wraps
-        u = synthesize_control(scn, traj)
-        new = solver.apply_psi(scn, traj, u)
-        history.append(terminal_error(scn, new))
+        delta = scn.delta_values(traj.values)
+        u = synthesize_control(scn, g, delta)
+        new = solver.apply_psi(scn, traj, u, g, delta)
+        del delta
         # psi(traj, u) = new; psi(new, u) = new too when psi does not read its iterate
         fixed = linear or solver._sup_distance(new, traj) < tol.tol_picard
+        # g(new) is formed once the old path, or at the fixed point new's right values, go
         if linear or not fixed:
             traj = new
+            g = scn.g_of(traj.values)
+            history.append(terminal_error(scn, traj, g))
+        else:
+            new = RegulatedTrajectory(scn.grid, new.values, new.values)
+            history.append(terminal_error(scn, new))
     error = history[-1] if linear else history[-2]
     outer = len(history) - 1
     if error > tol.tol_target:

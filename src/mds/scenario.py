@@ -118,30 +118,28 @@ class NonlocalEval(Record):
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def _f_grid(self, basis: SpectralBasis, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    def samples(self, basis: SpectralBasis, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+        # f_time at the grid nodes and f_space at the collocation nodes
         ft = self.f_time.value(grid.nodes)
         fx = (self.f_space.value(basis.x) if self.f_space is not None
               else np.ones_like(basis.x))
         return ft, fx
 
-    def apply(self, basis: SpectralBasis, grid: TimeGrid,
-              values: np.ndarray) -> np.ndarray:
+    def apply(self, basis: SpectralBasis, values: np.ndarray, t_weights: np.ndarray,
+              ft: np.ndarray, fx: np.ndarray) -> np.ndarray:
         """g of the sampled path (left values, (M, N)) as mode coefficients."""
-        if self.kind == "zero":
-            return np.zeros(basis.n_modes)
-        ft, fx = self._f_grid(basis, grid)
         phys = basis.to_physical(values)        # a fresh (M, J) array, used in place
         np.abs(phys, out=phys)
         np.sqrt(phys, out=phys)
         inner = np.log1p(phys, out=phys) @ basis.weights
-        t_int = float(trapezoid_weights(grid.nodes) @ (ft * inner))
+        t_int = float(t_weights @ (ft * inner))
         return basis.to_modes(fx * t_int)
 
     def growth_c(self, basis: SpectralBasis, grid: TimeGrid) -> float:
         """c = max |f(t,x)| over the samples."""
         if self.kind == "zero":
             return 0.0
-        ft, fx = self._f_grid(basis, grid)
+        ft, fx = self.samples(basis, grid)
         return float(np.max(np.abs(ft)) * np.max(np.abs(fx)))
 
 
@@ -175,12 +173,12 @@ class Scenario(Record):
         n = basis.n_modes
         self.basis, self.linear, self.h, self.grid = basis, linear, h, grid
         for name, vec in (("zeta0", zeta0), ("zeta1", zeta1)):
-            vec = np.asarray(vec, dtype=float)
+            vec = np.array(vec, dtype=float)
             if vec.shape != (n,):
                 raise UsageError(f"{name} must have one coefficient per mode")
             vec.setflags(write=False)
             setattr(self, name, vec)
-        theta = np.asarray(theta, dtype=float)
+        theta = np.array(theta, dtype=float)
         if theta.ndim == 0:
             theta = np.full(n, float(theta))
         if theta.shape != (n,):
@@ -214,20 +212,29 @@ class Scenario(Record):
         """W[j, j-1] of the Lebesgue rule's prefix rows (0 at j = 0)."""
         return self._simpson_edges[1]
 
+    # the trapezoid weights on the grid, which dh_full and g read
     @cached_property
-    def _density(self) -> np.ndarray:
-        return read_only(density_on_grid(self.h, self.grid))
+    def _trapezoid(self) -> np.ndarray:
+        return read_only(trapezoid_weights(self.grid.nodes))
+
+    # dh_full and dh_diag together, from one density sample that is not kept
+    @cached_property
+    def _dh_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        density = density_on_grid(self.h, self.grid)
+        # a jump at t_i acts only for t > t_i: in the full span, not on row i itself
+        full = density * self._trapezoid + self.jump_sizes
+        diag = density * np.append(0.0, np.diff(self.grid.nodes) / 2.0)
+        return read_only(full), read_only(diag)
 
     @cached_property
     def dh_full(self) -> np.ndarray:
         """The full-span dh weights: density times trapezoid, plus the jumps."""
-        # a jump at t_i acts only for t > t_i: in the full span, not on row i itself
-        return read_only(self._density * trapezoid_weights(self.grid.nodes) + self.jump_sizes)
+        return self._dh_rule[0]
 
     @cached_property
     def dh_diag(self) -> np.ndarray:
         """W[j, j] of the dh rule's prefix rows, which hold no jump."""
-        return read_only(self._density * np.append(0.0, np.diff(self.grid.nodes) / 2.0))
+        return self._dh_rule[1]
 
     @cached_property
     def steps(self) -> StepMaps:
@@ -258,5 +265,12 @@ class Scenario(Record):
     def delta_values(self, states: np.ndarray) -> np.ndarray:
         return self.nonlinearity.values(self.basis, states)
 
+    @cached_property
+    def _nonlocal_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(read_only, self.nonlocal_term.samples(self.basis, self.grid)))
+
     def g_of(self, values: np.ndarray) -> np.ndarray:
-        return self.nonlocal_term.apply(self.basis, self.grid, values)
+        if self.nonlocal_term.is_zero:
+            return np.zeros(self.n_modes)
+        return self.nonlocal_term.apply(self.basis, values, self._trapezoid,
+                                        *self._nonlocal_samples)

@@ -64,9 +64,12 @@ MAX_COEFFICIENT = 1e100
 # horizons a: base nodes stay farther apart than the 1e-12 max(1, a) node
 # matching tolerance, and a few horizons times coefficients stay finite
 HORIZON_RANGE = (1e-6, 1e6)
-# (M, N) arrays a command holds at once: a psi sweep's or a steering pass's,
-# and the Picard seed the run keeps
-_SOLVER_ARRAYS = 17
+# (M, N) arrays a command holds at once (the step maps, the final row, the
+# Picard seed, a steering pass's paths, control and nonlinearity, a sweep's
+# march): the largest tracemalloc peak of simulate, steer and check-conditions
+# on the demo at 2049 and 16385 nodes, rounded up, which
+# tests/test_scenario_io.py holds from both sides
+_SOLVER_ARRAYS = 12
 _COLLOCATION_ARRAYS = 1     # (M, J) arrays a psi sweep holds at once at the J nodes
 _NUMBER_FORMAT = "%.17g"     # every number a report or a CSV row writes
 _DEFAULTS = {cls: {name: p.default for name, p in inspect.signature(cls).parameters.items()}
@@ -234,6 +237,18 @@ def _parse_measure(doc: _Reader, base_nodes: int) -> JumpMeasure:
         raise ConfigError(f"{m.path}.jumps", str(exc)) from exc
 
 
+# bytes a run on M nodes holds at once, which the parse refuses above physical
+# memory: the solver's few (M, N) arrays, plus the (M, J) path values a sweep
+# synthesizes at the J = j_count collocation nodes for a nonzero cosine
+# nonlinearity or the log-kernel nonlocal term (0 when neither is), plus the
+# basis: its (J, N) synthesis and analysis matrices and its nodes, weights and
+# f_space samples, which outweigh a few (M, N) arrays when J is large beside M
+# and N is small
+def solver_charge(m_count: int, n_modes: int, collocation: int, j_count: int) -> int:
+    basis = collocation * (2 * n_modes + 3)
+    return 8 * (m_count * (n_modes * _SOLVER_ARRAYS + j_count * _COLLOCATION_ARRAYS) + basis)
+
+
 def parse_scenario(doc: dict) -> Scenario:
     """Validate a config document and assemble the Scenario it describes."""
     doc = _Reader(doc, "$", _SECTIONS)
@@ -304,16 +319,13 @@ def parse_scenario(doc: dict) -> Scenario:
         if len(grid) > MAX_NODES:
             raise ConfigError("$.grid.nodes", f"merged grid has {len(grid)} nodes, "
                               f"more than {MAX_NODES}")
-        # the solver's few (M, N) arrays, plus the (M, J) path values a sweep
-        # synthesizes at the J collocation nodes for a nonzero cosine
-        # nonlinearity or the log-kernel nonlocal term; verify-resolvent
-        # marches its sampled columns in windows of about as many floats as
-        # the solver's arrays, and sample_windows charges a window with the
-        # march's entry states and the autonomy check's column
+        # verify-resolvent marches its sampled columns in windows of about as
+        # many floats as the solver's arrays, and sample_windows charges a
+        # window with the march's entry states and the autonomy check's column
         synthesized = ((nonlinearity.kind == "cosine" and not nonlinearity.is_zero)
                        or not nonlocal_term.is_zero)
         j_count = collocation if synthesized else 0
-        need = 8 * len(grid) * (n_modes * _SOLVER_ARRAYS + j_count * _COLLOCATION_ARRAYS)
+        need = solver_charge(len(grid), n_modes, collocation, j_count)
         have = physical_memory()
         if need > have:
             raise ConfigError("$.grid.nodes", f"{len(grid)} merged nodes x {n_modes} modes "
@@ -383,8 +395,9 @@ def write_control_csv(path: str, scn: Scenario, samples: np.ndarray) -> None:
     row_format = ",".join([_NUMBER_FORMAT] * (1 + scn.basis.n_modes)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row_format % (t, *row) for t, row in
-                      zip(scn.grid.nodes.tolist(), np.asarray(samples).tolist()))
+        # a row at a time: the whole (M, N) list of floats is several arrays' worth
+        fh.writelines(row_format % (t, *row.tolist()) for t, row in
+                      zip(scn.grid.nodes.tolist(), np.asarray(samples)))
 
 
 def run_command(cmd: str, doc: dict, out_dir: str = ".",

@@ -33,6 +33,8 @@ from .record import Record
 from .scenario import Scenario
 from .spectral import resolvent_sums
 
+_BLOCKS = 8      # row blocks of a sweep's seeds and closure
+
 
 def _check_grid(scn: Scenario, traj: RegulatedTrajectory) -> None:
     if len(traj.grid) != len(scn.grid) or not np.array_equal(traj.grid.nodes, scn.grid.nodes):
@@ -48,39 +50,62 @@ def _as_control(scn: Scenario, u) -> np.ndarray | None:
     return u
 
 
-def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None) -> RegulatedTrajectory:
+def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None, g=None,
+              delta=None) -> RegulatedTrajectory:
     """One application of the solution operator to the iterate ``traj``."""
+    # g and delta, g(traj) and delta(traj), are evaluated here unless given.
+    # The march overwrites the seeds with its sums, and the closure is added a
+    # row block at a time, each entry by the same operations in the same order
+    # as from full arrays of zeros (so a -0.0 term seeds +0.0).
     _check_grid(scn, traj)
     u = _as_control(scn, u)
-    g = scn.g_of(traj.values)
-    seeds = np.zeros((len(scn.grid), scn.n_modes))
-    seeds[0] = scn.zeta0 - g
-    closure = np.zeros_like(seeds)
-    if u is not None:
-        vu = u * scn.theta
-        seeds += scn.wq_full[:, None] * vu
-        closure += (scn.wq_diag - scn.wq_full)[:, None] * vu
-        closure[1:] += ((scn.wq_sub[1:] - scn.wq_full[:-1])[:, None]
-                        * scn.steps.a11.T * vu[:-1])
-
-    delta = scn.delta_values(traj.values)
-    if not scn.nonlinearity.is_zero:
-        seeds += scn.dh_full[:, None] * delta
-        closure += (scn.dh_diag - scn.dh_full)[:, None] * delta
-    values = resolvent_sums(scn.steps, seeds) + closure
+    if g is None:
+        g = scn.g_of(traj.values)
+    nonlinear = not scn.nonlinearity.is_zero
+    if delta is None and nonlinear:
+        delta = scn.delta_values(traj.values)
+    m_count = len(scn.grid)
+    size = -(-m_count // _BLOCKS)
+    blocks = [slice(lo, min(lo + size, m_count)) for lo in range(0, m_count, size)]
+    values = np.empty((m_count, scn.n_modes))       # the seeds, then the path
+    for rows in blocks:
+        seeds = values[rows]
+        seeds[:] = 0.0
+        if rows.start == 0:
+            seeds[0] = scn.zeta0 - g
+        if u is not None:
+            seeds += scn.wq_full[rows, None] * (u[rows] * scn.theta)
+        if nonlinear:
+            seeds += scn.dh_full[rows, None] * delta[rows]
+    resolvent_sums(scn.steps, values, values)
+    a11 = scn.steps.a11.T
+    for rows in blocks:
+        lo, hi = rows.start, rows.stop
+        closure = np.zeros((hi - lo, scn.n_modes))
+        if u is not None:
+            first = max(lo - 1, 0)
+            vu = u[first:hi] * scn.theta
+            closure += (scn.wq_diag[rows] - scn.wq_full[rows])[:, None] * vu[lo - first:]
+            j = max(lo, 1)                  # row j's cell reads a11 and vu at j - 1
+            closure[j - lo:] += ((scn.wq_sub[j:hi] - scn.wq_full[j - 1:hi - 1])[:, None]
+                                 * a11[j - 1:hi - 1] * vu[j - 1 - first:hi - 1 - first])
+        if nonlinear:
+            closure += (scn.dh_diag[rows] - scn.dh_full[rows])[:, None] * delta[rows]
+        values[rows] += closure
 
     right = values                 # RegulatedTrajectory freezes both
     rows = scn.jump_rows
     if rows.size:
         right = values.copy()
-        right[rows] += delta[rows] * scn.jump_sizes[rows, None]
+        right[rows] += delta[rows] * scn.jump_sizes[rows, None] if nonlinear else 0.0
     return RegulatedTrajectory(scn.grid, values, right)
 
 
 def _sup_distance(a: RegulatedTrajectory, b: RegulatedTrajectory) -> float:
-    dv = np.sqrt(np.sum((a.values - b.values) ** 2, axis=-1)).max()
-    dr = np.sqrt(np.sum((a.right_values - b.right_values) ** 2, axis=-1)).max()
-    return float(max(dv, dr))
+    def sup(x, y):
+        diff = np.subtract(x, y)
+        return np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1)).max()
+    return float(max(sup(a.values, b.values), sup(a.right_values, b.right_values)))
 
 
 class PicardResult(Record):

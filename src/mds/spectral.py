@@ -424,14 +424,19 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
         yield start, stop
 
 
-def resolvent_sums(steps: StepMaps, seeds: np.ndarray) -> np.ndarray:
+def resolvent_sums(steps: StepMaps, seeds: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Row j of the result is sum_{s<=j} r_n(t_j, t_s) seeds[s, n], shape (M, N).
 
     One forced run of the recurrence, O(N M): no resolvent column is formed.
     """
-    out = np.empty((len(steps.modes), steps.n_nodes, 1))
-    _march(steps, seeds[:, :, None], out)
-    return out[:, :, 0].T
+    # out (M, N), when given, may be seeds itself: the one-window march reads
+    # each seed row before it writes that row, and never reads it again
+    if out is None:
+        return _march(steps, seeds[:, :, None],
+                      np.empty((len(steps.modes), steps.n_nodes, 1)))[:, :, 0].T
+    _march(steps, seeds[:, :, None], out.T[:, :, None])
+    return out
 
 
 def resolvent_final_row(steps: StepMaps) -> np.ndarray:

@@ -132,6 +132,7 @@ def verify_resolvent_pde(sample: ResolventSample, tol_pde: float = 1e-3) -> PdeR
     mem, per_mode = sample.mem, sample.per_mode
     shift = 2 - sample.start                            # row j is sample.rows[j + shift]
     size = math.isqrt(max(m_count - 3, 0)) + 1          # ceil(sqrt(M - 2))
+    slopes = np.empty((size,) + sample.rows.shape[1:])  # a chunk's central differences
     for lo in range(max(sample.start - 1, 1), sample.stop - 1, size):
         hi = min(lo + size, sample.stop - 1)
         rows, before, after = slice(lo, hi), slice(lo - 1, hi - 1), slice(lo + 1, hi + 1)
@@ -148,7 +149,9 @@ def verify_resolvent_pde(sample: ResolventSample, tol_pde: float = 1e-3) -> PdeR
         res = tau[rows, None, None] * r
         res += cells
         res *= n2
-        res += (r_after - r_before) / (nodes[after] - nodes[before])[:, None, None]
+        slope = np.subtract(r_after, r_before, out=slopes[:hi - lo])
+        slope /= (nodes[after] - nodes[before])[:, None, None]
+        res += slope
         np.abs(res, out=res)
         per_mode = np.maximum(per_mode, np.max(res, axis=(0, 2), where=live, initial=0.0))
     sample.mem, sample.per_mode = mem, per_mode

@@ -75,6 +75,11 @@ def sample_reports(basis: SpectralBasis, linear: LinearPart, grid, tol_pde: floa
     return pde, auto
 
 
+def terms(scn, traj) -> tuple:
+    """g and delta of a path, which the control synthesis and its residual take."""
+    return scn.g_of(traj.values), scn.delta_values(traj.values)
+
+
 def load_config(name: str) -> dict:
     with open(CONFIG_DIR / name, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -406,7 +406,7 @@ def test_grids_near_the_limits_are_refused_without_a_large_allocation(
         tmp_path_factory, doc, command, budget):
     m_count, n_count = _merged_nodes(doc), doc["basis"]["N"]
     over = m_count > MAX_NODES
-    # memory for 8 of the solver's 17 (M, N) columns, or one byte less than
+    # memory for 8 of the solver's 12 (M, N) columns, or one byte less than
     # the sample's charge
     memory = (8 * m_count * n_count * 8 if budget == "solver"
               else _sample_bytes(m_count, n_count) - 1)

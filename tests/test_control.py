@@ -21,7 +21,7 @@ from mds.scenario_io import MAX_ITERATIONS, parse_scenario, run_command
 from mds.solver import _sup_distance, apply_psi, picard_solve
 from mds.spectral import LinearPart, make_basis
 
-from conftest import assemble_scenario, load_config, replaced
+from conftest import assemble_scenario, load_config, replaced, terms
 from test_config_fuzz import documents
 
 
@@ -130,7 +130,7 @@ def test_reachable_target_needs_no_control():
         constant_measure(1.0), 257, zeta0, np.exp(-n2.astype(float)) * zeta0)
     from mds.solver import picard_solve
     traj = picard_solve(scn).trajectory
-    u = synthesize_control(scn, traj)
+    u = synthesize_control(scn, *terms(scn, traj))
     assert np.max(np.abs(u)) < 1e-14
 
 
@@ -156,7 +156,7 @@ def test_linear_steering_hits_target_in_one_pass(linear_scn):
 def test_steering_residual_matches_defect_for_linear(linear_scn):
     from mds.solver import picard_solve
     traj = picard_solve(linear_scn).trajectory
-    p = steering_residual(linear_scn, traj)
+    p = steering_residual(linear_scn, *terms(linear_scn, traj))
     gap = linear_scn.zeta1 - traj.values[-1]
     assert np.max(np.abs(p - gap)) < 1e-12
 
@@ -218,7 +218,7 @@ def _assert_fixed_point_of_phi(scn, out):
         return
     assert rep.terminal_error == rep.history[-1 if linear else -2]
     if not linear:
-        u = synthesize_control(scn, out.trajectory)
+        u = synthesize_control(scn, *terms(scn, out.trajectory))
         assert out.control.tobytes() == u.tobytes()
     assert _phi_defect(scn, out) < scn.tol.tol_picard
 
@@ -251,7 +251,7 @@ def _nested_reference(scn):
     history = [terminal_error(scn, traj)]
     u = np.zeros((len(scn.grid), scn.n_modes))
     if history[0] > scn.tol.tol_target and scn.tol.max_outer > 0:
-        u = synthesize_control(scn, traj)
+        u = synthesize_control(scn, *terms(scn, traj))
         traj = picard_solve(scn, u).trajectory
         history.append(terminal_error(scn, traj))
     return u, traj, history

@@ -34,7 +34,7 @@ from mds.scenario import NonlinearityEval, NonlocalEval
 from mds.solver import apply_psi
 from mds.spectral import LinearPart, build_resolvent_table, make_basis
 
-from conftest import assemble_scenario, replaced
+from conftest import assemble_scenario, replaced, terms
 from test_forced_resolvent import EPS, RUNNING_ULPS, dense_rules, majorant_linear
 from test_measure import cumulative, ls_integral
 
@@ -214,7 +214,7 @@ def _check_consumers(scn, values):
     running = RUNNING_ULPS * steps * EPS * majsum
     got = apply_psi(scn, traj).values
     assert np.all(np.abs(got - dense) <= running)
-    p = steering_residual(scn, traj)
+    p = steering_residual(scn, *terms(scn, traj))
     terminal = _reference_terminal_dh(scn, data, delta)
     assert np.all(np.abs(dense[-1] - terminal) <= TOL_ULPS * EPS * scale[-1])
     # the adjoint row is off by 32 (M - s) eps m(a, s) per column and both sums

@@ -90,6 +90,7 @@ from mds.funcs import MemoryKernel, TimeFunction
 from mds.measure import (JumpMeasure, RegulatedTrajectory, build_time_grid, constant_measure,
                          density_on_grid, lebesgue_measure, zeno_measure)
 from mds.scenario import NonlinearityEval
+from mds.scenario_io import _SOLVER_ARRAYS
 from mds.solver import apply_psi
 from mds.spectral import (_OVERFLOW_GUARD, LinearPart, StepMaps, _guard_peaks, _march,
                           _march_windows, _step, build_resolvent_table, make_basis,
@@ -680,32 +681,33 @@ def test_all_modes_march_like_each_mode_alone(tau, kernel, measure, n_count, wid
 
 def test_verify_resolvent_holds_one_window_of_the_sample(resolvent_scn):
     # verify-resolvent at 2048 nodes, N = 4 and K = 64 anchors: L = 46-row
-    # blocks, 45 of them, in ceil(64 / 17) = 4 windows of 12 blocks.  Beside
+    # blocks, 45 of them, in ceil(64 / 12) = 6 windows of 8 blocks.  Beside
     # the step maps (M - 1, 2, 2, N) it holds:
-    # - the window of 552 rows and its 2-row halo, (554, N, K)
+    # - the window of 368 rows and its 2-row halo, (370, N, K)
     # - the march's entry states E = (2, N, blocks, K) and their 2 E
     #   scratch, its row peaks (L, N, blocks), transfer maps and the seeds
     #   (M, K) as bools
     # - the anchor-0 column (M, N) and a (window rows, N) difference buffer
     # - the PDE check's chunks of ceil(sqrt(M - 2)) = 46 rows: cells,
-    #   residuals, a difference and its quotient, and the previous chunk's
-    #   cells, which hold the memory sums; tau, d, decay and half on the nodes
+    #   residuals, the central differences, formed in place, and the previous
+    #   chunk's cells, which hold the memory sums; tau, d, decay and half on
+    #   the nodes
     # - numpy's iteration buffers, at most np.getbufsize() doubles for each of
     #   a ufunc's 3 operands, and 64 KiB for the carry and the views
-    # That is about 3.0 MB, below the 4.2 MB of the whole (M, N, K) sample.
+    # That is about 2.7 MB, below the 4.2 MB of the whole (M, N, K) sample.
     grid = build_time_grid(resolvent_scn.h, 2048)
     m_count, n_count, k_count = len(grid), resolvent_scn.basis.n_modes, 64
     size = math.isqrt(m_count - 1) + 1
     blocks = -(-m_count // size)
-    windows = -(-k_count // 17)
+    windows = -(-k_count // _SOLVER_ARRAYS)
     rows = -(-blocks // windows) * size
-    assert (size, blocks, windows, rows) == (46, 45, 4, 552)
+    assert (size, blocks, windows, rows) == (46, 45, 6, 368)
     window = 8 * (rows + 2) * n_count * k_count
     march = (8 * (m_count - 1) * 4 * n_count + 3 * 8 * 2 * n_count * blocks * k_count
              + 8 * size * n_count * blocks + 8 * (blocks - 1) * 4 * n_count
              + m_count * k_count)
     checks = (8 * m_count * n_count + 8 * rows * n_count
-              + 5 * 8 * size * n_count * k_count + 4 * 8 * m_count)
+              + 4 * 8 * size * n_count * k_count + 4 * 8 * m_count)
     bound = window + march + checks + 3 * np.getbufsize() * 8 + 64 * 1024
     tracemalloc.start()
     try:

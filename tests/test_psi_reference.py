@@ -1,0 +1,193 @@
+"""The lean psi sweep and steering pass against reference copies of the old ones.
+
+``psi_reference`` keeps the sweep that built its full (M, N) seeds and
+closure from zeros, the Picard solve and the steering loop that evaluated g
+and delta wherever they were needed, and g from freshly sampled f and
+trapezoid weights.  On small documents of every shape the package's
+``apply_psi``, ``picard_solve`` and ``steer`` give bitwise the same values,
+right values, controls, histories and deltas, or raise the same error.
+"""
+
+from __future__ import annotations
+
+import math
+import tracemalloc
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import psi_reference
+from mds.control import steer
+from mds.errors import ConfigError
+from mds.measure import RegulatedTrajectory
+from mds.scenario_io import parse_scenario
+from mds.solver import apply_psi, picard_solve
+
+from conftest import load_config
+
+moderate = st.floats(min_value=-3.0, max_value=3.0)
+positive = st.floats(min_value=0.05, max_value=3.0)
+# signed zeros among the samples: a -0.0 term must still seed +0.0
+samples = st.sampled_from([0.0, -0.0]) | st.floats(min_value=-2.0, max_value=2.0)
+
+
+@st.composite
+def time_specs(draw):
+    kind = draw(st.sampled_from(["const", "affine", "cosine"]))
+    spec = {"kind": kind, "c0": draw(moderate)}
+    if kind != "const":
+        spec["c1"] = draw(moderate)
+    if kind == "cosine":
+        spec["freq"] = draw(st.floats(min_value=0.5, max_value=6.0))
+    return spec
+
+
+@st.composite
+def documents(draw):
+    """A small document with each knob drawn: jumps or none, a cosine, table or
+    zero nonlinearity, the log-kernel nonlocal term or none."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    coeffs = st.lists(moderate, min_size=n, max_size=n)
+    measure = draw(st.sampled_from(["none", "zeno", "explicit"]))
+    if measure == "none":
+        measure = {"family": "constant", "end": 1.0}
+    elif measure == "zeno":
+        measure = {"family": "zeno", "K": draw(st.integers(min_value=2, max_value=6))}
+    else:
+        locs = draw(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1,
+                             max_size=4, unique=True))
+        measure = {"end": 1.0, "density": {"kind": "const", "c0": 1.0},
+                   "jumps": [[t, draw(st.floats(min_value=0.01, max_value=1.0))]
+                             for t in sorted(locs)]}
+    kind = draw(st.sampled_from(["zero", "cosine", "table"]))
+    nonlinearity = {"kind": kind}
+    if kind == "cosine":
+        nonlinearity["M0"] = draw(st.sampled_from([0.0, 0.3]) | st.floats(-0.5, 0.5))
+    elif kind == "table":
+        nonlinearity["values"] = draw(st.lists(samples, min_size=n, max_size=n))
+    nonlocal_term = {"kind": "zero"}
+    if draw(st.booleans()):
+        nonlocal_term = {"kind": "log_kernel", "f": draw(time_specs()),
+                         "d": draw(st.floats(min_value=0.0, max_value=2.0))}
+        if draw(st.booleans()):
+            nonlocal_term["f_space"] = draw(time_specs())
+    return {
+        "basis": {"N": n},
+        "grid": {"nodes": draw(st.integers(min_value=2, max_value=40))},
+        "linear": {"tau": {"kind": "const", "c0": draw(positive)},
+                   "kernel": draw(st.sampled_from([{"kind": "zero"},
+                                                   {"kind": "exp_diff", "c0": 0.1,
+                                                    "rate": 1.0}]))},
+        "measure": measure,
+        "nonlinearity": nonlinearity,
+        "nonlocal": nonlocal_term,
+        "control": {"theta": draw(st.sampled_from([0.1, 1.0, 2.0]) | moderate)},
+        "states": {"zeta0": draw(coeffs), "zeta1": draw(coeffs)},
+        "tolerances": {"max_picard": draw(st.integers(min_value=1, max_value=8)),
+                       "max_outer": draw(st.integers(min_value=0, max_value=10))},
+    }
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+def _same_trajectory(a: RegulatedTrajectory, b: RegulatedTrajectory) -> None:
+    assert _bits(a.values) == _bits(b.values)
+    assert _bits(a.right_values) == _bits(b.right_values)
+
+
+def _outcome(run, *args):
+    """What ``run(*args)`` returns, or the type, text and record of what it raises."""
+    try:
+        return run(*args)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "history", getattr(exc, "deltas", None))
+
+
+def _parse(doc):
+    try:
+        return parse_scenario(doc)
+    except ConfigError:
+        return None
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents(), st.booleans(), st.lists(samples, min_size=1, max_size=64), st.data())
+def test_lean_solver_matches_the_reference_bitwise(doc, controlled, pool, data):
+    scn, ref = _parse(doc), _parse(doc)
+    if scn is None:
+        return
+    m_count, n_count = len(scn.grid), scn.n_modes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    u = rng.choice(pool, size=(m_count, n_count)) if controlled else None
+    wild = rng.choice(pool, size=(2, m_count, n_count))
+    iterates = [RegulatedTrajectory(scn.grid, wild[0], wild[1])]
+    seed = _outcome(lambda: scn.picard_seed)
+    if isinstance(seed, RegulatedTrajectory):
+        iterates.append(seed)
+    for traj in iterates:
+        want = _outcome(psi_reference.apply_psi, ref, traj, u)
+        for got in (_outcome(apply_psi, scn, traj, u),
+                    _outcome(apply_psi, scn, traj, u, scn.g_of(traj.values),
+                             scn.delta_values(traj.values))):
+            if isinstance(want, RegulatedTrajectory):
+                _same_trajectory(got, want)
+            else:
+                assert got == want
+
+    got, want = _outcome(picard_solve, scn, u), _outcome(psi_reference.picard_solve, ref, u)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _same_trajectory(got.trajectory, want.trajectory)
+        assert (got.iterations, got.deltas) == (want.iterations, want.deltas)
+        assert _bits(got.final_delta) == _bits(want.final_delta)
+
+    got, want = _outcome(steer, scn), _outcome(psi_reference.steer, ref)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _bits(got.control) == _bits(want.control)
+        _same_trajectory(got.trajectory, want.trajectory)
+        assert got.report.history == want.report.history
+        assert _bits([got.report.terminal_error, got.report.control_norm]) == \
+            _bits([want.report.terminal_error, want.report.control_norm])
+        assert got.report.outer_iterations == want.report.outer_iterations
+
+
+def _traced_peak(run, *args) -> int:
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
+    # the demo at 16385 nodes with a control, g and delta given: a sweep
+    # returns its (M, N) values and right values and marches in the values'
+    # own array, so beside them it holds only the march's per-row peaks,
+    # entry states and scratch, (L + 6) N blocks floats, numpy's iteration
+    # buffers and, after the march, a row block of the closure's temporaries
+    doc = load_config("demo.json")
+    doc["grid"]["nodes"] = 16385
+    scn = parse_scenario(doc)
+    traj = scn.picard_seed
+    m_count, n_count = len(scn.grid), scn.n_modes
+    u = np.full((m_count, n_count), 0.25)
+    g, delta = scn.g_of(traj.values), scn.delta_values(traj.values)
+    apply_psi(scn, traj, u, g, delta)            # forms the rules and the layout
+    array = 8 * m_count * n_count
+    size = math.isqrt(m_count - 1) + 1
+    march = 8 * n_count * -(-m_count // size) * (size + 6)
+    lean = _traced_peak(apply_psi, scn, traj, u, g, delta)
+    assert 2 * array < lean < 2 * array + march + 3 * np.getbufsize() * 8
+    # each evaluating g and delta itself, the reference sweep also held the
+    # seeds, the closure, vu, a product and the march's output (measured 3.0
+    # arrays more)
+    assert (_traced_peak(psi_reference.apply_psi, scn, traj, u)
+            > _traced_peak(apply_psi, scn, traj, u) + 2.5 * array)

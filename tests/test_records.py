@@ -21,13 +21,15 @@ import pytest
 import mds
 from mds.conditions import build_report
 from mds.control import steer
+from mds.funcs import MemoryKernel, TimeFunction
 from mds.measure import JumpMeasure, RegulatedTrajectory, TimeGrid, constant_measure
 from mds.record import Record
 from mds.scenario import NonlinearityEval
 from mds.scenario_io import parse_scenario
 from mds.solver import picard_solve
+from mds.spectral import LinearPart, make_basis
 
-from conftest import load_config, sample_reports
+from conftest import assemble_scenario, load_config, sample_reports
 
 
 def _record_classes() -> set[type]:
@@ -99,6 +101,14 @@ def test_grids_and_measures_copy_what_they_are_given_and_trajectories_take_it():
     held = (h.density_nodes, h.density_values, h.jump_locs, h.jump_sizes)
     for mine, its in zip(given, held):
         assert mine.flags.writeable and not np.shares_memory(mine, its)
+    # a Scenario copies the states and the gains it is given
+    zeta0, zeta1, theta = np.zeros(2), np.ones(2), np.full(2, 0.5)
+    scn = assemble_scenario(make_basis(2), LinearPart(TimeFunction("const", c0=1.0),
+                                                      MemoryKernel("zero")),
+                            constant_measure(1.0), 5, zeta0, zeta1, theta=theta)
+    for mine, its in zip((zeta0, zeta1, theta), (scn.zeta0, scn.zeta1, scn.theta)):
+        assert mine.flags.writeable and not its.flags.writeable
+        assert not np.shares_memory(mine, its) and np.array_equal(mine, its)
     # a trajectory owns the fresh arrays a sweep hands it: frozen, not copied
     values = np.zeros((5, 2))
     traj = RegulatedTrajectory(grid, values, values)

@@ -22,8 +22,8 @@ from mds.funcs import MemoryKernel, TimeFunction
 from mds.measure import RegulatedTrajectory, constant_measure
 from mds.scenario import Tolerances
 from mds.scenario_io import (MAX_NODES, parse_scenario, run_command, serialize_scenario,
-                             write_control_csv, write_trajectory_csv)
-from mds.solver import apply_psi
+                             solver_charge, write_control_csv, write_trajectory_csv)
+from mds.solver import apply_psi, discontinuity_count, jump_consistency, picard_solve
 from mds.spectral import LinearPart, SpectralBasis, build_resolvent_table, make_basis
 
 from conftest import assemble_scenario, load_config
@@ -214,23 +214,26 @@ def _physical_memory(monkeypatch, pages: int) -> None:
 def test_table_beyond_physical_memory_rejected(monkeypatch, tmp_path):
     _forbid(monkeypatch, "Scenario")
     _physical_memory(monkeypatch, 2 ** 18)            # 1 GiB
-    # the solver's 8 * 65536 * 256 * 17 bytes, about 2.28e9, passes every count limit
+    # the solver's 8 * 65536 * 256 * 12 bytes and the basis's, about 1.61e9,
+    # pass every count limit
     doc = tiny_doc(basis={"N": 256}, grid={"nodes": MAX_NODES},
                    states={"zeta0": [0.0] * 256})
     with pytest.raises(ConfigError) as exc:
         parse_scenario(doc)
     assert exc.value.path == "$.grid.nodes"
-    assert f"{8 * MAX_NODES * 256 * 17:.3g} bytes" in str(exc.value)
+    need = solver_charge(MAX_NODES, 256, 513, 0)
+    assert need == 8 * (MAX_NODES * 256 * scenario_io._SOLVER_ARRAYS + 513 * (2 * 256 + 3))
+    assert f"{need:.3g} bytes" in str(exc.value)
     assert run_command("simulate", doc, str(tmp_path), quiet=True) == 1
 
 
 def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, capsys):
-    # 65 nodes x 2 modes: the solver's 17 columns take 17680 bytes, against
-    # 32768 bytes of "memory".  The resolvent sample's 63 anchors march in 8
-    # blocks of 9 rows, in ceil(63 / 17) = 4 windows of 2 blocks, so
-    # verify-resolvent holds the window with its 2-row halo (20 rows), the
-    # entry states and their scratch (6 x 8 blocks) and the anchor-0 column
-    # (65 rows): 69584 bytes
+    # 65 nodes x 2 modes: the solver's 12 columns and the basis take 12760
+    # bytes, against 32768 bytes of "memory".  The resolvent sample's 63
+    # anchors march in 8 blocks of 9 rows, in ceil(63 / 12) = 6 windows of 2
+    # blocks, so verify-resolvent holds the window with its 2-row halo (20
+    # rows), the entry states and their scratch (6 x 8 blocks) and the
+    # anchor-0 column (65 rows): 69584 bytes
     _physical_memory(monkeypatch, 8)
     parse_scenario(tiny_doc())
     assert run_command("steer", tiny_doc(), str(tmp_path / "steer"), quiet=True) == 0
@@ -243,9 +246,10 @@ def test_steer_parses_where_verify_resolvent_is_refused(monkeypatch, tmp_path, c
 
 
 def test_synthesized_collocation_values_are_charged(monkeypatch, tmp_path, capsys):
-    # 65 nodes x 2 modes: the solver's 17 columns take 17680 bytes, and the
-    # cosine nonlinearity's (M, J) array at J = 2048 takes 1064960, against
-    # 1 MiB of "memory"; the J values were not charged before
+    # 65 nodes x 2 modes: the solver's 12 columns take 12480 bytes, the
+    # cosine nonlinearity's (M, J) array at J = 2048 takes 1064960 and the
+    # basis 114688, against 1 MiB of "memory"; the J values were not charged
+    # before
     _physical_memory(monkeypatch, 256)
     doc = tiny_doc(basis={"N": 2, "collocation": 2048})
     parse_scenario(doc)                                 # nothing is synthesized
@@ -257,7 +261,7 @@ def test_synthesized_collocation_values_are_charged(monkeypatch, tmp_path, capsy
     out = capsys.readouterr().out
     assert out.startswith("config error: $.grid.nodes: 65 merged nodes x 2 modes "
                           "and 2048 collocation nodes")
-    assert f"{8 * 65 * (2 * 17 + 2048):.3g} bytes" in out
+    assert f"{8 * (65 * (2 * 12 + 2048) + 2048 * 7):.3g} bytes" in out
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -273,8 +277,7 @@ def test_a_sweep_stays_within_the_collocation_charge(term):
                    states={"zeta0": [1.0]}, **term)
     scn = parse_scenario(doc)
     current = scn.picard_seed      # the run's step maps are built here
-    charge = 8 * len(scn.grid) * (scn.n_modes * scenario_io._SOLVER_ARRAYS
-                                  + 2048 * scenario_io._COLLOCATION_ARRAYS)
+    charge = solver_charge(len(scn.grid), scn.n_modes, 2048, 2048)
     tracemalloc.start()
     try:
         apply_psi(scn, current)
@@ -284,25 +287,48 @@ def test_a_sweep_stays_within_the_collocation_charge(term):
     assert 8 * len(scn.grid) * 2048 <= peak <= charge
 
 
-@pytest.mark.parametrize("command", ["steer", "check-conditions"])
-def test_a_command_stays_within_the_solver_charge(command):
-    # the demo at 2049 nodes: a steer or a check holds its sweeps' arrays, the
-    # Picard seed, the step maps, and at the end L1's or the adjoint's state
+def _simulate(scn):
+    traj = picard_solve(scn).trajectory
+    jump_consistency(traj, scn)
+    discontinuity_count(traj)
+
+
+SOLVER_COMMANDS = {"simulate": _simulate, "steer": steer, "check-conditions": build_report}
+
+
+@pytest.fixture(scope="module")
+def demo_peaks():
+    """The demo at 2049 nodes: each solver command's tracemalloc peak after the
+    parse, and the parse's charge."""
     doc = load_config("demo.json")
     doc["grid"]["nodes"] = 2049
-    scn = parse_scenario(doc)
-    charge = 8 * len(scn.grid) * (scn.n_modes * scenario_io._SOLVER_ARRAYS
-                                  + scn.basis.collocation * scenario_io._COLLOCATION_ARRAYS)
-    tracemalloc.start()
-    try:
-        if command == "steer":
-            steer(scn)
-        else:
-            build_report(scn)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= charge
+    peaks = {}
+    for command, run in SOLVER_COMMANDS.items():
+        scn = parse_scenario(doc)
+        tracemalloc.start()
+        try:
+            run(scn)
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    charge = solver_charge(len(scn.grid), scn.n_modes, scn.basis.collocation,
+                           scn.basis.collocation)
+    return peaks, charge, 8 * len(scn.grid) * scn.n_modes
+
+
+@pytest.mark.parametrize("command", ["steer", "check-conditions", "simulate"])
+def test_a_command_stays_within_the_solver_charge(demo_peaks, command):
+    # a steer, a simulate or a check holds its sweeps' arrays, the Picard
+    # seed, the step maps, and at the end L1's or the adjoint's state
+    peaks, charge, _ = demo_peaks
+    assert peaks[command] <= charge
+
+
+def test_the_solver_charge_is_the_largest_command_peak_rounded_up(demo_peaks):
+    # the charge is no more than one (M, N) array above what a command
+    # holds, so _SOLVER_ARRAYS cannot drift loose again
+    peaks, charge, array = demo_peaks
+    assert charge - array < max(peaks.values()) <= charge
 
 
 def test_large_grid_parses_without_a_square_budget(monkeypatch):
@@ -448,9 +474,10 @@ COMMAND_RUNS = [("simulate", "demo.json"), ("steer", "demo.json"),
                 ("check-conditions", "demo.json"), ("verify-resolvent", "resolvent_check.json")]
 RULES = ("wq_full", "wq_diag", "wq_sub", "dh_full", "dh_diag")
 BASIS_MATRICES = ("x", "weights", "synthesis", "analysis")
-# what a Scenario forms its rules from, through mds.scenario's bindings; not
-# trapezoid_weights, which NonlocalEval.apply calls on every sweep
-RULE_FUNCTIONS = ("simpson_weights", "simpson_prefix_edges", "density_on_grid")
+# what a Scenario forms its rules from, through mds.scenario's bindings; the
+# trapezoid weights serve the dh rule and g
+RULE_FUNCTIONS = ("simpson_weights", "simpson_prefix_edges", "density_on_grid",
+                  "trapezoid_weights")
 
 
 def _count_calls(monkeypatch, calls: dict, module, name: str) -> None:
@@ -518,8 +545,9 @@ def test_each_command_forms_each_rule_at_most_once(monkeypatch, tmp_path, comman
         _count_calls(monkeypatch, calls, mds.scenario, name)
     run_command(command, load_config(config), str(tmp_path), quiet=True)
     # once each for the rules the command reads: simulate (no control) reads
-    # only the dh rule, check-conditions only wq_full, verify-resolvent none
-    formed = {"simulate": {"density_on_grid"}, "steer": set(RULE_FUNCTIONS),
+    # only the dh rule and g, check-conditions only wq_full, verify-resolvent none
+    formed = {"simulate": {"density_on_grid", "trapezoid_weights"},
+              "steer": set(RULE_FUNCTIONS),
               "check-conditions": {"simpson_weights"}, "verify-resolvent": set()}[command]
     assert calls == {name: int(name in formed) for name in RULE_FUNCTIONS}
 

@@ -5,9 +5,11 @@ git revision.
 
 ``bench/run.py`` reads a child's ``ru_maxrss``.  The child is started by
 vfork, and at exec the kernel keeps the parent's high-water RSS as the
-child's, so every reading is at least the bench process's own (about
-32.0-32.4 MiB on the three workloads once it has imported numpy and mds and
-parsed the workload's document); a CLI that peaks lower does not show.
+child's, so every reading is at least the bench process's own: on a 2-core
+host, about 31.7 MiB (linear_exact) to 31.95 MiB (demo_steer) at the first
+run, once it has imported numpy and mds and parsed the workload's document,
+and 0.125-0.25 MiB more after some runs, as its own heap grows; a CLI that
+peaks lower does not show.
 This script starts each command through a small helper process, ``python3
 -S`` running HELPER, which imports nothing but ``os``, ``sys`` and the
 built-in ``time``: the helper spawns the CLI and reads its ``ru_maxrss``
