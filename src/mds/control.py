@@ -116,9 +116,11 @@ def steer(scn: Scenario) -> SteerOutcome:
     once with it and records the new iterate's terminal error; the loop
     stops when the sweep moves the path by less than tol_picard, and returns
     the path that sweep started from with its control, a pair psi moves by
-    less than tol_picard.  With no nonlinearity and no nonlocal term psi
-    does not depend on its iterate: the seed R(t, 0) zeta0 is the
-    uncontrolled solution (returned with u = 0 when it already meets
+    less than tol_picard.  A path holds its right limits only at the jump
+    rows, so a pass keeps the old path, the new one and the control, and no
+    second (M, N) array for either path.  With no nonlinearity and no
+    nonlocal term psi does not depend on its iterate: the seed R(t, 0) zeta0
+    is the uncontrolled solution (returned with u = 0 when it already meets
     tol_target), and one pass reaches the fixed point.  Raises SteeringError
     with the error history when max_outer passes reach no fixed point, or
     when the fixed point misses tol_target.
@@ -143,13 +145,12 @@ def steer(scn: Scenario) -> SteerOutcome:
         del delta
         # psi(traj, u) = new; psi(new, u) = new too when psi does not read its iterate
         fixed = linear or solver._sup_distance(new, traj) < tol.tol_picard
-        # g(new) is formed once the old path, or at the fixed point new's right values, go
+        # g(new) is formed once the old path goes
         if linear or not fixed:
             traj = new
             g = scn.g_of(traj.values)
             history.append(terminal_error(scn, traj, g))
         else:
-            new = RegulatedTrajectory(scn.grid, new.values, new.values)
             history.append(terminal_error(scn, new))
     error = history[-1] if linear else history[-2]
     outer = len(history) - 1

@@ -190,17 +190,22 @@ def jump_sizes_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
 
 
 class RegulatedTrajectory(Record):
-    """A path on the grid with explicit left and right values per node.
+    """A path on the grid: its left values, and its right limits where it jumps.
 
-    ``values`` are the left values (the path is left-continuous);
-    ``right_values`` differ only at jump nodes.  The trajectory takes
-    ownership of the arrays it is given and makes them read-only, without a
-    copy: the solver hands it a fresh pair of (M, N) arrays on every sweep.
+    ``values`` are the (M, N) left values (the path is left-continuous).
+    The path can jump only at the atoms of h, so its right limit differs
+    from its left value only at ``jump_rows``, the Scenario's read-only array
+    of jump nodes; ``right`` is the (K, N) block of right limits at those
+    rows, and every other node's right limit is its left value.  The
+    trajectory takes ownership of the arrays it is given and makes them
+    read-only, without a copy: the solver hands it fresh ones on every sweep.
     """
 
-    def __init__(self, grid: TimeGrid, values: np.ndarray, right_values: np.ndarray):
+    def __init__(self, grid: TimeGrid, values: np.ndarray, jump_rows: np.ndarray,
+                 right: np.ndarray):
         v = np.asarray(values, dtype=float)
-        r = np.asarray(right_values, dtype=float)
-        if v.shape != r.shape or v.shape[0] != len(grid):
-            raise GridError("trajectory arrays must align with the grid")
-        self.grid, self.values, self.right_values = grid, read_only(v), read_only(r)
+        r = np.asarray(right, dtype=float)
+        if v.ndim != 2 or v.shape[0] != len(grid) or r.shape != (len(jump_rows), v.shape[1]):
+            raise GridError("trajectory arrays must align with the grid and its jump rows")
+        self.grid, self.values, self.right = grid, read_only(v), read_only(r)
+        self.jump_rows = jump_rows

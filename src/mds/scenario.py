@@ -247,7 +247,7 @@ class Scenario(Record):
         seeds = np.zeros((len(self.grid), self.n_modes))
         seeds[0] = self.zeta0
         path = resolvent_sums(self.steps, seeds)
-        return RegulatedTrajectory(self.grid, path, path)
+        return RegulatedTrajectory(self.grid, path, self.jump_rows, path[self.jump_rows])
 
     @cached_property
     def final_row(self) -> np.ndarray:

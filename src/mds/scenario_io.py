@@ -376,13 +376,13 @@ def write_trajectory_csv(path: str, scn: Scenario, traj, physical: bool = False)
         header += [f"phys_{j + 1}" for j in range(scn.basis.collocation)]
         numbers += scn.basis.collocation
     row_format = ",".join([_NUMBER_FORMAT, "%s"] + [_NUMBER_FORMAT] * numbers) + "\n"
-    jump_rows = set(int(i) for i in scn.jump_rows)
+    right = dict(zip(traj.jump_rows.tolist(), traj.right))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for j, t in enumerate(scn.grid.nodes.tolist()):
             rows = [("left", traj.values[j])]
-            if j in jump_rows:
-                rows.append(("right", traj.right_values[j]))
+            if j in right:
+                rows.append(("right", right[j]))
             for kind, coeffs in rows:
                 cells = coeffs.tolist()
                 if physical:

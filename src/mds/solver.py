@@ -7,8 +7,10 @@
 The u integral is Lebesgue (Simpson prefix rows); the dh integral goes
 through the Scenario's single dh rule: the density by trapezoid over
 [0, t] plus f(t_i) d_i for each jump t_i < t, at the left value of f, so a
-jump counts only after its node.  Right values at jump nodes carry the
-increment delta(t, zeta(t)) * jump(t) because R(t,t) = Id.
+jump counts only after its node.  A sweep's right limits, the (K, N) block
+at the K jump nodes that a trajectory holds beside its (M, N) left values,
+carry the increment delta(t, zeta(t)) * jump(t) because R(t,t) = Id; off
+the jump nodes the path is continuous.
 
 One sweep is one forced run of the resolvent recurrence, O(N M), on the
 step maps the Scenario holds for the whole run: the seed at row s is the
@@ -93,19 +95,16 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None, g=None,
             closure += (scn.dh_diag[rows] - scn.dh_full[rows])[:, None] * delta[rows]
         values[rows] += closure
 
-    right = values                 # RegulatedTrajectory freezes both
-    rows = scn.jump_rows
-    if rows.size:
-        right = values.copy()
-        right[rows] += delta[rows] * scn.jump_sizes[rows, None] if nonlinear else 0.0
-    return RegulatedTrajectory(scn.grid, values, right)
+    rows = scn.jump_rows              # + 0.0: a -0.0 left value's right limit is +0.0
+    right = values[rows] + (delta[rows] * scn.jump_sizes[rows, None] if nonlinear else 0.0)
+    return RegulatedTrajectory(scn.grid, values, rows, right)
 
 
 def _sup_distance(a: RegulatedTrajectory, b: RegulatedTrajectory) -> float:
     def sup(x, y):
         diff = np.subtract(x, y)
-        return np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1)).max()
-    return float(max(sup(a.values, b.values), sup(a.right_values, b.right_values)))
+        return np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1)).max(initial=0.0)
+    return float(max(sup(a.values, b.values), sup(a.right, b.right)))
 
 
 class PicardResult(Record):
@@ -126,8 +125,8 @@ def picard_solve(scn: Scenario, u=None) -> PicardResult:
         raise ConvergenceError("max_picard exhausted before any sweep", [])
     if scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero:
         zero = np.zeros((len(scn.grid), scn.n_modes))
-        return PicardResult(apply_psi(scn, RegulatedTrajectory(scn.grid, zero, zero), u),
-                            1, 0.0, (0.0,))
+        start = RegulatedTrajectory(scn.grid, zero, scn.jump_rows, zero[scn.jump_rows])
+        return PicardResult(apply_psi(scn, start, u), 1, 0.0, (0.0,))
     current = scn.picard_seed
     deltas = []
     for sweep in range(1, scn.tol.max_picard + 1):
@@ -146,16 +145,16 @@ def picard_solve(scn: Scenario, u=None) -> PicardResult:
 def jump_consistency(traj: RegulatedTrajectory, scn: Scenario) -> float:
     """Max over jump nodes of ||zeta(t+) - zeta(t) - delta(t, zeta(t)) jump(t)||."""
     _check_grid(scn, traj)
-    rows = scn.jump_rows
+    rows = traj.jump_rows
     if rows.size == 0:
         return 0.0
     table = scn.nonlinearity.table
     per_node = np.ndim(table) == 2 and len(table) > 1      # a table with a row per node
     delta = table[rows] if per_node else scn.delta_values(traj.values[rows])
-    gap = traj.right_values[rows] - traj.values[rows] - delta * scn.jump_sizes[rows, None]
+    gap = traj.right - traj.values[rows] - delta * scn.jump_sizes[rows, None]
     return float(np.sqrt(np.sum(gap * gap, axis=-1)).max())
 
 
 def discontinuity_count(traj: RegulatedTrajectory) -> int:
-    """Number of nodes where the right value differs from the left value."""
-    return int(np.sum(np.any(traj.right_values != traj.values, axis=-1)))
+    """Number of nodes where the right limit differs from the left value."""
+    return int(np.sum(np.any(traj.right != traj.values[traj.jump_rows], axis=-1)))

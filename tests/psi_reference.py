@@ -1,23 +1,35 @@
 """Reference copies of the psi sweep, the Picard solve and the steering loop as
-they were before the sweep built its seeds and closure in place.
+they were before the sweep built its seeds and closure in place, and before a
+trajectory held its right limits only at the jump rows.
 
 Each evaluates g and delta wherever it needs them, builds the full (M, N)
 seeds and closure from zeros with one temporary per term, and forms g from
-freshly sampled f and trapezoid weights.  ``tests/test_psi_reference.py``
-checks that the package's solver and steering loop give bitwise the same
-paths, controls, histories and deltas.
+freshly sampled f and trapezoid weights.  Each path is a ``Path``: its left
+values and a full (M, N) array of right values, equal to the left values off
+the jump rows.  ``tests/test_psi_reference.py`` checks that the package's
+solver and steering loop give bitwise the same paths, controls, histories
+and deltas.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
 from mds._quad import trapezoid_weights
 from mds.control import SteeringReport, SteerOutcome, min_norm_inverse
 from mds.errors import ConvergenceError, SteeringError
-from mds.measure import RegulatedTrajectory
 from mds.solver import PicardResult
 from mds.spectral import resolvent_sums
+
+Path = namedtuple("Path", "values right_values")
+
+
+def _start(scn):
+    """The Picard seed, whose right values are its left values."""
+    values = scn.picard_seed.values
+    return Path(values, values)
 
 
 def g_of(scn, values):
@@ -56,7 +68,7 @@ def apply_psi(scn, traj, u=None):
     if rows.size:
         right = values.copy()
         right[rows] += delta[rows] * scn.jump_sizes[rows, None]
-    return RegulatedTrajectory(scn.grid, values, right)
+    return Path(values, right)
 
 
 def sup_distance(a, b):
@@ -70,9 +82,8 @@ def picard_solve(scn, u=None):
         raise ConvergenceError("max_picard exhausted before any sweep", [])
     if scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero:
         zero = np.zeros((len(scn.grid), scn.n_modes))
-        return PicardResult(apply_psi(scn, RegulatedTrajectory(scn.grid, zero, zero), u),
-                            1, 0.0, (0.0,))
-    current = scn.picard_seed
+        return PicardResult(apply_psi(scn, Path(zero, zero), u), 1, 0.0, (0.0,))
+    current = _start(scn)
     deltas = []
     for sweep in range(1, scn.tol.max_picard + 1):
         new = apply_psi(scn, current, u)
@@ -103,7 +114,7 @@ def terminal_error(scn, traj):
 
 def steer(scn):
     tol = scn.tol
-    traj = scn.picard_seed
+    traj = _start(scn)
     u = np.zeros((len(scn.grid), scn.n_modes))
     u.setflags(write=False)
     history = [terminal_error(scn, traj)]

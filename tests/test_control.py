@@ -189,7 +189,7 @@ def test_demo_steer_report_is_consistent(tmp_path, demo_scn, demo_steered):
 def test_demo_control_norm_within_apriori_bound(demo_scn, demo_steered):
     k = estimate_constants(demo_scn)
     traj = demo_steered.trajectory
-    r = np.linalg.norm(np.concatenate([traj.values, traj.right_values]), axis=-1).max()
+    r = np.linalg.norm(np.concatenate([traj.values, traj.right]), axis=-1).max()
     rhs = k.L3 * (np.linalg.norm(demo_scn.zeta1) + k.L1 * np.linalg.norm(demo_scn.zeta0)
                   + (1.0 + k.L1) * (k.c * r + k.d) + k.L1 * r * k.n_mass)
     assert demo_steered.report.control_norm <= rhs
@@ -274,7 +274,7 @@ def _assert_steers_like_the_nested_loop(scn):
     assert out.report.outer_iterations == len(history) - 1
     assert out.control.tobytes() == u.tobytes()
     assert out.trajectory.values.tobytes() == traj.values.tobytes()
-    assert out.trajectory.right_values.tobytes() == traj.right_values.tobytes()
+    assert out.trajectory.right.tobytes() == traj.right.tobytes()
 
 
 def test_linear_steering_matches_the_nested_loop(linear_scn):

@@ -198,7 +198,7 @@ def _check_consumers(scn, values):
     its absolute terms; the recurrence and the adjoint final row match the
     dense contraction to the running-error bound.
     """
-    traj = RegulatedTrajectory(scn.grid, values, values)
+    traj = RegulatedTrajectory(scn.grid, values, scn.jump_rows, values[scn.jump_rows])
     delta = scn.delta_values(values)
     data = build_resolvent_table(scn.basis, scn.linear, scn.grid)
     maj = build_resolvent_table(scn.basis, majorant_linear(scn.linear), scn.grid)

@@ -341,14 +341,14 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
     assert np.all(np.abs(seed_traj - old_seed) <= running_bound(maj, [anchor0]))
 
     vu = u * theta
-    traj = RegulatedTrajectory(scn.grid, seed_traj, seed_traj)
+    traj = RegulatedTrajectory(scn.grid, seed_traj, scn.jump_rows, seed_traj[scn.jump_rows])
     new = apply_psi(scn, traj, u)
     old = old_seed + contract(wq_rows, data, vu) + contract(dh_rows, data, delta)
     bound = running_bound(maj, [anchor0, (scn.wq_full, wq_rows, vu),
                                 (scn.dh_full, dh_rows, delta)])
     assert np.all(np.abs(new.values - old) <= bound)
     jumps = delta[scn.jump_rows] * scn.jump_sizes[scn.jump_rows, None]
-    assert np.array_equal(new.right_values[scn.jump_rows], new.values[scn.jump_rows] + jumps)
+    assert np.array_equal(new.right, new.values[scn.jump_rows] + jumps)
 
     steps_left = (m_count - np.arange(m_count))[None, :]
     assert np.all(np.abs(scn.final_row - data[:, -1, :])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -68,12 +69,16 @@ def ls_integral(f, h: JumpMeasure, grid: TimeGrid, t0: float, t1: float):
     return acc + np.array([math.fsum(col) for col in zip(*terms)])
 
 
-def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> RegulatedTrajectory:
+Cumulative = namedtuple("Cumulative", "values right_values")
+
+
+def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> Cumulative:
     """Running Stieltjes integral p(t) = int_{[t0, t)} f dh at every node.
 
-    A test oracle; nothing under src/ needs it.  Right values at jump nodes satisfy p(t+) = p(t) + f(t)*jump(t) bitwise:
-    the accumulation advances through each jump via its right value.
-    Nodes before t0 carry 0.
+    A test oracle; nothing under src/ needs it.  It keeps a right value at
+    every node, (M,) or (M, N) like its left values.  Right values at jump
+    nodes satisfy p(t+) = p(t) + f(t)*jump(t) bitwise: the accumulation
+    advances through each jump via its right value.  Nodes before t0 carry 0.
     """
     f = _samples_for(grid, f)
     i0 = node_index(grid, t0)
@@ -88,7 +93,7 @@ def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> RegulatedT
         values[j + 1] = right[j] + cell
     last = len(grid) - 1
     right[last] = values[last] + f[last] * sizes[last]
-    return RegulatedTrajectory(grid, values, right)
+    return Cumulative(values, right)
 
 
 def _unit_jump(loc: float = 0.5, size: float = 1.0) -> JumpMeasure:
@@ -390,8 +395,23 @@ def test_cumulative_respects_start_time():
 
 def test_trajectory_shape_mismatch_rejected():
     grid = TimeGrid(np.array([0.0, 1.0]))
+    rows = np.array([1])
     with pytest.raises(GridError):
-        RegulatedTrajectory(grid, np.zeros((3, 2)), np.zeros((3, 2)))
+        RegulatedTrajectory(grid, np.zeros((3, 2)), rows, np.zeros((1, 2)))
+    with pytest.raises(GridError):
+        RegulatedTrajectory(grid, np.zeros(2), rows, np.zeros(1))
+    # the block is one row of N right limits per jump row: K - 1 rows, K + 1
+    # rows, a row of another N and a flat row are each refused
+    for block in (np.zeros((0, 2)), np.zeros((2, 2)), np.zeros((1, 3)), np.zeros(2)):
+        with pytest.raises(GridError):
+            RegulatedTrajectory(grid, np.zeros((2, 2)), rows, block)
+    traj = RegulatedTrajectory(grid, np.zeros((2, 2)), rows, np.ones((1, 2)))
+    assert traj.jump_rows is rows and traj.right.shape == (1, 2)
+    # no jumps: an empty (0, N) block
+    assert RegulatedTrajectory(grid, np.zeros((2, 2)), rows[:0],
+                               np.zeros((0, 2))).right.shape == (0, 2)
+    with pytest.raises(GridError):
+        RegulatedTrajectory(grid, np.zeros((2, 2)), rows[:0], np.zeros((0, 3)))
 
 
 def test_constant_measure_integrates_to_zero():

@@ -2,10 +2,11 @@
 
 ``psi_reference`` keeps the sweep that built its full (M, N) seeds and
 closure from zeros, the Picard solve and the steering loop that evaluated g
-and delta wherever they were needed, and g from freshly sampled f and
-trapezoid weights.  On small documents of every shape the package's
-``apply_psi``, ``picard_solve`` and ``steer`` give bitwise the same values,
-right values, controls, histories and deltas, or raise the same error.
+and delta wherever they were needed, g from freshly sampled f and
+trapezoid weights, and paths that held a full (M, N) array of right values.
+On small documents of every shape the package's ``apply_psi``,
+``picard_solve`` and ``steer`` give bitwise the same values, right limits,
+controls, histories and deltas, or raise the same error.
 """
 
 from __future__ import annotations
@@ -94,9 +95,16 @@ def _bits(a) -> tuple:
     return a.shape, a.tobytes()
 
 
-def _same_trajectory(a: RegulatedTrajectory, b: RegulatedTrajectory) -> None:
-    assert _bits(a.values) == _bits(b.values)
-    assert _bits(a.right_values) == _bits(b.right_values)
+def _same_trajectory(got: RegulatedTrajectory, want: psi_reference.Path, scn) -> None:
+    """``got`` is ``want``: the same left values, and the block of right limits
+    at the jump rows is the only place where ``want``'s right values differ."""
+    rows = scn.jump_rows
+    assert got.jump_rows is rows
+    assert _bits(got.values) == _bits(want.values)
+    off = np.ones(len(want.values), dtype=bool)
+    off[rows] = False
+    assert _bits(want.right_values[off]) == _bits(want.values[off])
+    assert _bits(got.right) == _bits(want.right_values[rows])
 
 
 def _outcome(run, *args):
@@ -124,7 +132,7 @@ def test_lean_solver_matches_the_reference_bitwise(doc, controlled, pool, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     u = rng.choice(pool, size=(m_count, n_count)) if controlled else None
     wild = rng.choice(pool, size=(2, m_count, n_count))
-    iterates = [RegulatedTrajectory(scn.grid, wild[0], wild[1])]
+    iterates = [RegulatedTrajectory(scn.grid, wild[0], scn.jump_rows, wild[1][scn.jump_rows])]
     seed = _outcome(lambda: scn.picard_seed)
     if isinstance(seed, RegulatedTrajectory):
         iterates.append(seed)
@@ -133,8 +141,8 @@ def test_lean_solver_matches_the_reference_bitwise(doc, controlled, pool, data):
         for got in (_outcome(apply_psi, scn, traj, u),
                     _outcome(apply_psi, scn, traj, u, scn.g_of(traj.values),
                              scn.delta_values(traj.values))):
-            if isinstance(want, RegulatedTrajectory):
-                _same_trajectory(got, want)
+            if isinstance(want, psi_reference.Path):
+                _same_trajectory(got, want, scn)
             else:
                 assert got == want
 
@@ -142,7 +150,7 @@ def test_lean_solver_matches_the_reference_bitwise(doc, controlled, pool, data):
     if isinstance(want, tuple):
         assert got == want
     else:
-        _same_trajectory(got.trajectory, want.trajectory)
+        _same_trajectory(got.trajectory, want.trajectory, scn)
         assert (got.iterations, got.deltas) == (want.iterations, want.deltas)
         assert _bits(got.final_delta) == _bits(want.final_delta)
 
@@ -151,28 +159,33 @@ def test_lean_solver_matches_the_reference_bitwise(doc, controlled, pool, data):
         assert got == want
     else:
         assert _bits(got.control) == _bits(want.control)
-        _same_trajectory(got.trajectory, want.trajectory)
+        _same_trajectory(got.trajectory, want.trajectory, scn)
         assert got.report.history == want.report.history
         assert _bits([got.report.terminal_error, got.report.control_norm]) == \
             _bits([want.report.terminal_error, want.report.control_norm])
         assert got.report.outer_iterations == want.report.outer_iterations
 
 
-def _traced_peak(run, *args) -> int:
+def _traced(run, *args) -> tuple[int, int]:
+    """The tracemalloc peak of ``run(*args)``, and what its result still holds."""
     tracemalloc.start()
     try:
-        run(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = run(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        del result
+        return peak, held
     finally:
         tracemalloc.stop()
 
 
 def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
     # the demo at 16385 nodes with a control, g and delta given: a sweep
-    # returns its (M, N) values and right values and marches in the values'
-    # own array, so beside them it holds only the march's per-row peaks,
-    # entry states and scratch, (L + 6) N blocks floats, numpy's iteration
-    # buffers and, after the march, a row block of the closure's temporaries
+    # returns its (M, N) values and the (K, N) right limits at its K jump rows,
+    # and marches in the values' own array, so beside them it holds only the
+    # march's per-row peaks, entry states and scratch, (L + 6) N blocks floats,
+    # the march's index of its seeded rows and its row views (under two (M,)
+    # vectors), numpy's iteration buffers and, after the march, a row block of
+    # the closure's temporaries
     doc = load_config("demo.json")
     doc["grid"]["nodes"] = 16385
     scn = parse_scenario(doc)
@@ -182,12 +195,17 @@ def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
     g, delta = scn.g_of(traj.values), scn.delta_values(traj.values)
     apply_psi(scn, traj, u, g, delta)            # forms the rules and the layout
     array = 8 * m_count * n_count
+    path = array + 8 * len(scn.jump_rows) * n_count
     size = math.isqrt(m_count - 1) + 1
     march = 8 * n_count * -(-m_count // size) * (size + 6)
-    lean = _traced_peak(apply_psi, scn, traj, u, g, delta)
-    assert 2 * array < lean < 2 * array + march + 3 * np.getbufsize() * 8
+    lean, held = _traced(apply_psi, scn, traj, u, g, delta)
+    # the returned path is one (M, N) array and the block; a full (M, N) array
+    # of right values beside the left ones would be twice the array
+    assert path <= held < path + 4096
+    buffers = 3 * np.getbufsize() * 8
+    assert array + march + 8 * m_count < lean < path + march + 16 * m_count + buffers
     # each evaluating g and delta itself, the reference sweep also held the
     # seeds, the closure, vu, a product and the march's output (measured 3.0
     # arrays more)
-    assert (_traced_peak(psi_reference.apply_psi, scn, traj, u)
-            > _traced_peak(apply_psi, scn, traj, u) + 2.5 * array)
+    assert (_traced(psi_reference.apply_psi, scn, traj, u)[0]
+            > _traced(apply_psi, scn, traj, u)[0] + 2.5 * array)

@@ -110,7 +110,7 @@ def test_grids_and_measures_copy_what_they_are_given_and_trajectories_take_it():
         assert mine.flags.writeable and not its.flags.writeable
         assert not np.shares_memory(mine, its) and np.array_equal(mine, its)
     # a trajectory owns the fresh arrays a sweep hands it: frozen, not copied
-    values = np.zeros((5, 2))
-    traj = RegulatedTrajectory(grid, values, values)
-    assert traj.values is values and traj.right_values is values
-    assert not values.flags.writeable
+    values, right = np.zeros((5, 2)), np.zeros((1, 2))
+    traj = RegulatedTrajectory(grid, values, np.array([2]), right)
+    assert traj.values is values and traj.right is right
+    assert not values.flags.writeable and not right.flags.writeable

@@ -665,15 +665,16 @@ def _per_cell_text(header: str, rows) -> bytes:
 def test_trajectory_csv_bytes_equal_per_cell_format(tmp_path, demo_scn, physical):
     scn = demo_scn
     shape = (len(scn.grid), scn.n_modes)
-    traj = RegulatedTrajectory(scn.grid, np.resize(EDGE_VALUES, shape),
-                               np.resize(EDGE_VALUES[::-1], shape))
+    right = np.resize(EDGE_VALUES[::-1], shape)
+    traj = RegulatedTrajectory(scn.grid, np.resize(EDGE_VALUES, shape), scn.jump_rows,
+                               right[scn.jump_rows])
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(str(path), scn, traj, physical=physical)
     rows = []
     for j, t in enumerate(scn.grid.nodes):
         sides = [("left", traj.values[j])]
         if j in scn.jump_rows:
-            sides.append(("right", traj.right_values[j]))
+            sides.append(("right", right[j]))
         for kind, coeffs in sides:
             cells = list(coeffs)
             if physical:

@@ -10,7 +10,7 @@ from mds.errors import ConvergenceError, GridError
 from mds.funcs import MemoryKernel, TimeFunction
 from mds.measure import JumpMeasure, RegulatedTrajectory, constant_measure, lebesgue_measure
 from mds.scenario import NonlinearityEval, Tolerances
-from mds.scenario_io import parse_scenario
+from mds.scenario_io import parse_scenario, write_trajectory_csv
 from mds.solver import apply_psi, discontinuity_count, jump_consistency, picard_solve
 from mds.spectral import LinearPart, make_basis
 
@@ -47,7 +47,9 @@ def test_linear_solution_is_the_propagated_initial_state():
     n2 = np.arange(1, scn.n_modes + 1) ** 2
     exact = np.exp(-np.outer(scn.grid.nodes, n2))
     assert np.max(np.abs(res.trajectory.values - exact)) < 1e-12
-    assert np.array_equal(res.trajectory.values, res.trajectory.right_values)
+    # no jumps: an empty block of right limits, and a continuous path
+    assert res.trajectory.jump_rows is scn.jump_rows and scn.jump_rows.size == 0
+    assert res.trajectory.right.shape == (0, scn.n_modes)
 
 
 def test_zero_initial_state_stays_zero():
@@ -77,7 +79,7 @@ def test_iterate_independent_psi_marches_once_per_solve(linear_scn, monkeypatch)
     # the one sweep from the zero path equals the sweep from the Picard seed
     seeded = apply_psi(linear_scn, linear_scn.picard_seed, u)
     assert np.array_equal(res.trajectory.values, seeded.values)
-    assert np.array_equal(res.trajectory.right_values, seeded.right_values)
+    assert np.array_equal(res.trajectory.right, seeded.right)
     marches.clear()
     # steer starts from the Picard seed, which the Scenario marches, and
     # sweeps once with the control
@@ -129,8 +131,8 @@ def test_single_jump_matches_closed_form():
     assert np.max(np.abs(res.trajectory.values - exact)) < 1e-12
     # right limit at the jump node carries the full increment
     k = scn.jump_rows[0]
-    assert t[k] == 0.5
-    assert np.max(np.abs(res.trajectory.right_values[k]
+    assert t[k] == 0.5 and res.trajectory.right.shape == (1, 3)
+    assert np.max(np.abs(res.trajectory.right[0]
                          - (res.trajectory.values[k] + d0))) < 1e-15
     assert discontinuity_count(res.trajectory) == 1
 
@@ -173,7 +175,7 @@ def test_demo_solution_is_a_fixed_point(demo_scn, demo_solution):
     traj = demo_solution.trajectory
     again = apply_psi(demo_scn, traj)
     dv = np.sqrt(np.sum((again.values - traj.values) ** 2, axis=-1)).max()
-    dr = np.sqrt(np.sum((again.right_values - traj.right_values) ** 2, axis=-1)).max()
+    dr = np.sqrt(np.sum((again.right - traj.right) ** 2, axis=-1)).max()
     assert max(dv, dr) <= 2.0 * demo_scn.tol.tol_picard
 
 
@@ -181,14 +183,31 @@ def test_demo_solution_is_a_fixed_point(demo_scn, demo_solution):
 
 def test_demo_discontinuities_exactly_at_jump_rows(demo_scn, demo_solution):
     traj = demo_solution.trajectory
-    where = np.where(np.any(traj.right_values != traj.values, axis=-1))[0]
-    assert np.array_equal(where, demo_scn.jump_rows)
-    assert len(where) == 20
+    assert traj.jump_rows is demo_scn.jump_rows and len(traj.jump_rows) == 20
+    assert np.all(np.any(traj.right != traj.values[traj.jump_rows], axis=-1))
+    assert discontinuity_count(traj) == 20
 
 
 def test_demo_solution_stays_bounded(demo_solution):
     traj = demo_solution.trajectory
-    assert np.linalg.norm(np.concatenate([traj.values, traj.right_values]), axis=-1).max() < 10.0
+    assert np.linalg.norm(np.concatenate([traj.values, traj.right]), axis=-1).max() < 10.0
+
+
+def test_a_path_without_jumps_holds_an_empty_block(tmp_path):
+    # K = 0: the sup distance reads the left values alone, no node is a
+    # discontinuity, the jump consistency is 0.0 and the CSV has no right row
+    scn = _linear_scn(nodes=17)
+    a = picard_solve(scn).trajectory
+    b = apply_psi(scn, scn.picard_seed, np.full((17, 3), 0.5))
+    assert a.right.shape == b.right.shape == (0, 3)
+    left = np.sqrt(np.sum((a.values - b.values) ** 2, axis=-1)).max()
+    assert mds.solver._sup_distance(a, b) == left > 0.0
+    assert mds.solver._sup_distance(a, a) == 0.0
+    assert discontinuity_count(a) == 0
+    assert jump_consistency(a, scn) == 0.0
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), scn, a)
+    assert [line.split(",")[1] for line in path.read_text().splitlines()[1:]] == ["left"] * 17
 
 
 def test_foreign_grid_rejected():
