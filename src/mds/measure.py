@@ -41,7 +41,9 @@ class JumpMeasure(Record):
         positive.  Jumps at 0 or a are not representable, and locations
         closer than 1e-12 max(1, a) to each other or to 0 or a are refused.
 
-    Each array is held as a read-only copy, so the caller's stay writable.
+    NaN and inf are refused in every array: each check is a comparison that
+    NaN fails.  Each array is held as a read-only copy, so the caller's stay
+    writable.
     """
 
     def __init__(self, domain_end: float, density_nodes: np.ndarray,
@@ -55,9 +57,9 @@ class JumpMeasure(Record):
             raise UsageError("density must be sampled on >= 2 nodes")
         if not (dn[0] == 0.0 and abs(dn[-1] - a) <= _location_tol(a)):
             raise UsageError("density grid must cover [0, a]")
-        if np.any(np.diff(dn) <= 0.0):
+        if not (dn[1:] > dn[:-1]).all():
             raise UsageError("density grid must be strictly increasing")
-        if np.any(dv < 0.0) or not np.all(np.isfinite(dv)):
+        if not ((dv >= 0.0).all() and np.isfinite(dv).all()):
             raise UsageError("density samples must be finite and nonnegative")
         locs = np.array(jump_locs, dtype=float)
         sizes = np.array(jump_sizes, dtype=float)
@@ -66,12 +68,12 @@ class JumpMeasure(Record):
         if locs.size:
             # closer than the matching tolerance, two nodes resolve to one
             tol = _location_tol(a)
-            if np.any(np.diff(locs) <= tol):
+            if not (locs[1:] - locs[:-1] > tol).all():
                 raise UsageError(f"jump locations must be increasing by more than {tol:g}")
-            if locs[0] <= tol or locs[-1] >= a - tol:
+            if not (tol < locs[0] and locs[-1] < a - tol):
                 raise DomainError(f"jump locations must lie inside (0, a), "
                                   f"more than {tol:g} from either end")
-            if np.any(sizes <= 0.0) or not np.all(np.isfinite(sizes)):
+            if not ((sizes > 0.0).all() and np.isfinite(sizes).all()):
                 raise UsageError("jump sizes must be finite and positive")
         self.domain_end, self.density_nodes, self.density_values = a, read_only(dn), read_only(dv)
         self.jump_locs, self.jump_sizes = read_only(locs), read_only(sizes)
@@ -106,25 +108,28 @@ def zeno_measure(k_max: int = 20) -> JumpMeasure:
     """
     if k_max < 2:
         raise UsageError("zeno truncation needs k_max >= 2")
-    locs = [1.0 - 1.0 / k for k in range(2, k_max + 1)]
-    sizes = [1.0 / k - 1.0 / (k + 1) for k in range(2, k_max + 1)]
-    locs.append(1.0 - 1.0 / (k_max + 1))
-    sizes.append(1.0 / (k_max + 1))
+    inv = 1.0 / np.arange(2.0, k_max + 2.0)        # 1/k for k = 2..k_max+1
     return JumpMeasure(1.0, np.array([0.0, 1.0]), np.zeros(2),
-                       np.array(locs), np.array(sizes))
+                       1.0 - inv, inv - np.append(inv[1:], 0.0))
 
 
 class TimeGrid(Record):
-    """Strictly increasing nodes covering [0, a], held as a read-only copy."""
+    """Strictly increasing nodes covering [0, a], held as a read-only copy.
+
+    NaN and inf are refused: the ordering check is a comparison that NaN
+    fails, and the last node must be finite.
+    """
 
     def __init__(self, nodes: np.ndarray):
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise GridError("grid needs >= 2 nodes")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise GridError("grid nodes must be strictly increasing")
         if nodes[0] != 0.0:
             raise GridError("grid must start at 0")
+        if not nodes[-1] < math.inf:
+            raise GridError("grid must end at a finite time")
         self.nodes = read_only(nodes)
 
     def __len__(self) -> int:
@@ -144,12 +149,15 @@ def build_time_grid(h: JumpMeasure, base_nodes: int) -> TimeGrid:
 
     A base node closer than 0.45 of the base spacing to a jump is dropped
     (endpoints never are) so the merged grid has no degenerate cells beyond
-    those dictated by the jump geometry itself.
+    those dictated by the jump geometry itself.  A driver without jumps gets
+    the base grid itself, with no merge.
     """
     if base_nodes < 2:
         raise GridError("need at least 2 base nodes")
     a = h.domain_end
     base = np.linspace(0.0, a, base_nodes)
+    if not h.jump_locs.size:
+        return TimeGrid(base)
     step = a / (base_nodes - 1)
     # the base node nearest each jump, rounding half to even as round() does
     idx = np.rint(h.jump_locs / step).astype(np.intp)

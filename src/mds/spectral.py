@@ -357,8 +357,9 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
     """
     m_count = steps.n_nodes
     seeds = np.reshape(seeds, (len(seeds), -1, np.shape(seeds)[-1]))   # (M, N or 1, B)
-    seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
-    first = int(seeded[0]) if seeded.size else m_count
+    # the first seeded row, or M: argmax of the (M,) mask with True appended.
+    # No name holds the mask, so it is not kept through the march, which yields
+    first = int(np.append(np.reshape(seeds, (len(seeds), -1)).any(axis=1), True).argmax())
     out[:, :first] = 0.0
     if first == m_count:
         yield 0, m_count

@@ -142,6 +142,36 @@ def test_negative_density_rejected():
                     np.zeros(0), np.zeros(0))
 
 
+# NaN fails every comparison, so each check must be one that NaN fails; each
+# input is refused as an out-of-order or out-of-range value is
+
+def test_grid_with_a_nan_node_rejected():
+    with pytest.raises(GridError, match="strictly increasing"):
+        TimeGrid(np.array([0.0, np.nan, 1.0]))
+
+
+def test_grid_with_an_infinite_last_node_rejected():
+    with pytest.raises(GridError, match="finite"):
+        TimeGrid(np.array([0.0, 0.5, np.inf]))
+
+
+def test_lone_nan_jump_location_rejected():
+    with pytest.raises(DomainError):
+        _unit_jump(loc=np.nan)
+
+
+def test_nan_among_jump_locations_rejected():
+    with pytest.raises(UsageError):
+        JumpMeasure(1.0, np.array([0.0, 1.0]), np.zeros(2),
+                    np.array([0.3, np.nan, 0.6]), np.ones(3))
+
+
+def test_nan_density_node_rejected():
+    with pytest.raises(UsageError):
+        JumpMeasure(1.0, np.array([0.0, np.nan, 1.0]), np.zeros(3),
+                    np.zeros(0), np.zeros(0))
+
+
 # ---------------------------------------------------------------- mass
 
 def test_affine_density_cumulative():

@@ -183,9 +183,9 @@ def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
     # returns its (M, N) values and the (K, N) right limits at its K jump rows,
     # and marches in the values' own array, so beside them it holds only the
     # march's per-row peaks, entry states and scratch, (L + 6) N blocks floats,
-    # the march's index of its seeded rows and its row views (under two (M,)
-    # vectors), numpy's iteration buffers and, after the march, a row block of
-    # the closure's temporaries
+    # its row views (under one (M,) vector; it lets go of its (M,) mask of
+    # seeded rows before it steps), numpy's iteration buffers and, after the
+    # march, a row block of the closure's temporaries
     doc = load_config("demo.json")
     doc["grid"]["nodes"] = 16385
     scn = parse_scenario(doc)
@@ -203,7 +203,7 @@ def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
     # of right values beside the left ones would be twice the array
     assert path <= held < path + 4096
     buffers = 3 * np.getbufsize() * 8
-    assert array + march + 8 * m_count < lean < path + march + 16 * m_count + buffers
+    assert array + march + 8 * m_count < lean < path + march + 8 * m_count + buffers
     # each evaluating g and delta itself, the reference sweep also held the
     # seeds, the closure, vu, a product and the march's output (measured 3.0
     # arrays more)

@@ -7,13 +7,14 @@ fresh interpreter under both trees: on every config in ``configs/``, on
 the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
 2048), and on documents off the shipped path (``OFF_PATH``: runs that exit
 2 through the overflow guards or 3 on a zero gain, a zero cosine, the
-explicit-measure and lebesgue families, a non-uniform grid whose
-``verify-resolvent`` writes no autonomy lines, the smallest accepted grid,
-a single mode, 80 modes, the two grids either side of the 64-anchor sample,
-a per-node table nonlinearity with a jump, and the edge cases of the
-verify-resolvent windows).  Each document also runs ``simulate --physical``,
-whose trajectory.csv carries the per-row physical synthesis; those runs add
-about a quarter to the time (57 s against 45 s on a 2-core host).
+explicit-measure family with jumps and without, the lebesgue family, a
+non-uniform grid whose ``verify-resolvent`` writes no autonomy lines, the
+smallest accepted grid, a single mode, 80 modes, the two grids either side
+of the 64-anchor sample, a per-node table nonlinearity with a jump, and the
+edge cases of the verify-resolvent windows).  Each document also runs
+``simulate --physical``, whose trajectory.csv carries the per-row physical
+synthesis; those runs add about a quarter to the time (57 s against 45 s on
+a 2-core host).
 Exit codes, stdout and every output file are compared byte for byte.
 Prints one line per difference and exits 1 if there is any, else 0.
 """
@@ -63,6 +64,10 @@ OFF_PATH = {
                          control={"theta": [1.0, 0.5]}),
                  "nonlocal": {"kind": "log_kernel", "f": {"kind": "const", "c0": 0.01},
                               "f_space": {"kind": "affine", "c0": 1.0, "c1": 0.1}}},
+    # the explicit family without jumps, whose grid is the base grid unmerged
+    "explicit_no_jumps": _tiny(measure={"end": 1.5, "jumps": [],
+                                        "density": {"kind": "affine", "c0": 0.5, "c1": 1.0}},
+                               nonlinearity={"kind": "cosine", "M0": 0.05}),
     "lebesgue": _tiny(measure={"family": "lebesgue", "end": 1.0},
                       nonlinearity={"kind": "table", "values": [0.1, 0.0]}),
     "resolvent_check_zeno": _config("resolvent_check.json",
