@@ -41,7 +41,10 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError on bytes that are not UTF-8 and an
+        # integer past the digit limit are ValueErrors; nesting past the
+        # recursion limit is a RecursionError
         if not args.quiet:
             print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return 1

@@ -38,9 +38,9 @@ last block can be short.  Three passes replace the loop over rows:
 That is about 2 sqrt(M) vectorized steps and sqrt(M) boundary steps
 instead of M row steps, and L more steps for each window past the first.
 The first block starts from zero and runs the row steps themselves, and a
-unit-seed column is exactly 0 before its anchor and exactly 1 on it.  Each
-row's per-mode max |state| is kept, and after each window the earliest row
-in time that is not below the overflow guard names the mode.
+unit-seed column is exactly 0 before its anchor and exactly 1 on it.  After
+each window the overflow guard reads the rows the march wrote, seeds
+added: the earliest row in time with a value not below it names the mode.
 The first march from a row on a StepMaps makes the block layout: the views
 maps[first + p::L] of the steps from row p of every block, and each full
 block's T_i, from the unit states (1, 0) and (0, 1) run alone through it.
@@ -49,8 +49,7 @@ fused update of the stacked state (2, N, blocks, B): one broadcast product
 into a (2, 2, N, blocks, B) scratch and one sum of its halves, so r = a11 r
 + a12 mem and mem = a21 r + a22 mem.  Pass 1 leaves each z_i in the array
 of entry states, where pass 2 turns it into x_{i+1} in place.  A march
-holds its entry states, a scratch twice their size and its row peaks
-beside its rows.
+holds its entry states and a scratch twice their size beside its rows.
 
 The first block runs the row steps themselves and the second enters with
 x_1 = T_0 x_0 + z_0 = z_0, so their rows are bitwise those of the march
@@ -236,18 +235,19 @@ def _step(r, mem, ex, kq, d, decay):
     return r, carried + half * r
 
 
-def _guard_peaks(peak: np.ndarray, modes: np.ndarray) -> None:
-    """The overflow guard on per-mode row peaks max |state|, shape (N, ...).
+def _guard_rows(rows: np.ndarray, modes: np.ndarray) -> None:
+    """The overflow guard on rows (N, rows, B), in time order along axis 1.
 
-    The trailing axes hold the rows in time order, in C order.  The earliest
-    row that is not below the guard raises InstabilityError naming the mode
-    with the largest peak on it (the first on a tie or a NaN).
+    A row is over the guard when a value on it has |value| >= the guard, or
+    is NaN.  The earliest such row raises InstabilityError naming the mode
+    with the largest max |value| on it (the first on a tie or a NaN).  When
+    every value is inside, one max and one min find it, with no temporary.
     """
-    below = np.all(peak < _OVERFLOW_GUARD, axis=0)
-    if not below.all():
-        row = np.unravel_index(np.argmin(below), below.shape)
-        raise InstabilityError(int(modes[np.argmax(peak[(slice(None),) + row])]),
-                               _OVERFLOW_GUARD)
+    if rows.max() < _OVERFLOW_GUARD and rows.min() > -_OVERFLOW_GUARD:
+        return
+    peak = np.abs(rows).max(axis=-1)
+    row = np.argmin(np.all(peak < _OVERFLOW_GUARD, axis=0))
+    raise InstabilityError(int(modes[np.argmax(peak[:, row])]), _OVERFLOW_GUARD)
 
 
 class _States:
@@ -265,15 +265,10 @@ class _States:
     def __init__(self, state: np.ndarray, scratch: np.ndarray):
         self.state, self.r, self.wide = state, state[0], state[:, None]
         self.scratch, (self.lo, self.hi) = scratch, scratch
-        self.abs_r = scratch[0, 0]
 
     def step(self, maps: np.ndarray) -> None:
         np.multiply(maps, self.wide, out=self.scratch)
         np.add(self.lo, self.hi, out=self.state)
-
-    def peaks(self, out: np.ndarray) -> None:
-        """Each block's per-mode max |r| over the columns, into ``out`` (N, blocks)."""
-        np.abs(self.r, out=self.abs_r).max(axis=-1, out=out)
 
 
 class _BlockLayout(Record):
@@ -350,10 +345,11 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
     zero and not stepped.  The three passes run on the block layout of
     ``steps`` (see the module docstring), pass 3 over consecutive windows of
     ceil(blocks / ``windows``) whole blocks.  A window's rows start..stop-1
-    are written to out[:, :stop - start], held to the overflow guard and
-    yielded as (start, stop); the next window overwrites them.  The first
-    window starts at row 0, so ``out`` holds the longest window's rows.  The
-    rows, and the row the guard raises on, do not depend on the window count.
+    are written to out[:, :stop - start], held to the overflow guard
+    (``_guard_rows``) and yielded as (start, stop); the next window
+    overwrites them.  The first window starts at row 0, so ``out`` holds the
+    longest window's rows.  The rows, and the row the guard raises on, do
+    not depend on the window count.
     """
     m_count = steps.n_nodes
     seeds = np.reshape(seeds, (len(seeds), -1, np.shape(seeds)[-1]))   # (M, N or 1, B)
@@ -370,9 +366,6 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
     # the state of block i on entry, x_i, in entry[:, :, i]; pass 1 leaves
     # full block i's forced end state z_i in entry[:, :, i + 1] for pass 2
     entry = np.zeros((2, n_count, count, width))
-    # per-mode max |state| of row first + i L + p in peak[p, :, i], 0 where
-    # no state is stepped: row first and the rows past the last
-    peak = np.zeros((size, n_count, count))
     scratch = np.empty(4 * n_count * count * width)
 
     def states(lo: int, hi: int) -> _States:
@@ -395,7 +388,6 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
             np.multiply(t, x, out=carry)
             np.add(lo, hi, out=lo)
             np.add(lo, x_next, out=x_next)                 # z_i, held there, added last
-        ends.peaks(peak[0, :, 1:])                         # x_i, stepped into block i >= 1
     per = -(-count // windows)
     for b0 in range(0, count, per):
         # pass 3 on blocks b0..b1-1: every block again from its entry state,
@@ -407,7 +399,6 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
         blocks, full_blocks = states(b0, b1), states(b0, min(b1, full))
         slabs = [slab[..., b0:b1, :] for slab in lay.slabs]
         full_slabs = [slab[..., b0:, :] for slab in lay.full_slabs]
-        window_peak = peak[:, :, b0:b1]
         with np.errstate(over="ignore", invalid="ignore"):
             for p in range(size):
                 part, with_row = (blocks, b1) if p < ends_at else (full_blocks, full)
@@ -417,11 +408,9 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
                     break
                 if p < ends_at - 1:                        # every block has a next row
                     blocks.step(slabs[p])
-                    blocks.peaks(window_peak[p + 1])
                 else:
                     full_blocks.step(full_slabs[p])
-                    full_blocks.peaks(window_peak[p + 1, :, :full - b0])
-        _guard_peaks(window_peak.transpose(1, 2, 0), steps.modes)  # rows in time order
+        _guard_rows(out[:, :stop - start], steps.modes)
         yield start, stop
 
 
@@ -465,12 +454,12 @@ def resolvent_sup(steps: StepMaps) -> float:
     One pass over the rows marches every anchor column at once: column k
     joins with r = 1 at row k, and row j's step is the fused step of
     ``_States`` on the columns that have joined, read from maps[j].  Each
-    row's per-mode peak is kept for the overflow guard, and L1 is their max
-    beside the diagonal r_n(s, s) = 1, without holding the table: O(N M)
-    state.  So L1 is the max over row-stepped entries, not the blocked
-    march's; on every shipped config it is the diagonal's 1.0.  The pass
-    takes N M^2 / 2 entry-steps; over L1_ENTRY_STEPS it is refused before
-    it starts.
+    row's per-mode peak is kept, and the overflow guard reads the peaks as
+    rows of one column; L1 is their max beside the diagonal r_n(s, s) = 1,
+    without holding the table: O(N M) state.  So L1 is the max over
+    row-stepped entries, not the blocked march's; on every shipped config
+    it is the diagonal's 1.0.  The pass takes N M^2 / 2 entry-steps; over
+    L1_ENTRY_STEPS it is refused before it starts.
     """
     m_count, n_count = steps.n_nodes, len(steps.modes)
     work = n_count * m_count * m_count // 2
@@ -489,7 +478,7 @@ def resolvent_sup(steps: StepMaps) -> float:
             np.multiply(maps, wide[..., joined], out=scratch[..., joined])
             np.add(lo[..., joined], hi[..., joined], out=state[..., joined])
             np.abs(r[:, joined], out=abs_r[:, joined]).max(axis=1, out=peak[:, j + 1])
-    _guard_peaks(peak, steps.modes)
+    _guard_rows(peak[:, :, None], steps.modes)
     return max(1.0, float(peak.max()))
 
 

@@ -92,7 +92,7 @@ from mds.measure import (JumpMeasure, RegulatedTrajectory, build_time_grid, cons
 from mds.scenario import NonlinearityEval
 from mds.scenario_io import _SOLVER_ARRAYS
 from mds.solver import apply_psi
-from mds.spectral import (_OVERFLOW_GUARD, LinearPart, StepMaps, _guard_peaks, _march,
+from mds.spectral import (_OVERFLOW_GUARD, LinearPart, StepMaps, _blocks, _guard_rows, _march,
                           _march_windows, _step, build_resolvent_table, make_basis,
                           resolvent_final_row, resolvent_sums, resolvent_sup, step_maps)
 
@@ -117,7 +117,7 @@ def row_march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray
     map of ``steps``.  A resolvent column is the seed 1 at its anchor row:
     before it r and mem are exactly zero, so the column is bitwise the same
     whatever else is marched beside it, and the rows before the first
-    nonzero seed are not stepped at all.  Every marched state is held to the
+    nonzero seed are not stepped at all.  Every written row is held to the
     overflow guard; its InstabilityError carries the row it stopped on.
     """
     (a11, a21), (a12, a22) = steps.maps.transpose(1, 2, 0, 3)[..., None]
@@ -130,15 +130,15 @@ def row_march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray
     for j in range(first, m_count):
         r = r + seeds[j]
         out[:, j] = r
+        try:
+            _guard_rows(out[:, j:j + 1], steps.modes)
+        except InstabilityError as exc:
+            exc.row = j                 # the row the guard stopped on
+            raise
         if j == m_count - 1:
             break
         with np.errstate(over="ignore", invalid="ignore"):
             r, mem = a11[j] * r + a12[j] * mem, a21[j] * r + a22[j] * mem
-        try:
-            _guard_peaks(np.abs(r).max(axis=1)[:, None], steps.modes)
-        except InstabilityError as exc:
-            exc.row = j + 1             # the row the guard stopped on
-            raise
     return out
 
 
@@ -160,7 +160,7 @@ def elementwise_march(modes, grid, linear, seeds, out):
     """The march ``row_march`` replaced: the elementwise ``_step`` on every row.
 
     Same contract as ``row_march``: seeds added before recording, rows before
-    the first nonzero seed not stepped, every state guarded.
+    the first nonzero seed not stepped, every written row guarded.
     """
     d = np.diff(grid.nodes)
     n2 = modes.astype(float)[:, None] ** 2
@@ -175,10 +175,10 @@ def elementwise_march(modes, grid, linear, seeds, out):
     for j in range(first, len(grid)):
         r = r + seeds[j]
         out[:, j] = r
+        _guard_rows(out[:, j:j + 1], modes)
         if j == len(grid) - 1:
             break
         r, mem = _step(r, mem, ex[j], kq, d[j], decay[j])
-        _guard_peaks(np.abs(r).max(axis=1)[:, None], modes)
     return out
 
 
@@ -481,25 +481,28 @@ def adjoint_maps(steps: StepMaps) -> StepMaps:
     return stacked_maps(steps.modes, *(a[::-1].T for a in (a11, a21, a12, a22)))
 
 
+def over_guard(rows: np.ndarray) -> np.ndarray:
+    """Which rows of (N, rows, B) hold a value with |value| >= the guard or a NaN."""
+    return ~np.all(np.abs(rows) < _OVERFLOW_GUARD, axis=(0, 2))
+
+
 def guarded_row(steps: StepMaps, seeds: np.ndarray, shape) -> tuple[int, int]:
     """The row and mode on which ``_march`` meets the overflow guard.
 
-    The row is read from the peaks the march hands the guard, whose trailing
-    axes hold the rows in time order from the first marched row.
+    The row is read from the rows the march hands the guard, its written
+    rows in time order from row 0.
     """
     seen = []
 
-    def guard(peak, modes):
-        seen.append(peak.copy())
-        _guard_peaks(peak, modes)
+    def guard(rows, modes):
+        seen.append(rows.copy())
+        _guard_rows(rows, modes)
 
-    first = int(np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))[0])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mds.spectral, "_guard_peaks", guard)
+        patch.setattr(mds.spectral, "_guard_rows", guard)
         with pytest.raises(InstabilityError) as exc:
             _march(steps, seeds, np.empty(shape))
-    below = np.all(seen[0] < _OVERFLOW_GUARD, axis=0).ravel()
-    return first + int(np.argmin(below)), exc.value.mode
+    return int(np.argmax(over_guard(seen[0]))), exc.value.mode
 
 
 def forced_seeds(rng, m_count: int, n_count: int, width: int, first: int) -> np.ndarray:
@@ -615,15 +618,14 @@ def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
     # (2, N, blocks, 64), the march holds beside ``out``:
     # - the entry states, E, and one step's scratch (2, 2, N, blocks, 64),
     #   2 E, of which the full blocks' scratch is a part: 3 E
-    # - the row peaks (L, N, blocks) and the transfer maps (blocks - 1, 2, 2,
-    #   N); the layout's unit states are freed before the march's arrays
-    #   are made
+    # - the transfer maps (blocks - 1, 2, 2, N); the layout's unit states are
+    #   freed before the march's arrays are made
     # - numpy's iteration buffers: a step's broadcast product and a bool seed
     #   added to r are buffered, at most np.getbufsize() doubles for each of
     #   a ufunc's 3 operands
     # - 64 KiB more for the pass-2 carry (2, 2, N, 64), 8 KiB, and the
     #   views of the layout and of the seed rows, about 200 of them
-    # At N = 4 that is about 0.89 MB, below the 4.2 MB of one more output.
+    # At N = 4 that is about 0.82 MB, below the 4.2 MB of one more output.
     steps = step_maps(resolvent_scn.basis.mode_numbers, resolvent_scn.linear,
                       build_time_grid(resolvent_scn.h, 2048))
     m_count, n_count = steps.n_nodes, len(steps.modes)
@@ -640,7 +642,7 @@ def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
     size = math.isqrt(m_count - 1) + 1
     blocks = -(-m_count // size)
     entry = 2 * n_count * blocks * len(anchors) * 8
-    held = 3 * entry + size * n_count * blocks * 8 + (blocks - 1) * 4 * n_count * 8
+    held = 3 * entry + (blocks - 1) * 4 * n_count * 8
     bound = held + 3 * np.getbufsize() * 8 + 64 * 1024
     assert peak < bound < out.nbytes
 
@@ -652,8 +654,9 @@ def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
 def test_all_modes_march_like_each_mode_alone(tau, kernel, measure, n_count, width,
                                                adjoint, broadcast, data):
     # Passes 1 and 3 step every mode at once on one scratch.  The modes never
-    # mix, so each mode's rows and row peaks are bitwise those of the mode
-    # marched alone on its slice of the maps, overflowing modes included.
+    # mix, so each mode's rows, and the rows handed to the guard, are bitwise
+    # those of the mode marched alone on its slice of the maps, overflowing
+    # modes included.
     grid = build_time_grid(*measure)
     m_count = len(grid)
     steps = step_maps(np.arange(1, n_count + 1), LinearPart(tau, kernel), grid)
@@ -664,19 +667,21 @@ def test_all_modes_march_like_each_mode_alone(tau, kernel, measure, n_count, wid
     seeds = forced_seeds(rng, m_count, 1 if broadcast else n_count, width, first)
 
     def march(steps, seeds):
-        """The march's rows and the row peaks it hands the guard."""
-        peaks = []
+        """The march's rows and the rows it hands the guard."""
+        handed = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mds.spectral, "_guard_peaks", lambda peak, modes: peaks.append(peak))
+            patch.setattr(mds.spectral, "_guard_rows",
+                          lambda rows, modes: handed.append(rows.copy()))
             out = _march(steps, seeds, np.empty((len(steps.modes), m_count, width)))
-        return out, peaks[0]
+        return out, handed[0]
 
-    out, peak = march(steps, seeds)
+    out, guarded = march(steps, seeds)
+    assert np.array_equal(guarded, out, equal_nan=True)
     for i in range(n_count):
         alone = StepMaps(steps.modes[i:i + 1], steps.maps[..., i:i + 1])
-        out_i, peak_i = march(alone, seeds if broadcast else seeds[:, i:i + 1])
+        out_i, guarded_i = march(alone, seeds if broadcast else seeds[:, i:i + 1])
         assert np.array_equal(out[i:i + 1], out_i, equal_nan=True)
-        assert np.array_equal(peak[i:i + 1], peak_i, equal_nan=True)
+        assert np.array_equal(guarded[i:i + 1], guarded_i, equal_nan=True)
 
 
 def test_verify_resolvent_holds_one_window_of_the_sample(resolvent_scn):
@@ -685,8 +690,7 @@ def test_verify_resolvent_holds_one_window_of_the_sample(resolvent_scn):
     # the step maps (M - 1, 2, 2, N) it holds:
     # - the window of 368 rows and its 2-row halo, (370, N, K)
     # - the march's entry states E = (2, N, blocks, K) and their 2 E
-    #   scratch, its row peaks (L, N, blocks), transfer maps and the seeds
-    #   (M, K) as bools
+    #   scratch, its transfer maps and the seeds (M, K) as bools
     # - the anchor-0 column (M, N) and a (window rows, N) difference buffer
     # - the PDE check's chunks of ceil(sqrt(M - 2)) = 46 rows: cells,
     #   residuals, the central differences, formed in place, and the previous
@@ -694,7 +698,7 @@ def test_verify_resolvent_holds_one_window_of_the_sample(resolvent_scn):
     #   the nodes
     # - numpy's iteration buffers, at most np.getbufsize() doubles for each of
     #   a ufunc's 3 operands, and 64 KiB for the carry and the views
-    # That is about 2.7 MB, below the 4.2 MB of the whole (M, N, K) sample.
+    # That is about 2.5 MB, below the 4.2 MB of the whole (M, N, K) sample.
     grid = build_time_grid(resolvent_scn.h, 2048)
     m_count, n_count, k_count = len(grid), resolvent_scn.basis.n_modes, 64
     size = math.isqrt(m_count - 1) + 1
@@ -704,8 +708,7 @@ def test_verify_resolvent_holds_one_window_of_the_sample(resolvent_scn):
     assert (size, blocks, windows, rows) == (46, 45, 6, 368)
     window = 8 * (rows + 2) * n_count * k_count
     march = (8 * (m_count - 1) * 4 * n_count + 3 * 8 * 2 * n_count * blocks * k_count
-             + 8 * size * n_count * blocks + 8 * (blocks - 1) * 4 * n_count
-             + m_count * k_count)
+             + 8 * (blocks - 1) * 4 * n_count + m_count * k_count)
     checks = (8 * m_count * n_count + 8 * rows * n_count
               + 4 * 8 * size * n_count * k_count + 4 * 8 * m_count)
     bound = window + march + checks + 3 * np.getbufsize() * 8 + 64 * 1024
@@ -726,9 +729,9 @@ def test_windows_join_to_the_one_window_march(tau, kernel, measure, n_count, wid
                                               adjoint, data):
     # Pass 3 run window by window hands out the rows of the one-window march
     # in time order, bitwise, for every window count from 1 to the block
-    # count and one past it, and hands the guard the same row peaks.  With
-    # the guard on, an overflowing march raises in the window that holds
-    # the earliest row not below the guard, naming the same mode.
+    # count and one past it, and hands the guard those rows.  With the guard
+    # on, an overflowing march raises in the window that holds the earliest
+    # row not below the guard, naming the same mode.
     grid = build_time_grid(*measure)
     m_count = len(grid)
     steps = step_maps(np.arange(1, n_count + 1), LinearPart(tau, kernel), grid)
@@ -740,26 +743,28 @@ def test_windows_join_to_the_one_window_march(tau, kernel, measure, n_count, wid
     shape = (n_count, m_count, width)
 
     def windows(count):
-        """The windows' rows joined, and the row peaks they hand the guard."""
-        parts, peaks = [], []
+        """The windows' rows joined, and the rows they hand the guard."""
+        parts, handed = [], []
         out = np.empty(shape)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mds.spectral, "_guard_peaks", lambda peak, modes: peaks.append(peak))
+            patch.setattr(mds.spectral, "_guard_rows",
+                          lambda rows, modes: handed.append(rows.copy()))
             for start, stop in _march_windows(steps, seeds, out, count):
                 assert start == sum(part.shape[1] for part in parts)
                 parts.append(out[:, :stop - start].copy())
-        return np.concatenate(parts, axis=1), np.concatenate(peaks, axis=1)
+        return np.concatenate(parts, axis=1), np.concatenate(handed, axis=1)
 
-    rows, peak = windows(1)
-    blocks, size = peak.shape[1:]
+    rows, guarded = windows(1)
+    assert np.array_equal(guarded, rows, equal_nan=True)
+    size, blocks = _blocks(m_count - first)
     for count in range(2, blocks + 2):
-        rows_w, peak_w = windows(count)
+        rows_w, guarded_w = windows(count)
         assert np.array_equal(rows_w, rows, equal_nan=True)
-        assert np.array_equal(peak_w, peak, equal_nan=True)
-    below = np.all(peak < _OVERFLOW_GUARD, axis=0).ravel()     # rows first.. in time order
-    if below.all():
+        assert np.array_equal(guarded_w, rows, equal_nan=True)
+    over = over_guard(rows)                                    # rows 0.. in time order
+    if not over.any():
         return
-    row = first + int(np.argmin(below))
+    row = int(np.argmax(over))
     with pytest.raises(InstabilityError) as one:
         _march(steps, seeds, np.empty(shape))
     for count in range(2, blocks + 2):
@@ -770,3 +775,77 @@ def test_windows_join_to_the_one_window_march(tau, kernel, measure, n_count, wid
         per = -(-blocks // count)
         assert exc.value.mode == one.value.mode
         assert (stops[-1] if stops else 0) <= row < first + (len(stops) + 1) * per * size
+
+
+def raising_window(steps: StepMaps, seeds: np.ndarray, shape, count: int):
+    """The rows start..stop-1 of the window whose guard raises when ``_march_windows``
+    runs in ``count`` windows, and the mode it names."""
+    starts = [0]
+
+    def guard(rows, modes):
+        starts.append(starts[-1] + rows.shape[1])
+        _guard_rows(rows, modes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mds.spectral, "_guard_rows", guard)
+        with pytest.raises(InstabilityError) as exc:
+            for _ in _march_windows(steps, seeds, np.empty(shape), count):
+                pass
+    return starts[-2], starts[-1], exc.value.mode
+
+
+@pytest.mark.parametrize("row", [0, 50, 100])
+def test_a_seed_that_reaches_the_guard_raises_on_its_row(row):
+    # 101 rows (blocks of 11) and three modes, each step r <- r with no memory
+    # but the step from ``row``, which is 0: the value the seed put on that
+    # row is never stepped into a later one.  Every row is seeded with
+    # 0.5..1, and mode 2 of column 1 with the guard on ``row``, so that row is
+    # the only one over the guard, in every window count.
+    m_count = 101
+    a11 = np.ones((3, m_count - 1))
+    a11[:, row:row + 1] = 0.0
+    zero = np.zeros_like(a11)
+    steps = stacked_maps(np.array([1, 2, 3]), a11, zero, zero, np.ones_like(a11))
+    seeds = np.random.default_rng(row).uniform(0.5, 1.0, (m_count, 3, 2))
+    seeds[row, 1, 1] = _OVERFLOW_GUARD
+    shape = (3, m_count, 2)
+    assert guarded_row(steps, seeds, shape) == (row, 2)
+    for count in range(1, 11):
+        start, stop, mode = raising_window(steps, seeds, shape, count)
+        assert start <= row < stop and mode == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(time_functions() | growing, kernels(), small_grids | measures(),
+       st.integers(min_value=1, max_value=4), st.sampled_from([1, 64]) | st.integers(2, 5),
+       st.booleans(), st.data())
+def test_the_guard_raises_on_the_earliest_written_row_over_it(tau, kernel, measure, n_count,
+                                                             width, adjoint, data):
+    # A march raises if and only if a row it writes holds a value with
+    # |value| >= the guard or a NaN.  For every window count it raises in the
+    # window that holds the earliest such row, naming the mode with the
+    # largest max |value| on that row (the first on a tie or a NaN).
+    grid = build_time_grid(*measure)
+    m_count = len(grid)
+    steps = step_maps(np.arange(1, n_count + 1), LinearPart(tau, kernel), grid)
+    if adjoint:
+        steps = adjoint_maps(steps)
+    first = data.draw(st.integers(min_value=0, max_value=m_count - 1), label="first")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    seeds = forced_seeds(rng, m_count, n_count, width, first)
+    shape = (n_count, m_count, width)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mds.spectral, "_guard_rows", lambda rows, modes: None)
+        rows = _march(steps, seeds, np.empty(shape))
+    over = over_guard(rows)
+    blocks = _blocks(m_count - first)[1]
+    if not over.any():
+        for count in range(1, blocks + 2):
+            for _ in _march_windows(steps, seeds, np.empty(shape), count):
+                pass
+        return
+    row = int(np.argmax(over))
+    mode = steps.modes[np.argmax(np.abs(rows[:, row]).max(axis=-1))]
+    for count in range(1, blocks + 2):
+        start, stop, named = raising_window(steps, seeds, shape, count)
+        assert start <= row < stop and named == mode

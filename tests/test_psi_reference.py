@@ -23,7 +23,7 @@ from mds.control import steer
 from mds.errors import ConfigError
 from mds.measure import RegulatedTrajectory
 from mds.scenario_io import parse_scenario
-from mds.solver import apply_psi, picard_solve
+from mds.solver import _BLOCKS, apply_psi, picard_solve
 
 from conftest import load_config
 
@@ -182,10 +182,12 @@ def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
     # the demo at 16385 nodes with a control, g and delta given: a sweep
     # returns its (M, N) values and the (K, N) right limits at its K jump rows,
     # and marches in the values' own array, so beside them it holds only the
-    # march's per-row peaks, entry states and scratch, (L + 6) N blocks floats,
-    # its row views (under one (M,) vector; it lets go of its (M,) mask of
-    # seeded rows before it steps), numpy's iteration buffers and, after the
-    # march, a row block of the closure's temporaries
+    # march's entry states and scratch, 6 N blocks floats, its row views
+    # (under one (M,) vector; it lets go of its (M,) mask of seeded rows
+    # before it steps) and numpy's iteration buffers, and after the march a
+    # row block's closure, vu and the two products of its cell term, 4 (b, N)
+    # arrays with b = ceil(M / 8), and a few (b,) vectors; the closure is the
+    # larger share
     doc = load_config("demo.json")
     doc["grid"]["nodes"] = 16385
     scn = parse_scenario(doc)
@@ -197,13 +199,15 @@ def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
     array = 8 * m_count * n_count
     path = array + 8 * len(scn.jump_rows) * n_count
     size = math.isqrt(m_count - 1) + 1
-    march = 8 * n_count * -(-m_count // size) * (size + 6)
+    march = 8 * n_count * -(-m_count // size) * 6
+    closure = 4 * 8 * -(-m_count // _BLOCKS) * n_count
     lean, held = _traced(apply_psi, scn, traj, u, g, delta)
     # the returned path is one (M, N) array and the block; a full (M, N) array
     # of right values beside the left ones would be twice the array
     assert path <= held < path + 4096
     buffers = 3 * np.getbufsize() * 8
-    assert array + march + 8 * m_count < lean < path + march + 8 * m_count + buffers
+    assert march < closure
+    assert array + closure < lean < path + closure + 8 * m_count + buffers
     # each evaluating g and delta itself, the reference sweep also held the
     # seeds, the closure, vu, a product and the march's output (measured 3.0
     # arrays more)

@@ -754,7 +754,15 @@ def test_cli_missing_config_file(tmp_path):
     assert cli_main(["simulate", str(tmp_path / "absent.json"), "--quiet"]) == 1
 
 
-def test_cli_malformed_json(tmp_path):
+def test_cli_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert cli_main(["simulate", str(bad), "--quiet"]) == 1
+    for content in (b"{not json",
+                    b"\xff\xfe{}",      # a UTF-16 byte-order mark: not UTF-8
+                    b"[" * 100000,      # nested past the interpreter's recursion limit
+                    b"[" + b"1" * 5000 + b"]"):   # past the integer digit limit
+        bad.write_bytes(content)
+        assert cli_main(["simulate", str(bad), "--quiet"]) == 1
+        assert capsys.readouterr() == ("", "")
+        assert cli_main(["steer", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config is not valid JSON: ") and err.count("\n") == 1

@@ -6,8 +6,9 @@ Exports REF's ``src/`` with ``git archive`` and runs each CLI command in a
 fresh interpreter under both trees: on every config in ``configs/``, on
 the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
 2048), and on documents off the shipped path (``OFF_PATH``: runs that exit
-2 through the overflow guards or 3 on a zero gain, a zero cosine, the
-explicit-measure family with jumps and without, the lebesgue family, a
+2 through the overflow guards, in a march seeded on its first row only and
+in a psi sweep, seeded on every row, or 3 on a zero gain, a zero cosine,
+the explicit-measure family with jumps and without, the lebesgue family, a
 non-uniform grid whose ``verify-resolvent`` writes no autonomy lines, the
 smallest accepted grid, a single mode, 80 modes, the two grids either side
 of the 64-anchor sample, a per-node table nonlinearity with a jump, and the
@@ -52,6 +53,12 @@ OFF_PATH = {
     # r_16(1, 1/2) = e^192: the final row's march meets the guard
     "tau_3-6t": _tiny(basis={"N": 16}, states={"zeta0": [1.0] * 16},
                       linear={"tau": {"kind": "affine", "c0": 3.0, "c1": -6.0}}),
+    # the same with a forcing on every row: simulate meets the guard in its
+    # first psi sweep, naming mode 15, the other commands as above
+    "tau_3-6t_forced": _tiny(basis={"N": 16}, states={"zeta0": [1.0] * 16},
+                             linear={"tau": {"kind": "affine", "c0": 3.0, "c1": -6.0}},
+                             measure={"family": "lebesgue", "end": 1.0},
+                             nonlinearity={"kind": "cosine", "M0": 0.05}),
     # r_16(1/2, 0) = e^384 while r(1, s) <= 1: only L1's pass meets the guard
     "tau_-6+12t": _tiny(basis={"N": 16}, states={"zeta0": [1.0] * 16},
                         linear={"tau": {"kind": "affine", "c0": -6.0, "c1": 12.0}}),
