@@ -21,8 +21,9 @@ _UNIFORM_REL_TOL = 1e-9    # spread of the step lengths that still counts as uni
 
 
 def _location_tol(a: float) -> float:
-    # absolute tolerance for matching times against stored jump locations;
-    # distinct grid quantities are separated by far more than this
+    # the least gap a driver keeps between two jumps and from a jump to either
+    # end, so no cell a jump makes in a merged grid is of roundoff width; also
+    # how far the density grid's last node may sit from a
     return 1e-12 * max(1.0, a)
 
 
@@ -66,7 +67,7 @@ class JumpMeasure(Record):
         if locs.shape != sizes.shape or locs.ndim != 1:
             raise UsageError("jump locations and sizes must align")
         if locs.size:
-            # closer than the matching tolerance, two nodes resolve to one
+            # the least gap between two jumps and from either end
             tol = _location_tol(a)
             if not (locs[1:] - locs[:-1] > tol).all():
                 raise UsageError(f"jump locations must be increasing by more than {tol:g}")
@@ -173,28 +174,17 @@ def density_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
     return np.interp(grid.nodes, h.density_nodes, h.density_values)
 
 
-def jump_sizes_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
-    """Per-node jump sizes (zero off jump nodes); grid must contain all jumps.
+def jump_rows_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
+    """The grid row of each jump; GridError if a jump is not a grid node.
 
-    Each jump goes to the node within the matching tolerance of it: the node
-    just below its ``searchsorted`` position if that one matches, else the
-    node at that position; a jump neither matches raises GridError.  The
-    node after the position is farther from the jump than the node at it,
-    so it is never the only match.
+    A jump's row is its ``searchsorted`` position, and that node must hold
+    its location bitwise, as every grid ``build_time_grid`` makes does.
     """
-    out = np.zeros(len(grid))
-    nodes, locs = grid.nodes, h.jump_locs
-    if not locs.size:           # the matching below costs ~15 numpy calls even when empty
-        return out
-    tol = _location_tol(grid.end)
-    below = np.searchsorted(nodes, locs) - 1      # >= 0: nodes[0] = 0 < every jump
-    at = np.minimum(below + 1, len(nodes) - 1)
-    index = np.where(np.abs(nodes[below] - locs) <= tol, below,
-                     np.where(np.abs(nodes[at] - locs) <= tol, at, -1))
-    if np.any(index < 0):
-        raise GridError(f"t={float(locs[np.argmax(index < 0)])!r} is not a grid node")
-    out[index] = h.jump_sizes
-    return out
+    rows = np.searchsorted(grid.nodes, h.jump_locs)
+    off = grid.nodes.take(rows, mode="clip") != h.jump_locs
+    if off.any():
+        raise GridError(f"t={float(h.jump_locs[off.argmax()])!r} is not a grid node")
+    return rows
 
 
 class RegulatedTrajectory(Record):

@@ -37,7 +37,7 @@ from ._quad import simpson_prefix_edges, simpson_weights, trapezoid_weights
 from .errors import UsageError
 from .funcs import TimeFunction
 from .measure import (JumpMeasure, RegulatedTrajectory, TimeGrid, density_on_grid,
-                      jump_sizes_on_grid)
+                      jump_rows_on_grid)
 from .record import Record, read_only
 from .spectral import build_resolvent_table  # noqa: F401 -- wrapped by bench/tracer.py
 from .spectral import (LinearPart, SpectralBasis, StepMaps, resolvent_final_row,
@@ -159,8 +159,10 @@ class Tolerances(Record):
 class Scenario(Record):
     """The system data of one run and its O(M) quadrature data, read-only.
 
-    The per-node ``jump_sizes`` and the ``jump_rows`` holding a jump are
-    computed here, where an off-grid jump is refused; the rules ``wq_full``,
+    The ``jump_rows`` (the node equal to each jump, bitwise) and the
+    per-node ``jump_sizes`` are found here; a jump no node equals is refused
+    however near one it sits (the driver keeps its jumps 1e-12 max(1, a)
+    apart and from either end).  The rules ``wq_full``,
     ``wq_diag``, ``wq_sub``, ``dh_full`` and ``dh_diag`` are cached
     properties, formed on first read.  ``config`` is the canonical document
     a parse keeps.
@@ -190,8 +192,10 @@ class Scenario(Record):
             rows = np.atleast_2d(nonlinearity.table)
             if rows.shape[-1] != n or rows.shape[0] not in (1, len(grid)):
                 raise UsageError("nonlinearity table must broadcast to (grid, modes)")
-        sizes = read_only(jump_sizes_on_grid(h, grid))     # raises if a jump is off-grid
-        self.jump_sizes, self.jump_rows = sizes, read_only(np.where(sizes > 0.0)[0])
+        self.jump_rows = read_only(jump_rows_on_grid(h, grid))   # raises if a jump is off-grid
+        sizes = np.zeros(len(grid))
+        sizes[self.jump_rows] = h.jump_sizes
+        self.jump_sizes = read_only(sizes)
 
     @cached_property
     def wq_full(self) -> np.ndarray:

@@ -61,8 +61,9 @@ MAX_ITERATIONS = 1024
 # kernel or nonlinearity, a gain, a state, a jump size, d, a tolerance) and
 # exp(-rate a) of a kernel: a product of three such numbers stays finite
 MAX_COEFFICIENT = 1e100
-# horizons a: base nodes stay farther apart than the 1e-12 max(1, a) node
-# matching tolerance, and a few horizons times coefficients stay finite
+# horizons a: base nodes stay farther apart than 1e-12 max(1, a), the least gap
+# a driver keeps between two jumps and from either end, and a few horizons
+# times coefficients stay finite
 HORIZON_RANGE = (1e-6, 1e6)
 # (M, N) arrays a command holds at once (the step maps, the final row, the
 # Picard seed, a steering pass's paths, control and nonlinearity, a sweep's

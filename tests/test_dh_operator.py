@@ -28,8 +28,8 @@ from mds._quad import (simpson_prefix_edges, simpson_weights, trapezoid_prefix_m
                        trapezoid_weights)
 from mds.control import steering_residual
 from mds.funcs import MemoryKernel, TimeFunction
-from mds.measure import (JumpMeasure, RegulatedTrajectory, density_on_grid, jump_sizes_on_grid,
-                         lebesgue_measure, zeno_measure)
+from mds.measure import (JumpMeasure, RegulatedTrajectory, density_on_grid, lebesgue_measure,
+                         zeno_measure)
 from mds.scenario import NonlinearityEval, NonlocalEval
 from mds.solver import apply_psi
 from mds.spectral import LinearPart, build_resolvent_table, make_basis
@@ -125,7 +125,7 @@ def test_dh_rule_rows_equal_the_dense_operator(measure, n_modes, extra):
     density = density_on_grid(h, scn.grid)
     wq_diag, wq_sub = simpson_prefix_edges(nodes)
     rules = {"wq_full": simpson_weights(nodes), "wq_diag": wq_diag, "wq_sub": wq_sub,
-             "dh_full": density * trapezoid_weights(nodes) + jump_sizes_on_grid(h, scn.grid),
+             "dh_full": density * trapezoid_weights(nodes) + scn.jump_sizes,
              "dh_diag": density * np.append(0.0, np.diff(nodes) / 2.0)}
     # formed on first read: bitwise what those calls give, read-only, formed once
     for owner, expected in ((scn, rules),

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mds.errors import DomainError, GridError, UsageError
+from mds.funcs import MemoryKernel, TimeFunction
 from mds.measure import (JumpMeasure, RegulatedTrajectory, TimeGrid, _location_tol,
-                         build_time_grid, constant_measure, density_on_grid, jump_sizes_on_grid,
+                         build_time_grid, constant_measure, density_on_grid, jump_rows_on_grid,
                          zeno_measure)
+from mds.scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
+from mds.spectral import LinearPart, make_basis
 
 
 def node_index(grid: TimeGrid, t: float) -> int:
@@ -83,7 +86,7 @@ def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> Cumulative
     f = _samples_for(grid, f)
     i0 = node_index(grid, t0)
     hp = density_on_grid(h, grid)
-    sizes = jump_sizes_on_grid(h, grid)
+    sizes = jump_sizes_on_grid_loop(h, grid)
     shape = (len(grid),) if f.ndim == 1 else (len(grid), f.shape[1])
     values = np.zeros(shape)
     right = np.zeros(shape)
@@ -99,6 +102,14 @@ def cumulative(f, h: JumpMeasure, grid: TimeGrid, t0: float = 0.0) -> Cumulative
 def _unit_jump(loc: float = 0.5, size: float = 1.0) -> JumpMeasure:
     return JumpMeasure(1.0, np.array([0.0, 1.0]), np.zeros(2),
                        np.array([loc]), np.array([size]))
+
+
+def _scenario(h: JumpMeasure, grid: TimeGrid) -> Scenario:
+    """A one-mode Scenario on ``grid``, which places h's jumps on it."""
+    return Scenario(make_basis(1), LinearPart(TimeFunction("const", c0=1.0),
+                                              MemoryKernel("zero")),
+                    h, grid, np.zeros(1), np.zeros(1), NonlinearityEval("zero"),
+                    NonlocalEval("zero"), 1.0, Tolerances())
 
 
 # ---------------------------------------------------------------- construction
@@ -122,14 +133,14 @@ def test_zeno_needs_at_least_two_terms():
 
 
 def test_jump_outside_open_interval_rejected():
-    # within the node-matching tolerance of an end a jump would resolve to it
+    # a jump within the least gap of an end would make a cell of roundoff width
     for loc in (0.0, 1.0, 1e-13, 1.0 - 1e-13):
         with pytest.raises(DomainError):
             _unit_jump(loc=loc)
 
 
 def test_decreasing_jump_locations_rejected():
-    # one ulp apart, both jumps would resolve to the same grid node
+    # one ulp apart, two jumps would make a cell of roundoff width
     for locs in ([0.6, 0.4], [0.3, np.nextafter(0.3, 1.0)]):
         with pytest.raises(UsageError):
             JumpMeasure(1.0, np.array([0.0, 1.0]), np.zeros(2),
@@ -188,7 +199,7 @@ def test_grid_contains_every_jump_node_exactly():
     grid = build_time_grid(h, 129)
     for loc in h.jump_locs:
         assert loc in grid.nodes
-    assert np.count_nonzero(jump_sizes_on_grid(h, grid)) == 20
+    assert np.count_nonzero(_scenario(h, grid).jump_sizes) == 20
 
 
 def test_grid_drops_base_nodes_colliding_with_jumps():
@@ -218,9 +229,11 @@ def test_node_index_tolerance_and_failure():
 def test_jump_sizes_on_grid_alignment():
     h = zeno_measure(10)
     grid = build_time_grid(h, 65)
-    sizes = jump_sizes_on_grid(h, grid)
+    scn = _scenario(h, grid)
+    sizes = scn.jump_sizes
     assert math.fsum(sizes) == h.total_jump_mass()
     assert np.all((sizes > 0) == np.isin(grid.nodes, h.jump_locs))
+    assert scn.jump_rows.tolist() == np.flatnonzero(sizes).tolist()
 
 
 def build_time_grid_loop(h: JumpMeasure, base_nodes: int) -> TimeGrid:
@@ -237,7 +250,8 @@ def build_time_grid_loop(h: JumpMeasure, base_nodes: int) -> TimeGrid:
 
 
 def jump_sizes_on_grid_loop(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
-    """Reference for ``jump_sizes_on_grid``: one ``node_index`` per jump."""
+    """Reference for the Scenario's per-node ``jump_sizes``: one ``node_index``
+    per jump."""
     out = np.zeros(len(grid))
     for loc, size in zip(h.jump_locs, h.jump_sizes):
         out[node_index(grid, loc)] = size
@@ -256,7 +270,7 @@ def jump_grids(draw):
     loc = (node.map(lambda i: i * step) | node.map(lambda i: (i + 0.5) * step)
            | node.map(lambda i: (i + 0.45) * step) | st.floats(min_value=0.0, max_value=end))
     # some jumps get a neighbour just over one tolerance away, so that a moved
-    # node can lie within the tolerance of two jumps
+    # node can lie within one tolerance of two jumps and still be refused
     near = st.sampled_from([None, 1.1 * tol, 1.6 * tol])
     drawn = [(t, draw(near)) for t in draw(st.lists(loc, max_size=20))]
     locs = []
@@ -278,31 +292,34 @@ def test_vectorized_jump_loops_match_the_references(case):
     h, base, offsets = case
     grid = build_time_grid(h, base)
     assert grid.nodes.tobytes() == build_time_grid_loop(h, base).nodes.tobytes()
-    assert jump_sizes_on_grid(h, grid).tobytes() == jump_sizes_on_grid_loop(h, grid).tobytes()
-    # jump nodes moved by up to 1.5 tolerances: matched or refused alike
+    rows = jump_rows_on_grid(h, grid)
+    assert grid.nodes[rows].tobytes() == h.jump_locs.tobytes()
+    scn = _scenario(h, grid)
+    assert scn.jump_rows.tobytes() == rows.tobytes()
+    assert scn.jump_sizes.tobytes() == jump_sizes_on_grid_loop(h, grid).tobytes()
+    # jump nodes moved by up to 1.5 tolerances: any move at all is refused
     nodes = grid.nodes.copy()
-    nodes[np.searchsorted(nodes, h.jump_locs)] += offsets
+    nodes[rows] += offsets
     try:
         moved = TimeGrid(nodes)
     except GridError:
         return
-    try:
-        want = jump_sizes_on_grid_loop(h, moved)
-    except GridError:
-        with pytest.raises(GridError):
-            jump_sizes_on_grid(h, moved)
-        return
-    assert jump_sizes_on_grid(h, moved).tobytes() == want.tobytes()
+    if offsets.any():
+        with pytest.raises(GridError, match="is not a grid node"):
+            _scenario(h, moved)
+    else:
+        assert jump_rows_on_grid(h, moved).tobytes() == rows.tobytes()
 
 
-def test_jump_matching_is_inclusive_at_the_tolerance():
+def test_a_node_near_a_jump_but_not_on_it_is_refused():
     loc = 1.2e-12
-    node = loc + _location_tol(1.0)
-    assert node - loc == _location_tol(1.0)
     h = _unit_jump(loc)
-    grid = TimeGrid(np.array([0.0, node, 0.5, 1.0]))
-    assert jump_sizes_on_grid(h, grid).tolist() == [0.0, 1.0, 0.0, 0.0]
-    assert jump_sizes_on_grid_loop(h, grid).tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert _scenario(h, TimeGrid(np.array([0.0, loc, 0.5, 1.0]))).jump_rows.tolist() == [1]
+    # one least gap from the jump, which the tolerance matched, and one ulp from it
+    for node in (loc + _location_tol(1.0), np.nextafter(loc, 1.0)):
+        assert node != loc
+        with pytest.raises(GridError, match=f"t={loc!r} is not a grid node"):
+            _scenario(h, TimeGrid(np.array([0.0, node, 0.5, 1.0])))
 
 
 # ---------------------------------------------------------------- integration
@@ -385,7 +402,7 @@ def test_cumulative_right_value_identity_is_bitwise():
     grid = build_time_grid(h, 65)
     rng = np.random.default_rng(3)
     f = rng.uniform(-1.0, 1.0, len(grid))
-    sizes = jump_sizes_on_grid(h, grid)
+    sizes = jump_sizes_on_grid_loop(h, grid)
     traj = cumulative(f, h, grid)
     for j in np.where(sizes > 0)[0]:
         assert traj.right_values[j] == traj.values[j] + f[j] * sizes[j]

@@ -8,9 +8,9 @@ the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
 2048), and on documents off the shipped path (``OFF_PATH``: runs that exit
 2 through the overflow guards, in a march seeded on its first row only and
 in a psi sweep, seeded on every row, or 3 on a zero gain, a zero cosine,
-the explicit-measure family with jumps and without, the lebesgue family, a
-non-uniform grid whose ``verify-resolvent`` writes no autonomy lines, the
-smallest accepted grid, a single mode, 80 modes, the two grids either side
+the explicit-measure family with jumps and without, a jump at each kind of
+place the grid merge puts one, the lebesgue family, a non-uniform grid
+whose ``verify-resolvent`` writes no autonomy lines, the smallest accepted grid, a single mode, 80 modes, the two grids either side
 of the 64-anchor sample, a per-node table nonlinearity with a jump, and the
 edge cases of the verify-resolvent windows).  Each document also runs
 ``simulate --physical``, whose trajectory.csv carries the per-row physical
@@ -104,6 +104,13 @@ OFF_PATH = {
     "nodes_157": _config("resolvent_check.json", grid={"nodes": 157}),
     "nodes_65": _config("resolvent_check.json", grid={"nodes": 65}),
     "nodes_4097": _config("resolvent_check.json", grid={"nodes": 4097}),
+    # every placement the merge makes: a jump beside each end, whose nearest
+    # base node is the end and stays, a jump on a base node, and one 0.4 of a
+    # step from one; 65 - 2 + 4 = 67 nodes, jump rows 1, 17, 33 and 65
+    "explicit_placement": _tiny(measure={"end": 1.0,
+                                         "jumps": [[1 / 256, 0.05], [0.25, 0.1],
+                                                   [0.5 + 0.4 / 64, 0.2], [1 - 1 / 256, 0.05]]},
+                                nonlinearity={"kind": "cosine", "M0": 0.05}),
     # one table row per node and a jump on row 1, which simulate's jump check reads
     "table_jump": _tiny(grid={"nodes": 5}, measure={"end": 1.0, "jumps": [[0.3, 0.1]]},
                         nonlinearity={"kind": "table",
