@@ -175,11 +175,16 @@ def density_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
 
 
 def jump_rows_on_grid(h: JumpMeasure, grid: TimeGrid) -> np.ndarray:
-    """The grid row of each jump; GridError if a jump is not a grid node.
+    """The grid row of each jump; GridError if a jump is not a grid node, or
+    if the grid does not end at the driver's horizon.
 
     A jump's row is its ``searchsorted`` position, and that node must hold
-    its location bitwise, as every grid ``build_time_grid`` makes does.
+    its location bitwise, as every grid ``build_time_grid`` makes does; its
+    last node is the horizon a itself.
     """
+    if grid.end != h.domain_end:
+        raise GridError(f"the grid ends at t={grid.end!r}, not at the driver's horizon "
+                        f"{h.domain_end!r}")
     rows = np.searchsorted(grid.nodes, h.jump_locs)
     off = grid.nodes.take(rows, mode="clip") != h.jump_locs
     if off.any():

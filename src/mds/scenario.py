@@ -159,7 +159,8 @@ class Tolerances(Record):
 class Scenario(Record):
     """The system data of one run and its O(M) quadrature data, read-only.
 
-    The ``jump_rows`` (the node equal to each jump, bitwise) and the
+    The grid must end at the driver's horizon a, as ``build_time_grid``'s
+    does.  The ``jump_rows`` (the node equal to each jump, bitwise) and the
     per-node ``jump_sizes`` are found here; a jump no node equals is refused
     however near one it sits (the driver keeps its jumps 1e-12 max(1, a)
     apart and from either end).  The rules ``wq_full``,

@@ -50,7 +50,7 @@ from .measure import JumpMeasure, build_time_grid, lebesgue_measure, zeno_measur
 from .scenario import (_NL_KINDS, _NONLOCAL_KINDS, NonlinearityEval, NonlocalEval,
                        Scenario, Tolerances)
 from .solver import discontinuity_count, jump_consistency, picard_solve
-from .verify import check_autonomous_reduction, sample_windows, verify_resolvent_pde
+from .verify import check_autonomous_reduction, verify_resolvent, verify_resolvent_pde
 
 MAX_NODES = 65536
 # max_picard and max_outer: a document can ask for at most this many sweeps
@@ -321,7 +321,7 @@ def parse_scenario(doc: dict) -> Scenario:
             raise ConfigError("$.grid.nodes", f"merged grid has {len(grid)} nodes, "
                               f"more than {MAX_NODES}")
         # verify-resolvent marches its sampled columns in windows of about as
-        # many floats as the solver's arrays, and sample_windows charges a
+        # many floats as the solver's arrays, and verify_resolvent charges a
         # window with the march's entry states and the autonomy check's column
         synthesized = ((nonlinearity.kind == "cosine" and not nonlinearity.is_zero)
                        or not nonlocal_term.is_zero)
@@ -455,15 +455,13 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
                 f"{'pass' if report.pass_cond2 else 'FAIL'}")
             return 0 if report.all_pass else 1
         if cmd == "verify-resolvent":
-            autonomy = scn.linear.autonomous and scn.grid.is_uniform()
-            for sample in sample_windows(scn.basis, scn.linear, scn.grid, _SOLVER_ARRAYS):
-                pde = verify_resolvent_pde(sample, scn.tol.tol_pde)
-                auto = check_autonomous_reduction(sample) if autonomy else None
+            pde, auto = verify_resolvent(scn, _SOLVER_ARRAYS, verify_resolvent_pde,
+                                         check_autonomous_reduction)
             record = dict(max_raw_residual=pde.max_raw_residual,
                           max_scaled_residual=pde.max_scaled_residual, tol_pde=pde.tol_pde,
                           anchors_checked=pde.anchors_checked, pde_pass=pde.passed)
             ok = pde.passed
-            if autonomy:
+            if auto is not None:
                 record.update(autonomy_max_deviation=auto.max_deviation,
                               autonomy_pass=auto.passed)
                 ok = ok and auto.passed

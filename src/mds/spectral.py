@@ -21,8 +21,8 @@ row, and a sum of columns against weights is one run seeded with those
 weights (``resolvent_sums``, the psi sweep).
 
 The march is a two-level blocked scan (Blelloch, "Prefix sums and their
-applications", 1990).  The marched rows first..M-1 are cut into blocks of
-L = ceil(sqrt(rows)) rows, block i starting at row first + i L; only the
+applications", 1990).  Every march starts at row 0: the rows 0..M-1 are cut
+into blocks of L = ceil(sqrt(M)) rows, block i starting at row i L; only the
 last block can be short.  Three passes replace the loop over rows:
 
 1. Every full block runs its seeded columns from a zero state, vectorized
@@ -37,19 +37,20 @@ last block can be short.  Three passes replace the loop over rows:
 
 That is about 2 sqrt(M) vectorized steps and sqrt(M) boundary steps
 instead of M row steps, and L more steps for each window past the first.
-The first block starts from zero and runs the row steps themselves, and a
-unit-seed column is exactly 0 before its anchor and exactly 1 on it.  After
-each window the overflow guard reads the rows the march wrote, seeds
-added: the earliest row in time with a value not below it names the mode.
-The first march from a row on a StepMaps makes the block layout: the views
-maps[first + p::L] of the steps from row p of every block, and each full
-block's T_i, from the unit states (1, 0) and (0, 1) run alone through it.
-The StepMaps keeps it for the next march from the same row.  A step is one
-fused update of the stacked state (2, N, blocks, B): one broadcast product
-into a (2, 2, N, blocks, B) scratch and one sum of its halves, so r = a11 r
-+ a12 mem and mem = a21 r + a22 mem.  Pass 1 leaves each z_i in the array
-of entry states, where pass 2 turns it into x_{i+1} in place.  A march
-holds its entry states and a scratch twice their size beside its rows.
+A column is stepped from row 0 whatever its first seed: before it r and
+mem stay 0 on finite maps, so a unit-seed column is exactly 0 before its
+anchor and exactly 1 on it.  A march with no nonzero seed writes zeros
+and steps nothing.  After each window the overflow guard reads the rows
+the march wrote, seeds added: the earliest row in time with a value not
+below it names the mode.  The first march on a StepMaps makes its block layout, a
+cached property: the views maps[p::L] of the steps from row p of every
+block, and each full block's T_i, from the unit states (1, 0) and (0, 1)
+run alone through it.  A step is one fused update of the stacked state
+(2, N, blocks, B): one broadcast product into a (2, 2, N, blocks, B)
+scratch and one sum of its halves, so r = a11 r + a12 mem and mem = a21 r
++ a22 mem.  Pass 1 leaves each z_i in the array of entry states, where
+pass 2 turns it into x_{i+1} in place.  A march holds its entry states and
+a scratch twice their size beside its rows.
 
 The first block runs the row steps themselves and the second enters with
 x_1 = T_0 x_0 + z_0 = z_0, so their rows are bitwise those of the march
@@ -179,14 +180,14 @@ class StepMaps(Record):
     and a22 = maps[:, 1, 1].  The step is the same for every column, so a11
     is also the subdiagonal r_n(t_{j+1}, t_j).  ``modes`` are the mode
     numbers, which the overflow guard names; both arrays are read-only.
-    ``layouts`` keeps the block layout of the last row a march started from
-    (``_block_layout``).
+    ``layout``, the block layout every march on these maps runs on, is made
+    by the first of them.
     """
 
     def __init__(self, modes: np.ndarray, maps: np.ndarray):
         modes.setflags(write=False)
         maps.setflags(write=False)
-        self.modes, self.maps, self.layouts = modes, maps, []
+        self.modes, self.maps = modes, maps
 
     @property
     def n_nodes(self) -> int:
@@ -196,6 +197,24 @@ class StepMaps(Record):
     def a11(self) -> np.ndarray:
         """The subdiagonal r_n(t_{j+1}, t_j), (N, M-1)."""
         return self.maps[:, 0, 0].T
+
+    @cached_property
+    def layout(self) -> _BlockLayout:
+        """The blocks of every march on these maps.  Its views cost nothing,
+        and T_i holds 4 N sqrt(M) floats."""
+        size, count = _blocks(self.n_nodes)
+        full = count - 1
+        slabs = [self.maps[p::size].transpose(1, 2, 3, 0)[..., None] for p in range(size)]
+        full_slabs = [slab[..., :full, :] for slab in slabs]
+        unit = np.zeros((2, len(self.modes), full, 2))  # column k starts as the unit state k
+        unit[0, :, :, 0] = unit[1, :, :, 1] = 1.0
+        states = _States(unit, np.empty((2,) + unit.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for slab in full_slabs:
+                states.step(slab)
+        transfer = np.ascontiguousarray(unit.transpose(2, 3, 0, 1)[..., None])
+        return _BlockLayout(size, count, self.n_nodes - full * size, slabs, full_slabs,
+                            transfer)
 
 
 def step_maps(modes: np.ndarray, linear: LinearPart, grid: TimeGrid) -> StepMaps:
@@ -272,23 +291,23 @@ class _States:
 
 
 class _BlockLayout(Record):
-    """The blocks of every march from row ``first`` on one StepMaps.
+    """The blocks of every march on one StepMaps (``StepMaps.layout``).
 
-    The rows first..M-1 are cut into ``count`` blocks of L = ``size`` rows,
-    block i starting at row first + i L; only the last can be short, with
-    ``last`` rows.  ``slabs[p]`` is the maps of the step from row p of
-    every block that has one, a (2, 2, N, blocks, 1) view of the stacked
-    maps (no copy), and ``full_slabs[p]`` its full blocks' part.
-    ``transfer[b]`` is full block b's 2x2 transfer map T_b, in the same
-    order: the unit states (1, 0) and (0, 1) stepped alone through the block.
-    The slabs are L views, (2, 2, N, blocks, 1) and (2, 2, N, count - 1, 1);
-    ``transfer`` is (count - 1, 2, 2, N, 1), read-only.
+    The rows 0..M-1 are cut into ``count`` blocks of L = ``size`` rows,
+    block i starting at row i L; only the last can be short, with ``last``
+    rows.  ``slabs[p]`` is the maps of the step from row p of every block
+    that has one, a (2, 2, N, blocks, 1) view of the stacked maps (no
+    copy), and ``full_slabs[p]`` its full blocks' part.  ``transfer[b]`` is
+    full block b's 2x2 transfer map T_b, in the same order: the unit states
+    (1, 0) and (0, 1) stepped alone through the block.  The slabs are L
+    views, (2, 2, N, blocks, 1) and (2, 2, N, count - 1, 1); ``transfer`` is
+    (count - 1, 2, 2, N, 1), read-only.
     """
 
-    def __init__(self, first: int, size: int, count: int, last: int, slabs: list,
-                 full_slabs: list, transfer: np.ndarray):
+    def __init__(self, size: int, count: int, last: int, slabs: list, full_slabs: list,
+                 transfer: np.ndarray):
         transfer.setflags(write=False)
-        self.first, self.size, self.count, self.last = first, size, count, last
+        self.size, self.count, self.last = size, count, last
         self.slabs, self.full_slabs, self.transfer = slabs, full_slabs, transfer
 
 
@@ -297,33 +316,6 @@ def _blocks(rows: int) -> tuple[int, int]:
     block count."""
     size = math.isqrt(rows - 1) + 1
     return size, -(-rows // size)
-
-
-def _block_layout(steps: StepMaps, first: int) -> _BlockLayout:
-    """The layout of the marches from row ``first``, made by the first of them.
-
-    ``steps`` keeps the one made last: every march of a run starts from the
-    same row.  Its views cost nothing, and T_i holds 4 N sqrt(M) floats.
-    """
-    if steps.layouts and steps.layouts[0].first == first:
-        return steps.layouts[0]
-    rows = steps.n_nodes - first
-    size, count = _blocks(rows)
-    full = count - 1
-    slabs = [steps.maps[first + p::size].transpose(1, 2, 3, 0)[..., None]
-             for p in range(size)]
-    full_slabs = [slab[..., :full, :] for slab in slabs]
-    unit = np.zeros((2, len(steps.modes), full, 2))   # column k starts as the unit state k
-    unit[0, :, :, 0] = unit[1, :, :, 1] = 1.0
-    states = _States(unit, np.empty((2,) + unit.shape))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for slab in full_slabs:
-            states.step(slab)
-    transfer = np.ascontiguousarray(unit.transpose(2, 3, 0, 1)[..., None])
-    layout = _BlockLayout(first, size, count, rows - full * size, slabs, full_slabs,
-                          transfer)
-    steps.layouts[:] = [layout]
-    return layout
 
 
 def _march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -341,26 +333,22 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
 
     Row j is sum_{s<=j} r_n(t_j, t_s) seeds[s]: the state has the shape of
     out[:, 0], (N, B), and seeds[j] broadcasts to it and is added to r at
-    row j, before r is recorded.  The rows before the first nonzero seed are
-    zero and not stepped.  The three passes run on the block layout of
-    ``steps`` (see the module docstring), pass 3 over consecutive windows of
-    ceil(blocks / ``windows``) whole blocks.  A window's rows start..stop-1
-    are written to out[:, :stop - start], held to the overflow guard
-    (``_guard_rows``) and yielded as (start, stop); the next window
-    overwrites them.  The first window starts at row 0, so ``out`` holds the
-    longest window's rows.  The rows, and the row the guard raises on, do
-    not depend on the window count.
+    row j, before r is recorded.  With no nonzero seed every row is zero and
+    none is stepped.  The three passes run on ``steps.layout`` (see the
+    module docstring), pass 3 over consecutive windows of ceil(blocks /
+    ``windows``) whole blocks.  A window's rows start..stop-1 are written to
+    out[:, :stop - start], held to the overflow guard (``_guard_rows``) and
+    yielded as (start, stop); the next window overwrites them, so ``out``
+    holds the longest window's rows.  The rows, and the row the guard
+    raises on, do not depend on the window count.
     """
     m_count = steps.n_nodes
     seeds = np.reshape(seeds, (len(seeds), -1, np.shape(seeds)[-1]))   # (M, N or 1, B)
-    # the first seeded row, or M: argmax of the (M,) mask with True appended.
-    # No name holds the mask, so it is not kept through the march, which yields
-    first = int(np.append(np.reshape(seeds, (len(seeds), -1)).any(axis=1), True).argmax())
-    out[:, :first] = 0.0
-    if first == m_count:
+    if not seeds.any():
+        out[...] = 0.0
         yield 0, m_count
         return
-    lay = _block_layout(steps, first)
+    lay = steps.layout
     size, count, last, full = lay.size, lay.count, lay.last, lay.count - 1
     n_count, width = out.shape[0], out.shape[2]
     # the state of block i on entry, x_i, in entry[:, :, i]; pass 1 leaves
@@ -374,7 +362,7 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
         return _States(entry[:, :, lo:hi], part.reshape((2, 2, n_count, hi - lo, width)))
 
     ends = states(1, count)
-    rows = [seeds[first + p::size].transpose(1, 0, 2) for p in range(size)]
+    rows = [seeds[p::size].transpose(1, 0, 2) for p in range(size)]
     with np.errstate(over="ignore", invalid="ignore"):
         # pass 1: the seeded columns of each full block from zero to z_i
         for slab, seed in zip(lay.full_slabs, rows):
@@ -391,11 +379,11 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
     per = -(-count // windows)
     for b0 in range(0, count, per):
         # pass 3 on blocks b0..b1-1: every block again from its entry state,
-        # row p of each written through out[:, off + p::L]; a window's last
-        # block has rows while p < ends_at and steps while it has a next row
+        # row p of each written through out[:, p::L]; a window's last block
+        # has rows while p < ends_at and steps while it has a next row
         b1 = min(b0 + per, count)
-        start, stop = (0 if b0 == 0 else first + b0 * size), min(first + b1 * size, m_count)
-        off, ends_at = first + b0 * size - start, (last if b1 == count else size)
+        start, stop = b0 * size, min(b1 * size, m_count)
+        ends_at = last if b1 == count else size
         blocks, full_blocks = states(b0, b1), states(b0, min(b1, full))
         slabs = [slab[..., b0:b1, :] for slab in lay.slabs]
         full_slabs = [slab[..., b0:, :] for slab in lay.full_slabs]
@@ -403,7 +391,7 @@ def _march_windows(steps: StepMaps, seeds: np.ndarray, out: np.ndarray, windows:
             for p in range(size):
                 part, with_row = (blocks, b1) if p < ends_at else (full_blocks, full)
                 part.r += rows[p][:, b0:with_row]
-                out[:, off + p:stop - start:size] = part.r
+                out[:, p:stop - start:size] = part.r
                 if p == size - 1:
                     break
                 if p < ends_at - 1:                        # every block has a next row

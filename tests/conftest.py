@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mds.measure import JumpMeasure, build_time_grid
+from mds.measure import JumpMeasure, build_time_grid, constant_measure
 from mds.scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
 from mds.scenario_io import _SOLVER_ARRAYS, parse_scenario
 from mds.spectral import LinearPart, SpectralBasis
-from mds.verify import check_autonomous_reduction, sample_windows, verify_resolvent_pde
+from mds.verify import check_autonomous_reduction, verify_resolvent, verify_resolvent_pde
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -57,22 +57,22 @@ def assemble_scenario(basis: SpectralBasis, linear: LinearPart, h: JumpMeasure,
 
 
 def sample_reports(basis: SpectralBasis, linear: LinearPart, grid, tol_pde: float = 1e-3,
-                   autonomy: bool | None = None, arrays: int = _SOLVER_ARRAYS):
+                   arrays: int = _SOLVER_ARRAYS, pde_check=verify_resolvent_pde,
+                   autonomy_check=check_autonomous_reduction):
     """The PDE and autonomy reports of verify-resolvent, run window by window
-    as the command runs them.
+    as the command runs them, on a Scenario over ``grid``.
 
-    The autonomy check runs where the command runs it (constant tau on a
-    uniform grid) unless ``autonomy`` says otherwise; its report is None
-    where it does not run.  ``arrays`` sets the window rule's budget.
+    The autonomy report is None where the check does not run (tau not
+    constant or the grid not uniform).  ``arrays`` sets the window rule's
+    budget; a test can pass its own window checks, each called as the
+    command's are.  The driver, which verify-resolvent never reads, has no
+    jump and ends where ``grid`` does.
     """
-    if autonomy is None:
-        autonomy = linear.autonomous and grid.is_uniform()
-    auto = None
-    for sample in sample_windows(basis, linear, grid, arrays):
-        pde = verify_resolvent_pde(sample, tol_pde)
-        if autonomy:
-            auto = check_autonomous_reduction(sample)
-    return pde, auto
+    n = basis.n_modes
+    scn = Scenario(basis, linear, constant_measure(grid.end), grid, np.zeros(n), np.zeros(n),
+                   NonlinearityEval("zero"), NonlocalEval("zero"), 1.0,
+                   Tolerances(tol_pde=tol_pde))
+    return verify_resolvent(scn, arrays, pde_check, autonomy_check)
 
 
 def terms(scn, traj) -> tuple:

@@ -418,7 +418,7 @@ def test_grids_near_the_limits_are_refused_without_a_large_allocation(
         assert memory >= 8 * m_count * n_count * _SOLVER_ARRAYS
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sysconf", sizes.__getitem__)
-        patch.setattr(mds.verify, "step_maps", _forbidden)          # the sample's march
+        patch.setattr(mds.verify, "_march_windows", _forbidden)     # the sample's march
         if budget == "solver" or over:
             patch.setattr(mds.scenario_io, "Scenario", _forbidden)  # its O(M N) arrays
         code, text = _run(command, doc, tmp_path_factory.mktemp("large"))

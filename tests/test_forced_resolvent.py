@@ -6,13 +6,14 @@ versions they replaced contracted the dense (N, M, M) table against the
 dense prefix-weight matrices; those contractions are kept here, and only
 here, as the reference, on the table ``build_resolvent_table`` still builds.
 
-The march is blocked: the rows are cut into blocks of L = ceil(sqrt(rows))
-and run in three vectorized passes (``mds.spectral``) on a block layout
-the StepMaps keeps for its next march from the same row.  It is held to the
+The march is blocked: the rows are cut into blocks of L = ceil(sqrt(M))
+and run in three vectorized passes (``mds.spectral``) on the block layout
+the StepMaps makes on its first march and keeps.  It is held to the
 row-by-row march it replaced, kept here, and only here, as ``row_march``,
 and to the elementwise march before that, which ran the predictor-corrector
-``_step`` on every row (``elementwise_march``).  A march that reuses a
-layout must give the bits of one that makes it afresh.
+``_step`` on every row (``elementwise_march``).  Every march steps from row
+0, whatever the first seeded row.  A march that reuses a layout must give
+the bits of one that makes it afresh.
 
 Bounds, fixed before the first run.  They are running-error bounds (Higham,
 Accuracy and Stability, 2nd ed., 3.3).  Let m be the majorant recurrence:
@@ -114,20 +115,17 @@ def row_march(steps: StepMaps, seeds: np.ndarray, out: np.ndarray) -> np.ndarray
 
     The state has the shape of out[:, 0], (N, B); seeds[j] broadcasts to it
     and is added to r at row j, before r is recorded.  Each step is the 2x2
-    map of ``steps``.  A resolvent column is the seed 1 at its anchor row:
-    before it r and mem are exactly zero, so the column is bitwise the same
-    whatever else is marched beside it, and the rows before the first
-    nonzero seed are not stepped at all.  Every written row is held to the
-    overflow guard; its InstabilityError carries the row it stopped on.
+    map of ``steps``, from row 0 on.  A resolvent column is the seed 1 at its
+    anchor row: before it r and mem are zero on finite maps, so the column
+    is bitwise the same whatever else is marched beside it.  Every written
+    row is held to the overflow guard; its InstabilityError carries the row
+    it stopped on.
     """
     (a11, a21), (a12, a22) = steps.maps.transpose(1, 2, 0, 3)[..., None]
     m_count = steps.n_nodes
-    seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
-    first = int(seeded[0]) if seeded.size else m_count
-    out[:, :first] = 0.0
     r = np.zeros(out[:, 0].shape)
     mem = np.zeros_like(r)
-    for j in range(first, m_count):
+    for j in range(m_count):
         r = r + seeds[j]
         out[:, j] = r
         try:
@@ -159,20 +157,17 @@ def resolvent_columns(steps: StepMaps, anchors: np.ndarray) -> np.ndarray:
 def elementwise_march(modes, grid, linear, seeds, out):
     """The march ``row_march`` replaced: the elementwise ``_step`` on every row.
 
-    Same contract as ``row_march``: seeds added before recording, rows before
-    the first nonzero seed not stepped, every written row guarded.
+    Same contract as ``row_march``: seeds added before recording, every row
+    stepped from row 0, every written row guarded.
     """
     d = np.diff(grid.nodes)
     n2 = modes.astype(float)[:, None] ** 2
     ex = np.exp(-n2 * np.diff(linear.tau.antiderivative(grid.nodes)))
     kq, decay = -n2 * linear.kernel.c0, np.exp(-linear.kernel.rate * d)
     ex, d, decay = ex.T[:, :, None], d.tolist(), decay.tolist()
-    seeded = np.flatnonzero(np.any(np.reshape(seeds, (len(seeds), -1)), axis=1))
-    first = int(seeded[0]) if seeded.size else len(grid)
-    out[:, :first] = 0.0
     r = np.zeros(out[:, 0].shape)
     mem = np.zeros_like(r)
-    for j in range(first, len(grid)):
+    for j in range(len(grid)):
         r = r + seeds[j]
         out[:, j] = r
         _guard_rows(out[:, j:j + 1], modes)
@@ -395,6 +390,17 @@ def test_final_row_is_guarded():
     assert exc.value.mode == 16
 
 
+def test_a_march_without_a_seed_writes_zeros_and_steps_nothing():
+    # the one march that does not step from row 0: simulate's with zeta0 = 0
+    # and no forcing, in one window whatever the window count
+    linear = LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero"))
+    steps = step_maps(np.arange(1, 3), linear, build_time_grid(constant_measure(1.0), 9))
+    out = np.full((2, 9, 3), np.nan)
+    assert list(_march_windows(steps, np.zeros((9, 1, 3)), out, 4)) == [(0, 9)]
+    assert np.array_equal(out, np.zeros_like(out)) and "layout" not in vars(steps)
+    assert np.array_equal(resolvent_sums(steps, np.zeros((9, 2))), np.zeros((9, 2)))
+
+
 small_grids = st.tuples(st.just(constant_measure(1.0)), st.integers(min_value=3, max_value=5))
 
 
@@ -438,8 +444,8 @@ def test_blocked_march_matches_the_row_march(tau, kernel, measure, n_count, widt
     new = _march(steps, seeds, np.empty(shape))
     j = np.arange(m_count)[:, None]
     assert np.all(np.abs(new - old) <= RUNNING_ULPS * (j + 1) * EPS * maj)
-    size = math.isqrt(m_count - first - 1) + 1
-    assert np.array_equal(new[:, :first + size], old[:, :first + size])
+    size = math.isqrt(m_count - 1) + 1          # the first block runs the row steps
+    assert np.array_equal(new[:, :size], old[:, :size])
     for b in np.flatnonzero(unit):
         assert np.all(new[:, starts[b], b] == 1.0)
         assert np.all(new[:, :starts[b], b] == 0.0)
@@ -532,11 +538,11 @@ growing = st.builds(TimeFunction, st.just("const"), c0=st.floats(min_value=-40.0
        st.integers(min_value=1, max_value=4), st.booleans(), st.data())
 def test_marches_on_one_step_maps_reuse_its_layout(tau, kernel, measure, n_count,
                                                     adjoint, data):
-    # Several marches from one first row on one StepMaps: the first makes the
-    # block layout and the others reuse it; then one from the row before,
-    # which replaces it, and one more from the first row.  Each must equal,
-    # bitwise, the same march on fresh maps, and meet the guard on the row
-    # and mode the row march meets it on.
+    # Several marches on one StepMaps, seeded from one first row, then from
+    # the row before and from the first row again: the first march makes the
+    # block layout and every later one reuses it, whatever its first seeded
+    # row.  Each must equal, bitwise, the same march on fresh maps, and meet
+    # the guard on the row and mode the row march meets it on.
     grid = build_time_grid(*measure)
     m_count = len(grid)
     modes = np.arange(1, n_count + 1)
@@ -560,15 +566,14 @@ def test_marches_on_one_step_maps_reuse_its_layout(tau, kernel, measure, n_count
             assert guarded_row(steps, seeds, shape) == (exc.row, exc.mode)
             assert guarded_row(maps(linear), seeds, shape) == (exc.row, exc.mode)
             continue
-        before = list(steps.layouts)
+        before = vars(steps).get("layout")
         new = _march(steps, seeds, np.empty(shape))
-        (layout,) = steps.layouts
-        assert layout.first == start
-        if before and before[0].first == start:
-            assert layout is before[0]          # reused, not made again
+        layout = vars(steps)["layout"]
+        assert before is None or layout is before        # reused, not made again
+        assert (layout.size, layout.count) == _blocks(m_count)
         assert np.array_equal(new, _march(maps(linear), seeds, np.empty(shape)))
-        size = math.isqrt(m_count - start - 1) + 1
-        assert np.array_equal(new[:, :start + size], old[:, :start + size])
+        size = math.isqrt(m_count - 1) + 1
+        assert np.array_equal(new[:, :size], old[:, :size])
         try:
             maj = row_march(maps(majorant_linear(linear)), np.abs(seeds), np.empty(shape))
         except InstabilityError:
@@ -578,30 +583,34 @@ def test_marches_on_one_step_maps_reuse_its_layout(tau, kernel, measure, n_count
 
 @pytest.mark.parametrize("m_count, first, n_count, count, last", [
     (2, 0, 1, 1, 2),        # the smallest grid: one block of two rows
-    (5, 3, 2, 1, 2),        # M - first = 2, no full block
-    (5, 4, 3, 1, 1),        # one marched row, L = 1
+    (5, 3, 2, 1, 2),        # 2 rows, no full block
+    (5, 4, 3, 1, 1),        # one row and no step, L = 1
     (4, 1, 1, 2, 1),        # a last block of one row
     (9, 1, 1, 3, 2),
     (29, 1, 2, 5, 4),
     (44, 1, 1, 7, 1),       # N = 1, a last block of one row
 ])
 def test_edge_layouts_march_like_fresh_maps_and_rows(m_count, first, n_count, count, last):
+    # The march on the steps from row ``first`` of an M-node grid on: the
+    # maps of its M - first rows, which the layout cuts into ``count``
+    # blocks, the last of ``last`` rows.
     grid = build_time_grid(constant_measure(1.0), m_count)
     linear = LinearPart(TimeFunction("cosine", c0=1.5, c1=0.5, freq=1.0),
                         MemoryKernel("exp_diff", c0=0.7, rate=1.0))
     modes = np.arange(1, n_count + 1)
     rng = np.random.default_rng(m_count)
-    forward, majorant = (step_maps(modes, lin, grid)
+    forward, majorant = (StepMaps(modes, step_maps(modes, lin, grid).maps[first:])
                          for lin in (linear, majorant_linear(linear)))
-    j = np.arange(m_count)[:, None]
+    rows = m_count - first
+    j = np.arange(rows)[:, None]
     for steps, maj_steps in ((forward, majorant),
                              (adjoint_maps(forward), adjoint_maps(majorant))):
         for width in (1, 5, 64):
-            seeds = forced_seeds(rng, m_count, n_count, width, first)
-            shape = (n_count, m_count, width)
+            seeds = forced_seeds(rng, rows, n_count, width, 0)
+            shape = (n_count, rows, width)
             new = _march(steps, seeds, np.empty(shape))
-            layout = steps.layouts[0]
-            assert (layout.first, layout.count, layout.last) == (first, count, last)
+            layout = steps.layout
+            assert (layout.count, layout.last) == (count, last)
             fresh = StepMaps(steps.modes, np.array(steps.maps))
             assert np.array_equal(new, _march(fresh, seeds, np.empty(shape)))
             old = row_march(steps, seeds, np.empty(shape))
@@ -638,7 +647,7 @@ def test_a_sample_march_holds_less_than_one_more_output(resolvent_scn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert steps.layouts                # the layout was made inside the traced march
+    assert "layout" in vars(steps)      # the layout was made inside the traced march
     size = math.isqrt(m_count - 1) + 1
     blocks = -(-m_count // size)
     entry = 2 * n_count * blocks * len(anchors) * 8
@@ -756,7 +765,7 @@ def test_windows_join_to_the_one_window_march(tau, kernel, measure, n_count, wid
 
     rows, guarded = windows(1)
     assert np.array_equal(guarded, rows, equal_nan=True)
-    size, blocks = _blocks(m_count - first)
+    size, blocks = _blocks(m_count)
     for count in range(2, blocks + 2):
         rows_w, guarded_w = windows(count)
         assert np.array_equal(rows_w, rows, equal_nan=True)
@@ -774,7 +783,7 @@ def test_windows_join_to_the_one_window_march(tau, kernel, measure, n_count, wid
                 stops.append(stop)
         per = -(-blocks // count)
         assert exc.value.mode == one.value.mode
-        assert (stops[-1] if stops else 0) <= row < first + (len(stops) + 1) * per * size
+        assert (stops[-1] if stops else 0) <= row < (len(stops) + 1) * per * size
 
 
 def raising_window(steps: StepMaps, seeds: np.ndarray, shape, count: int):
@@ -838,7 +847,7 @@ def test_the_guard_raises_on_the_earliest_written_row_over_it(tau, kernel, measu
         patch.setattr(mds.spectral, "_guard_rows", lambda rows, modes: None)
         rows = _march(steps, seeds, np.empty(shape))
     over = over_guard(rows)
-    blocks = _blocks(m_count - first)[1]
+    blocks = _blocks(m_count)[1]
     if not over.any():
         for count in range(1, blocks + 2):
             for _ in _march_windows(steps, seeds, np.empty(shape), count):

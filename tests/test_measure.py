@@ -14,7 +14,10 @@ from mds.measure import (JumpMeasure, RegulatedTrajectory, TimeGrid, _location_t
                          build_time_grid, constant_measure, density_on_grid, jump_rows_on_grid,
                          zeno_measure)
 from mds.scenario import NonlinearityEval, NonlocalEval, Scenario, Tolerances
+from mds.scenario_io import parse_scenario
 from mds.spectral import LinearPart, make_basis
+
+from conftest import CONFIG_DIR, load_config
 
 
 def node_index(grid: TimeGrid, t: float) -> int:
@@ -309,6 +312,18 @@ def test_vectorized_jump_loops_match_the_references(case):
             _scenario(h, moved)
     else:
         assert jump_rows_on_grid(h, moved).tobytes() == rows.tobytes()
+
+
+def test_a_grid_that_ends_past_the_horizon_is_refused():
+    # np.interp would clamp the density past a, and the final row would sit at t = 2
+    grid = TimeGrid(np.array([0.0, 0.5, 2.0]))
+    with pytest.raises(GridError, match="the grid ends at t=2.0, not at the driver's "
+                                        "horizon 1.0"):
+        _scenario(_unit_jump(), grid)
+    assert _scenario(_unit_jump(), TimeGrid(np.array([0.0, 0.5, 1.0]))).jump_rows.tolist() == [1]
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        scn = parse_scenario(load_config(path.name))
+        assert scn.grid.end == scn.h.domain_end
 
 
 def test_a_node_near_a_jump_but_not_on_it_is_refused():

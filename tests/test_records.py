@@ -62,7 +62,8 @@ def test_every_record_refuses_change():
     roots = [demo, steer(demo), picard_solve(demo, None), build_report(demo),
              *sample_reports(check.basis, check.linear, check.grid)]
     records = _reachable(roots)
-    assert "final_row" in vars(demo) and demo.steps.layouts     # the cached data is built
+    assert {"final_row", "steps"} <= set(vars(demo))            # the cached data is built
+    assert "layout" in vars(demo.steps)
     assert {"wq_full", "wq_diag", "wq_sub", "dh_full", "dh_diag"} <= set(vars(demo))
     assert {"x", "weights", "synthesis", "analysis"} <= set(vars(demo.basis))
     missing = _record_classes() - {type(record) for record in records}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
 import json
 import tracemalloc
@@ -24,7 +25,8 @@ from mds.scenario import Tolerances
 from mds.scenario_io import (MAX_NODES, parse_scenario, run_command, serialize_scenario,
                              solver_charge, write_control_csv, write_trajectory_csv)
 from mds.solver import apply_psi, discontinuity_count, jump_consistency, picard_solve
-from mds.spectral import LinearPart, SpectralBasis, build_resolvent_table, make_basis
+from mds.spectral import (LinearPart, SpectralBasis, StepMaps, build_resolvent_table,
+                          make_basis)
 
 from conftest import assemble_scenario, load_config
 
@@ -536,6 +538,41 @@ def test_each_command_computes_the_step_maps_once(monkeypatch, tmp_path, command
     assert calls["_step"] == 2          # the unit states (1, 0) and (0, 1), once each
     if command == "verify-resolvent":
         assert calls["_march_windows"] == 1     # one march, handed out in windows
+
+
+@pytest.mark.parametrize("command, config", COMMAND_RUNS)
+def test_each_command_makes_one_block_layout_per_step_maps(monkeypatch, tmp_path, command,
+                                                           config):
+    # Every march on a StepMaps runs on the layout the first one made: at
+    # most one layout on the Scenario's steps, and one on the final row's
+    # reversed maps where the command reads the final row.  The layout is
+    # set once.
+    made, scenarios = [], []
+    make = vars(StepMaps)["layout"].func
+
+    def counted(steps):
+        made.append(steps)
+        return make(steps)
+
+    layout = functools.cached_property(counted)
+    layout.__set_name__(StepMaps, "layout")
+    monkeypatch.setattr(StepMaps, "layout", layout)
+    parse = scenario_io.parse_scenario
+    monkeypatch.setattr(scenario_io, "parse_scenario",
+                        lambda doc: scenarios.append(parse(doc)) or scenarios[-1])
+    run_command(command, load_config(config), str(tmp_path), quiet=True)
+    (scn,) = scenarios
+    steps = scn.steps
+    forward = [other for other in made if other is steps]
+    back = [other for other in made if other is not steps]
+    # check-conditions marches only the final row (L1 reads the maps row by row)
+    assert len(forward) == (command != "check-conditions")
+    assert len(back) == ("final_row" in vars(scn)) == (command in ("steer", "check-conditions"))
+    for other in back:
+        assert np.shares_memory(other.maps, steps.maps)
+        assert np.array_equal(other.maps, steps.maps[::-1].swapaxes(1, 2))
+    with pytest.raises(AttributeError):
+        steps.layout = steps.layout
 
 
 @pytest.mark.parametrize("command, config", COMMAND_RUNS)

@@ -262,14 +262,20 @@ def test_autonomous_reduction_pure_ode_is_machine_exact():
     assert report.max_deviation <= 1e-8
 
 
-def test_autonomous_reduction_rejects_time_dependence():
+def _never(*args):
+    raise AssertionError("the autonomy check ran")
+
+
+def test_autonomous_reduction_is_skipped_for_time_dependence():
     linear = LinearPart(TimeFunction("affine", c0=1.0, c1=1.0), MemoryKernel("zero"))
-    with pytest.raises(UsageError):
-        sample_reports(make_basis(2), linear, _grid(33), autonomy=True)
+    report, auto = sample_reports(make_basis(2), linear, _grid(33), autonomy_check=_never)
+    assert auto is None and report.anchors_checked == 31
 
 
-def test_autonomous_reduction_rejects_nonuniform_grid():
+def test_autonomous_reduction_is_skipped_on_a_nonuniform_grid():
     from mds.measure import zeno_measure
     grid = build_time_grid(zeno_measure(5), 65)
-    with pytest.raises(GridError):
-        sample_reports(make_basis(2), _const_linear(1.0), grid, autonomy=True)
+    assert not grid.is_uniform()
+    report, auto = sample_reports(make_basis(2), _const_linear(1.0), grid,
+                                  autonomy_check=_never)
+    assert auto is None and report.anchors_checked == len(sample_anchors(len(grid)))

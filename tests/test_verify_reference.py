@@ -1,7 +1,7 @@
 """Differential tests for the windowed, table-free resolvent verifier.
 
 ``verify_resolvent_pde`` and ``check_autonomous_reduction`` read the sampled
-columns window by window as ``sample_windows`` marches them, and the
+columns window by window as ``verify_resolvent`` marches them, and the
 verifier sums each column's memory integral by a running trapezoid
 recurrence.  The versions they replaced read the full (N, M, M) resolvent
 table and, for the PDE check, formed an M x M kernel, prefix and weight
@@ -34,8 +34,7 @@ from mds.measure import JumpMeasure, TimeGrid, build_time_grid, constant_measure
 from mds.scenario_io import _SOLVER_ARRAYS, parse_scenario, run_command
 from mds.spectral import (LinearPart, SpectralBasis, _march, build_resolvent_table, make_basis,
                           step_maps)
-from mds.verify import (AutonomyReport, PdeReport, sample_anchors, sample_windows,
-                        verify_resolvent_pde)
+from mds.verify import AutonomyReport, PdeReport, sample_anchors, verify_resolvent_pde
 
 from conftest import load_config, sample_reports
 
@@ -90,17 +89,21 @@ def sample_resolvent(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid) -
 
 def windowed_columns(basis: SpectralBasis, linear: LinearPart, grid: TimeGrid,
                      arrays: int) -> np.ndarray:
-    """The sampled columns as ``sample_windows`` hands them out, joined, (N, M, K).
+    """The sampled columns as ``verify_resolvent`` hands them to its checks,
+    joined, (N, M, K).
 
     The windows must follow each other, and each window's halo must hold the
     two rows before it.
     """
     parts = []
-    for sample in sample_windows(basis, linear, grid, arrays):
-        assert sample.start == sum(len(part) for part in parts)
+
+    def keep(check, start, stop):
+        assert start == sum(len(part) for part in parts)
         if parts:
-            assert np.array_equal(sample.rows[:2], np.concatenate(parts)[-2:])
-        parts.append(sample.rows[2:2 + sample.stop - sample.start].copy())
+            assert np.array_equal(check.rows[:2], np.concatenate(parts)[-2:])
+        parts.append(check.rows[2:2 + stop - start].copy())
+
+    sample_reports(basis, linear, grid, arrays=arrays, pde_check=keep)
     return np.concatenate(parts).transpose(1, 0, 2)
 
 
@@ -366,11 +369,15 @@ def test_chunked_verifier_is_bitwise_the_row_loop(case, n_count, arrays):
     # entries before each column's anchor are never live: poisoning them with
     # NaN and inf in every window changes nothing, so they are dropped, not
     # multiplied by 0
+
+    def poisoned_check(check, start, stop):
+        window = check.rows[:stop - start + 2]                          # the halo too
+        before = (np.arange(start - 2, stop)[:, None] < check.anchors)[:, None]
+        np.copyto(window, np.inf, where=before)
+        np.copyto(window[:, 1::2], np.nan, where=before)
+        verify_resolvent_pde(check, start, stop)
+
     with np.errstate(invalid="ignore", over="ignore"):
-        for sample in sample_windows(basis, linear, grid, arrays):
-            window = sample.rows[:sample.stop - sample.start + 2]     # the halo too
-            before = (np.arange(sample.start - 2, sample.stop)[:, None] < sample.anchors)[:, None]
-            np.copyto(window, np.inf, where=before)
-            np.copyto(window[:, 1::2], np.nan, where=before)
-            poisoned = verify_resolvent_pde(sample)
+        poisoned, _ = sample_reports(basis, linear, grid, arrays=arrays,
+                                     pde_check=poisoned_check, autonomy_check=lambda *_: None)
     assert _report_bits(poisoned) == _report_bits(report)

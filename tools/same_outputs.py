@@ -5,14 +5,16 @@
 Exports REF's ``src/`` with ``git archive`` and runs each CLI command in a
 fresh interpreter under both trees: on every config in ``configs/``, on
 the benchmark's sizes (demo.json at 1025 nodes, resolvent_check.json at
-2048), and on documents off the shipped path (``OFF_PATH``: runs that exit
+2048), and on documents off the shipped path (``OFF_PATH``): runs that exit
 2 through the overflow guards, in a march seeded on its first row only and
-in a psi sweep, seeded on every row, or 3 on a zero gain, a zero cosine,
-the explicit-measure family with jumps and without, a jump at each kind of
-place the grid merge puts one, the lebesgue family, a non-uniform grid
-whose ``verify-resolvent`` writes no autonomy lines, the smallest accepted grid, a single mode, 80 modes, the two grids either side
-of the 64-anchor sample, a per-node table nonlinearity with a jump, and the
-edge cases of the verify-resolvent windows).  Each document also runs
+in a psi sweep, seeded on every row, or 3 on a zero gain; a zero initial
+state, whose marches have no seed; a zero cosine; the explicit-measure
+family with jumps and without; a jump at each kind of place the grid merge
+puts one; the lebesgue family; a non-uniform grid whose
+``verify-resolvent`` writes no autonomy lines; the smallest accepted grid;
+a single mode; 80 modes; the two grids either side of the 64-anchor
+sample; a per-node table nonlinearity with a jump; and the edge cases of
+the verify-resolvent windows.  Each document also runs
 ``simulate --physical``, whose trajectory.csv carries the per-row physical
 synthesis; those runs add about a quarter to the time (57 s against 45 s on
 a 2-core host).
@@ -63,6 +65,9 @@ OFF_PATH = {
     "tau_-6+12t": _tiny(basis={"N": 16}, states={"zeta0": [1.0] * 16},
                         linear={"tau": {"kind": "affine", "c0": -6.0, "c1": 12.0}}),
     "theta_0": _tiny(control={"theta": 0.0}),
+    # zeta0 = 0: simulate's marches, and steer's Picard seed, have no nonzero
+    # seed, the one case where a march writes zeros and steps nothing
+    "zeta0_0": _tiny(states={"zeta0": [0.0, 0.0], "zeta1": [0.25, 0.1]}),
     "cosine_M0_0": _config("demo.json", nonlinearity={"kind": "cosine", "M0": 0.0}),
     "explicit": {**_tiny(measure={"end": 1.0, "jumps": [[0.25, 0.1], [0.5, 0.2]],
                                   "density": {"kind": "sine", "c0": 1.0, "c1": 0.5,
@@ -96,11 +101,13 @@ OFF_PATH = {
     # 64 anchors are spread by linspace, where the anchor gap 64/63 is smallest
     "nodes_66": _config("resolvent_check.json", grid={"nodes": 66}),
     "nodes_67": _config("resolvent_check.json", grid={"nodes": 67}),
-    # verify-resolvent's windows, ceil(K / 17) of whole blocks: at 157 nodes
-    # 13 blocks of 13 rows go in 4 windows of 4, so the short last block, one
-    # row, is alone in its window; at 65 nodes 63 anchors go in 4 windows of
-    # 2 of the 8 blocks, the fewest blocks a window gets (the rule never asks
-    # for more windows than blocks); at 4097 nodes 64 blocks in 4 of 16
+    # verify-resolvent's windows, ceil(K / 12) of whole blocks (12 is
+    # scenario_io._SOLVER_ARRAYS): at 157 nodes 13 blocks of 13 rows go in 5
+    # windows of 3, so the short last block, one row, is alone in the fifth;
+    # at 65 nodes 63 anchors ask for 6 windows of the 8 blocks and get 4 of
+    # 2, the fewest blocks a window gets (the rule never makes more windows
+    # than blocks); at 4097 nodes 64 blocks go in 6 windows of 11, the last
+    # holding 9
     "nodes_157": _config("resolvent_check.json", grid={"nodes": 157}),
     "nodes_65": _config("resolvent_check.json", grid={"nodes": 65}),
     "nodes_4097": _config("resolvent_check.json", grid={"nodes": 4097}),
