@@ -3,7 +3,10 @@
 Z u = int_0^a R(a,s) V u(s) ds with V = diag(theta).  Because R acts
 diagonally, the normal equations decouple into scalar mode Gramians
 gamma_n = theta_n^2 Q[r_n(a,.)^2] under the shared quadrature Q, and the
-minimal-L2 preimage of p is u_n(s) = theta_n r_n(a,s) p_n / gamma_n.
+minimal-L2 preimage of p is u_n(s) = r_n(a,s) c_n, rank one per mode, with
+c_n = theta_n p_n / gamma_n.  The control is held as the coefficients c,
+(N,); a consumer forms the samples r(a, t_k) c from the final row inside
+the row loop it already runs.
 
 Sharing Q between Z itself (mode n of Zu is Q[r_n(a,.) theta_n u_n]), the
 Gramians, the control norm and the solver's u integral makes
@@ -60,16 +63,14 @@ def gramians(final: np.ndarray, theta: np.ndarray, weights) -> np.ndarray:
 
 
 def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights) -> np.ndarray:
-    """Minimal-L2-norm grid preimage of p under Z (per-mode normal equations).
+    """Minimal-L2-norm preimage of p under Z (per-mode normal equations).
 
-    The control's mode coefficients, one row per grid node: (M, N), read-only.
+    The control's coefficients c, (N,), read-only: u(t_k) = final[:, k] * c.
     """
     theta = np.asarray(theta, dtype=float)
-    gam = gramians(final, theta, weights)
-    p = np.asarray(p, dtype=float)
-    samples = final.T * (theta * p / gam)
-    samples.setflags(write=False)
-    return samples
+    c = theta * np.asarray(p, dtype=float) / gramians(final, theta, weights)
+    c.setflags(write=False)
+    return c
 
 
 def steering_residual(scn: Scenario, g, delta) -> np.ndarray:
@@ -105,7 +106,8 @@ class SteeringReport(Record):
 class SteerOutcome(Record):
     def __init__(self, control: np.ndarray, trajectory: RegulatedTrajectory,
                  report: SteeringReport):
-        # control: the (M, N) mode coefficients, read-only
+        # control: the coefficients c, (N,) and read-only, on the final row, or
+        # None when no pass ran
         self.control, self.trajectory, self.report = control, trajectory, report
 
 
@@ -117,18 +119,16 @@ def steer(scn: Scenario) -> SteerOutcome:
     stops when the sweep moves the path by less than tol_picard, and returns
     the path that sweep started from with its control, a pair psi moves by
     less than tol_picard.  A path holds its right limits only at the jump
-    rows, so a pass keeps the old path, the new one and the control, and no
-    second (M, N) array for either path.  With no nonlinearity and no
-    nonlocal term psi does not depend on its iterate: the seed R(t, 0) zeta0
-    is the uncontrolled solution (returned with u = 0 when it already meets
-    tol_target), and one pass reaches the fixed point.  Raises SteeringError
-    with the error history when max_outer passes reach no fixed point, or
-    when the fixed point misses tol_target.
+    rows and the control is its N coefficients, so the only (M, N) arrays a
+    pass keeps are the old path and the new one.  With no nonlinearity and
+    no nonlocal term psi does not depend on its iterate: the seed
+    R(t, 0) zeta0 is the uncontrolled solution (returned with no control,
+    u = 0, when it already meets tol_target), and one pass reaches the fixed
+    point.  Raises SteeringError with the error history when max_outer
+    passes reach no fixed point, or when the fixed point misses tol_target.
     """
     tol = scn.tol
-    traj = scn.picard_seed
-    u = np.zeros((len(scn.grid), scn.n_modes))
-    u.setflags(write=False)
+    traj, c = scn.picard_seed, None
     g = scn.g_of(traj.values)
     history = [terminal_error(scn, traj, g)]
     linear = scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero
@@ -140,8 +140,8 @@ def steer(scn: Scenario) -> SteerOutcome:
                 f"(terminal error {history[-1]:.3e})", history)
         # through the module attributes, which bench/tracer.py wraps
         delta = scn.delta_values(traj.values)
-        u = synthesize_control(scn, g, delta)
-        new = solver.apply_psi(scn, traj, u, g, delta)
+        c = synthesize_control(scn, g, delta)
+        new = solver.apply_psi(scn, traj, c, g, delta)
         del delta
         # psi(traj, u) = new; psi(new, u) = new too when psi does not read its iterate
         fixed = linear or solver._sup_distance(new, traj) < tol.tol_picard
@@ -158,6 +158,8 @@ def steer(scn: Scenario) -> SteerOutcome:
         raise SteeringError(
             f"terminal error {error:.3e} at the fixed point after {outer} "
             f"outer iterations (target {tol.tol_target:g})", history)
-    norm = float(np.sqrt(scn.wq_full @ np.sum(u ** 2, axis=-1)))   # (int ||u||^2 dt)^(1/2)
+    norm = 0.0                                      # (int ||u||^2 dt)^(1/2)
+    if c is not None:
+        norm = float(np.sqrt(scn.wq_full @ np.sum((scn.final_row.T * c) ** 2, axis=-1)))
     report = SteeringReport(error, outer, norm, tuple(history), True)
-    return SteerOutcome(u, traj, report)
+    return SteerOutcome(c, traj, report)

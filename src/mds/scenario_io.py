@@ -66,8 +66,8 @@ MAX_COEFFICIENT = 1e100
 # times coefficients stay finite
 HORIZON_RANGE = (1e-6, 1e6)
 # (M, N) arrays a command holds at once (the step maps, the final row, the
-# Picard seed, a steering pass's paths, control and nonlinearity, a sweep's
-# march): the largest tracemalloc peak of simulate, steer and check-conditions
+# Picard seed, a steering pass's paths and nonlinearity, a sweep's march):
+# the largest tracemalloc peak of simulate, steer and check-conditions
 # on the demo at 2049 and 16385 nodes, rounded up, which
 # tests/test_scenario_io.py holds from both sides
 _SOLVER_ARRAYS = 12
@@ -391,14 +391,19 @@ def write_trajectory_csv(path: str, scn: Scenario, traj, physical: bool = False)
                 fh.write(row_format % (t, kind, *cells))
 
 
-def write_control_csv(path: str, scn: Scenario, samples: np.ndarray) -> None:
+def write_control_csv(path: str, scn: Scenario, c) -> None:
+    """One row per node of u(t_k) = r(a, t_k) c, or of zeros when ``c`` is None.
+
+    u is formed in one product, the same per entry as row by row.
+    """
     header = ["t"] + [f"u_coeff_{n}" for n in scn.basis.mode_numbers]
     row_format = ",".join([_NUMBER_FORMAT] * (1 + scn.basis.n_modes)) + "\n"
+    u = np.zeros((len(scn.grid), scn.n_modes)) if c is None else scn.final_row.T * c
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         # a row at a time: the whole (M, N) list of floats is several arrays' worth
         fh.writelines(row_format % (t, *row.tolist()) for t, row in
-                      zip(scn.grid.nodes.tolist(), np.asarray(samples)))
+                      zip(scn.grid.nodes.tolist(), u))
 
 
 def run_command(cmd: str, doc: dict, out_dir: str = ".",

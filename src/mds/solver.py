@@ -43,24 +43,23 @@ def _check_grid(scn: Scenario, traj: RegulatedTrajectory) -> None:
         raise GridError("trajectory is sampled on a different grid than the scenario")
 
 
-def _as_control(scn: Scenario, u) -> np.ndarray | None:
-    if u is None:
-        return None
-    u = np.asarray(u, dtype=float)
-    if u.shape != (len(scn.grid), scn.n_modes):
-        raise GridError("control samples must be one mode vector per grid node")
-    return u
-
-
-def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None, g=None,
+def apply_psi(scn: Scenario, traj: RegulatedTrajectory, c=None, g=None,
               delta=None) -> RegulatedTrajectory:
-    """One application of the solution operator to the iterate ``traj``."""
+    """One application of the solution operator to the iterate ``traj``.
+
+    ``c`` is the control's coefficients on the final row, (N,), or None for
+    no control: u(t_k) = r(a, t_k) c, formed a row block at a time.
+    """
     # g and delta, g(traj) and delta(traj), are evaluated here unless given.
     # The march overwrites the seeds with its sums, and the closure is added a
     # row block at a time, each entry by the same operations in the same order
     # as from full arrays of zeros (so a -0.0 term seeds +0.0).
     _check_grid(scn, traj)
-    u = _as_control(scn, u)
+    if c is not None:
+        c = np.asarray(c, dtype=float)
+        if c.shape != (scn.n_modes,):
+            raise GridError("the control must be one coefficient per mode")
+        final = scn.final_row.T
     if g is None:
         g = scn.g_of(traj.values)
     nonlinear = not scn.nonlinearity.is_zero
@@ -75,8 +74,8 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None, g=None,
         seeds[:] = 0.0
         if rows.start == 0:
             seeds[0] = scn.zeta0 - g
-        if u is not None:
-            seeds += scn.wq_full[rows, None] * (u[rows] * scn.theta)
+        if c is not None:
+            seeds += scn.wq_full[rows, None] * (final[rows] * c * scn.theta)
         if nonlinear:
             seeds += scn.dh_full[rows, None] * delta[rows]
     resolvent_sums(scn.steps, values, values)
@@ -84,9 +83,9 @@ def apply_psi(scn: Scenario, traj: RegulatedTrajectory, u=None, g=None,
     for rows in blocks:
         lo, hi = rows.start, rows.stop
         closure = np.zeros((hi - lo, scn.n_modes))
-        if u is not None:
+        if c is not None:
             first = max(lo - 1, 0)
-            vu = u[first:hi] * scn.theta
+            vu = final[first:hi] * c * scn.theta
             closure += (scn.wq_diag[rows] - scn.wq_full[rows])[:, None] * vu[lo - first:]
             j = max(lo, 1)                  # row j's cell reads a11 and vu at j - 1
             closure[j - lo:] += ((scn.wq_sub[j:hi] - scn.wq_full[j - 1:hi - 1])[:, None]
@@ -114,8 +113,9 @@ class PicardResult(Record):
         self.final_delta, self.deltas = final_delta, deltas
 
 
-def picard_solve(scn: Scenario, u=None) -> PicardResult:
-    """Iterate psi from the seed until successive sup-node distance < tol_picard.
+def picard_solve(scn: Scenario, c=None) -> PicardResult:
+    """Iterate psi at the control ``c`` (as in ``apply_psi``) from the seed until
+    successive sup-node distance < tol_picard.
 
     With no nonlinearity and no nonlocal term psi does not depend on its
     iterate, so a single sweep from the zero path is the fixed point and the
@@ -126,11 +126,11 @@ def picard_solve(scn: Scenario, u=None) -> PicardResult:
     if scn.nonlinearity.is_zero and scn.nonlocal_term.is_zero:
         zero = np.zeros((len(scn.grid), scn.n_modes))
         start = RegulatedTrajectory(scn.grid, zero, scn.jump_rows, zero[scn.jump_rows])
-        return PicardResult(apply_psi(scn, start, u), 1, 0.0, (0.0,))
+        return PicardResult(apply_psi(scn, start, c), 1, 0.0, (0.0,))
     current = scn.picard_seed
     deltas = []
     for sweep in range(1, scn.tol.max_picard + 1):
-        new = apply_psi(scn, current, u)
+        new = apply_psi(scn, current, c)
         delta = _sup_distance(new, current)
         deltas.append(delta)
         if delta < scn.tol.tol_picard:

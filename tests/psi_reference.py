@@ -6,9 +6,12 @@ Each evaluates g and delta wherever it needs them, builds the full (M, N)
 seeds and closure from zeros with one temporary per term, and forms g from
 freshly sampled f and trapezoid weights.  Each path is a ``Path``: its left
 values and a full (M, N) array of right values, equal to the left values off
-the jump rows.  ``tests/test_psi_reference.py`` checks that the package's
-solver and steering loop give bitwise the same paths, controls, histories
-and deltas.
+the jump rows.  A control is its full (M, N) array of samples u(t_k), as it
+was before the package held the N coefficients c with u(t_k) = r(a, t_k) c;
+the reference steering loop forms the samples from the package's
+``min_norm_inverse``.  ``tests/test_psi_reference.py`` checks that the
+package's solver and steering loop give bitwise the same paths, controls,
+histories and deltas.
 """
 
 from __future__ import annotations
@@ -125,8 +128,8 @@ def steer(scn):
             raise SteeringError(
                 f"no fixed point after {tol.max_outer} outer iterations "
                 f"(terminal error {history[-1]:.3e})", history)
-        u = min_norm_inverse(scn.final_row, scn.theta, steering_residual(scn, traj),
-                             scn.wq_full)
+        u = scn.final_row.T * min_norm_inverse(scn.final_row, scn.theta,
+                                               steering_residual(scn, traj), scn.wq_full)
         new = apply_psi(scn, traj, u)
         history.append(terminal_error(scn, new))
         fixed = linear or sup_distance(new, traj) < tol.tol_picard

@@ -188,14 +188,15 @@ def test_criterion_10_affinity_of_linear_solution_map():
     z_b = rng.uniform(-1.0, 1.0, 4)
     alpha, beta = rng.uniform(-1.0, 1.0, 2)
 
-    def solve(z0, u):
+    def solve(z0, c):
         scn = assemble_scenario(basis, linear, h, 257, z0, np.zeros(4))
-        return picard_solve(scn, u).trajectory.values
+        return picard_solve(scn, c).trajectory.values
 
-    u_a = rng.standard_normal((257, 4))
-    u_b = rng.standard_normal((257, 4))
-    combo = solve(alpha * z_a + beta * z_b, alpha * u_a + beta * u_b)
-    split = alpha * solve(z_a, u_a) + beta * solve(z_b, u_b)
+    # the engine's controls are the N coefficients c on the final row
+    c_a = rng.standard_normal(4)
+    c_b = rng.standard_normal(4)
+    combo = solve(alpha * z_a + beta * z_b, alpha * c_a + beta * c_b)
+    split = alpha * solve(z_a, c_a) + beta * solve(z_b, c_b)
     dev = float(np.max(np.abs(combo - split)))
     ok = dev <= 1e-8
     record_criterion("10", ok,

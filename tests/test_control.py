@@ -31,6 +31,11 @@ def z_apply(final: np.ndarray, theta, u: np.ndarray, weights) -> np.ndarray:
     return np.asarray(theta, dtype=float) * ((final * np.asarray(u, dtype=float).T) @ w)
 
 
+def samples(final: np.ndarray, c) -> np.ndarray:
+    """u(t_k) = r(a, t_k) c: the control's samples, (M, N), from its coefficients."""
+    return final.T * c
+
+
 def l2_norm(u: np.ndarray, weights: np.ndarray) -> float:
     """(int ||u(t)||^2 dt)^(1/2) under the quadrature weights, as steer's control_norm."""
     return float(np.sqrt(weights @ np.sum(u ** 2, axis=-1)))
@@ -57,7 +62,9 @@ def test_first_mode_gramian_closed_form(small_scn):
 def test_min_norm_control_profile(small_scn):
     final = small_scn.final_row
     p = np.array([1.0, 0.0, 0.0])
-    u = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
+    c = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
+    assert c.shape == (3,) and not c.flags.writeable
+    u = samples(final, c)
     s = small_scn.grid.nodes
     gamma1 = (1.0 - math.exp(-2.0)) / 2.0
     assert np.max(np.abs(u[:, 0] - np.exp(-(1.0 - s)) / gamma1)) < 1e-6
@@ -67,9 +74,9 @@ def test_min_norm_control_profile(small_scn):
 
 
 def test_zero_target_gives_zero_control(small_scn):
-    u = min_norm_inverse(small_scn.final_row, small_scn.theta,
+    c = min_norm_inverse(small_scn.final_row, small_scn.theta,
                          np.zeros(3), small_scn.wq_full)
-    assert np.all(u == 0.0)
+    assert np.all(c == 0.0)
 
 
 def test_zero_gain_is_degenerate(small_scn):
@@ -84,8 +91,8 @@ def test_preimage_round_trip(small_scn):
     final = small_scn.final_row
     for _ in range(5):
         p = rng.uniform(-2.0, 2.0, size=3)
-        u = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
-        back = z_apply(final, small_scn.theta, u, small_scn.wq_full)
+        c = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
+        back = z_apply(final, small_scn.theta, samples(final, c), small_scn.wq_full)
         assert np.max(np.abs(back - p)) < 1e-10
 
 
@@ -93,8 +100,8 @@ def test_control_norm_identity(small_scn):
     final = small_scn.final_row
     p = np.array([0.3, -1.2, 0.8])
     gam = gramians(final, small_scn.theta, small_scn.wq_full)
-    u = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
-    norm = l2_norm(u, small_scn.wq_full)
+    c = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
+    norm = l2_norm(samples(final, c), small_scn.wq_full)
     assert norm == pytest.approx(math.sqrt(np.sum(p * p / gam)), rel=1e-12)
 
 
@@ -103,13 +110,13 @@ def test_minimality_against_kernel_perturbations(small_scn):
     final = small_scn.final_row
     w = small_scn.wq_full
     p = np.array([1.0, -0.5, 0.25])
-    u = min_norm_inverse(final, small_scn.theta, p, w)
+    u = samples(final, min_norm_inverse(final, small_scn.theta, p, w))
     base = l2_norm(u, w)
     for _ in range(5):
         v0 = rng.standard_normal((len(small_scn.grid), 3))
         # project v0 onto ker Z: subtract the preimage of its image
         hit = z_apply(final, small_scn.theta, v0, w)
-        v = v0 - min_norm_inverse(final, small_scn.theta, hit, w)
+        v = v0 - samples(final, min_norm_inverse(final, small_scn.theta, hit, w))
         assert base <= l2_norm(u + v, w) + 1e-12
 
 
@@ -130,7 +137,7 @@ def test_reachable_target_needs_no_control():
         constant_measure(1.0), 257, zeta0, np.exp(-n2.astype(float)) * zeta0)
     from mds.solver import picard_solve
     traj = picard_solve(scn).trajectory
-    u = synthesize_control(scn, *terms(scn, traj))
+    u = samples(scn.final_row, synthesize_control(scn, *terms(scn, traj)))
     assert np.max(np.abs(u)) < 1e-14
 
 
@@ -142,7 +149,7 @@ def test_trivial_steer_does_nothing():
     out = steer(scn)
     assert out.report.outer_iterations == 0
     assert out.report.converged
-    assert np.all(out.control == 0.0)
+    assert out.control is None          # no pass: no control, u = 0
     assert out.report.terminal_error == 0.0
 
 
@@ -179,7 +186,8 @@ def test_demo_steer_report_is_consistent(tmp_path, demo_scn, demo_steered):
     assert rep.terminal_error == terminal_error(demo_scn, demo_steered.trajectory)
     assert rep.outer_iterations == len(rep.history) - 1
     assert rep.control_norm == pytest.approx(
-        l2_norm(demo_steered.control, demo_scn.wq_full), rel=1e-15)
+        l2_norm(samples(demo_scn.final_row, demo_steered.control), demo_scn.wq_full),
+        rel=1e-15)
     assert run_command("steer", load_config("demo.json"), str(tmp_path), quiet=True) == 0
     lines = (tmp_path / "steering.txt").read_text().splitlines()
     assert lines[0] == "converged=true"
@@ -214,12 +222,12 @@ def _assert_fixed_point_of_phi(scn, out):
     if rep.outer_iterations == 0:       # the seed already met the target
         assert linear
         assert out.trajectory is scn.picard_seed
-        assert not np.any(out.control)
+        assert out.control is None
         return
     assert rep.terminal_error == rep.history[-1 if linear else -2]
     if not linear:
-        u = synthesize_control(scn, *terms(scn, out.trajectory))
-        assert out.control.tobytes() == u.tobytes()
+        c = synthesize_control(scn, *terms(scn, out.trajectory))
+        assert out.control.tobytes() == c.tobytes()
     assert _phi_defect(scn, out) < scn.tol.tol_picard
 
 
@@ -249,17 +257,17 @@ def _nested_reference(scn):
     synthesis and one controlled Picard solve when the target is missed."""
     traj = picard_solve(scn, None).trajectory
     history = [terminal_error(scn, traj)]
-    u = np.zeros((len(scn.grid), scn.n_modes))
+    c = None
     if history[0] > scn.tol.tol_target and scn.tol.max_outer > 0:
-        u = synthesize_control(scn, *terms(scn, traj))
-        traj = picard_solve(scn, u).trajectory
+        c = synthesize_control(scn, *terms(scn, traj))
+        traj = picard_solve(scn, c).trajectory
         history.append(terminal_error(scn, traj))
-    return u, traj, history
+    return c, traj, history
 
 
 def _assert_steers_like_the_nested_loop(scn):
     try:
-        u, traj, history = _nested_reference(scn)
+        c, traj, history = _nested_reference(scn)
     except (InstabilityError, DegenerateModeError) as exc:
         with pytest.raises(type(exc)):
             steer(scn)
@@ -272,7 +280,7 @@ def _assert_steers_like_the_nested_loop(scn):
     out = steer(scn)
     assert out.report.history == tuple(history)
     assert out.report.outer_iterations == len(history) - 1
-    assert out.control.tobytes() == u.tobytes()
+    assert out.control is c is None or out.control.tobytes() == c.tobytes()
     assert out.trajectory.values.tobytes() == traj.values.tobytes()
     assert out.trajectory.right.tobytes() == traj.right.tobytes()
 

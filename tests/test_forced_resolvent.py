@@ -321,11 +321,12 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
     rng = np.random.default_rng(seed)
     zeta0 = rng.uniform(-1.0, 1.0, n_count)
     theta = rng.uniform(0.1, 2.0, n_count)
-    u = rng.uniform(-1.0, 1.0, (m_count, n_count))
+    c = rng.uniform(-1.0, 1.0, n_count)
     delta = rng.uniform(-1.0, 1.0, (m_count, n_count))
     scn = assemble_scenario(basis, linear, h, base, zeta0, np.zeros(n_count),
                             nonlinearity=NonlinearityEval("table", table=delta),
                             theta=theta)
+    c = c / np.abs(scn.final_row).max(axis=1)   # |u_n| <= 1; r_n(a, a) = 1 keeps the max >= 1
     wq_rows, dh_rows = dense_rules(scn)
     first = np.zeros((m_count, n_count))
     first[0] = zeta0
@@ -335,9 +336,9 @@ def test_marches_match_the_dense_table(tau, kernel, measure, n_count, seed):
     old_seed = data[:, :, 0].T * zeta0
     assert np.all(np.abs(seed_traj - old_seed) <= running_bound(maj, [anchor0]))
 
-    vu = u * theta
+    vu = scn.final_row.T * c * theta
     traj = RegulatedTrajectory(scn.grid, seed_traj, scn.jump_rows, seed_traj[scn.jump_rows])
-    new = apply_psi(scn, traj, u)
+    new = apply_psi(scn, traj, c)
     old = old_seed + contract(wq_rows, data, vu) + contract(dh_rows, data, delta)
     bound = running_bound(maj, [anchor0, (scn.wq_full, wq_rows, vu),
                                 (scn.dh_full, dh_rows, delta)])
@@ -359,12 +360,13 @@ def test_demo_marches_match_the_dense_table(demo_scn, demo_solution):
 
     traj = demo_solution.trajectory
     rng = np.random.default_rng(5)
-    u = rng.uniform(-1.0, 1.0, traj.values.shape)
+    c = rng.uniform(-1.0, 1.0, scn.n_modes)
+    u = scn.final_row.T * c
     vu = u * scn.theta
     delta = scn.delta_values(traj.values)
     g = scn.g_of(traj.values)
     wq_rows, dh_rows = dense_rules(scn)
-    new = apply_psi(scn, traj, u).values
+    new = apply_psi(scn, traj, c).values
     old = (data[:, :, 0].T * (scn.zeta0 - g) + contract(wq_rows, data, vu)
            + contract(dh_rows, data, delta))
     first = np.zeros_like(u)

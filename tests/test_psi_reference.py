@@ -6,7 +6,9 @@ and delta wherever they were needed, g from freshly sampled f and
 trapezoid weights, and paths that held a full (M, N) array of right values.
 On small documents of every shape the package's ``apply_psi``,
 ``picard_solve`` and ``steer`` give bitwise the same values, right limits,
-controls, histories and deltas, or raise the same error.
+controls, histories and deltas, or raise the same error.  The package takes
+and returns a control as its coefficients c on the final row, the reference
+as its samples r(a, t_k) c.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def test_lean_solver_matches_the_reference_bitwise(doc, controlled, pool, data):
         return
     m_count, n_count = len(scn.grid), scn.n_modes
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    u = rng.choice(pool, size=(m_count, n_count)) if controlled else None
+    c = rng.choice(pool, size=n_count) if controlled else None
+    u = ref.final_row.T * c if controlled else None         # the reference's samples
     wild = rng.choice(pool, size=(2, m_count, n_count))
     iterates = [RegulatedTrajectory(scn.grid, wild[0], scn.jump_rows, wild[1][scn.jump_rows])]
     seed = _outcome(lambda: scn.picard_seed)
@@ -138,15 +141,15 @@ def test_lean_solver_matches_the_reference_bitwise(doc, controlled, pool, data):
         iterates.append(seed)
     for traj in iterates:
         want = _outcome(psi_reference.apply_psi, ref, traj, u)
-        for got in (_outcome(apply_psi, scn, traj, u),
-                    _outcome(apply_psi, scn, traj, u, scn.g_of(traj.values),
+        for got in (_outcome(apply_psi, scn, traj, c),
+                    _outcome(apply_psi, scn, traj, c, scn.g_of(traj.values),
                              scn.delta_values(traj.values))):
             if isinstance(want, psi_reference.Path):
                 _same_trajectory(got, want, scn)
             else:
                 assert got == want
 
-    got, want = _outcome(picard_solve, scn, u), _outcome(psi_reference.picard_solve, ref, u)
+    got, want = _outcome(picard_solve, scn, c), _outcome(psi_reference.picard_solve, ref, u)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -158,7 +161,9 @@ def test_lean_solver_matches_the_reference_bitwise(doc, controlled, pool, data):
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert _bits(got.control) == _bits(want.control)
+        # no pass: no control, where the reference holds zeros
+        assert _bits(np.zeros((m_count, n_count)) if got.control is None
+                     else scn.final_row.T * got.control) == _bits(want.control)
         _same_trajectory(got.trajectory, want.trajectory, scn)
         assert got.report.history == want.report.history
         assert _bits([got.report.terminal_error, got.report.control_norm]) == \
@@ -193,15 +198,15 @@ def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
     scn = parse_scenario(doc)
     traj = scn.picard_seed
     m_count, n_count = len(scn.grid), scn.n_modes
-    u = np.full((m_count, n_count), 0.25)
+    c = np.full(n_count, 0.25)
     g, delta = scn.g_of(traj.values), scn.delta_values(traj.values)
-    apply_psi(scn, traj, u, g, delta)            # forms the rules and the layout
+    apply_psi(scn, traj, c, g, delta)     # forms the rules, the layout and the final row
     array = 8 * m_count * n_count
     path = array + 8 * len(scn.jump_rows) * n_count
     size = math.isqrt(m_count - 1) + 1
     march = 8 * n_count * -(-m_count // size) * 6
     closure = 4 * 8 * -(-m_count // _BLOCKS) * n_count
-    lean, held = _traced(apply_psi, scn, traj, u, g, delta)
+    lean, held = _traced(apply_psi, scn, traj, c, g, delta)
     # the returned path is one (M, N) array and the block; a full (M, N) array
     # of right values beside the left ones would be twice the array
     assert path <= held < path + 4096
@@ -211,5 +216,28 @@ def test_a_sweep_holds_only_the_march_beside_the_path_it_returns():
     # each evaluating g and delta itself, the reference sweep also held the
     # seeds, the closure, vu, a product and the march's output (measured 3.0
     # arrays more)
+    u = scn.final_row.T * c
     assert (_traced(psi_reference.apply_psi, scn, traj, u)[0]
-            > _traced(apply_psi, scn, traj, u)[0] + 2.5 * array)
+            > _traced(apply_psi, scn, traj, c)[0] + 2.5 * array)
+
+
+def test_a_steer_holds_its_control_as_the_n_coefficients():
+    # the demo at 16385 nodes, steered once already so that the Scenario's
+    # seed, step maps, final row and rules are built: a steer returns its
+    # path, the (M, N) values and the (K, N) right limits at its K jump rows,
+    # and the control's N coefficients, with no (M, N) samples of u beside
+    # them
+    doc = load_config("demo.json")
+    doc["grid"]["nodes"] = 16385
+    scn = parse_scenario(doc)
+    steer(scn)
+    m_count, j_count = len(scn.grid), scn.basis.collocation
+    path = 8 * (m_count + len(scn.jump_rows)) * scn.n_modes
+    peak, held = _traced(steer, scn)
+    assert path <= held < path + 4096
+    # the peak is the last pass's g of the new path beside the old one: two
+    # paths, and g's (M, J) physical values and its two (M,) vectors, under
+    # one (M,) vector more; the control's samples would be a third (M, N)
+    # array
+    g_eval = 8 * m_count * (j_count + 2)
+    assert 2 * path + 8 * m_count * j_count < peak < 2 * path + g_eval + 8 * m_count

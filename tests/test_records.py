@@ -63,6 +63,7 @@ def test_every_record_refuses_change():
              *sample_reports(check.basis, check.linear, check.grid)]
     records = _reachable(roots)
     assert {"final_row", "steps"} <= set(vars(demo))            # the cached data is built
+    assert roots[1].control.shape == (demo.n_modes,)            # the control's coefficients
     assert "layout" in vars(demo.steps)
     assert {"wq_full", "wq_diag", "wq_sub", "dh_full", "dh_diag"} <= set(vars(demo))
     assert {"x", "weights", "synthesis", "analysis"} <= set(vars(demo.basis))

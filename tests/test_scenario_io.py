@@ -723,12 +723,18 @@ def test_trajectory_csv_bytes_equal_per_cell_format(tmp_path, demo_scn, physical
 
 
 def test_control_csv_bytes_equal_per_cell_format(tmp_path, demo_scn):
+    # u(t_k) = r(a, t_k) c formed one node at a time
     scn = demo_scn
-    samples = np.resize(EDGE_VALUES, (len(scn.grid), scn.n_modes))
+    c = np.resize(EDGE_VALUES, scn.n_modes)
     path = tmp_path / "control.csv"
-    write_control_csv(str(path), scn, samples)
+    write_control_csv(str(path), scn, c)
     header = ",".join(["t"] + [f"u_coeff_{n}" for n in scn.basis.mode_numbers])
-    rows = [(t, [], samples[j]) for j, t in enumerate(scn.grid.nodes)]
+    rows = [(t, [], scn.final_row[:, j] * c) for j, t in enumerate(scn.grid.nodes)]
+    assert path.read_bytes() == _per_cell_text(header, rows)
+    # no control: +0 in every cell, where a zero c would write -0 at r(a, t_k) < 0
+    assert np.any(scn.final_row < 0.0)
+    write_control_csv(str(path), scn, None)
+    rows = [(t, [], [0.0] * scn.n_modes) for t in scn.grid.nodes]
     assert path.read_bytes() == _per_cell_text(header, rows)
 
 

@@ -73,11 +73,11 @@ def test_iterate_independent_psi_marches_once_per_solve(linear_scn, monkeypatch)
 
     resolvent_sums = mds.solver.resolvent_sums
     monkeypatch.setattr(mds.solver, "resolvent_sums", counted)
-    u = np.full((len(linear_scn.grid), linear_scn.n_modes), 0.25)
-    res = picard_solve(linear_scn, u)
+    c = np.full(linear_scn.n_modes, 0.25)
+    res = picard_solve(linear_scn, c)
     assert len(marches) == 1
     # the one sweep from the zero path equals the sweep from the Picard seed
-    seeded = apply_psi(linear_scn, linear_scn.picard_seed, u)
+    seeded = apply_psi(linear_scn, linear_scn.picard_seed, c)
     assert np.array_equal(res.trajectory.values, seeded.values)
     assert np.array_equal(res.trajectory.right, seeded.right)
     marches.clear()
@@ -112,7 +112,7 @@ def test_zero_control_matches_no_control():
     scn = _linear_scn()
     seed = scn.picard_seed
     a = apply_psi(scn, seed)
-    b = apply_psi(scn, seed, np.zeros((len(scn.grid), scn.n_modes)))
+    b = apply_psi(scn, seed, np.zeros(scn.n_modes))
     assert np.array_equal(a.values, b.values)
 
 
@@ -198,7 +198,7 @@ def test_a_path_without_jumps_holds_an_empty_block(tmp_path):
     # discontinuity, the jump consistency is 0.0 and the CSV has no right row
     scn = _linear_scn(nodes=17)
     a = picard_solve(scn).trajectory
-    b = apply_psi(scn, scn.picard_seed, np.full((17, 3), 0.5))
+    b = apply_psi(scn, scn.picard_seed, np.full(3, 0.5))
     assert a.right.shape == b.right.shape == (0, 3)
     left = np.sqrt(np.sum((a.values - b.values) ** 2, axis=-1)).max()
     assert mds.solver._sup_distance(a, b) == left > 0.0
@@ -219,5 +219,10 @@ def test_foreign_grid_rejected():
 
 def test_misshapen_control_rejected():
     scn = _linear_scn(nodes=65)
-    with pytest.raises(GridError):
-        apply_psi(scn, scn.picard_seed, np.zeros((7, scn.n_modes)))
+    # one coefficient per mode; the (M, N) samples are refused as well
+    for c in (np.zeros(scn.n_modes + 1), np.zeros((1, scn.n_modes)),
+              np.zeros((len(scn.grid), scn.n_modes)), 0.5):
+        with pytest.raises(GridError):
+            apply_psi(scn, scn.picard_seed, c)
+        with pytest.raises(GridError):
+            picard_solve(scn, c)

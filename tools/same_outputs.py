@@ -13,11 +13,12 @@ family with jumps and without; a jump at each kind of place the grid merge
 puts one; the lebesgue family; a non-uniform grid whose
 ``verify-resolvent`` writes no autonomy lines; the smallest accepted grid;
 a single mode; 80 modes; the two grids either side of the 64-anchor
-sample; a per-node table nonlinearity with a jump; and the edge cases of
-the verify-resolvent windows.  Each document also runs
-``simulate --physical``, whose trajectory.csv carries the per-row physical
-synthesis; those runs add about a quarter to the time (57 s against 45 s on
-a 2-core host).
+sample; a linear steer whose seed already meets its target, so that it
+makes no pass and writes a zero control; a per-node table nonlinearity
+with a jump; and the edge cases of the verify-resolvent windows.  Each
+document also runs ``simulate --physical``, whose trajectory.csv carries
+the per-row physical synthesis; those runs add about a quarter to the
+time (57 s against 45 s on a 2-core host).
 Exit codes, stdout and every output file are compared byte for byte.
 Prints one line per difference and exits 1 if there is any, else 0.
 """
@@ -118,6 +119,13 @@ OFF_PATH = {
                                          "jumps": [[1 / 256, 0.05], [0.25, 0.1],
                                                    [0.5 + 0.4 / 64, 0.2], [1 - 1 / 256, 0.05]]},
                                 nonlinearity={"kind": "cosine", "M0": 0.05}),
+    # zeta1 is the uncontrolled terminal state, so the linear steer makes no
+    # pass and writes a zero control where the final row, down to -0.697, is
+    # negative: +0, not the -0 of a zero coefficient times r_n(a, s) < 0
+    "zero_pass": _tiny(linear={"tau": {"kind": "const", "c0": 1.0},
+                               "kernel": {"kind": "exp_diff", "c0": 40.0, "rate": 0.5}},
+                       states={"zeta0": [1.0, 0.5],
+                               "zeta1": [0.47136772795580667, 0.05279658776710976]}),
     # one table row per node and a jump on row 1, which simulate's jump check reads
     "table_jump": _tiny(grid={"nodes": 5}, measure={"end": 1.0, "jumps": [[0.3, 0.1]]},
                         nonlinearity={"kind": "table",
