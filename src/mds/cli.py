@@ -6,9 +6,7 @@ import argparse
 import json
 import sys
 
-from .scenario_io import run_command
-
-_COMMANDS = ("simulate", "steer", "check-conditions", "verify-resolvent")
+from .scenario_io import COMMANDS, run_command
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -17,7 +15,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure-driven semilinear systems: simulate, steer, "
                     "check steerability conditions, verify the resolvent.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("config", help="path to a JSON scenario document")
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="directory for CSV and report outputs (default: .)")

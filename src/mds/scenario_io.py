@@ -21,6 +21,11 @@ an int or a bool), written one ``name=value`` line per entry by
 ``_write_record``.  ``_text`` is the one place a report value becomes
 text: ``%.17g`` (_NUMBER_FORMAT) for a number, ``true``/``false`` for a
 bool; the CSV rows use the same format.
+
+Each command is one function in ``COMMANDS``, the table the CLI also takes
+its choices from.  ``run_command`` parses, looks the command up, runs it,
+writes its record and prints its lines, and maps each typed error to its
+stdout line and exit code.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ HORIZON_RANGE = (1e-6, 1e6)
 _SOLVER_ARRAYS = 12
 _COLLOCATION_ARRAYS = 1     # (M, J) arrays a psi sweep holds at once at the J nodes
 _NUMBER_FORMAT = "%.17g"     # every number a report or a CSV row writes
+_CSV_ROWS = 1024             # rows of control.csv formed at once
 _DEFAULTS = {cls: {name: p.default for name, p in inspect.signature(cls).parameters.items()}
              for cls in (TimeFunction, MemoryKernel, Tolerances)}
 
@@ -394,16 +400,80 @@ def write_trajectory_csv(path: str, scn: Scenario, traj, physical: bool = False)
 def write_control_csv(path: str, scn: Scenario, c) -> None:
     """One row per node of u(t_k) = r(a, t_k) c, or of zeros when ``c`` is None.
 
-    u is formed in one product, the same per entry as row by row.
+    u is formed _CSV_ROWS rows at a time, each entry the same single product
+    as row by row, so the write never holds an (M, N) array or its floats.
     """
     header = ["t"] + [f"u_coeff_{n}" for n in scn.basis.mode_numbers]
     row_format = ",".join([_NUMBER_FORMAT] * (1 + scn.basis.n_modes)) + "\n"
-    u = np.zeros((len(scn.grid), scn.n_modes)) if c is None else scn.final_row.T * c
+    nodes = scn.grid.nodes
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        # a row at a time: the whole (M, N) list of floats is several arrays' worth
-        fh.writelines(row_format % (t, *row.tolist()) for t, row in
-                      zip(scn.grid.nodes.tolist(), u))
+        for start in range(0, len(nodes), _CSV_ROWS):
+            rows = slice(start, start + _CSV_ROWS)
+            t = nodes[rows].tolist()
+            u = np.zeros((len(t), scn.n_modes)) if c is None else scn.final_row[:, rows].T * c
+            fh.writelines(row_format % (s, *row) for s, row in zip(t, u.tolist()))
+
+
+def _simulate(scn: Scenario, out_dir: str, physical: bool):
+    result = picard_solve(scn, None)
+    traj = result.trajectory
+    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), scn, traj, physical)
+    violation = jump_consistency(traj, scn)
+    record = dict(picard_iterations=result.iterations, final_delta=result.final_delta,
+                  jump_consistency=violation, discontinuities=discontinuity_count(traj))
+    return "simulate.txt", record, [f"simulate: {result.iterations} sweeps, "
+                                    f"jump consistency {violation:.3e}"], 0
+
+
+def _steer(scn: Scenario, out_dir: str, physical: bool):
+    outcome = steer(scn)
+    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), scn, outcome.trajectory,
+                         physical)
+    write_control_csv(os.path.join(out_dir, "control.csv"), scn, outcome.control)
+    report = outcome.report
+    record = dict(converged=report.converged, terminal_error=report.terminal_error,
+                  outer_iterations=report.outer_iterations, control_norm=report.control_norm)
+    record.update((f"history_{i}", e) for i, e in enumerate(report.history))
+    return "steering.txt", record, [f"steer: terminal error {report.terminal_error:.3e} "
+                                    f"in {report.outer_iterations} outer iterations, "
+                                    f"control norm {report.control_norm:.6g}"], 0
+
+
+def _check_conditions(scn: Scenario, out_dir: str, physical: bool):
+    report = build_report(scn)
+    m1, m2 = report.margins
+    record = dict(vars(report.constants))   # a copy, L1 .. horizon in __init__ order
+    record.update(cond1_lhs=report.lhs_cond1, cond1_pass=report.pass_cond1, cond1_margin=m1,
+                  cond2_lhs=report.lhs_cond2, cond2_pass=report.pass_cond2, cond2_margin=m2,
+                  worked1_lhs=report.lhs_worked1, worked2_lhs=report.lhs_worked2,
+                  examples_pass=report.pass_examples)
+    lines = [f"cond1: lhs {report.lhs_cond1:.6g} margin {m1:.6g} "
+             f"{'pass' if report.pass_cond1 else 'FAIL'}",
+             f"cond2: lhs {report.lhs_cond2:.6g} margin {m2:.6g} "
+             f"{'pass' if report.pass_cond2 else 'FAIL'}"]
+    return "conditions.txt", record, lines, 0 if report.all_pass else 1
+
+
+def _verify_resolvent(scn: Scenario, out_dir: str, physical: bool):
+    # this module's bindings of the two checks, which bench/tracer.py wraps
+    pde, auto = verify_resolvent(scn, _SOLVER_ARRAYS, verify_resolvent_pde,
+                                 check_autonomous_reduction)
+    record = dict(max_raw_residual=pde.max_raw_residual,
+                  max_scaled_residual=pde.max_scaled_residual, tol_pde=pde.tol_pde,
+                  anchors_checked=pde.anchors_checked, pde_pass=pde.passed)
+    if auto is not None:
+        record.update(autonomy_max_deviation=auto.max_deviation, autonomy_pass=auto.passed)
+    ok = pde.passed and (auto is None or auto.passed)
+    return "resolvent_report.txt", record, [f"resolvent: scaled residual "
+                                            f"{pde.max_scaled_residual:.3e} "
+                                            f"({'pass' if ok else 'FAIL'})"], 0 if ok else 1
+
+
+# each command runs its engine calls and writes its CSVs into out_dir; it
+# returns its report's file name and record, its stdout lines and its exit code
+COMMANDS = {"simulate": _simulate, "steer": _steer,
+            "check-conditions": _check_conditions, "verify-resolvent": _verify_resolvent}
 
 
 def run_command(cmd: str, doc: dict, out_dir: str = ".",
@@ -416,65 +486,13 @@ def run_command(cmd: str, doc: dict, out_dir: str = ".",
 
     try:
         scn = parse_scenario(doc)
+        if cmd not in COMMANDS:      # an unknown command makes no output directory
+            raise UsageError(f"unknown command {cmd!r}")
         os.makedirs(out_dir, exist_ok=True)
-        if cmd == "simulate":
-            result = picard_solve(scn, None)
-            traj = result.trajectory
-            write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
-                                 scn, traj, physical)
-            violation = jump_consistency(traj, scn)
-            _write_record(os.path.join(out_dir, "simulate.txt"), dict(
-                picard_iterations=result.iterations, final_delta=result.final_delta,
-                jump_consistency=violation, discontinuities=discontinuity_count(traj)))
-            say(f"simulate: {result.iterations} sweeps, "
-                f"jump consistency {violation:.3e}")
-            return 0
-        if cmd == "steer":
-            outcome = steer(scn)
-            write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
-                                 scn, outcome.trajectory, physical)
-            write_control_csv(os.path.join(out_dir, "control.csv"), scn, outcome.control)
-            report = outcome.report
-            record = dict(converged=report.converged, terminal_error=report.terminal_error,
-                          outer_iterations=report.outer_iterations,
-                          control_norm=report.control_norm)
-            record.update((f"history_{i}", e) for i, e in enumerate(report.history))
-            _write_record(os.path.join(out_dir, "steering.txt"), record)
-            say(f"steer: terminal error {report.terminal_error:.3e} "
-                f"in {report.outer_iterations} outer iterations, "
-                f"control norm {report.control_norm:.6g}")
-            return 0
-        if cmd == "check-conditions":
-            report = build_report(scn)
-            m1, m2 = report.margins
-            record = dict(vars(report.constants))   # a copy, L1 .. horizon in __init__ order
-            record.update(cond1_lhs=report.lhs_cond1, cond1_pass=report.pass_cond1,
-                          cond1_margin=m1, cond2_lhs=report.lhs_cond2,
-                          cond2_pass=report.pass_cond2, cond2_margin=m2,
-                          worked1_lhs=report.lhs_worked1, worked2_lhs=report.lhs_worked2,
-                          examples_pass=report.pass_examples)
-            _write_record(os.path.join(out_dir, "conditions.txt"), record)
-            say(f"cond1: lhs {report.lhs_cond1:.6g} margin {m1:.6g} "
-                f"{'pass' if report.pass_cond1 else 'FAIL'}")
-            say(f"cond2: lhs {report.lhs_cond2:.6g} margin {m2:.6g} "
-                f"{'pass' if report.pass_cond2 else 'FAIL'}")
-            return 0 if report.all_pass else 1
-        if cmd == "verify-resolvent":
-            pde, auto = verify_resolvent(scn, _SOLVER_ARRAYS, verify_resolvent_pde,
-                                         check_autonomous_reduction)
-            record = dict(max_raw_residual=pde.max_raw_residual,
-                          max_scaled_residual=pde.max_scaled_residual, tol_pde=pde.tol_pde,
-                          anchors_checked=pde.anchors_checked, pde_pass=pde.passed)
-            ok = pde.passed
-            if auto is not None:
-                record.update(autonomy_max_deviation=auto.max_deviation,
-                              autonomy_pass=auto.passed)
-                ok = ok and auto.passed
-            _write_record(os.path.join(out_dir, "resolvent_report.txt"), record)
-            say(f"resolvent: scaled residual {pde.max_scaled_residual:.3e} "
-                f"({'pass' if ok else 'FAIL'})")
-            return 0 if ok else 1
-        raise UsageError(f"unknown command {cmd!r}")
+        name, record, lines, code = COMMANDS[cmd](scn, out_dir, physical)
+        _write_record(os.path.join(out_dir, name), record)
+        say("\n".join(lines))
+        return code
     except ConfigError as exc:
         say(f"config error: {exc}")
         return 1

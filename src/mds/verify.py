@@ -149,8 +149,9 @@ def verify_resolvent(scn: Scenario, arrays: int, pde_check, autonomy_check):
     The columns are marched on ``scn.steps``, and ``pde_check`` and
     ``autonomy_check`` (``verify_resolvent_pde`` and
     ``check_autonomous_reduction``) read each window as check(state, start,
-    stop): ``run_command`` passes its own bindings of the two, which
-    bench/tracer.py wraps to time each check apart from the march.
+    stop): the verify-resolvent command function passes scenario_io's
+    bindings of the two, which bench/tracer.py wraps to time each check
+    apart from the march.
 
     The window rule: the K columns are K (M, N) arrays, so they are marched
     in ceil(K / ``arrays``) windows of whole blocks of the march's layout,

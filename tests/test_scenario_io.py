@@ -18,7 +18,8 @@ from mds import scenario_io
 from mds.cli import main as cli_main
 from mds.conditions import build_report
 from mds.control import steer
-from mds.errors import ConfigError, InstabilityError, UsageError
+from mds.errors import (ConfigError, ConvergenceError, DegenerateModeError, DomainError,
+                        GridError, InstabilityError, SteeringError, UsageError)
 from mds.funcs import MemoryKernel, TimeFunction
 from mds.measure import RegulatedTrajectory, constant_measure
 from mds.scenario import Tolerances
@@ -653,8 +654,50 @@ def test_invalid_document_exits_one(tmp_path):
     assert run_command("simulate", {"nope": 1}, str(tmp_path), quiet=True) == 1
 
 
-def test_unknown_command_exits_one(tmp_path):
-    assert run_command("explode", tiny_doc(), str(tmp_path), quiet=True) == 1
+def test_unknown_command_exits_one(tmp_path, capsys):
+    # the command is looked up before the output directory is made
+    out = tmp_path / "out"
+    assert run_command("bogus", tiny_doc(), str(out)) == 1
+    assert capsys.readouterr().out == "validation error: unknown command 'bogus'\n"
+    assert not out.exists()
+    # a bad document is reported first, whatever the command
+    assert run_command("bogus", tiny_doc(bogus=1), str(out)) == 1
+    assert capsys.readouterr().out == "config error: $.bogus: unknown key\n"
+    assert not out.exists()
+
+
+# the engine call each command makes first, through scenario_io's binding
+FIRST_CALLS = {"simulate": "picard_solve", "steer": "steer",
+               "check-conditions": "build_report", "verify-resolvent": "verify_resolvent"}
+EXIT_PATHS = [
+    (ConfigError("$.x", "bad"), 1, "config error: $.x: bad"),
+    (UsageError("bad"), 1, "validation error: bad"),
+    (DomainError("bad"), 1, "validation error: bad"),
+    (GridError("bad"), 1, "validation error: bad"),
+    (ConvergenceError("bad", [1.0]), 2, "no convergence: bad"),
+    (SteeringError("bad", [1.0]), 2, "no convergence: bad"),
+    (InstabilityError(3, 1e12), 2, "no convergence: mode 3 exceeded the overflow guard 1e+12"),
+    (DegenerateModeError(2, 0.0, 1e-12), 3,
+     "degenerate control: mode 2 Gramian 0.000e+00 is at or below the floor 1.000e-12; "
+     "the system is not steerable at this resolution"),
+    (OSError("bad"), 1, "cannot write outputs: bad"),
+]
+
+
+@pytest.mark.parametrize("command", FIRST_CALLS)
+@pytest.mark.parametrize("error, code, line", EXIT_PATHS,
+                         ids=[type(error).__name__ for error, _, _ in EXIT_PATHS])
+def test_every_error_has_its_exit_code_and_line(monkeypatch, tmp_path, capsys, command,
+                                                 error, code, line):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(scenario_io, FIRST_CALLS[command], fail)
+    assert run_command(command, tiny_doc(), str(tmp_path)) == code
+    assert capsys.readouterr().out == line + "\n"
+    assert run_command(command, tiny_doc(), str(tmp_path), quiet=True) == code
+    assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())      # no report, no CSV
 
 
 def test_csv_output_is_deterministic(tmp_path):
@@ -736,6 +779,23 @@ def test_control_csv_bytes_equal_per_cell_format(tmp_path, demo_scn):
     write_control_csv(str(path), scn, None)
     rows = [(t, [], [0.0] * scn.n_modes) for t in scn.grid.nodes]
     assert path.read_bytes() == _per_cell_text(header, rows)
+
+
+@pytest.mark.parametrize("c", [np.ones(8), None])
+def test_control_csv_holds_less_than_one_control(tmp_path, c):
+    # the demo at 16385 nodes: u is formed and turned into text by row blocks,
+    # never as a whole (M, N) array nor as its list of floats
+    doc = load_config("demo.json")
+    doc["grid"]["nodes"] = 16385
+    scn = parse_scenario(doc)
+    scn.final_row      # formed before the write is traced
+    tracemalloc.start()
+    try:
+        write_control_csv(str(tmp_path / "control.csv"), scn, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(scn.grid) * scn.n_modes
 
 
 # ---------------------------------------------------------------- CLI

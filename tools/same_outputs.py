@@ -15,7 +15,12 @@ puts one; the lebesgue family; a non-uniform grid whose
 a single mode; 80 modes; the two grids either side of the 64-anchor
 sample; a linear steer whose seed already meets its target, so that it
 makes no pass and writes a zero control; a per-node table nonlinearity
-with a jump; and the edge cases of the verify-resolvent windows.  Each
+with a jump; the edge cases of the verify-resolvent windows; a document
+with an unknown key, which every command refuses with ``config error:``;
+and iteration budgets of zero, on which ``simulate`` and ``steer`` exit 2
+through the Picard and the steering loop.  With the runs above, these
+reach every stdout prefix ``run_command`` prints but ``cannot write
+outputs:``, which needs an output path that cannot be made.  Each
 document also runs ``simulate --physical``, whose trajectory.csv carries
 the per-row physical synthesis; those runs add about a quarter to the
 time (57 s against 45 s on a 2-core host).
@@ -131,6 +136,11 @@ OFF_PATH = {
                         nonlinearity={"kind": "table",
                                       "values": [[0.1, 0.0], [0.2, 0.1], [0.0, 0.3],
                                                  [0.1, 0.1], [0.4, 0.0]]}),
+    # every command exits 1 with "config error: $.bogus: unknown key"
+    "config_error": _tiny(bogus=1),
+    # no sweep and no steering pass: simulate exits 2 through ConvergenceError
+    # and steer through SteeringError, both printing "no convergence:"
+    "no_passes": _tiny(tolerances={"max_picard": 0, "max_outer": 0}),
 }
 
 
