@@ -52,9 +52,8 @@ class ConditionConstants(Record):
 
 def pz_samples(scn: Scenario) -> np.ndarray:
     """P_Z(s) = max_n |theta_n r_n(a,s)| / gamma_n on the grid."""
-    final = scn.final_row
-    gam = gramians(final, scn.theta, scn.wq_full)
-    return np.max(np.abs(scn.theta[:, None] * final) / gam[:, None], axis=0)
+    gam = gramians(scn)
+    return np.max(np.abs(scn.theta[:, None] * scn.final_row) / gam[:, None], axis=0)
 
 
 def estimate_constants(scn: Scenario) -> ConditionConstants:

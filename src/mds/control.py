@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import solver
-from .errors import DegenerateModeError, GridError, SteeringError
+from .errors import DegenerateModeError, SteeringError
 from .measure import RegulatedTrajectory
 from .record import Record
 from .scenario import Scenario
@@ -41,34 +41,26 @@ from .solver import picard_solve  # noqa: F401 -- wrapped by bench/tracer.py
 GAMMA_FLOOR = 1e-12
 
 
-def _weights_for(final: np.ndarray, weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != final.shape[1:]:
-        raise GridError("quadrature weights must match the grid")
-    return w
-
-
-def gramians(final: np.ndarray, theta: np.ndarray, weights) -> np.ndarray:
+def gramians(scn: Scenario) -> np.ndarray:
     """gamma_n = theta_n^2 int_0^a r_n(a,s)^2 ds, from the final row r_n(a, t_k).
 
     Raises DegenerateModeError naming the first mode whose gamma_n is at or
     below GAMMA_FLOOR: the minimal-norm inverse divides by every gamma_n.
     """
-    w = _weights_for(final, weights)
-    gam = np.asarray(theta, dtype=float) ** 2 * ((final * final) @ w)
+    final = scn.final_row
+    gam = scn.theta ** 2 * ((final * final) @ scn.wq_full)
     bad = np.where(gam <= GAMMA_FLOOR)[0]
     if bad.size:
         raise DegenerateModeError(int(bad[0]) + 1, float(gam[bad[0]]), GAMMA_FLOOR)
     return gam
 
 
-def min_norm_inverse(final: np.ndarray, theta, p: np.ndarray, weights) -> np.ndarray:
+def min_norm_inverse(scn: Scenario, p: np.ndarray) -> np.ndarray:
     """Minimal-L2-norm preimage of p under Z (per-mode normal equations).
 
-    The control's coefficients c, (N,), read-only: u(t_k) = final[:, k] * c.
+    The control's coefficients c, (N,), read-only: u(t_k) = scn.final_row[:, k] * c.
     """
-    theta = np.asarray(theta, dtype=float)
-    c = theta * np.asarray(p, dtype=float) / gramians(final, theta, weights)
+    c = scn.theta * p / gramians(scn)
     c.setflags(write=False)
     return c
 
@@ -86,8 +78,7 @@ def steering_residual(scn: Scenario, g, delta) -> np.ndarray:
 
 def synthesize_control(scn: Scenario, g, delta) -> np.ndarray:
     """The steering control for the current iterate: Z^-1 of its residual."""
-    p = steering_residual(scn, g, delta)
-    return min_norm_inverse(scn.final_row, scn.theta, p, scn.wq_full)
+    return min_norm_inverse(scn, steering_residual(scn, g, delta))
 
 
 def terminal_error(scn: Scenario, traj: RegulatedTrajectory, g=None) -> float:

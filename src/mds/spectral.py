@@ -162,9 +162,9 @@ class LinearPart(Record):
         # catalog kernels all depend on t-s only, so autonomy is decided by tau
         return self.tau.kind == "const"
 
-    def residual_scale(self, n: int, horizon: float) -> float:
-        """Magnitude of the stiff terms for mode n; used to scale PDE residuals."""
-        return n * n * (self.tau.sup_abs(horizon) + horizon * self.kernel.sup_abs(horizon))
+    def residual_scale(self, horizon: float) -> float:
+        """Magnitude of the stiff terms over n^2; n^2 times it scales mode n's PDE residuals."""
+        return self.tau.sup_abs(horizon) + horizon * self.kernel.sup_abs(horizon)
 
 
 class StepMaps(Record):

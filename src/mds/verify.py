@@ -67,7 +67,7 @@ class _PdeCheck:
         self.anchors, self.rows, self.nodes = anchors, rows, nodes
         self.n2 = modes.astype(float)[:, None] ** 2
         self.tau = linear.tau.value(nodes)
-        self.scale = np.maximum([linear.residual_scale(n, scn.grid.end) for n in modes], 1e-30)
+        self.scale = np.maximum(self.n2[:, 0] * linear.residual_scale(scn.grid.end), 1e-30)
         self.decay, self.half = np.exp(-linear.kernel.rate * d), linear.kernel.c0 * d / 2.0
         self.size = math.isqrt(max(len(nodes) - 3, 0)) + 1      # ceil(sqrt(M - 2))
         self.slopes = np.empty((self.size,) + rows.shape[1:])  # a chunk's central differences

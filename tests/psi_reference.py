@@ -128,8 +128,7 @@ def steer(scn):
             raise SteeringError(
                 f"no fixed point after {tol.max_outer} outer iterations "
                 f"(terminal error {history[-1]:.3e})", history)
-        u = scn.final_row.T * min_norm_inverse(scn.final_row, scn.theta,
-                                               steering_residual(scn, traj), scn.wq_full)
+        u = scn.final_row.T * min_norm_inverse(scn, steering_residual(scn, traj))
         new = apply_psi(scn, traj, u)
         history.append(terminal_error(scn, new))
         fixed = linear or sup_distance(new, traj) < tol.tol_picard

@@ -35,3 +35,12 @@ def test_code_size_counts_a_fixture_module(tmp_path):
     assert code_size.headroom(28) == (32, 4)
     assert [code_size.headroom(n) for n in (1023, 1024, 1025)] == [(1024, 1), (1024, 0),
                                                                   (2048, 1023)]
+
+
+def test_crossings_names_each_module_past_its_power_of_two():
+    ref = {"a.py": (10, 1000), "b.py": (10, 1024), "c.py": (10, 1025), "gone.py": (1, 9)}
+    work = {"a.py": (12, 1025), "b.py": (9, 1024), "c.py": (30, 2048), "new.py": (1, 4096)}
+    assert code_size.crossings(work, ref) == [("a.py", 1024)]
+    assert code_size.crossings({**work, "c.py": (30, 2049)}, ref) == [("a.py", 1024),
+                                                                    ("c.py", 2048)]
+    assert code_size.crossings(ref, ref) == []

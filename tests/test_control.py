@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mds.solver
-from mds.conditions import estimate_constants
-from mds.control import (_weights_for, gramians, min_norm_inverse, steer, steering_residual,
+from mds.conditions import build_report, estimate_constants
+from mds.control import (gramians, min_norm_inverse, steer, steering_residual,
                          synthesize_control, terminal_error)
 from mds.errors import (ConfigError, DegenerateModeError, DomainError, GridError,
                         InstabilityError, SteeringError, UsageError)
@@ -25,10 +25,9 @@ from conftest import assemble_scenario, load_config, replaced, terms
 from test_config_fuzz import documents
 
 
-def z_apply(final: np.ndarray, theta, u: np.ndarray, weights) -> np.ndarray:
+def z_apply(scn, u: np.ndarray) -> np.ndarray:
     """Mode n of Zu: int_0^a r_n(a,s) theta_n u_n(s) ds (the test oracle for Z)."""
-    w = _weights_for(final, weights)
-    return np.asarray(theta, dtype=float) * ((final * np.asarray(u, dtype=float).T) @ w)
+    return scn.theta * ((scn.final_row * u.T) @ scn.wq_full)
 
 
 def samples(final: np.ndarray, c) -> np.ndarray:
@@ -53,7 +52,7 @@ def small_scn():
 # ---------------------------------------------------------------- gramians
 
 def test_first_mode_gramian_closed_form(small_scn):
-    gam = gramians(small_scn.final_row, small_scn.theta, small_scn.wq_full)
+    gam = gramians(small_scn)
     exact = [(1.0 - math.exp(-2 * k * k)) / (2 * k * k) for k in (1, 2, 3)]
     assert gam[0] == pytest.approx(0.432332, abs=1e-6)
     assert np.max(np.abs(gam - exact)) < 1e-6
@@ -62,27 +61,25 @@ def test_first_mode_gramian_closed_form(small_scn):
 def test_min_norm_control_profile(small_scn):
     final = small_scn.final_row
     p = np.array([1.0, 0.0, 0.0])
-    c = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
+    c = min_norm_inverse(small_scn, p)
     assert c.shape == (3,) and not c.flags.writeable
     u = samples(final, c)
     s = small_scn.grid.nodes
     gamma1 = (1.0 - math.exp(-2.0)) / 2.0
     assert np.max(np.abs(u[:, 0] - np.exp(-(1.0 - s)) / gamma1)) < 1e-6
     assert np.all(u[:, 1:] == 0.0)
-    reached = z_apply(final, small_scn.theta, u, small_scn.wq_full)
+    reached = z_apply(small_scn, u)
     assert reached[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_target_gives_zero_control(small_scn):
-    c = min_norm_inverse(small_scn.final_row, small_scn.theta,
-                         np.zeros(3), small_scn.wq_full)
+    c = min_norm_inverse(small_scn, np.zeros(3))
     assert np.all(c == 0.0)
 
 
 def test_zero_gain_is_degenerate(small_scn):
     with pytest.raises(DegenerateModeError) as exc:
-        min_norm_inverse(small_scn.final_row, np.zeros(3),
-                         np.ones(3), small_scn.wq_full)
+        min_norm_inverse(replaced(small_scn, theta=np.zeros(3)), np.ones(3))
     assert exc.value.mode == 1
 
 
@@ -91,16 +88,16 @@ def test_preimage_round_trip(small_scn):
     final = small_scn.final_row
     for _ in range(5):
         p = rng.uniform(-2.0, 2.0, size=3)
-        c = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
-        back = z_apply(final, small_scn.theta, samples(final, c), small_scn.wq_full)
+        c = min_norm_inverse(small_scn, p)
+        back = z_apply(small_scn, samples(final, c))
         assert np.max(np.abs(back - p)) < 1e-10
 
 
 def test_control_norm_identity(small_scn):
     final = small_scn.final_row
     p = np.array([0.3, -1.2, 0.8])
-    gam = gramians(final, small_scn.theta, small_scn.wq_full)
-    c = min_norm_inverse(final, small_scn.theta, p, small_scn.wq_full)
+    gam = gramians(small_scn)
+    c = min_norm_inverse(small_scn, p)
     norm = l2_norm(samples(final, c), small_scn.wq_full)
     assert norm == pytest.approx(math.sqrt(np.sum(p * p / gam)), rel=1e-12)
 
@@ -110,19 +107,14 @@ def test_minimality_against_kernel_perturbations(small_scn):
     final = small_scn.final_row
     w = small_scn.wq_full
     p = np.array([1.0, -0.5, 0.25])
-    u = samples(final, min_norm_inverse(final, small_scn.theta, p, w))
+    u = samples(final, min_norm_inverse(small_scn, p))
     base = l2_norm(u, w)
     for _ in range(5):
         v0 = rng.standard_normal((len(small_scn.grid), 3))
         # project v0 onto ker Z: subtract the preimage of its image
-        hit = z_apply(final, small_scn.theta, v0, w)
-        v = v0 - samples(final, min_norm_inverse(final, small_scn.theta, hit, w))
+        hit = z_apply(small_scn, v0)
+        v = v0 - samples(final, min_norm_inverse(small_scn, hit))
         assert base <= l2_norm(u + v, w) + 1e-12
-
-
-def test_weights_length_checked(small_scn):
-    with pytest.raises(GridError):
-        gramians(small_scn.final_row, small_scn.theta, np.ones(5))
 
 
 # ---------------------------------------------------------------- synthesis and steering
@@ -151,6 +143,20 @@ def test_trivial_steer_does_nothing():
     assert out.report.converged
     assert out.control is None          # no pass: no control, u = 0
     assert out.report.terminal_error == 0.0
+
+
+def test_zero_pass_steer_never_forms_the_gramians():
+    # theta = 0 makes every Gramian degenerate; a steer whose seed already
+    # meets its target makes no pass, so it must not form them
+    scn = assemble_scenario(
+        make_basis(2),
+        LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero")),
+        constant_measure(1.0), 129, np.zeros(2), np.zeros(2), theta=0.0)
+    out = steer(scn)
+    assert out.control is None and out.report.outer_iterations == 0
+    with pytest.raises(DegenerateModeError) as exc:
+        build_report(scn)
+    assert exc.value.mode == 1
 
 
 def test_linear_steering_hits_target_in_one_pass(linear_scn):

@@ -248,6 +248,22 @@ def test_pde_residual_needs_an_interior_node():
     assert math.isfinite(report.max_raw_residual) and report.max_raw_residual > 0.0
 
 
+def test_residual_scale_samples_tau_once(monkeypatch):
+    # a sine tau's sup is a 4097-point sample; n^2 scales it for every mode
+    calls = []
+    sup_abs = TimeFunction.sup_abs
+
+    def counted(self, a):
+        calls.append(a)
+        return sup_abs(self, a)
+
+    monkeypatch.setattr(TimeFunction, "sup_abs", counted)
+    linear = LinearPart(TimeFunction("sine", c0=1.0, c1=0.5, freq=3.0),
+                        MemoryKernel("exp_diff", c0=0.5, rate=1.0))
+    sample_reports(make_basis(4), linear, _grid(33))
+    assert calls == [1.0]
+
+
 def test_autonomous_reduction_difference_kernel():
     _, report = sample_reports(
         make_basis(4),

@@ -116,7 +116,7 @@ def reference_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3)
                                              * (nodes[:, None] - nodes[None, :]))
     prefix = trapezoid_prefix_matrix(nodes)
     horizon = table.grid.end
-    scale = np.array([table.linear.residual_scale(n, horizon)
+    scale = np.array([n * n * table.linear.residual_scale(horizon)
                       for n in table.basis.mode_numbers])
     scale = np.maximum(scale, 1e-30)
     anchor_list = reference_anchors(m_count)
@@ -148,7 +148,7 @@ def row_verify_resolvent_pde(table: ResolventTable, tol_pde: float = 1e-3) -> Pd
     nodes = grid.nodes
     n2 = basis.mode_numbers.astype(float) ** 2
     tau = linear.tau.value(nodes)
-    scale = np.array([linear.residual_scale(n, grid.end) for n in basis.mode_numbers])
+    scale = np.array([n * n * linear.residual_scale(grid.end) for n in basis.mode_numbers])
     scale = np.maximum(scale, 1e-30)
 
     d = np.diff(nodes)
@@ -271,7 +271,7 @@ def test_sampled_verifier_matches_table_verifier(tau, kernel, grid, n_count, arr
     old = reference_verify_resolvent_pde(table)
     new, new_auto = sample_reports(basis, linear, grid, arrays=arrays)
     rounding = memory_rounding_bound(table)
-    scale = np.maximum([linear.residual_scale(n, grid.end) for n in basis.mode_numbers],
+    scale = np.maximum([n * n * linear.residual_scale(grid.end) for n in basis.mode_numbers],
                        1e-30)
     assert _close(new.max_raw_residual, old.max_raw_residual, rounding.max())
     assert _close(new.max_scaled_residual, old.max_scaled_residual,

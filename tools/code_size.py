@@ -11,7 +11,9 @@ CPython's parser grows its token array by doubling, so compiling a module
 just past a power of two peaks higher (about 58 KB more past 1024 tokens);
 ``headroom`` is how many tokens a module can gain before it passes the next
 power of two.  Prints one row per module and a total; with REF, REF's
-counts and the differences beside them.
+counts and the differences beside them, and a line for each module whose
+tokens pass the power of two that held them at REF.  Exits 1 if any does,
+else 0.
 """
 
 from __future__ import annotations
@@ -60,6 +62,18 @@ def headroom(tokens: int) -> tuple[int, int]:
     return power, power - tokens
 
 
+def crossings(work: dict[str, tuple[int, int]],
+              ref: dict[str, tuple[int, int]]) -> list[tuple[str, int]]:
+    """(module, power) for each module in both whose tokens in ``work`` pass
+    ``power``, the power of two that held its tokens in ``ref``."""
+    out = []
+    for name in sorted(work.keys() & ref.keys()):
+        power = headroom(ref[name][1])[0]
+        if work[name][1] > power:
+            out.append((name, power))
+    return out
+
+
 def sizes(directory: Path) -> dict[str, tuple[int, int]]:
     """(code lines, tokens) of each module in ``directory``, by file name."""
     out = {}
@@ -90,7 +104,11 @@ def main(argv: list[str]) -> int:
         if argv:
             cells += [f"{b} ({a - b:+d})" for a, b in zip(now, was)]
         print(f"{name:<16}" + "".join(f"{cell:>18}" for cell in cells))
-    return 0
+    crossed = crossings(work, ref)
+    for name, power in crossed:
+        print(f"{name} passes {power} tokens: {ref[name][1]} at {argv[0][:7]}, "
+              f"{work[name][1]} now")
+    return 1 if crossed else 0
 
 
 if __name__ == "__main__":

@@ -14,10 +14,12 @@ puts one; the lebesgue family; a non-uniform grid whose
 ``verify-resolvent`` writes no autonomy lines; the smallest accepted grid;
 a single mode; 80 modes; the two grids either side of the 64-anchor
 sample; a linear steer whose seed already meets its target, so that it
-makes no pass and writes a zero control; a per-node table nonlinearity
-with a jump; the edge cases of the verify-resolvent windows; a document
-with an unknown key, which every command refuses with ``config error:``;
-and iteration budgets of zero, on which ``simulate`` and ``steer`` exit 2
+makes no pass and writes a zero control, and the same on a zero gain, whose
+steer never forms the Gramians that check-conditions refuses; a per-node
+table nonlinearity with a jump; a sine tau, whose sup is a dense sample;
+the edge cases of the verify-resolvent windows; documents with an unknown
+key, a table of the wrong shape and a negative tolerance, which every
+command refuses with ``config error:``; and iteration budgets of zero, on which ``simulate`` and ``steer`` exit 2
 through the Picard and the steering loop.  With the runs above, these
 reach every stdout prefix ``run_command`` prints but ``cannot write
 outputs:``, which needs an output path that cannot be made.  Each
@@ -56,6 +58,14 @@ def _tiny(**sections) -> dict:
            "measure": {"family": "constant", "end": 1.0}, "states": {"zeta0": [1.0, 0.5]}}
     return {**doc, **sections}
 
+
+# zeta1 is the uncontrolled terminal state, so the linear steer makes no
+# pass and writes a zero control where the final row, down to -0.697, is
+# negative: +0, not the -0 of a zero coefficient times r_n(a, s) < 0
+_ZERO_PASS = _tiny(linear={"tau": {"kind": "const", "c0": 1.0},
+                           "kernel": {"kind": "exp_diff", "c0": 40.0, "rate": 0.5}},
+                   states={"zeta0": [1.0, 0.5],
+                           "zeta1": [0.47136772795580667, 0.05279658776710976]})
 
 OFF_PATH = {
     # r_16(1, 1/2) = e^192: the final row's march meets the guard
@@ -124,20 +134,28 @@ OFF_PATH = {
                                          "jumps": [[1 / 256, 0.05], [0.25, 0.1],
                                                    [0.5 + 0.4 / 64, 0.2], [1 - 1 / 256, 0.05]]},
                                 nonlinearity={"kind": "cosine", "M0": 0.05}),
-    # zeta1 is the uncontrolled terminal state, so the linear steer makes no
-    # pass and writes a zero control where the final row, down to -0.697, is
-    # negative: +0, not the -0 of a zero coefficient times r_n(a, s) < 0
-    "zero_pass": _tiny(linear={"tau": {"kind": "const", "c0": 1.0},
-                               "kernel": {"kind": "exp_diff", "c0": 40.0, "rate": 0.5}},
-                       states={"zeta0": [1.0, 0.5],
-                               "zeta1": [0.47136772795580667, 0.05279658776710976]}),
+    "zero_pass": _ZERO_PASS,
+    # theta = 0: steer makes no pass, so it exits 0 without forming the
+    # Gramians, and check-conditions exits 3 on mode 1's
+    "zero_pass_theta_0": {**_ZERO_PASS, "control": {"theta": 0.0}},
     # one table row per node and a jump on row 1, which simulate's jump check reads
     "table_jump": _tiny(grid={"nodes": 5}, measure={"end": 1.0, "jumps": [[0.3, 0.1]]},
                         nonlinearity={"kind": "table",
                                       "values": [[0.1, 0.0], [0.2, 0.1], [0.0, 0.3],
                                                  [0.1, 0.1], [0.4, 0.0]]}),
+    # a sine tau, whose sup_abs samples 4097 points, under a memory kernel
+    "tau_sine": _tiny(linear={"tau": {"kind": "sine", "c0": 1.0, "c1": 0.5, "freq": 3.0},
+                              "kernel": {"kind": "exp_diff", "c0": 0.5, "rate": 1.0}},
+                      measure={"family": "lebesgue", "end": 1.0},
+                      nonlinearity={"kind": "cosine", "M0": 0.05}),
     # every command exits 1 with "config error: $.bogus: unknown key"
     "config_error": _tiny(bogus=1),
+    # 4 table rows on 5 nodes: "config error: $: nonlinearity table must
+    # broadcast to (grid, modes)"
+    "table_rows": _tiny(grid={"nodes": 5},
+                        nonlinearity={"kind": "table", "values": [[0.1, 0.0]] * 4}),
+    # "config error: $.tolerances: tol_picard must be positive"
+    "tol_negative": _tiny(tolerances={"tol_picard": -1}),
     # no sweep and no steering pass: simulate exits 2 through ConvergenceError
     # and steer through SteeringError, both printing "no convergence:"
     "no_passes": _tiny(tolerances={"max_picard": 0, "max_outer": 0}),
