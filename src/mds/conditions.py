@@ -64,14 +64,12 @@ def estimate_constants(scn: Scenario) -> ConditionConstants:
     # L3: mode-diagonal bound of p -> u_p, ||u_p|| <= sup_s P_Z(s) * sqrt(a) ||p||
     l3 = float(np.max(pz)) * sqrt_a
     dh_mass = scn.h.density_mass() + scn.h.total_jump_mass()
-    c = scn.nonlocal_term.growth_c(scn.basis, scn.grid)
-    d = 0.0 if scn.nonlocal_term.is_zero else scn.nonlocal_term.offset
     return ConditionConstants(
         L1=resolvent_sup(scn.steps),
         L2=float(np.max(np.abs(scn.theta))),
         L3=l3,
-        c=c,
-        d=d,
+        c=scn.nonlocal_growth,
+        d=scn.nonlocal_term.offset,
         gamma=1.0,
         n_mass=scn.nonlinearity.bound_const() * dh_mass,
         U_mass=scn.nonlinearity.lipschitz_const() * dh_mass,

@@ -49,7 +49,8 @@ _NONLOCAL_KINDS = {"zero": (), "log_kernel": ("f", "f_space", "d")}
 
 
 class NonlinearityEval(Record):
-    """State nonlinearity delta(t, zeta) evaluated in mode coefficients.
+    """State nonlinearity delta(t, zeta), in mode coefficients, which
+    ``Scenario.delta_values`` evaluates.
 
     cosine: amplitude * cos applied pointwise at the collocation nodes,
     projected back to modes.  table: fixed state-independent samples,
@@ -71,18 +72,6 @@ class NonlinearityEval(Record):
     def is_zero(self) -> bool:
         return self.kind == "zero" or (self.kind == "cosine" and self.amplitude == 0.0)
 
-    def values(self, basis: SpectralBasis, states: np.ndarray) -> np.ndarray:
-        """delta at each row of states ((..., N) coefficients in, same shape out)."""
-        states = np.asarray(states, dtype=float)
-        if self.is_zero:
-            return np.zeros_like(states)
-        if self.kind == "cosine":
-            phys = basis.to_physical(states)        # a fresh (..., J) array, used in place
-            np.cos(phys, out=phys)
-            phys *= self.amplitude
-            return basis.to_modes(phys)
-        return np.broadcast_to(self.table, states.shape).copy()
-
     def bound_const(self) -> float:
         """n(s): uniform bound used by the smallness conditions."""
         if self.kind == "zero":
@@ -98,12 +87,13 @@ class NonlinearityEval(Record):
 
 
 class NonlocalEval(Record):
-    """Nonlocal term g(zeta), a state-space vector built from the whole path.
+    """Nonlocal term g(zeta), a state-space vector built from the whole path,
+    which ``Scenario.g_of`` evaluates.
 
     log_kernel: g(zeta)(x) = int_0^a f(t,x) [ int log(1+|zeta(t)(p)|^(1/2)) dp ] dt
     with f(t,x) = f_time(t) * f_space(x), the p-integral over the collocation
     nodes and the t-integral by trapezoid on the grid.  ``offset`` is the
-    additive growth constant d in ||g|| <= c||zeta|| + d.
+    additive growth constant d in ||g|| <= c||zeta|| + d (0 for the zero kind).
     """
 
     def __init__(self, kind: str, f_time: TimeFunction | None = None,
@@ -112,35 +102,12 @@ class NonlocalEval(Record):
             raise UsageError(f"unknown nonlocal kind {kind!r}")
         if kind == "log_kernel" and f_time is None:
             raise UsageError("log_kernel nonlocal term needs an f spec")
-        self.kind, self.f_time, self.f_space, self.offset = kind, f_time, f_space, offset
+        self.kind, self.f_time, self.f_space = kind, f_time, f_space
+        self.offset = 0.0 if kind == "zero" else offset
 
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
-
-    def samples(self, basis: SpectralBasis, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        # f_time at the grid nodes and f_space at the collocation nodes
-        ft = self.f_time.value(grid.nodes)
-        fx = (self.f_space.value(basis.x) if self.f_space is not None
-              else np.ones_like(basis.x))
-        return ft, fx
-
-    def apply(self, basis: SpectralBasis, values: np.ndarray, t_weights: np.ndarray,
-              ft: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        """g of the sampled path (left values, (M, N)) as mode coefficients."""
-        phys = basis.to_physical(values)        # a fresh (M, J) array, used in place
-        np.abs(phys, out=phys)
-        np.sqrt(phys, out=phys)
-        inner = np.log1p(phys, out=phys) @ basis.weights
-        t_int = float(t_weights @ (ft * inner))
-        return basis.to_modes(fx * t_int)
-
-    def growth_c(self, basis: SpectralBasis, grid: TimeGrid) -> float:
-        """c = max |f(t,x)| over the samples."""
-        if self.kind == "zero":
-            return 0.0
-        ft, fx = self.samples(basis, grid)
-        return float(np.max(np.abs(ft)) * np.max(np.abs(fx)))
 
 
 class Tolerances(Record):
@@ -268,14 +235,44 @@ class Scenario(Record):
         return self.grid.end
 
     def delta_values(self, states: np.ndarray) -> np.ndarray:
-        return self.nonlinearity.values(self.basis, states)
+        """delta at each row of states ((..., N) coefficients in, same shape out).
 
+        A table's is a read-only view of the table, broadcast to the states.
+        """
+        nl = self.nonlinearity
+        states = np.asarray(states, dtype=float)
+        if nl.is_zero:
+            return np.zeros_like(states)
+        if nl.kind == "cosine":
+            phys = self.basis.to_physical(states)   # a fresh (..., J) array, used in place
+            np.cos(phys, out=phys)
+            phys *= nl.amplitude
+            return self.basis.to_modes(phys)
+        return np.broadcast_to(nl.table, states.shape)
+
+    # f_time at the grid nodes and f_space at the collocation nodes, sampled once a run
     @cached_property
     def _nonlocal_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(read_only, self.nonlocal_term.samples(self.basis, self.grid)))
+        term, x = self.nonlocal_term, self.basis.x
+        fx = term.f_space.value(x) if term.f_space is not None else np.ones_like(x)
+        return read_only(term.f_time.value(self.grid.nodes)), read_only(fx)
+
+    @property
+    def nonlocal_growth(self) -> float:
+        """c in ||g(zeta)|| <= c ||zeta|| + d: max |f(t,x)| over the samples, 0 with no term."""
+        if self.nonlocal_term.is_zero:
+            return 0.0
+        ft, fx = self._nonlocal_samples
+        return float(np.max(np.abs(ft)) * np.max(np.abs(fx)))
 
     def g_of(self, values: np.ndarray) -> np.ndarray:
+        """g of the sampled path (left values, (M, N)) as mode coefficients."""
         if self.nonlocal_term.is_zero:
             return np.zeros(self.n_modes)
-        return self.nonlocal_term.apply(self.basis, values, self._trapezoid,
-                                        *self._nonlocal_samples)
+        ft, fx = self._nonlocal_samples
+        phys = self.basis.to_physical(values)        # a fresh (M, J) array, used in place
+        np.abs(phys, out=phys)
+        np.sqrt(phys, out=phys)
+        inner = np.log1p(phys, out=phys) @ self.basis.weights
+        t_int = float(self._trapezoid @ (ft * inner))
+        return self.basis.to_modes(fx * t_int)

@@ -9,10 +9,24 @@ from hypothesis import strategies as st
 
 from mds.conditions import (ConditionConstants, build_report, check_cond1, check_cond2,
                             check_example_conditions, estimate_constants, pz_samples)
+from mds.control import steer
 from mds.errors import UsageError
-from mds.scenario_io import run_command
+from mds.funcs import TimeFunction
+from mds.scenario import NonlocalEval
+from mds.scenario_io import parse_scenario, run_command
 
 from conftest import load_config, replaced
+
+# f_time = 0.02 cos 4t and f_space = sin x - 0.5 change sign, and M0 < 0
+NONLOCAL_SIGNS = {"basis": {"N": 2}, "grid": {"nodes": 65},
+                  "linear": {"tau": {"kind": "const", "c0": 1.0}},
+                  "measure": {"family": "lebesgue", "end": 1.0},
+                  "states": {"zeta0": [1.0, 0.5]},
+                  "nonlinearity": {"kind": "cosine", "M0": -0.05},
+                  "nonlocal": {"kind": "log_kernel",
+                               "f": {"kind": "cosine", "c0": 0.0, "c1": 0.02, "freq": 4.0},
+                               "f_space": {"kind": "sine", "c0": -0.5, "c1": 1.0, "freq": 1.0},
+                               "d": 0.25}}
 
 WORKED = ConditionConstants(L1=1.0, L2=0.1, L3=1.0, c=0.05, d=1.0, gamma=1.0,
                             n_mass=0.05, U_mass=0.05, PZ_mass=1.0, horizon=1.0)
@@ -114,6 +128,34 @@ def test_demo_nonlinearity_mass_is_exact(demo_scn):
     assert k.U_mass == 0.1 * 0.5
     assert k.d == 1.0
     assert k.c == 0.05
+
+
+def test_signed_term_constants():
+    scn = parse_scenario(NONLOCAL_SIGNS)
+    k = estimate_constants(scn)
+    term = scn.nonlocal_term
+    ft, fx = term.f_time.value(scn.grid.nodes), term.f_space.value(scn.basis.x)
+    assert k.c == float(np.max(np.abs(ft)) * np.max(np.abs(fx))) == 0.01
+    assert k.d == 0.25
+    # the Lebesgue measure on [0, 1] has mass 1
+    assert k.n_mass == k.U_mass == 0.05 * 1.0
+    assert NonlocalEval("zero").offset == 0.0
+
+
+def test_f_is_sampled_once_per_run(monkeypatch):
+    scn = parse_scenario(NONLOCAL_SIGNS)
+    f_time, calls = scn.nonlocal_term.f_time, []
+    value = TimeFunction.value
+
+    def counted(self, t):
+        if self is f_time:
+            calls.append(t)
+        return value(self, t)
+
+    monkeypatch.setattr(TimeFunction, "value", counted)
+    steer(scn)
+    build_report(scn)
+    assert len(calls) == 1
 
 
 def test_pz_samples_shape_and_sign(demo_scn):

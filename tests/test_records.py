@@ -91,6 +91,18 @@ def test_a_table_nonlinearity_holds_a_read_only_copy():
     assert np.array_equal(nonlinearity.table, table)
 
 
+def test_a_table_delta_is_a_read_only_view_of_the_table():
+    basis = make_basis(2)
+    linear = LinearPart(TimeFunction("const", c0=1.0), MemoryKernel("zero"))
+    values = np.ones((5, 2))
+    for table in ([[0.1, 0.0]], np.arange(10.0).reshape(5, 2)):
+        scn = assemble_scenario(basis, linear, constant_measure(1.0), 5, np.zeros(2),
+                                np.zeros(2), NonlinearityEval("table", table=table))
+        delta = scn.delta_values(values)
+        assert delta.shape == values.shape and not delta.flags.writeable
+        assert np.shares_memory(delta, scn.nonlinearity.table)
+
+
 def test_grids_and_measures_copy_what_they_are_given_and_trajectories_take_it():
     nodes = np.linspace(0.0, 1.0, 5)
     grid = TimeGrid(nodes)

@@ -16,7 +16,8 @@ a single mode; 80 modes; the two grids either side of the 64-anchor
 sample; a linear steer whose seed already meets its target, so that it
 makes no pass and writes a zero control, and the same on a zero gain, whose
 steer never forms the Gramians that check-conditions refuses; a per-node
-table nonlinearity with a jump; a sine tau, whose sup is a dense sample;
+table nonlinearity with a jump; a log-kernel term whose f and f_space
+change sign, under a negative cosine amplitude; a sine tau, whose sup is a dense sample;
 the edge cases of the verify-resolvent windows; documents with an unknown
 key, a table of the wrong shape and a negative tolerance, which every
 command refuses with ``config error:``; and iteration budgets of zero, on which ``simulate`` and ``steer`` exit 2
@@ -26,8 +27,10 @@ outputs:``, which needs an output path that cannot be made.  Each
 document also runs ``simulate --physical``, whose trajectory.csv carries
 the per-row physical synthesis; those runs add about a quarter to the
 time (57 s against 45 s on a 2-core host).
-Exit codes, stdout and every output file are compared byte for byte.
-Prints one line per difference and exits 1 if there is any, else 0.
+Exit codes, stdout, stderr and every output file are compared byte for
+byte, and a run that writes to stderr is reported even when both trees
+write the same, so a traceback never passes as an agreement.  Prints one
+line per difference and exits 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -143,6 +146,15 @@ OFF_PATH = {
                         nonlinearity={"kind": "table",
                                       "values": [[0.1, 0.0], [0.2, 0.1], [0.0, 0.3],
                                                  [0.1, 0.1], [0.4, 0.0]]}),
+    # f_time = 0.02 cos 4t and f_space = sin x - 0.5 both change sign and M0 < 0:
+    # c = max|f_time| max|f_space| = 0.01, d = 0.25, n_mass = U_mass = |M0|
+    "nonlocal_signs": {**_tiny(measure={"family": "lebesgue", "end": 1.0},
+                               nonlinearity={"kind": "cosine", "M0": -0.05}),
+                       "nonlocal": {"kind": "log_kernel",
+                                    "f": {"kind": "cosine", "c0": 0.0, "c1": 0.02, "freq": 4.0},
+                                    "f_space": {"kind": "sine", "c0": -0.5, "c1": 1.0,
+                                                "freq": 1.0},
+                                    "d": 0.25}},
     # a sine tau, whose sup_abs samples 4097 points, under a memory kernel
     "tau_sine": _tiny(linear={"tau": {"kind": "sine", "c0": 1.0, "c1": 0.5, "freq": 3.0},
                               "kernel": {"kind": "exp_diff", "c0": 0.5, "rate": 1.0}},
@@ -183,22 +195,28 @@ def export_src(ref: str, dest: Path) -> Path:
 
 
 def run(src: Path, args: tuple, config: Path, out: Path):
-    """Exit code, stdout and output files of one command in a fresh interpreter."""
+    """Exit code, stdout, stderr and output files of one command in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-m", "mds.cli", args[0], str(config),
                            "--out", str(out), *args[1:]],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           cwd=config.parent, capture_output=True)
     files = {p.relative_to(out).as_posix(): p.read_bytes()
              for p in sorted(out.rglob("*")) if p.is_file()}
-    return proc.returncode, proc.stdout, files
+    return proc.returncode, proc.stdout, proc.stderr, files
 
 
 def differences(ref, work):
-    (ref_code, ref_out, ref_files), (code, out, files) = ref, work
+    (ref_code, ref_out, ref_err, ref_files), (code, out, err, files) = ref, work
     if ref_code != code:
         yield f"exit code {ref_code} -> {code}"
     if ref_out != out:
         yield "stdout differs"
+    if ref_err != err:
+        yield "stderr differs"
+    # a traceback both trees print is still a fault: name each side's last line
+    for side, text in (("REF", ref_err), ("the working tree", err)):
+        if text:
+            yield f"stderr under {side}: {text.decode(errors='replace').splitlines()[-1]}"
     for name in sorted(set(ref_files) | set(files)):
         if name not in files:
             yield f"{name} only under REF"
